@@ -343,11 +343,10 @@ func BenchmarkSub_FleetEpochWide(b *testing.B) {
 
 // BenchmarkSub_FaultEpoch measures the fault-injection machinery on a
 // 4-shard fleet. The "empty" case runs with no fault plan — identical
-// workload and shape to BenchmarkSub_FleetEpoch/4shard — so its delta
-// against that benchmark is the cost of merely having the chaos hooks in
-// the epoch loop (which must be ~nothing: all of it is gated on a
-// non-empty plan). The "crash" case injects one crash/recover cycle and
-// pays for the pull, re-drive, and segment merge.
+// workload and shape to BenchmarkSub_FleetEpoch/4shard, and the same code
+// path: a fault-free run is the empty-plan case of the one fleet path, so
+// the two must match. The "crash" case injects one crash/recover cycle
+// and pays for the pull, re-drive, and segment merge.
 func BenchmarkSub_FaultEpoch(b *testing.B) {
 	models := model.Replicas(model.Llama2_7B, 24)
 	names := make([]string, len(models))

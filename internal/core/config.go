@@ -112,7 +112,7 @@ type Config struct {
 	// metric samples into the given recorder (internal/telemetry). Like
 	// Probe, a nil recorder costs one branch per hook site and the
 	// controller never allocates on behalf of an absent recorder. Unlike
-	// Probe — which invariants.Attach replaces and fleet chaos chains —
+	// Probe — which invariants.Attach replaces and the fleet chains —
 	// this field is never rewritten by the verification machinery, so
 	// telemetry and invariant probes coexist without perturbing each
 	// other. The recorder survives Controller.reset (config replacement

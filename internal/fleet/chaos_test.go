@@ -160,33 +160,52 @@ func TestFleetChaosDrain(t *testing.T) {
 }
 
 // TestFleetCheckerCatchesLeakedRequest is the negative conservation test:
-// hand-corrupt a finished chaos run's bookkeeping — a request silently
-// vanishes from a shard's completed count — and the extended identity must
-// flag it.
+// hand-corrupt a finished run's bookkeeping — a request silently vanishes
+// from a shard's completed count — and the lifecycle identity (completed +
+// dropped + retry-exhausted + live == accepted) must flag it, on a run
+// through a crash and on a fault-free one alike.
 func TestFleetCheckerCatchesLeakedRequest(t *testing.T) {
 	tr := testTrace(t, testModels(8), 2, 41)
-	cfg := testConfig(2, 2)
-	cfg.Faults = chaosPlan(tr.Duration)
-	res := Run(cfg, tr)
-	if !res.Ok() {
-		t.Fatalf("violations before corruption: %v", res.Violations)
-	}
-	// Replay runDone over a corrupted copy: one completion leaked.
-	res.Shards[0].Completed--
-	sd := []*shard{
-		{routed: int(res.Shards[0].Total), sliceCount: len(res.ShardTraces[0].Requests)},
-		{routed: int(res.Shards[1].Total), sliceCount: len(res.ShardTraces[1].Requests)},
-	}
-	ck := newChecker()
-	ck.runDone(&res, sd, true)
-	found := false
-	for _, v := range ck.violations {
-		if v.Check == "fleet-conservation" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("leaked request not flagged; violations: %v", ck.violations)
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{"crash", chaosPlan(tr.Duration)},
+		{"nil", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(2, 2)
+			cfg.Faults = tc.plan
+			res := Run(cfg, tr)
+			if !res.Ok() {
+				t.Fatalf("violations before corruption: %v", res.Violations)
+			}
+			// Replay runDone over the finished accounting: clean as is, then
+			// with one completion leaked.
+			replay := func() []Violation {
+				sd := []*shard{
+					{routed: int(res.Shards[0].Total), sliceCount: len(res.ShardTraces[0].Requests)},
+					{routed: int(res.Shards[1].Total), sliceCount: len(res.ShardTraces[1].Requests)},
+				}
+				ck := newChecker()
+				ck.runDone(&res, sd)
+				return ck.violations
+			}
+			if vs := replay(); len(vs) > 0 {
+				t.Fatalf("uncorrupted replay flagged: %v", vs)
+			}
+			res.Shards[0].Completed--
+			found := false
+			vs := replay()
+			for _, v := range vs {
+				if v.Check == "fleet-conservation" {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("leaked request not flagged; violations: %v", vs)
+			}
+		})
 	}
 }
 

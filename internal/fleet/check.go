@@ -16,12 +16,13 @@ import (
 //     virtual clock sits exactly on the epoch boundary and never moves
 //     backwards across epochs.
 //   - Routing range: every routing decision lands inside the active set
-//     (reported at decision time by Run).
+//     (reported at decision time by the front door).
 //   - Request conservation: offered == accepted + rejected; every routed
 //     request was submitted to exactly the shard it was routed to
 //     (per-shard report Total == front-door routed count); no request is
 //     lost or duplicated across shards (the routed counts and the shard
-//     totals both sum to accepted).
+//     totals both sum to accepted) or across a crash (every accepted
+//     request ends completed, dropped, retry-exhausted, or live).
 //
 // Like the shard suites, the checker is a pure witness over front-door
 // state and finished reports; it never touches shard interiors mid-epoch.
@@ -66,15 +67,16 @@ func (c *checker) epochBarrier(epoch int, end sim.Time, snaps []Snapshot) {
 	}
 }
 
-// runDone reconciles the finished run's accounting. On fault-free runs
-// the identities collapse to the classic offered == accepted + rejected;
-// chaos runs extend them across crashes: re-drives count on every shard
-// that saw the request (totals sum to accepted + redriven), pulled
-// requests that exhausted their budget sit in the ledger but were once
-// accepted (so they are excluded from the front-door shed count), and
-// every accepted request is accounted for exactly once as completed,
-// dropped, retry-exhausted, or still live at run end.
-func (c *checker) runDone(res *Result, shards []*shard, chaos bool) {
+// runDone reconciles the finished run's accounting. Re-drives count on
+// every shard that saw the request (totals sum to accepted + redriven);
+// pulled requests that exhausted their budget sit in the ledger but were
+// once accepted (so they are excluded from the front-door shed count);
+// and every accepted request is accounted for exactly once as completed,
+// dropped, retry-exhausted, or still live at run end. On fault-free runs
+// redriven and retry-exhausted are zero and the identities collapse to
+// offered == accepted + rejected and completed + dropped + live ==
+// accepted.
+func (c *checker) runDone(res *Result, shards []*shard) {
 	frontShed := int64(len(res.Rejections)) - res.RetryExhausted
 	if got := res.Accepted + frontShed; got != res.Offered {
 		c.report("fleet-conservation", c.lastEpoch,
@@ -82,10 +84,13 @@ func (c *checker) runDone(res *Result, shards []*shard, chaos bool) {
 			res.Accepted, frontShed, got, res.Offered)
 	}
 	wantRouted := res.Accepted + res.Redriven
-	var routedSum, totalSum int64
+	var routedSum, totalSum, completedSum, droppedSum, liveEnd int64
 	for i, sd := range shards {
 		routedSum += int64(sd.routed)
 		totalSum += res.Shards[i].Total
+		completedSum += res.Shards[i].Completed
+		droppedSum += res.Shards[i].Dropped
+		liveEnd += int64(len(sd.inflight))
 		if res.Shards[i].Total != int64(sd.routed) {
 			c.report("fleet-conservation", c.lastEpoch,
 				"shard %d submitted %d requests, front door routed %d (request lost or duplicated)",
@@ -111,18 +116,9 @@ func (c *checker) runDone(res *Result, shards []*shard, chaos bool) {
 		c.report("fleet-conservation", c.lastEpoch,
 			"merged report total %d, shard totals sum to %d", res.Report.Total, totalSum)
 	}
-	if chaos {
-		var completedSum, droppedSum, liveEnd int64
-		for i, sd := range shards {
-			completedSum += res.Shards[i].Completed
-			droppedSum += res.Shards[i].Dropped
-			liveEnd += int64(len(sd.inflight))
-		}
-		got := completedSum + droppedSum + res.RetryExhausted + liveEnd
-		if got != res.Accepted {
-			c.report("fleet-conservation", c.lastEpoch,
-				"request lost or duplicated across a crash: completed %d + dropped %d + retry-exhausted %d + live %d = %d, accepted %d",
-				completedSum, droppedSum, res.RetryExhausted, liveEnd, got, res.Accepted)
-		}
+	if got := completedSum + droppedSum + res.RetryExhausted + liveEnd; got != res.Accepted {
+		c.report("fleet-conservation", c.lastEpoch,
+			"request lost or duplicated: completed %d + dropped %d + retry-exhausted %d + live %d = %d, accepted %d",
+			completedSum, droppedSum, res.RetryExhausted, liveEnd, got, res.Accepted)
 	}
 }

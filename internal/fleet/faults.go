@@ -1,11 +1,13 @@
 // Fleet-side fault machinery: the closed rejection-reason enum, the
 // RetryPolicy decision point, the compiler that quantizes a faults.Plan
-// onto the epoch grid, and the probe that tracks each shard's in-flight
-// requests so a crash can pull and re-drive them.
+// onto the epoch grid, the probe that retires each shard's in-flight
+// requests, and the front door's fault phases (apply actions, decide
+// retries, re-drive) that pull a crashed shard's in-flight set and
+// re-route it.
 //
 // All fault handling runs in the serial front-door section at the top of
-// an epoch — between barriers no shard is touched from outside — so chaos
-// runs keep the byte-identical-across-Workers determinism contract.
+// an epoch — between barriers no shard is touched from outside — so runs
+// with faults keep the byte-identical-across-Workers determinism contract.
 package fleet
 
 import (
@@ -18,6 +20,7 @@ import (
 	"slinfer/internal/faults"
 	"slinfer/internal/metrics"
 	"slinfer/internal/sim"
+	"slinfer/internal/telemetry"
 	"slinfer/internal/workload"
 )
 
@@ -90,26 +93,6 @@ const (
 	opDegradeEnd
 )
 
-func (o actionOp) String() string {
-	switch o {
-	case opCrash:
-		return "crash"
-	case opRecover:
-		return "recover"
-	case opDrain:
-		return "drain"
-	case opSlowStart:
-		return "slowdown"
-	case opSlowEnd:
-		return "slowdown-end"
-	case opDegradeStart:
-		return "kvdegrade"
-	case opDegradeEnd:
-		return "kvdegrade-end"
-	}
-	return "?"
-}
-
 // faultAction is a plan event quantized onto the epoch grid.
 type faultAction struct {
 	epoch  int
@@ -181,68 +164,42 @@ type inflightRec struct {
 	req workload.Request
 }
 
-// retryEntry is a pulled request waiting out its backoff.
+// retryEntry is a request pulled off a crashed shard: waiting for its
+// retry decision, then out its backoff in the retry queue.
 type retryEntry struct {
 	rec   inflightRec
 	ready int // epoch index at which the re-drive may route
 	from  int // shard the request was pulled off (telemetry provenance)
 }
 
-// shardProbe is the fleet's per-shard lifecycle witness on chaos runs: it
-// maintains the shard's in-flight set (what a crash pulls and re-drives)
-// and the per-epoch completion count behind the goodput-dip metric, then
-// delegates to the shard's invariant suite (or whatever probe the
-// configuration installed). Only installed when the fault plan is
-// non-empty, so fault-free runs pay nothing.
+// shardProbe is the fleet's per-shard lifecycle witness: it retires
+// requests from the shard's in-flight set (which enqueue fills) when they
+// complete or drop, and forwards every event down the chain — to the
+// shard's invariant suite, the configured probe, or nopProbe.
 type shardProbe struct {
-	sd   *shard
-	next core.Probe
-}
-
-func (p *shardProbe) RequestSubmitted(req *engine.Request) {
-	id := req.W.ID
-	idx, ok := p.sd.idxByID[id]
-	if !ok {
-		idx = -1
-	}
-	p.sd.inflight[id] = inflightRec{idx: idx, req: req.W}
-	if p.next != nil {
-		p.next.RequestSubmitted(req)
-	}
+	core.Probe
+	sd *shard
 }
 
 func (p *shardProbe) RequestCompleted(req *engine.Request, inst *engine.Instance) {
 	delete(p.sd.inflight, req.W.ID)
-	p.sd.completedEpoch++
-	if p.next != nil {
-		p.next.RequestCompleted(req, inst)
-	}
+	p.Probe.RequestCompleted(req, inst)
 }
 
 func (p *shardProbe) RequestDropped(req *engine.Request) {
 	delete(p.sd.inflight, req.W.ID)
-	if p.next != nil {
-		p.next.RequestDropped(req)
-	}
+	p.Probe.RequestDropped(req)
 }
 
-func (p *shardProbe) InstanceCreated(inst *engine.Instance) {
-	if p.next != nil {
-		p.next.InstanceCreated(inst)
-	}
-}
+// nopProbe ends a probe chain nothing else watches.
+type nopProbe struct{}
 
-func (p *shardProbe) InstanceRemoved(inst *engine.Instance) {
-	if p.next != nil {
-		p.next.InstanceRemoved(inst)
-	}
-}
-
-func (p *shardProbe) RunFinished(c *core.Controller, rep metrics.Report) {
-	if p.next != nil {
-		p.next.RunFinished(c, rep)
-	}
-}
+func (nopProbe) RequestSubmitted(*engine.Request)                   {}
+func (nopProbe) RequestCompleted(*engine.Request, *engine.Instance) {}
+func (nopProbe) RequestDropped(*engine.Request)                     {}
+func (nopProbe) InstanceCreated(*engine.Instance)                   {}
+func (nopProbe) InstanceRemoved(*engine.Instance)                   {}
+func (nopProbe) RunFinished(*core.Controller, metrics.Report)       {}
 
 // pullInflight drains the shard's in-flight set into a deterministic
 // slice, sorted by (Arrival as last submitted, ID).
@@ -264,6 +221,121 @@ func (sd *shard) pullInflight() []inflightRec {
 	})
 	clear(sd.inflight)
 	return out
+}
+
+// applyFaults fires the fault actions due by this epoch, at its top and
+// before any routing decision, and patches the stale snapshots' health
+// fields in place so this epoch's decisions already route around the
+// change. A crash's in-flight set joins fd.pulled.
+func (fd *frontDoor) applyFaults() {
+	for fd.nextAction < len(fd.actions) && fd.actions[fd.nextAction].epoch <= fd.epoch {
+		a := fd.actions[fd.nextAction]
+		fd.nextAction++
+		if !fd.apply(a) {
+			continue
+		}
+		if fd.front != nil {
+			fd.front.Record(fd.start, telemetry.KindFault, -1, -1, int64(a.shard), int64(a.op))
+		}
+		fd.fired++
+		if fd.firstFault < 0 {
+			fd.firstFault = fd.epoch
+		}
+	}
+}
+
+// apply performs one fault action on its shard and reports whether it
+// changed anything: each case pairs an op with the shard state it needs
+// (crashing a down shard, say, is a no-op).
+func (fd *frontDoor) apply(a faultAction) bool {
+	sd, snap := fd.shards[a.shard], &fd.snaps[a.shard]
+	ts := sd.ctl.PrefixStore()
+	switch {
+	case a.op == opCrash && sd.up:
+		for _, rec := range sd.crash(fd.start, fd.ck) {
+			fd.pulled = append(fd.pulled, retryEntry{rec: rec, from: a.shard})
+		}
+		snap.Healthy, snap.SlowFactor = false, 1
+	case a.op == opRecover && !(sd.up && sd.healthy):
+		sd.recover(fd.start, fd.traceEnd, fd.expected)
+		snap.Healthy = true
+	case a.op == opDrain && sd.up && sd.healthy:
+		sd.healthy, snap.Healthy = false, false
+	case a.op == opSlowStart && sd.up:
+		sd.slow, snap.SlowFactor = a.factor, a.factor
+		sd.ctl.SetSlowdown(a.factor)
+	case a.op == opSlowEnd && sd.up && sd.slow > 0:
+		sd.slow, snap.SlowFactor = 0, 1
+		sd.ctl.SetSlowdown(0)
+	case a.op == opDegradeStart && sd.up && sd.gpuFull == 0 && ts != nil &&
+		int64(a.factor*float64(ts.Config().GPUBytes)) > 0:
+		sd.gpuFull = ts.Config().GPUBytes
+		ts.SetGPUCapacity(int64(a.factor * float64(sd.gpuFull)))
+	case a.op == opDegradeEnd && sd.up && sd.gpuFull > 0:
+		if ts != nil {
+			ts.SetGPUCapacity(sd.gpuFull)
+		}
+		sd.gpuFull = 0
+	default:
+		return false
+	}
+	return true
+}
+
+// decideRetries meets every request pulled this epoch with the retry
+// policy at once: the budget decides at pull time whether it waits out a
+// backoff in the retry queue or goes to the ledger.
+func (fd *frontDoor) decideRetries() {
+	for _, e := range fd.pulled {
+		fd.assigned[e.rec.idx] = -1
+		att := fd.attempts[e.rec.req.ID]
+		fd.attempts[e.rec.req.ID] = att + 1
+		ok, delay := fd.cfg.Retry.Retry(e.rec.req, att)
+		if !ok {
+			fd.exhaust(e, ReasonRetryExhausted)
+			continue
+		}
+		e.ready = fd.epoch + max(delay, 0)
+		fd.retryq = append(fd.retryq, e)
+	}
+	fd.pulled = fd.pulled[:0]
+}
+
+// redrive routes the due retry-queue entries ahead of this epoch's
+// arrivals, through the same routing policy. While no healthy shard
+// exists they wait without burning budget, and once the plan can no
+// longer produce one they go to the ledger.
+func (fd *frontDoor) redrive() {
+	keep := fd.retryq[:0]
+	for _, e := range fd.retryq {
+		switch {
+		case !fd.healthy && fd.epoch > fd.lastActionEpoch:
+			fd.exhaust(e, ReasonNoHealthyShard)
+		case !fd.healthy || e.ready > fd.epoch:
+			keep = append(keep, e)
+		default:
+			r := e.rec.req
+			r.Arrival = fd.start
+			s := fd.route(r)
+			if fd.front != nil {
+				fd.front.Record(fd.start, telemetry.KindRedrive, -1, r.ID, int64(e.from), int64(s))
+			}
+			fd.res.Redriven++
+			fd.place(r, e.rec.idx, s)
+		}
+	}
+	fd.retryq = keep
+}
+
+// exhaust ledgers a pulled request the fleet gives up on.
+func (fd *frontDoor) exhaust(e retryEntry, reason string) {
+	if fd.front != nil {
+		fd.front.Record(fd.start, telemetry.KindRetryExhausted, -1, e.rec.req.ID, int64(e.from), 0)
+	}
+	fd.res.Rejections = append(fd.res.Rejections, Rejection{
+		ID: e.rec.req.ID, Model: e.rec.req.ModelName, At: fd.start, Reason: reason,
+	})
+	fd.res.RetryExhausted++
 }
 
 // mergeSegments folds the sequential per-segment reports of one shard

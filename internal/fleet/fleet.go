@@ -4,9 +4,10 @@
 // and autoscales in epoch-synchronized co-simulation:
 //
 //	for each epoch [kE, (k+1)E):
-//	    autoscale the active shard set        } decisions see only shard
-//	    admit + route the epoch's arrivals    } snapshots from the end of
-//	    in global arrival order               } epoch k-1
+//	    apply due fault actions, decide retries } decisions see only shard
+//	    autoscale the active shard set           } snapshots from the end of
+//	    re-drive, then admit + route the epoch's } epoch k-1
+//	    arrivals in global arrival order         }
 //	    advance every shard to (k+1)E — in parallel (internal/par)
 //	    snapshot every shard, in shard order
 //
@@ -24,11 +25,11 @@
 // conservation, routing-range, epoch clock monotonicity) ride on the
 // Result. See DESIGN.md "Fleet layer".
 //
-// Fault injection (Config.Faults, internal/faults) threads through the
-// same serial front-door section: fault actions fire at the top of an
-// epoch, crashes pull the shard's in-flight set for budgeted re-drive
-// (Config.Retry), and request conservation extends across the crash. See
-// DESIGN.md "Fault injection & recovery".
+// There is one fleet path: a fault-free run is the empty-plan case of the
+// fault machinery (Config.Faults, internal/faults). Fault actions fire at
+// the top of an epoch, crashes pull the shard's in-flight set for budgeted
+// re-drive (Config.Retry), and request conservation holds across crashes.
+// See DESIGN.md "Fault injection & recovery".
 package fleet
 
 import (
@@ -233,6 +234,7 @@ type shard struct {
 	sim      *sim.Simulator
 	ctl      *core.Controller
 	suite    *invariants.Suite
+	probe    shardProbe
 	fnSubmit func(any)
 	routed   int // total submissions to this shard (arrivals + re-drives)
 	// sliceCount tracks how many trace requests the shard's final
@@ -242,6 +244,11 @@ type shard struct {
 	// resScratch backs the snapshot's prefix-residency slice; safe to reuse
 	// because each barrier replaces the previous snapshot wholesale.
 	resScratch []kvcache.RootResidency
+	// inflight tracks accepted-but-not-terminal requests on the shard:
+	// enqueue records each routed request under its arrival index, and the
+	// shard's probe deletes it on completion or drop. A crash pulls it for
+	// re-drive; the checker counts what is left at run end as live.
+	inflight map[int64]inflightRec
 
 	// Fault state (only exercised when the run has a non-empty plan).
 	specs   []hwsim.NodeSpec // construction parameters, kept for crash-reset
@@ -252,27 +259,24 @@ type shard struct {
 	healthy bool    // receives new arrivals (up and not draining)
 	slow    float64 // active straggler factor (0 = none)
 	gpuFull int64   // saved GPU tier capacity while degraded (0 = none)
-	// inflight tracks accepted-but-not-terminal requests on the shard
-	// (maintained by shardProbe); what a crash pulls for re-drive.
-	inflight map[int64]inflightRec
-	idxByID  map[int64]int // trace request ID -> arrival index (shared)
 	// segments holds the stream segments finalized by crashes; segStart
-	// is the current segment's begin time. firedBefore accumulates DES
-	// event counts lost to simulator resets.
-	segments    []metrics.Report
-	segStart    sim.Time
-	segViol     []invariants.Violation
-	firedBefore uint64
-	// completedEpoch counts completions since the last barrier (the
-	// goodput series behind the recovery metrics).
-	completedEpoch int64
+	// is the current segment's begin time. firedBefore and completedBefore
+	// accumulate the DES event and completion counts of controllers lost
+	// to crashes; completedMark is the cumulative completion count at the
+	// last barrier (the goodput series' reference point).
+	segments        []metrics.Report
+	segStart        sim.Time
+	segViol         []invariants.Violation
+	firedBefore     uint64
+	completedBefore int64
+	completedMark   int64
 	// flight keeps the first flight-recorder dump any of the shard's
 	// invariant suites produced (suites are finalized at crashes and run
 	// end; the first violation wins).
 	flight string
 }
 
-func newShard(cfg Config, i int, chaos bool) *shard {
+func newShard(cfg Config, i int) *shard {
 	spec := cfg.Shards[i]
 	sys := cfg.System
 	if spec.System != nil {
@@ -290,26 +294,39 @@ func newShard(cfg Config, i int, chaos bool) *shard {
 	a := core.AcquireArena()
 	sd := &shard{
 		arena: a, sim: a.Sim(), ctl: a.NewController(spec.Specs, cfg.Models, sys),
-		specs: spec.Specs, models: cfg.Models, sys: sys,
+		inflight: map[int64]inflightRec{},
+		specs:    spec.Specs, models: cfg.Models, sys: sys,
 		attach: cfg.AttachInvariants, up: true, healthy: true,
 	}
-	if cfg.AttachInvariants {
-		sd.suite = invariants.Attach(sd.ctl)
-	}
-	if chaos {
-		sd.inflight = map[int64]inflightRec{}
-		sd.ctl.Cfg.Probe = &shardProbe{sd: sd, next: sd.ctl.Cfg.Probe}
-	}
+	sd.probe.sd = sd
+	sd.watch()
 	sd.fnSubmit = func(a any) { sd.ctl.Submit(*(a.(*workload.Request))) }
 	return sd
 }
 
-// enqueue schedules one routed arrival on the shard's simulator.
+// watch installs the shard's lifecycle witnesses on its current
+// controller: the invariant suite when configured, chained behind the
+// fleet's in-flight probe. Construction and recovery both go through it,
+// so a rebuilt controller is watched exactly like the original.
+func (sd *shard) watch() {
+	if sd.attach {
+		sd.suite = invariants.Attach(sd.ctl)
+	}
+	sd.probe.Probe = sd.ctl.Cfg.Probe
+	if sd.probe.Probe == nil {
+		sd.probe.Probe = nopProbe{}
+	}
+	sd.ctl.Cfg.Probe = &sd.probe
+}
+
+// enqueue schedules one routed request on the shard's simulator and
+// records it in flight under its trace arrival index.
 //
 //slinfer:hotpath
-func (sd *shard) enqueue(r workload.Request) {
+func (sd *shard) enqueue(r workload.Request, idx int) {
 	sd.routed++
 	sd.sliceCount++
+	sd.inflight[r.ID] = inflightRec{idx: idx, req: r}
 	arg := new(workload.Request)
 	*arg = r
 	sd.sim.AtFunc(r.Arrival, sd.fnSubmit, arg)
@@ -337,6 +354,29 @@ func (sd *shard) snapshot(i int, active bool, routedLast int) Snapshot {
 	}
 }
 
+// epochCompletions returns the shard's completions since the last
+// barrier — counting those of a controller lost to a crash since — and
+// moves the barrier mark.
+func (sd *shard) epochCompletions() int64 {
+	total := sd.completedBefore + sd.ctl.Collector.Completed
+	n := total - sd.completedMark
+	sd.completedMark = total
+	return n
+}
+
+// closeSuite folds the current invariant suite's findings (and its first
+// flight dump) into the shard's record and detaches it.
+func (sd *shard) closeSuite() {
+	if sd.suite == nil {
+		return
+	}
+	sd.segViol = append(sd.segViol, sd.suite.Violations()...)
+	if sd.flight == "" {
+		sd.flight = sd.suite.FlightDump()
+	}
+	sd.suite = nil
+}
+
 // crash tears the shard down at an epoch top: the current stream segment
 // is finalized into sd.segments, the in-flight set is pulled for the
 // caller to re-drive, and the controller is rebuilt from its original
@@ -352,16 +392,11 @@ func (sd *shard) crash(now sim.Time, ck *checker) []inflightRec {
 			sd.ctl.Cfg.Name, len(sd.inflight), sd.suite.LiveCount())
 	}
 	sd.segments = append(sd.segments, sd.ctl.EndStream(now.Sub(sd.segStart)))
-	if sd.suite != nil {
-		sd.segViol = append(sd.segViol, sd.suite.Violations()...)
-		if sd.flight == "" {
-			sd.flight = sd.suite.FlightDump()
-		}
-		sd.suite = nil
-	}
+	sd.closeSuite()
 	pulled := sd.pullInflight()
 	sd.sliceCount -= len(pulled) // pulled requests leave this shard's slice
 	sd.firedBefore += sd.sim.Fired()
+	sd.completedBefore += sd.ctl.Collector.Completed
 	sd.ctl = sd.arena.NewController(sd.specs, sd.models, sd.sys)
 	sd.up, sd.healthy = false, false
 	sd.slow, sd.gpuFull = 0, 0
@@ -369,22 +404,83 @@ func (sd *shard) crash(now sim.Time, ck *checker) []inflightRec {
 }
 
 // recover brings a crashed shard back cold (or just reopens a drained
-// one): the invariant suite and fleet probe are re-attached to the
-// rebuilt controller and a new stream segment begins at now. The sampler
-// self-stops past traceEnd, so recoveries in extension epochs only serve
-// re-drives.
+// one): the lifecycle witnesses are re-installed on the rebuilt controller
+// and a new stream segment begins at now. The sampler self-stops past
+// traceEnd, so recoveries in extension epochs only serve re-drives.
 func (sd *shard) recover(now, traceEnd sim.Time, expected int) {
 	if sd.up {
 		sd.healthy = true
 		return
 	}
-	if sd.attach {
-		sd.suite = invariants.Attach(sd.ctl)
-	}
-	sd.ctl.Cfg.Probe = &shardProbe{sd: sd, next: sd.ctl.Cfg.Probe}
+	sd.watch()
 	sd.ctl.BeginStream(traceEnd, expected)
 	sd.segStart = now
 	sd.up, sd.healthy = true, true
+}
+
+// report ends the shard's stream at the run horizon plus its drain grace
+// and folds any crash-finalized segments into one shard report.
+func (sd *shard) report(horizon sim.Time) metrics.Report {
+	grace := sd.ctl.Cfg.DrainGrace
+	total := sim.Duration(horizon) + grace
+	defer sd.closeSuite()
+	switch {
+	case sd.up && len(sd.segments) == 0:
+		// The common case, and the only one on fault-free runs: a single
+		// segment spanning the whole run.
+		return sd.ctl.EndStream(total)
+	case sd.up:
+		segs := append(sd.segments, sd.ctl.EndStream(horizon.Add(grace).Sub(sd.segStart)))
+		return mergeSegments(sd.ctl.Cfg.Name, total, segs)
+	default:
+		// Down at run end: the crash already finalized every segment.
+		return mergeSegments(sd.ctl.Cfg.Name, total, sd.segments)
+	}
+}
+
+// frontDoor owns one fleet run: the shards, their end-of-previous-epoch
+// snapshots, the arrival-index -> shard placement, the compiled fault
+// plan, and the retry queue. Run drives it one epoch at a time through
+// its phase methods — beginEpoch, applyFaults, decideRetries, scale,
+// redrive, admitAndRoute, barrier — and finish builds the Result. Every
+// phase except the shard advance inside barrier is serial, so all of its
+// state is read and written by one goroutine.
+type frontDoor struct {
+	cfg      Config
+	tr       workload.Trace
+	shards   []*shard
+	snaps    []Snapshot
+	assigned []int // arrival index -> shard (-1 shed, pulled, or exhausted)
+	ck       *checker
+	res      Result
+	sem      par.Sem
+	advance  func(int) struct{} // pre-bound shard advance for par.Do
+	// front is the fleet's telemetry recorder, written only inside the
+	// serial section so its event stream is ordered for any worker count;
+	// nil without telemetry.
+	front *telemetry.Recorder
+
+	traceEnd, horizon sim.Time
+	expected          int // per-shard arrival reservation for BeginStream
+
+	actions         []faultAction
+	nextAction      int
+	lastActionEpoch int   // epoch of the final action (-1 without one)
+	fired           int64 // applied fault actions
+	firstFault      int   // epoch of the first applied action (-1 none)
+	pulled          []retryEntry
+	retryq          []retryEntry
+	attempts        map[int64]int
+	completions     []int64 // fleet completions per epoch (goodput series)
+
+	// Epoch state: [start, end) is the current window, next the first trace
+	// arrival not yet offered, st the policies' view (reused every epoch).
+	epoch      int
+	start, end sim.Time
+	next       int
+	active     int
+	st         EpochState
+	healthy    bool // the active set holds a healthy shard this epoch
 }
 
 // Run executes the fleet over a trace. It panics on an invalid
@@ -398,422 +494,252 @@ func Run(cfg Config, tr workload.Trace) Result {
 	if len(cfg.Models) == 0 {
 		panic("fleet: config hosts no models")
 	}
-	cfg = cfg.withDefaults()
+	fd := newFrontDoor(cfg.withDefaults(), tr)
+	// The loop covers the trace window, then extension epochs until every
+	// pending fault action has fired and the retry queue has drained (each
+	// entry is eventually re-driven or ledgered, so the extension is
+	// bounded by the plan and the backoff). Fault-free runs have neither.
+	for fd.start < fd.traceEnd || len(fd.retryq) > 0 || fd.nextAction < len(fd.actions) {
+		fd.beginEpoch()
+		fd.applyFaults()
+		fd.decideRetries()
+		fd.scale()
+		fd.redrive()
+		fd.admitAndRoute()
+		fd.barrier()
+	}
+	return fd.finish()
+}
+
+func newFrontDoor(cfg Config, tr workload.Trace) *frontDoor {
 	cfg.Routing.Reset()
 	n := len(cfg.Shards)
-	ck := newChecker()
+	fd := &frontDoor{
+		cfg: cfg, tr: tr, ck: newChecker(),
+		shards:   make([]*shard, n),
+		snaps:    make([]Snapshot, n),
+		assigned: make([]int, len(tr.Requests)),
+		sem:      par.NewSem(cfg.Workers),
+		res: Result{
+			ShardViolations: make([][]invariants.Violation, n),
+			FlightDumps:     make([]string, n),
+		},
+		traceEnd:        sim.Time(0).Add(tr.Duration),
+		expected:        len(tr.Requests)/n + 1,
+		lastActionEpoch: -1,
+		firstFault:      -1,
+		attempts:        map[int64]int{},
+		active:          n,
+		st:              EpochState{Routed: make([]int, n)},
+	}
+	fd.horizon = fd.traceEnd
+	fd.completions = make([]int64, 0, int(tr.Duration/cfg.Epoch)+1)
+	fd.st.Snaps = fd.snaps
+	fd.advance = fd.advanceShard
 	if err := tr.Validate(); err != nil {
-		ck.report("fleet-trace", 0, "invalid trace: %v", err)
+		fd.ck.report("fleet-trace", 0, "invalid trace: %v", err)
 	}
-
-	// A non-empty, valid fault plan turns the chaos machinery on; an
-	// empty one leaves the run on exactly the fault-free code path.
-	chaos := !cfg.Faults.Empty()
-	var actions []faultAction
-	if chaos {
-		if err := cfg.Faults.Validate(n, tr.Duration); err != nil {
-			ck.report("fleet-faults", 0, "invalid fault plan: %v", err)
-			chaos = false
-		} else {
-			actions = compilePlan(cfg.Faults, cfg.Epoch)
-			chaos = len(actions) > 0
-		}
+	if err := cfg.Faults.Validate(n, tr.Duration); err != nil {
+		fd.ck.report("fleet-faults", 0, "invalid fault plan: %v", err)
+	} else if fd.actions = compilePlan(cfg.Faults, cfg.Epoch); len(fd.actions) > 0 {
+		fd.lastActionEpoch = fd.actions[len(fd.actions)-1].epoch
 	}
-
-	shards := make([]*shard, n)
-	for i := range shards {
-		shards[i] = newShard(cfg, i, chaos)
-	}
-	if chaos {
-		idxByID := make(map[int64]int, len(tr.Requests))
-		for i, r := range tr.Requests {
-			idxByID[r.ID] = i
-		}
-		for _, sd := range shards {
-			sd.idxByID = idxByID
-		}
-	}
-	traceEnd := sim.Time(0).Add(tr.Duration)
-	expected := len(tr.Requests)/n + 1
-	for _, sd := range shards {
-		sd.ctl.BeginStream(traceEnd, expected)
-	}
-
-	res := Result{
-		ShardViolations: make([][]invariants.Violation, n),
-		FlightDumps:     make([]string, n),
-	}
-	sem := par.NewSem(cfg.Workers)
-	snaps := make([]Snapshot, n)
-	for i, sd := range shards {
-		snaps[i] = sd.snapshot(i, true, 0)
-	}
-	assigned := make([]int, len(tr.Requests)) // arrival index -> shard (-1 shed)
-	for i := range assigned {
-		assigned[i] = -1
-	}
-	active := n
-	idx := 0
-	actionCursor := 0
-	lastActionEpoch := -1
-	if len(actions) > 0 {
-		lastActionEpoch = actions[len(actions)-1].epoch
-	}
-	var (
-		retryq      []retryEntry
-		attempts    map[int64]int
-		completions []int64 // fleet completions per epoch (goodput series)
-		firedCount  int64   // applied fault actions
-		firstFault  = -1    // epoch of the first applied action
-	)
-	if chaos {
-		attempts = map[int64]int{}
-	}
-	// Telemetry front door: written only inside the serial section, so the
-	// fleet's event stream is ordered no matter the worker count.
-	var front *telemetry.Recorder
-	var prevCompleted []int64 // per-shard completions at the last barrier
 	if cfg.Telemetry != nil {
-		front = cfg.Telemetry.Fleet()
-		prevCompleted = make([]int64, n)
+		fd.front = cfg.Telemetry.Fleet()
 	}
-	horizon := traceEnd
-	epoch := 0
-	start := sim.Time(0)
-	// The loop covers the trace window, then — on chaos runs only —
-	// extension epochs until every pending fault action has fired and the
-	// retry queue has drained (each entry is eventually re-driven or
-	// ledgered, so the extension is bounded by the plan and the backoff).
-	for start < traceEnd || (chaos && (len(retryq) > 0 || actionCursor < len(actions))) {
-		end := sim.Time(0).Add(sim.Duration(epoch+1) * cfg.Epoch)
-		if end > traceEnd && start < traceEnd {
-			end = traceEnd
-		}
-		if end > horizon {
-			horizon = end
-		}
-		ext := start >= traceEnd // extension epoch: no arrivals, frozen active set
+	for i := range fd.shards {
+		fd.shards[i] = newShard(cfg, i)
+		fd.shards[i].ctl.BeginStream(fd.traceEnd, fd.expected)
+		fd.snaps[i] = fd.shards[i].snapshot(i, true, 0)
+	}
+	for i := range fd.assigned {
+		fd.assigned[i] = -1
+	}
+	return fd
+}
 
-		// Fault actions fire at the top of the epoch, before any routing
-		// decision, and patch the stale snapshots' health fields in place
-		// so this epoch's decisions already route around the change.
-		var pulled []inflightRec
-		var pulledFrom []int // origin shard per pulled record
-		for actionCursor < len(actions) && actions[actionCursor].epoch <= epoch {
-			a := actions[actionCursor]
-			actionCursor++
-			sd := shards[a.shard]
-			applied := false
-			switch a.op {
-			case opCrash:
-				if sd.up {
-					recs := sd.crash(start, ck)
-					pulled = append(pulled, recs...)
-					for range recs {
-						pulledFrom = append(pulledFrom, a.shard)
-					}
-					snaps[a.shard].Healthy, snaps[a.shard].SlowFactor = false, 1
-					applied = true
-				}
-			case opRecover:
-				if !sd.up || !sd.healthy {
-					sd.recover(start, traceEnd, expected)
-					snaps[a.shard].Healthy = true
-					applied = true
-				}
-			case opDrain:
-				if sd.up && sd.healthy {
-					sd.healthy = false
-					snaps[a.shard].Healthy = false
-					applied = true
-				}
-			case opSlowStart:
-				if sd.up {
-					sd.slow = a.factor
-					sd.ctl.SetSlowdown(a.factor)
-					snaps[a.shard].SlowFactor = a.factor
-					applied = true
-				}
-			case opSlowEnd:
-				if sd.up && sd.slow > 0 {
-					sd.slow = 0
-					sd.ctl.SetSlowdown(0)
-					snaps[a.shard].SlowFactor = 1
-					applied = true
-				}
-			case opDegradeStart:
-				if ts := sd.ctl.PrefixStore(); sd.up && sd.gpuFull == 0 && ts != nil {
-					full := ts.Config().GPUBytes
-					if degraded := int64(a.factor * float64(full)); degraded > 0 {
-						sd.gpuFull = full
-						ts.SetGPUCapacity(degraded)
-						applied = true
-					}
-				}
-			case opDegradeEnd:
-				if sd.up && sd.gpuFull > 0 {
-					if ts := sd.ctl.PrefixStore(); ts != nil {
-						ts.SetGPUCapacity(sd.gpuFull)
-					}
-					sd.gpuFull = 0
-					applied = true
-				}
-			}
-			if applied {
-				if front != nil {
-					front.Record(start, telemetry.KindFault, -1, -1,
-						int64(a.shard), int64(a.op))
-				}
-				firedCount++
-				if firstFault < 0 {
-					firstFault = epoch
-				}
-			}
-		}
-		// Pulled requests meet the retry decision point immediately: the
-		// budget decides at pull time whether they wait out a backoff in
-		// the retry queue or go to the ledger.
-		for pi, rec := range pulled {
-			if rec.idx >= 0 {
-				assigned[rec.idx] = -1
-			}
-			att := attempts[rec.req.ID]
-			attempts[rec.req.ID] = att + 1
-			if ok, delay := cfg.Retry.Retry(rec.req, att); ok {
-				if delay < 0 {
-					delay = 0
-				}
-				retryq = append(retryq, retryEntry{
-					rec: rec, ready: epoch + delay, from: pulledFrom[pi],
-				})
-			} else {
-				if front != nil {
-					front.Record(start, telemetry.KindRetryExhausted, -1,
-						rec.req.ID, int64(pulledFrom[pi]), 0)
-				}
-				res.Rejections = append(res.Rejections, Rejection{
-					ID: rec.req.ID, Model: rec.req.ModelName,
-					At: start, Reason: ReasonRetryExhausted,
-				})
-				res.RetryExhausted++
-			}
-		}
+// beginEpoch opens the window [start, end): the last trace epoch is cut
+// at the trace end, and extension epochs past it push the run horizon.
+func (fd *frontDoor) beginEpoch() {
+	fd.end = sim.Time(0).Add(sim.Duration(fd.epoch+1) * fd.cfg.Epoch)
+	if fd.end > fd.traceEnd && fd.start < fd.traceEnd {
+		fd.end = fd.traceEnd
+	}
+	if fd.end > fd.horizon {
+		fd.horizon = fd.end
+	}
+}
 
-		if !ext {
-			active = clamp(cfg.Autoscale.Scale(active, snaps), 1, n)
+// scale resizes the active set from the (fault-patched) snapshots — frozen
+// in extension epochs, which take no arrivals — and resets the policies'
+// epoch state.
+func (fd *frontDoor) scale() {
+	if fd.start < fd.traceEnd {
+		fd.active = clamp(fd.cfg.Autoscale.Scale(fd.active, fd.snaps), 1, len(fd.shards))
+	}
+	fd.res.ActiveByEpoch = append(fd.res.ActiveByEpoch, fd.active)
+	fd.st.Epoch, fd.st.Active, fd.st.Accepted = fd.epoch, fd.active, 0
+	clear(fd.st.Routed)
+	fd.healthy = false
+	for i := 0; i < fd.active; i++ {
+		if fd.snaps[i].Healthy {
+			fd.healthy = true
+			break
 		}
-		res.ActiveByEpoch = append(res.ActiveByEpoch, active)
-		st := &EpochState{Epoch: epoch, Active: active, Snaps: snaps, Routed: make([]int, n)}
-		healthyActive := false
-		for i := 0; i < active; i++ {
-			if snaps[i].Healthy {
-				healthyActive = true
+	}
+}
+
+// route asks the routing policy for r's shard and guards the answer: an
+// out-of-range pick is clamped and an unhealthy pick re-routed to the
+// first healthy active shard, both reported as violations.
+func (fd *frontDoor) route(r workload.Request) int {
+	s := fd.cfg.Routing.Route(r, &fd.st)
+	if s < 0 || s >= fd.active {
+		fd.ck.report("fleet-routing", r.Arrival,
+			"policy %s routed request %d to shard %d, active set is [0, %d)",
+			fd.cfg.Routing.Name(), r.ID, s, fd.active)
+		s = clamp(s, 0, fd.active-1)
+	}
+	if !fd.snaps[s].Healthy {
+		for i := 0; i < fd.active; i++ {
+			if fd.snaps[i].Healthy {
+				fd.ck.report("fleet-routing", r.Arrival,
+					"policy %s routed request %d to unhealthy shard %d, re-routed to %d",
+					fd.cfg.Routing.Name(), r.ID, s, i)
+				s = i
 				break
 			}
 		}
-		// routeChecked guards every policy decision: out-of-range picks
-		// are clamped and unhealthy picks re-routed, both as violations.
-		routeChecked := func(r workload.Request) int {
-			s := cfg.Routing.Route(r, st)
-			if s < 0 || s >= active {
-				ck.report("fleet-routing", r.Arrival,
-					"policy %s routed request %d to shard %d, active set is [0, %d)",
-					cfg.Routing.Name(), r.ID, s, active)
-				s = clamp(s, 0, active-1)
-			}
-			if !snaps[s].Healthy {
-				for i := 0; i < active; i++ {
-					if snaps[i].Healthy {
-						ck.report("fleet-routing", r.Arrival,
-							"policy %s routed request %d to unhealthy shard %d, re-routed to %d",
-							cfg.Routing.Name(), r.ID, s, i)
-						s = i
-						break
-					}
-				}
-			}
-			return s
-		}
-
-		// Re-drives route before this epoch's arrivals, through the same
-		// policy; skipped (without burning budget) while no healthy shard
-		// exists, and force-ledgered once the plan can no longer produce
-		// one.
-		if chaos && len(retryq) > 0 {
-			keep := retryq[:0]
-			for _, e := range retryq {
-				switch {
-				case !healthyActive && epoch > lastActionEpoch:
-					if front != nil {
-						front.Record(start, telemetry.KindRetryExhausted, -1,
-							e.rec.req.ID, int64(e.from), 0)
-					}
-					res.Rejections = append(res.Rejections, Rejection{
-						ID: e.rec.req.ID, Model: e.rec.req.ModelName,
-						At: start, Reason: ReasonNoHealthyShard,
-					})
-					res.RetryExhausted++
-				case !healthyActive || e.ready > epoch:
-					keep = append(keep, e)
-				default:
-					r := e.rec.req
-					r.Arrival = start
-					s := routeChecked(r)
-					if front != nil {
-						front.Record(start, telemetry.KindRedrive, -1, r.ID,
-							int64(e.from), int64(s))
-					}
-					if e.rec.idx >= 0 {
-						assigned[e.rec.idx] = s
-					}
-					st.Routed[s]++
-					st.Accepted++
-					res.Redriven++
-					shards[s].enqueue(r)
-				}
-			}
-			retryq = keep
-		}
-
-		for idx < len(tr.Requests) && tr.Requests[idx].Arrival < end {
-			r := tr.Requests[idx]
-			res.Offered++
-			if chaos && !healthyActive {
-				assigned[idx] = -1
-				res.Rejections = append(res.Rejections, Rejection{
-					ID: r.ID, Model: r.ModelName, At: r.Arrival, Reason: ReasonNoHealthyShard,
-				})
-				idx++
-				continue
-			}
-			if ok, reason := cfg.Admission.Admit(r, st); !ok {
-				assigned[idx] = -1
-				res.Rejections = append(res.Rejections, Rejection{
-					ID: r.ID, Model: r.ModelName, At: r.Arrival, Reason: reason,
-				})
-				idx++
-				continue
-			}
-			s := routeChecked(r)
-			assigned[idx] = s
-			st.Routed[s]++
-			st.Accepted++
-			res.Accepted++
-			shards[s].enqueue(r)
-			idx++
-		}
-		// Barrier: shard interiors advance concurrently and independently.
-		par.Do(sem, n, func(i int) struct{} {
-			shards[i].sim.RunUntil(end)
-			return struct{}{}
-		})
-		for i, sd := range shards {
-			snaps[i] = sd.snapshot(i, i < active, st.Routed[i])
-		}
-		ck.epochBarrier(epoch, end, snaps)
-		if cfg.Telemetry != nil {
-			// One SampleEpoch row per shard at the barrier, in shard order
-			// (serial section — the shard simulators are quiescent).
-			for i, sd := range shards {
-				var kvGPU, kvCPU int64
-				if ts := sd.ctl.PrefixStore(); ts != nil {
-					kvGPU, kvCPU = ts.Ledger.GPUBytes, ts.Ledger.CPUBytes
-				}
-				goodput := snaps[i].Completed - prevCompleted[i]
-				if chaos {
-					goodput = sd.completedEpoch // segment-aware across crashes
-				}
-				if goodput < 0 {
-					goodput = 0 // a crash reset the shard's collector
-				}
-				prevCompleted[i] = snaps[i].Completed
-				act := snaps[i].Outstanding - int64(snaps[i].Queued)
-				if act < 0 {
-					act = 0
-				}
-				cfg.Telemetry.Recorder(i).Sample(telemetry.Sample{
-					T: end, Kind: telemetry.SampleEpoch,
-					Queue: int32(snaps[i].Queued), Active: int32(act),
-					KVGPU: kvGPU, KVCPU: kvCPU,
-					Outstanding:  snaps[i].Outstanding,
-					Goodput:      goodput,
-					RetryBacklog: int32(len(retryq)),
-				})
-			}
-		}
-		if chaos {
-			var done int64
-			for _, sd := range shards {
-				done += sd.completedEpoch
-				sd.completedEpoch = 0
-			}
-			completions = append(completions, done)
-		}
-		start = end
-		epoch++
 	}
+	return s
+}
 
-	// Drain: no more arrivals; every shard runs out its grace window.
-	par.Do(sem, n, func(i int) struct{} {
-		shards[i].sim.RunUntil(horizon.Add(shards[i].ctl.Cfg.DrainGrace))
+// place sends request r (trace arrival index idx) to shard s and counts
+// it in the epoch state.
+func (fd *frontDoor) place(r workload.Request, idx, s int) {
+	fd.assigned[idx] = s
+	fd.st.Routed[s]++
+	fd.st.Accepted++
+	fd.shards[s].enqueue(r, idx)
+}
+
+// admitAndRoute offers the window's trace arrivals, in arrival order, to
+// admission and then routing. With no healthy shard in the active set
+// they are ledgered as no-healthy-shard without reaching either policy.
+func (fd *frontDoor) admitAndRoute() {
+	reqs := fd.tr.Requests
+	for ; fd.next < len(reqs) && reqs[fd.next].Arrival < fd.end; fd.next++ {
+		r := reqs[fd.next]
+		fd.res.Offered++
+		reason := ReasonNoHealthyShard
+		ok := fd.healthy
+		if ok {
+			ok, reason = fd.cfg.Admission.Admit(r, &fd.st)
+		}
+		if !ok {
+			fd.res.Rejections = append(fd.res.Rejections, Rejection{
+				ID: r.ID, Model: r.ModelName, At: r.Arrival, Reason: reason,
+			})
+			continue
+		}
+		fd.res.Accepted++
+		fd.place(r, fd.next, fd.route(r))
+	}
+}
+
+func (fd *frontDoor) advanceShard(i int) struct{} {
+	fd.shards[i].sim.RunUntil(fd.end)
+	return struct{}{}
+}
+
+// barrier advances every shard to the window's end concurrently, then —
+// serially, in shard order — snapshots them, checks barrier synchrony,
+// records the epoch's goodput, and moves the window.
+func (fd *frontDoor) barrier() {
+	par.Do(fd.sem, len(fd.shards), fd.advance)
+	for i, sd := range fd.shards {
+		fd.snaps[i] = sd.snapshot(i, i < fd.active, fd.st.Routed[i])
+	}
+	fd.ck.epochBarrier(fd.epoch, fd.end, fd.snaps)
+	var done int64
+	for i, sd := range fd.shards {
+		goodput := sd.epochCompletions()
+		done += goodput
+		if fd.cfg.Telemetry != nil {
+			fd.sampleEpoch(i, goodput)
+		}
+	}
+	fd.completions = append(fd.completions, done)
+	fd.start = fd.end
+	fd.epoch++
+}
+
+// sampleEpoch appends shard i's SampleEpoch row at the barrier (serial
+// section — the shard simulators are quiescent).
+func (fd *frontDoor) sampleEpoch(i int, goodput int64) {
+	snap := &fd.snaps[i]
+	var kvGPU, kvCPU int64
+	if ts := fd.shards[i].ctl.PrefixStore(); ts != nil {
+		kvGPU, kvCPU = ts.Ledger.GPUBytes, ts.Ledger.CPUBytes
+	}
+	act := snap.Outstanding - int64(snap.Queued)
+	if act < 0 {
+		act = 0
+	}
+	fd.cfg.Telemetry.Recorder(i).Sample(telemetry.Sample{
+		T: fd.end, Kind: telemetry.SampleEpoch,
+		Queue: int32(snap.Queued), Active: int32(act),
+		KVGPU: kvGPU, KVCPU: kvCPU,
+		Outstanding:  snap.Outstanding,
+		Goodput:      goodput,
+		RetryBacklog: int32(len(fd.retryq)),
+	})
+}
+
+// finish drains every shard through its grace window, builds the shard
+// and merged reports and the per-shard trace slices, runs the checker's
+// end-of-run pass, and returns the arenas to the pool.
+func (fd *frontDoor) finish() Result {
+	n := len(fd.shards)
+	par.Do(fd.sem, n, func(i int) struct{} {
+		fd.shards[i].sim.RunUntil(fd.horizon.Add(fd.shards[i].ctl.Cfg.DrainGrace))
 		return struct{}{}
 	})
-
+	res := &fd.res
 	var maxGrace sim.Duration
 	res.Shards = make([]metrics.Report, n)
-	for i, sd := range shards {
-		grace := sd.ctl.Cfg.DrainGrace
-		if grace > maxGrace {
-			maxGrace = grace
-		}
-		total := sim.Duration(horizon) + grace
-		switch {
-		case sd.up && len(sd.segments) == 0:
-			// The common case — and the only one on fault-free runs:
-			// exactly the pre-fault single-segment report.
-			res.Shards[i] = sd.ctl.EndStream(total)
-		case sd.up:
-			segs := append(sd.segments, sd.ctl.EndStream(horizon.Add(grace).Sub(sd.segStart)))
-			res.Shards[i] = mergeSegments(sd.ctl.Cfg.Name, total, segs)
-		default:
-			// Down at run end: the crash already finalized every segment.
-			res.Shards[i] = mergeSegments(sd.ctl.Cfg.Name, total, sd.segments)
-		}
+	for i, sd := range fd.shards {
+		maxGrace = max(maxGrace, sd.ctl.Cfg.DrainGrace)
+		res.Shards[i] = sd.report(fd.horizon)
 		res.EventsFired += sd.firedBefore + sd.sim.Fired()
-		if sd.suite != nil {
-			sd.segViol = append(sd.segViol, sd.suite.Violations()...)
-			if sd.flight == "" {
-				sd.flight = sd.suite.FlightDump()
-			}
-		}
 		res.ShardViolations[i] = sd.segViol
 		res.FlightDumps[i] = sd.flight
 	}
-	res.Report = metrics.MergeReports(cfg.Name, sim.Duration(horizon)+maxGrace, res.Shards...)
-	if chaos && firedCount > 0 {
-		res.Report.FaultEvents = firedCount
+	res.Report = metrics.MergeReports(fd.cfg.Name, sim.Duration(fd.horizon)+maxGrace, res.Shards...)
+	if fd.fired > 0 {
+		res.Report.FaultEvents = fd.fired
 		res.Report.Redriven = res.Redriven
 		res.Report.RetryExhausted = res.RetryExhausted
-		res.Report.GoodputDip, res.Report.RecoverEpochs = recoveryStats(completions, firstFault)
+		res.Report.GoodputDip, res.Report.RecoverEpochs = recoveryStats(fd.completions, fd.firstFault)
 	}
 	// Partition visits tr.Requests in index order, so a position cursor
 	// replays the front door's final placement exactly (shed, exhausted,
 	// and crash-lost requests = -1; re-driven requests land on the shard
 	// that finally served them).
 	pos := 0
-	res.ShardTraces = traceio.Partition(tr, n, func(workload.Request) int {
-		s := assigned[pos]
+	res.ShardTraces = traceio.Partition(fd.tr, n, func(workload.Request) int {
+		s := fd.assigned[pos]
 		pos++
 		return s
 	})
-	ck.runDone(&res, shards, chaos)
-	res.Violations = ck.violations
+	fd.ck.runDone(res, fd.shards)
+	res.Violations = fd.ck.violations
 	// Everything read out of the shards (reports, violations, checker state)
 	// has been extracted; the arenas can go back to the pool.
-	for _, sd := range shards {
+	for _, sd := range fd.shards {
 		sd.arena.Release()
 	}
-	return res
+	return *res
 }
 
 func clamp(v, lo, hi int) int {

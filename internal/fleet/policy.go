@@ -60,7 +60,8 @@ type Snapshot struct {
 
 // EpochState is the front door's view while routing one epoch's arrivals:
 // previous-epoch snapshots of every shard plus the counters of decisions
-// already made this epoch. Policies may read all of it.
+// already made this epoch. Policies may read all of it during a call; the
+// front door reuses one EpochState (and its slices) for the whole run.
 type EpochState struct {
 	// Epoch is the zero-based epoch index.
 	Epoch int
@@ -86,6 +87,11 @@ type EpochState struct {
 // at the start of every Run, so one policy instance can be shared across
 // sequential runs (scenario cells, sweep iterations) without the
 // previous run's state leaking into the next.
+//
+// st, st.Snaps, and st.Routed are valid only for the duration of the Route
+// call: the front door reuses them from epoch to epoch, so a policy that
+// keeps anything across calls must copy it (KVAffinity keys its memo on
+// st.Epoch, never on the pointer).
 type RoutingPolicy interface {
 	Name() string
 	Route(req workload.Request, st *EpochState) int
@@ -94,7 +100,8 @@ type RoutingPolicy interface {
 
 // AdmissionPolicy decides whether a request enters the fleet at all. A
 // rejected request goes to the run's rejection ledger under reason and
-// never reaches a shard.
+// never reaches a shard. As with RoutingPolicy.Route, st, st.Snaps, and
+// st.Routed are valid only for the duration of the Admit call.
 type AdmissionPolicy interface {
 	Name() string
 	Admit(req workload.Request, st *EpochState) (ok bool, reason string)

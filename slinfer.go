@@ -21,8 +21,8 @@
 //
 // Baseline systems (Sllm, SllmC, SllmCS, NEOPlus), the ablation variants,
 // and every knob of the paper's sensitivity studies are exposed through
-// Config. See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// Config. See DESIGN.md for the architecture and its experiment index, and
+// bench/README.md for the benchmark and its measured record.
 package slinfer
 
 import (
