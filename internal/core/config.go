@@ -109,9 +109,9 @@ type Config struct {
 	// disables observation.
 	Probe Probe
 	// Telemetry, when non-nil, records request span events and sim-time
-	// metric samples into the given recorder (internal/telemetry). Like
-	// Probe, a nil recorder costs one branch per hook site and the
-	// controller never allocates on behalf of an absent recorder. Unlike
+	// metric samples into the given recorder (internal/telemetry). Span
+	// events share Probe's emission point (Controller.emit): with both
+	// off, each emission costs two nil checks and allocates nothing. Unlike
 	// Probe — which invariants.Attach replaces and the fleet chains —
 	// this field is never rewritten by the verification machinery, so
 	// telemetry and invariant probes coexist without perturbing each

@@ -16,6 +16,7 @@ import (
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
 	"slinfer/internal/slo"
+	"slinfer/internal/telemetry"
 	"slinfer/internal/workload"
 )
 
@@ -305,10 +306,17 @@ func (c *Controller) Run(tr workload.Trace) metrics.Report {
 	c.startArrivals(tr.Requests)
 	c.scheduleSampler(c.Cfg.MemSamplePeriod)
 	c.Sim.RunUntil(c.traceEnd.Add(c.Cfg.DrainGrace))
+	return c.finish(tr.Duration + c.Cfg.DrainGrace)
+}
+
+// finish is the run tail shared by Run and EndStream: stop the sampler
+// chain, finalize the collector, build the report for the given total
+// duration, and hand it to the probe's end-of-run checks.
+func (c *Controller) finish(duration sim.Duration) metrics.Report {
 	c.stopSampler()
 	c.Collector.Finalize(c.Sim.Now())
 	c.Collector.ValidationCount = c.Validator.Validations
-	rep := c.Collector.BuildReport(c.Cfg.Name, tr.Duration+c.Cfg.DrainGrace)
+	rep := c.Collector.BuildReport(c.Cfg.Name, duration)
 	if p := c.Cfg.Probe; p != nil {
 		p.RunFinished(c, rep)
 	}
@@ -395,11 +403,14 @@ func (c *Controller) Submit(w workload.Request) {
 		req.PrefixXfer = xfer
 		c.Collector.RecordPrefixLookup(int64(hitTokens)*perTok,
 			int64(w.InputLen-hitTokens)*perTok)
-		c.telemPrefixLookup(req, hitTokens)
+		lookup := telemetry.KindPrefixMiss
+		if hitTokens > 0 {
+			lookup = telemetry.KindPrefixHit
+		}
+		c.emit(lookup, req, nil, int64(hitTokens), int64(w.InputLen))
 	}
 	c.Collector.RecordArrival()
-	c.telemAdmit(req)
-	c.probeSubmitted(req)
+	c.emit(telemetry.KindAdmit, req, nil, int64(req.W.InputLen), int64(req.CachedPrefixTokens))
 	if !c.tryPlace(req) {
 		c.enqueue(req)
 	}
@@ -675,7 +686,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 	}
 	c.removePending(req)
 	inst.Admit(req)
-	c.telemPlace(req, inst)
+	c.emit(telemetry.KindPlace, req, inst, 0, 0)
 	if inst.State == engine.Loading {
 		// Cold-start grace equal to the load duration (§IX-A).
 		req.Tracker.AddGrace(c.specOf(inst).LoadTime(inst.Model))
@@ -692,7 +703,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 // the TTFT SLO).
 func (c *Controller) enqueue(req *engine.Request) {
 	c.pending = append(c.pending, req)
-	c.telemEnqueue(req)
+	c.emit(telemetry.KindEnqueue, req, nil, 0, 0)
 	deadline := req.Tracker.NextDeadline()
 	if deadline <= c.Sim.Now() {
 		c.drop(req)
@@ -710,8 +721,7 @@ func (c *Controller) drop(req *engine.Request) {
 	delete(c.dropEvents, req)
 	c.removePending(req)
 	c.Collector.RecordDrop()
-	c.telemDrop(req)
-	c.probeDropped(req)
+	c.emit(telemetry.KindDrop, req, nil, 0, 0)
 }
 
 func (c *Controller) removePending(req *engine.Request) {

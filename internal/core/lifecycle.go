@@ -12,6 +12,7 @@ import (
 	"slinfer/internal/memctl"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
+	"slinfer/internal/telemetry"
 )
 
 // ---- Executor wiring -------------------------------------------------------
@@ -66,7 +67,7 @@ func (c *Controller) onIterationDone(ex *cluster.Executor, w engine.Work, dur si
 			return
 		}
 		c.Collector.DecodeTokens[kind]++ // the first output token
-		c.telemFirstToken(req, inst)
+		c.emit(telemetry.KindFirstToken, req, inst, 0, 0)
 		switch req.State {
 		case engine.Done:
 			c.completeRequest(req, inst)
@@ -81,7 +82,7 @@ func (c *Controller) onIterationDone(ex *cluster.Executor, w engine.Work, dur si
 			return
 		}
 		c.Collector.RecordDecode(kind, batch)
-		c.telemDecodeIter(inst, batch, dur)
+		c.emit(telemetry.KindDecodeIter, nil, inst, int64(batch), int64(float64(dur)*1e9))
 		for _, req := range finished {
 			c.completeRequest(req, inst)
 		}
@@ -103,8 +104,7 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 	}
 	ttft, haveTTFT := req.Tracker.TTFT()
 	c.Collector.RecordCompletion(req.Tracker.Met(), ttft, haveTTFT)
-	c.telemComplete(req, inst)
-	c.probeCompleted(req, inst)
+	c.emit(telemetry.KindComplete, req, inst, int64(req.Generated), 0)
 	c.recheckKV(inst)
 	if inst.Idle() && inst.State == engine.Active {
 		c.scheduleKeepAlive(inst)
@@ -295,7 +295,7 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 	req.Inst = nil
 	req.Migrations++
 	c.Collector.Migrations++
-	c.telemPreempt(req, from)
+	c.emit(telemetry.KindPreempt, req, from, int64(req.Migrations), 0)
 	if !c.tryPlaceAvoiding(req, from) {
 		c.enqueue(req)
 	}
@@ -444,8 +444,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	}
 	c.instances[m.Name] = append(c.instances[m.Name], inst)
 	c.Collector.ColdStarts++
-	c.telemInstanceUp(inst)
-	c.probeInstanceCreated(inst)
+	c.emit(telemetry.KindInstanceUp, nil, inst, 0, 0)
 	if dynamicKV && kvInit > 0 {
 		c.issueResize(inst, kvInit)
 	}
@@ -512,8 +511,7 @@ func (c *Controller) reclaim(inst *engine.Instance) {
 // countLifetime records instance lifetime stats (skipped for PD helpers).
 func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 	inst.State = engine.Unloading
-	c.telemInstanceDown(inst)
-	c.probeInstanceRemoved(inst)
+	c.emit(telemetry.KindInstanceDown, nil, inst, 0, 0)
 	c.cancelKeepAlive(inst)
 	if countLifetime {
 		c.Collector.InstanceLifetime += c.Sim.Now().Sub(inst.CreatedAt)

@@ -3,6 +3,7 @@ package core
 import (
 	"slinfer/internal/engine"
 	"slinfer/internal/metrics"
+	"slinfer/internal/telemetry"
 )
 
 // Probe observes controller-level lifecycle events. It is the hook the
@@ -37,32 +38,40 @@ type Probe interface {
 	RunFinished(c *Controller, rep metrics.Report)
 }
 
-func (c *Controller) probeSubmitted(req *engine.Request) {
-	if p := c.Cfg.Probe; p != nil {
+// emit is the controller's one lifecycle emission point: each state
+// transition makes exactly one call, with the kind's payload (a, b; see
+// telemetry.Kind) computed at the call site and a nil req or inst encoded
+// as -1. The event goes to Config.Telemetry first, then the five lifecycle
+// kinds are dispatched to Config.Probe, so a violation a probe finds dumps
+// a flight ring that already holds its trigger. With both observers off,
+// emit costs two nil checks and allocates nothing.
+//
+//slinfer:hotpath
+func (c *Controller) emit(kind telemetry.Kind, req *engine.Request, inst *engine.Instance, a, b int64) {
+	if t := c.Cfg.Telemetry; t != nil {
+		instID, reqID := int32(-1), int64(-1)
+		if inst != nil {
+			instID = int32(inst.ID)
+		}
+		if req != nil {
+			reqID = req.W.ID
+		}
+		t.Record(c.Sim.Now(), kind, instID, reqID, a, b)
+	}
+	p := c.Cfg.Probe
+	if p == nil {
+		return
+	}
+	switch kind {
+	case telemetry.KindAdmit:
 		p.RequestSubmitted(req)
-	}
-}
-
-func (c *Controller) probeCompleted(req *engine.Request, inst *engine.Instance) {
-	if p := c.Cfg.Probe; p != nil {
+	case telemetry.KindComplete:
 		p.RequestCompleted(req, inst)
-	}
-}
-
-func (c *Controller) probeDropped(req *engine.Request) {
-	if p := c.Cfg.Probe; p != nil {
+	case telemetry.KindDrop:
 		p.RequestDropped(req)
-	}
-}
-
-func (c *Controller) probeInstanceCreated(inst *engine.Instance) {
-	if p := c.Cfg.Probe; p != nil {
+	case telemetry.KindInstanceUp:
 		p.InstanceCreated(inst)
-	}
-}
-
-func (c *Controller) probeInstanceRemoved(inst *engine.Instance) {
-	if p := c.Cfg.Probe; p != nil {
+	case telemetry.KindInstanceDown:
 		p.InstanceRemoved(inst)
 	}
 }

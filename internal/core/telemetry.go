@@ -1,94 +1,13 @@
 package core
 
-import (
-	"slinfer/internal/engine"
-	"slinfer/internal/sim"
-	"slinfer/internal/telemetry"
-)
+import "slinfer/internal/telemetry"
 
-// Telemetry hook helpers, following probe.go's discipline exactly: a nil
-// Config.Telemetry costs one branch per hook site, the controller never
-// allocates on behalf of an absent recorder, and every argument is scalar
-// or pointer-shaped so the `//slinfer:hotpath` callers (onIterationDone,
-// completeRequest, samplerTick) never box. Telemetry is strictly
-// observational — no hook may influence scheduling, timing, or the
-// invariant probes riding Config.Probe.
-
-func (c *Controller) telemAdmit(req *engine.Request) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindAdmit, -1, req.W.ID,
-			int64(req.W.InputLen), int64(req.CachedPrefixTokens))
-	}
-}
-
-// telemPrefixLookup records the admission-time tiered-store lookup as a
-// hit or miss child event of the request's span.
-func (c *Controller) telemPrefixLookup(req *engine.Request, hitTokens int) {
-	if t := c.Cfg.Telemetry; t != nil {
-		kind := telemetry.KindPrefixMiss
-		if hitTokens > 0 {
-			kind = telemetry.KindPrefixHit
-		}
-		t.Record(c.Sim.Now(), kind, -1, req.W.ID, int64(hitTokens), int64(req.W.InputLen))
-	}
-}
-
-func (c *Controller) telemEnqueue(req *engine.Request) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindEnqueue, -1, req.W.ID, 0, 0)
-	}
-}
-
-func (c *Controller) telemPlace(req *engine.Request, inst *engine.Instance) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindPlace, int32(inst.ID), req.W.ID, 0, 0)
-	}
-}
-
-func (c *Controller) telemFirstToken(req *engine.Request, inst *engine.Instance) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindFirstToken, int32(inst.ID), req.W.ID, 0, 0)
-	}
-}
-
-func (c *Controller) telemDecodeIter(inst *engine.Instance, batch int, dur sim.Duration) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindDecodeIter, int32(inst.ID), -1,
-			int64(batch), int64(float64(dur)*1e9))
-	}
-}
-
-func (c *Controller) telemComplete(req *engine.Request, inst *engine.Instance) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindComplete, int32(inst.ID), req.W.ID,
-			int64(req.Generated), 0)
-	}
-}
-
-func (c *Controller) telemDrop(req *engine.Request) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindDrop, -1, req.W.ID, 0, 0)
-	}
-}
-
-func (c *Controller) telemPreempt(req *engine.Request, from *engine.Instance) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindPreempt, int32(from.ID), req.W.ID,
-			int64(req.Migrations), 0)
-	}
-}
-
-func (c *Controller) telemInstanceUp(inst *engine.Instance) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindInstanceUp, int32(inst.ID), -1, 0, 0)
-	}
-}
-
-func (c *Controller) telemInstanceDown(inst *engine.Instance) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), telemetry.KindInstanceDown, int32(inst.ID), -1, 0, 0)
-	}
-}
+// Controller-side telemetry plumbing. Span events go through emit
+// (probe.go), the controller's one lifecycle emission point; this file
+// holds the sampler-tick metric row, the tiered store's transition adapter,
+// and the flight-recorder dump. Telemetry is strictly observational — no
+// hook may influence scheduling, timing, or the invariant probes riding
+// Config.Probe.
 
 // telemSample records one sim-time metric row on the sampler tick.
 func (c *Controller) telemSample() {
@@ -126,19 +45,13 @@ func (c *Controller) telemSample() {
 type tierTelem struct{ c *Controller }
 
 func (t tierTelem) TierPromoted(bytes int64) {
-	t.c.telemTier(telemetry.KindTierPromote, bytes)
+	t.c.emit(telemetry.KindTierPromote, nil, nil, bytes, 0)
 }
 func (t tierTelem) TierSpilled(bytes int64) {
-	t.c.telemTier(telemetry.KindTierSpill, bytes)
+	t.c.emit(telemetry.KindTierSpill, nil, nil, bytes, 0)
 }
 func (t tierTelem) TierEvicted(bytes int64) {
-	t.c.telemTier(telemetry.KindTierEvict, bytes)
-}
-
-func (c *Controller) telemTier(kind telemetry.Kind, bytes int64) {
-	if t := c.Cfg.Telemetry; t != nil {
-		t.Record(c.Sim.Now(), kind, -1, -1, bytes, 0)
-	}
+	t.c.emit(telemetry.KindTierEvict, nil, nil, bytes, 0)
 }
 
 // wireTelemetry attaches the tier-transition adapter to the prefix store

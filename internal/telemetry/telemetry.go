@@ -13,11 +13,12 @@
 // run therefore exports byte-identical bytes regardless of -parallel
 // workers, fleet Workers, or arena reuse.
 //
-// The cost contract mirrors core.Probe: a disabled layer is a nil Recorder
-// pointer in core.Config, and every hook site in the hot path pays exactly
-// one nil check — no allocation, no interface dispatch, no closure. All
-// recording methods take scalar arguments so `//slinfer:hotpath` callers
-// never box.
+// The controller feeds it from the same emission point that drives
+// core.Probe: each lifecycle transition is one Kind-tagged emit, recorded
+// here first and then dispatched to the probe. A disabled layer is a nil
+// Recorder pointer in core.Config and costs one nil check per emission —
+// no allocation, no interface dispatch, no closure. All recording methods
+// take scalar arguments so `//slinfer:hotpath` callers never box.
 package telemetry
 
 import "slinfer/internal/sim"
@@ -50,8 +51,8 @@ const (
 	// KindPrefixHit: tiered-store lookup matched leading blocks.
 	// Req=request ID, A=hit tokens, B=input tokens.
 	KindPrefixHit
-	// KindPrefixMiss: lookup matched nothing. Req=request ID, A=input
-	// tokens.
+	// KindPrefixMiss: lookup matched nothing. Req=request ID, A=0 (hit
+	// tokens), B=input tokens.
 	KindPrefixMiss
 	// KindTierPromote: CPU-tier bytes promoted to GPU on a hit. A=bytes.
 	KindTierPromote
