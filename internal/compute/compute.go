@@ -7,6 +7,8 @@
 package compute
 
 import (
+	"slices"
+
 	"slinfer/internal/engine"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
@@ -101,12 +103,6 @@ type InstView struct {
 	// BlockedUntil delays the instance's first virtual iteration (an
 	// in-flight KV resize).
 	BlockedUntil sim.Time
-}
-
-// ViewInstance builds an InstView from live instance state.
-func ViewInstance(inst *engine.Instance, now sim.Time) InstView {
-	v, _ := ViewInstanceInto(inst, nil)
-	return v
 }
 
 // ViewInstanceInto builds an InstView whose request views live in buf,
@@ -208,30 +204,35 @@ func (v *Validator) Validate(now, busyUntil sim.Time, insts []InstView, candIdx 
 	return reason
 }
 
+// ValidateWithout is Validate over the ViewInstanceInto views of insts with
+// skip left out and newReq added to cand: the §VIII-A dry run of a grower
+// once its victim is gone. The views are built straight into the
+// validator's scratch, so the dry run allocates nothing; like
+// ViewInstanceInto they carry no resize or cold-start blocking. A cand that
+// is skip or absent from insts is NewTTFT, as for Validate's out-of-range
+// candIdx.
+func (v *Validator) ValidateWithout(now, busyUntil sim.Time, insts []*engine.Instance, skip, cand *engine.Instance, newReq ReqView, tpotSLO sim.Duration) Reason {
+	v.Validations++
+	reason := NewTTFT
+	if cand != skip && slices.Contains(insts, cand) {
+		reason = v.simulate(now, busyUntil, v.projectLive(insts, skip, cand, newReq), tpotSLO)
+	}
+	if reason != OK {
+		v.Rejections++
+	}
+	return reason
+}
+
 func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx int, newReq ReqView, tpotSLO sim.Duration) Reason {
 	if candIdx < 0 || candIdx >= len(insts) {
 		return NewTTFT
 	}
-	over := sim.Duration(v.Overestimate)
-	if over <= 0 {
-		over = 1
-	}
-
-	// Deep-copy the projection so validation never touches live state. The
-	// copies live in scratch buffers reused across calls; the request buffer
-	// is sized up front so carving per-instance windows never reallocates.
+	// Deep-copy the projection so validation never touches live state.
 	need := 1 // newReq
 	for _, iv := range insts {
 		need += len(iv.Reqs)
 	}
-	if cap(v.reqScratch) < need {
-		v.reqScratch = make([]ReqView, 0, 2*need)
-	}
-	if cap(v.projScratch) < len(insts) {
-		v.projScratch = make([]InstView, len(insts), 2*len(insts))
-	}
-	proj := v.projScratch[:len(insts)]
-	buf := v.reqScratch[:0]
+	proj, buf := v.beginProjection(len(insts), need)
 	for i, iv := range insts {
 		start := len(buf)
 		buf = append(buf, iv.Reqs...)
@@ -242,6 +243,55 @@ func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx 
 			Reqs: buf[start:len(buf):len(buf)]}
 	}
 	v.projScratch, v.reqScratch = proj, buf[:0]
+	return v.simulate(now, busyUntil, proj, tpotSLO)
+}
+
+// projectLive builds ValidateWithout's projection from live instances.
+func (v *Validator) projectLive(insts []*engine.Instance, skip, cand *engine.Instance, newReq ReqView) []InstView {
+	n, need := 0, 1 // newReq
+	for _, inst := range insts {
+		if inst != skip {
+			n++
+			need += len(inst.Running) + len(inst.WaitingPrefill)
+		}
+	}
+	proj, buf := v.beginProjection(n, need)
+	i := 0
+	for _, inst := range insts {
+		if inst == skip {
+			continue
+		}
+		start := len(buf)
+		proj[i], buf = ViewInstanceInto(inst, buf)
+		if inst == cand {
+			buf = append(buf, newReq)
+			proj[i].Reqs = buf[start:len(buf):len(buf)]
+		}
+		i++
+	}
+	v.projScratch, v.reqScratch = proj, buf[:0]
+	return proj
+}
+
+// beginProjection returns the scratch for an n-instance projection holding
+// need request views. The request buffer is sized up front so carving
+// per-instance windows never reallocates.
+func (v *Validator) beginProjection(n, need int) ([]InstView, []ReqView) {
+	if cap(v.reqScratch) < need {
+		v.reqScratch = make([]ReqView, 0, 2*need)
+	}
+	if cap(v.projScratch) < n {
+		v.projScratch = make([]InstView, n, 2*n)
+	}
+	return v.projScratch[:n], v.reqScratch[:0]
+}
+
+// simulate runs the virtual schedule over a projection it may mutate.
+func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO sim.Duration) Reason {
+	over := sim.Duration(v.Overestimate)
+	if over <= 0 {
+		over = 1
+	}
 
 	// Case 3 (Figure 15): the aggregate decode round across all colocated
 	// instances must fit within one TPOT budget, otherwise decode tokens

@@ -69,11 +69,17 @@ func TestPickFIFOPrefersPrefillInOrder(t *testing.T) {
 
 func newValidatorForTest() *Validator { return NewValidator() }
 
+// viewOf builds a standalone view of inst's live state.
+func viewOf(inst *engine.Instance) InstView {
+	v, _ := ViewInstanceInto(inst, nil)
+	return v
+}
+
 func TestValidateAcceptsLightlyLoadedInstance(t *testing.T) {
 	inst := mkInst(1, model.Llama2_7B, hwsim.A100)
 	r := mkReq(1, 1024, 100, 10)
 	v := newValidatorForTest()
-	got := v.Validate(10, 10, []InstView{ViewInstance(inst, 10)}, 0, ViewRequest(r), slo.DefaultTPOT)
+	got := v.Validate(10, 10, []InstView{viewOf(inst)}, 0, ViewRequest(r), slo.DefaultTPOT)
 	if got != OK {
 		t.Fatalf("empty GPU instance should accept, got %v", got)
 	}
@@ -84,7 +90,7 @@ func TestValidateCase1LongPrefillOnCPU(t *testing.T) {
 	inst := mkInst(1, model.CodeLlama34B, hwsim.XeonGen4)
 	r := mkReq(1, 2048, 100, 5)
 	v := newValidatorForTest()
-	got := v.Validate(5, 5, []InstView{ViewInstance(inst, 5)}, 0, ViewRequest(r), slo.DefaultTPOT)
+	got := v.Validate(5, 5, []InstView{viewOf(inst)}, 0, ViewRequest(r), slo.DefaultTPOT)
 	if got != NewTTFT {
 		t.Fatalf("want NewTTFT, got %v", got)
 	}
@@ -101,7 +107,7 @@ func TestValidateBankedHeadroomAbsorbsPrefill(t *testing.T) {
 	inst.CompletePrefill(old, 1.9)
 	newReq := mkReq(2, 4096, 100, 2.0)
 	v := newValidatorForTest()
-	got := v.Validate(2.0, 2.0, []InstView{ViewInstance(inst, 2.0)}, 0, ViewRequest(newReq), slo.DefaultTPOT)
+	got := v.Validate(2.0, 2.0, []InstView{viewOf(inst)}, 0, ViewRequest(newReq), slo.DefaultTPOT)
 	if got != OK {
 		t.Fatalf("banked headroom should absorb the prefill, got %v", got)
 	}
@@ -116,7 +122,7 @@ func TestValidateCase2ExistingDelayed(t *testing.T) {
 	old := mkReq(1, 1024, 400, 0)
 	inst.Admit(old)
 	inst.CompletePrefill(old, 1.9) // next deadline 2.25
-	view := ViewInstance(inst, 2.0)
+	view := viewOf(inst)
 	view.BlockedUntil = 2.22           // decode (~80ms) cannot finish by 2.25
 	newReq := mkReq(2, 4096, 100, 2.0) // TTFT 8s: plenty of room
 	v := newValidatorForTest()
@@ -135,7 +141,7 @@ func TestValidateCase3AggregateDecode(t *testing.T) {
 		r := mkReq(int64(i), 512, 400, 0)
 		inst.Admit(r)
 		inst.CompletePrefill(r, 0.4)
-		views = append(views, ViewInstance(inst, 0.5))
+		views = append(views, viewOf(inst))
 	}
 	newReq := mkReq(99, 512, 100, 0.5)
 	v := newValidatorForTest()
@@ -160,7 +166,7 @@ func TestValidateBatchGrowthOnGPU(t *testing.T) {
 	}
 	newReq := mkReq(99, 1024, 100, 1.5)
 	v := newValidatorForTest()
-	got := v.Validate(1.5, 1.5, []InstView{ViewInstance(inst, 1.5)}, 0, ViewRequest(newReq), slo.DefaultTPOT)
+	got := v.Validate(1.5, 1.5, []InstView{viewOf(inst)}, 0, ViewRequest(newReq), slo.DefaultTPOT)
 	if got != OK {
 		t.Fatalf("GPU 33-batch should accept, got %v", got)
 	}
@@ -173,7 +179,7 @@ func TestValidateRespectsBusyExecutor(t *testing.T) {
 	r := mkReq(1, 512, 100, 0)
 	v := newValidatorForTest()
 	// TTFT for 512 tokens is 1s; busy until t=2 makes it impossible.
-	got := v.Validate(0, 2.0, []InstView{ViewInstance(inst, 0)}, 0, ViewRequest(r), slo.DefaultTPOT)
+	got := v.Validate(0, 2.0, []InstView{viewOf(inst)}, 0, ViewRequest(r), slo.DefaultTPOT)
 	if got != NewTTFT {
 		t.Fatalf("want NewTTFT from busy executor, got %v", got)
 	}
@@ -182,7 +188,7 @@ func TestValidateRespectsBusyExecutor(t *testing.T) {
 func TestValidateBlockedInstanceDelaysPrefill(t *testing.T) {
 	inst := mkInst(1, model.Llama2_7B, hwsim.A100)
 	r := mkReq(1, 512, 100, 0)
-	view := ViewInstance(inst, 0)
+	view := viewOf(inst)
 	view.BlockedUntil = 2.0 // resize in flight until t=2 > 1s TTFT
 	v := newValidatorForTest()
 	if got := v.Validate(0, 0, []InstView{view}, 0, ViewRequest(r), slo.DefaultTPOT); got != NewTTFT {
@@ -198,7 +204,7 @@ func TestValidateDoesNotMutateLiveState(t *testing.T) {
 	gen := old.Generated
 	deadline := old.Tracker.NextDeadline()
 	v := newValidatorForTest()
-	views := []InstView{ViewInstance(inst, 0.6)}
+	views := []InstView{viewOf(inst)}
 	v.Validate(0.6, 0.6, views, 0, ViewRequest(mkReq(2, 512, 10, 0.6)), slo.DefaultTPOT)
 	if old.Generated != gen || old.Tracker.NextDeadline() != deadline {
 		t.Fatal("validation mutated live request state")
@@ -211,8 +217,8 @@ func TestValidateDoesNotMutateLiveState(t *testing.T) {
 func TestValidatorCounters(t *testing.T) {
 	v := newValidatorForTest()
 	inst := mkInst(1, model.Llama2_7B, hwsim.A100)
-	v.Validate(0, 0, []InstView{ViewInstance(inst, 0)}, 0, ViewRequest(mkReq(1, 512, 5, 0)), slo.DefaultTPOT)
-	v.Validate(0, 5, []InstView{ViewInstance(inst, 0)}, 0, ViewRequest(mkReq(2, 512, 5, 0)), slo.DefaultTPOT)
+	v.Validate(0, 0, []InstView{viewOf(inst)}, 0, ViewRequest(mkReq(1, 512, 5, 0)), slo.DefaultTPOT)
+	v.Validate(0, 5, []InstView{viewOf(inst)}, 0, ViewRequest(mkReq(2, 512, 5, 0)), slo.DefaultTPOT)
 	if v.Validations != 2 || v.Rejections != 1 {
 		t.Fatalf("validations=%d rejections=%d, want 2/1", v.Validations, v.Rejections)
 	}
@@ -230,10 +236,107 @@ func TestOverestimationMargin(t *testing.T) {
 	busyUntil := sim.Time(0).Add(r.Obj.TTFT - est - est*sim.Duration(0.05))
 	loose := &Validator{Overestimate: 1.0, DecodeRounds: 2, MaxSteps: 600}
 	tight := &Validator{Overestimate: 1.10, DecodeRounds: 2, MaxSteps: 600}
-	if got := loose.Validate(0, busyUntil, []InstView{ViewInstance(inst, 0)}, 0, ViewRequest(r), slo.DefaultTPOT); got != OK {
+	if got := loose.Validate(0, busyUntil, []InstView{viewOf(inst)}, 0, ViewRequest(r), slo.DefaultTPOT); got != OK {
 		t.Fatalf("loose validator should accept, got %v", got)
 	}
-	if got := tight.Validate(0, busyUntil, []InstView{ViewInstance(inst, 0)}, 0, ViewRequest(r), slo.DefaultTPOT); got == OK {
+	if got := tight.Validate(0, busyUntil, []InstView{viewOf(inst)}, 0, ViewRequest(r), slo.DefaultTPOT); got == OK {
 		t.Fatal("10%% margin should reject the borderline request")
+	}
+}
+
+// ValidateWithout must answer exactly what Validate answers over
+// ViewInstanceInto views with the skipped instance removed, for every
+// (skip, cand) pair over a few instance mixes, including a cand that is
+// skipped or absent (NewTTFT), and must not allocate once warm.
+func TestValidateWithoutMatchesValidate(t *testing.T) {
+	gpuMix := func() []*engine.Instance {
+		big := mkInst(1, model.Llama2_7B, hwsim.A100)
+		for i := 0; i < 24; i++ {
+			r := mkReq(int64(i), 1024, 200, 0)
+			big.Admit(r)
+			big.CompletePrefill(r, 1.0)
+		}
+		small := mkInst(2, model.Llama2_13B, hwsim.A100)
+		small.Admit(mkReq(50, 2048, 100, 1.2)) // still waiting for prefill
+		idle := mkInst(3, model.Llama2_7B, hwsim.A100)
+		return []*engine.Instance{big, small, idle}
+	}
+	cpuMix := func() []*engine.Instance {
+		var insts []*engine.Instance
+		for i := 0; i < 6; i++ {
+			inst := mkInst(i, model.Llama2_7B, hwsim.XeonGen4)
+			r := mkReq(int64(i), 512, 400, 0)
+			inst.Admit(r)
+			inst.CompletePrefill(r, 0.4)
+			if i%2 == 0 {
+				inst.Admit(mkReq(int64(10+i), 768, 50, 0.45))
+			}
+			insts = append(insts, inst)
+		}
+		return insts
+	}
+	cases := []struct {
+		name      string
+		insts     []*engine.Instance
+		now, busy sim.Time
+		newReq    *engine.Request
+	}{
+		{"gpu", gpuMix(), 1.5, 1.5, mkReq(99, 1024, 100, 1.5)},
+		{"gpu-busy", gpuMix(), 1.5, 4.0, mkReq(99, 1024, 100, 1.5)},
+		{"cpu", cpuMix(), 0.5, 0.5, mkReq(99, 512, 100, 0.5)},
+		{"cpu-long-prompt", cpuMix(), 0.5, 0.6, mkReq(99, 4096, 100, 0.5)},
+	}
+	outsider := mkInst(100, model.Llama2_7B, hwsim.A100)
+	seen := map[Reason]bool{}
+	for _, tc := range cases {
+		skips := append([]*engine.Instance{nil}, tc.insts...)
+		cands := append(append([]*engine.Instance(nil), tc.insts...), outsider)
+		for _, skip := range skips {
+			for _, cand := range cands {
+				var views []InstView
+				candIdx := -1
+				for _, inst := range tc.insts {
+					if inst == skip {
+						continue
+					}
+					if inst == cand {
+						candIdx = len(views)
+					}
+					views = append(views, viewOf(inst))
+				}
+				rv := ViewRequest(tc.newReq)
+				want := NewValidator().Validate(tc.now, tc.busy, views, candIdx, rv, slo.DefaultTPOT)
+				v := NewValidator()
+				got := v.ValidateWithout(tc.now, tc.busy, tc.insts, skip, cand, rv, slo.DefaultTPOT)
+				if got != want {
+					t.Errorf("%s skip=%v cand=%d: ValidateWithout=%v, Validate=%v",
+						tc.name, skip != nil, cand.ID, got, want)
+				}
+				wantRej := int64(0)
+				if got != OK {
+					wantRej = 1
+				}
+				if v.Validations != 1 || v.Rejections != wantRej {
+					t.Errorf("%s: validations=%d rejections=%d for %v, want 1/%d",
+						tc.name, v.Validations, v.Rejections, got, wantRej)
+				}
+				seen[got] = true
+			}
+		}
+	}
+	for _, r := range []Reason{OK, NewTTFT, ExistingDelayed, AggregateDecode} {
+		if !seen[r] {
+			t.Errorf("no case exercised %v; the mixes no longer cover it", r)
+		}
+	}
+
+	insts := gpuMix()
+	v := NewValidator()
+	rv := ViewRequest(mkReq(99, 1024, 100, 1.5))
+	allocs := testing.AllocsPerRun(20, func() {
+		v.ValidateWithout(1.5, 1.5, insts, insts[2], insts[0], rv, slo.DefaultTPOT)
+	})
+	if allocs != 0 {
+		t.Errorf("ValidateWithout allocates %.0f times per call once warm", allocs)
 	}
 }

@@ -503,10 +503,12 @@ func wantRole(cfg Config, _ engine.WorkKind) engine.Role {
 	return engine.Mixed
 }
 
-// admit runs the §V admission pipeline for one candidate instance:
-// CPU-capability gate, fixed limit or shadow validation, then the memory
-// shadow check with §VII-D compromise. On success the request joins the
-// instance's prefill queue.
+// admit runs the §V admission pipeline for one candidate instance: CPU
+// capability gate, fixed limit, the memory shadow check with §VII-D
+// compromise, and shadow validation. Every check is pure and the cheap ones
+// run first, so the costly validation runs only for a request that would
+// otherwise be placed; the planned scale-up is issued, and the request joins
+// the instance's prefill queue, only after all of them pass.
 func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
 	if inst.TotalLoad() >= c.Cfg.MaxBatch {
 		return false
@@ -519,27 +521,28 @@ func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
 			return false
 		}
 	}
-	if lim := c.Cfg.FixedLimit; lim != nil {
-		if inst.TotalLoad() >= lim(inst.Model, inst.Class, inst.Share) {
-			return false
-		}
-	} else if c.Cfg.ShadowValidation {
-		if !c.shadowValidate(req, inst) {
-			return false
-		}
+	lim := c.Cfg.FixedLimit
+	if lim != nil && inst.TotalLoad() >= lim(inst.Model, inst.Class, inst.Share) {
+		return false
 	}
 	// Memory shadow check + scale-up (§VII-B, §VII-D). Static-memory
 	// instances check residual capacity instead.
-	if !c.ensureMemoryFor(req, inst) {
+	plan, ok := c.planMemory(req, inst)
+	if !ok {
 		return false
 	}
+	if lim == nil && c.Cfg.ShadowValidation && !c.shadowValidate(req, inst, plan.block) {
+		return false
+	}
+	c.applyMemory(inst, plan)
 	c.place(req, inst)
 	return true
 }
 
 // shadowValidate projects the candidate's executor forward with the request
-// virtually added (§VI-C), measuring real scheduling overhead (Figure 33).
-func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance) bool {
+// virtually added (§VI-C), measuring real scheduling overhead (Figure 33);
+// resizeBlock is the stall of the scale-up this admission would issue.
+func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance, resizeBlock sim.Duration) bool {
 	ex := c.instExec[inst.ID]
 	if ex == nil {
 		return false
@@ -550,26 +553,7 @@ func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance) 
 		// validate against the graced deadline.
 		rv.Deadline = rv.Deadline.Add(c.specOf(inst).LoadTime(inst.Model))
 	}
-	return c.validateOnExecutor(ex, inst, rv, req.Obj.TPOT, c.prospectiveResizeBlock(req, inst))
-}
-
-// prospectiveResizeBlock estimates how long the KV scale-up this admission
-// would trigger will block the candidate instance (§VII-B's early scale-up
-// is not free: Figure 17's costs stall iterations).
-func (c *Controller) prospectiveResizeBlock(req *engine.Request, inst *engine.Instance) sim.Duration {
-	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) || inst.ResizeInFlight {
-		return 0
-	}
-	est := c.estimators[inst.Model.Name]
-	states := append(inst.AppendKVReqStates(c.kvStateScratch[:0]),
-		kvcache.ReqState{InputLen: req.W.InputLen})
-	c.kvStateScratch = states[:0]
-	require := est.RequireBytes(inst.Model, states, len(inst.NodeIdxs))
-	cur := inst.Cache.CapacityBytes()
-	if !c.Cfg.Watermark.NeedScaleUp(require, cur) {
-		return 0
-	}
-	return kvcache.ScaleTime(cur, c.Cfg.Watermark.Recommend(require))
+	return c.validateOnExecutor(ex, inst, rv, req.Obj.TPOT, resizeBlock)
 }
 
 // beginViews prepares the view scratch for projecting ex's instances (plus

@@ -114,13 +114,26 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 
 // ---- Memory subsystem integration ------------------------------------------
 
-// ensureMemoryFor performs the shadow memory check of §V and issues the
-// early scale-up of §VII-B (with the §VII-D compromise) for admitting req
-// into inst. Static-memory instances just check residual KV capacity.
-func (c *Controller) ensureMemoryFor(req *engine.Request, inst *engine.Instance) bool {
+// memPlan is planMemory's verdict on admitting one request to an instance.
+type memPlan struct {
+	// resize is the KV capacity target to issue before placing (0: none).
+	resize int64
+	// block is how long the early scale-up stalls the instance (§VII-B is
+	// not free: Figure 17's costs stall iterations); shadow validation
+	// charges it to the candidate.
+	block sim.Duration
+}
+
+// planMemory is the shadow memory check of §V. It decides whether req's KV
+// fits inst and which early scale-up (§VII-B) admission must issue: the
+// watermark recommendation, else the §VII-D compromise of just Mrequire.
+// Static-memory instances just check residual KV capacity. It changes no
+// state, so admission runs it before shadow validation and applyMemory
+// issues the plan only once every check has passed.
+func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance) (memPlan, bool) {
 	needTokens := int64(req.W.InputLen) + 1
 	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) {
-		return inst.Cache.FitsTokens(needTokens)
+		return memPlan{}, inst.Cache.FitsTokens(needTokens)
 	}
 	est := c.estimators[inst.Model.Name]
 	states := append(inst.AppendKVReqStates(c.kvStateScratch[:0]),
@@ -130,7 +143,7 @@ func (c *Controller) ensureMemoryFor(req *engine.Request, inst *engine.Instance)
 	require := est.RequireBytes(inst.Model, states, div)
 	cur := inst.Cache.CapacityBytes()
 	if !c.Cfg.Watermark.NeedScaleUp(require, cur) {
-		return true
+		return memPlan{}, true
 	}
 	if inst.ResizeInFlight {
 		// One resize at a time per instance. Ride along when the in-flight
@@ -139,43 +152,66 @@ func (c *Controller) ensureMemoryFor(req *engine.Request, inst *engine.Instance)
 		// recheckKV issues it when the current resize lands, and the
 		// §VII-D underestimation path backstops the rare overflow.
 		if inst.KVTarget >= require {
-			return true
+			return memPlan{}, true
 		}
 		promptNeed := inst.Cache.UsedBytes() +
 			(int64(req.W.InputLen)+65)*inst.Model.KVBytesPerToken()/int64(div)
 		if inst.KVTarget < promptNeed {
-			return false
+			return memPlan{}, false
 		}
 		for _, idx := range inst.NodeIdxs {
 			if !c.Cluster.Nodes[idx].Mem.CanAdmit(require - inst.KVTarget) {
-				return false
+				return memPlan{}, false
 			}
 		}
-		return true
+		return memPlan{}, true
 	}
 	recommend := c.Cfg.Watermark.Recommend(require)
-	if c.issueResize(inst, recommend) {
-		return true
+	plan := memPlan{resize: recommend, block: kvcache.ScaleTime(cur, recommend)}
+	if _, ok := c.resizeFits(inst, recommend); ok {
+		return plan, true
 	}
 	// §VII-D compromise: accept with just Mrequire.
-	return c.issueResize(inst, require)
+	plan.resize = require
+	_, ok := c.resizeFits(inst, require)
+	return plan, ok
 }
 
-// issueResize submits one KV resize through the hazard-aware orchestrator.
-// Returns false when the optimistic budget rejects it.
-func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
+// applyMemory issues the resize a successful planMemory chose.
+func (c *Controller) applyMemory(inst *engine.Instance, plan memPlan) {
+	if plan.resize != 0 && !c.issueResize(inst, plan.resize) {
+		panic("core: planned KV resize rejected")
+	}
+}
+
+// resizeFits clamps a resize target to the bytes in use and reports whether
+// every host node admits it (TP shards resize together).
+func (c *Controller) resizeFits(inst *engine.Instance, target int64) (int64, bool) {
 	cur := inst.Cache.CapacityBytes()
 	if target < inst.Cache.UsedBytes() {
 		target = inst.Cache.UsedBytes()
 	}
 	if target == cur {
-		return true
+		return target, true
 	}
-	// All host nodes must admit (TP shards resize together).
 	for _, idx := range inst.NodeIdxs {
 		if !c.Cluster.Nodes[idx].Mem.CanAdmit(target - cur) {
-			return false
+			return target, false
 		}
+	}
+	return target, true
+}
+
+// issueResize submits one KV resize through the hazard-aware orchestrator.
+// Returns false when the optimistic budget rejects it.
+func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
+	target, ok := c.resizeFits(inst, target)
+	if !ok {
+		return false
+	}
+	cur := inst.Cache.CapacityBytes()
+	if target == cur {
+		return true
 	}
 	dur := kvcache.ScaleTime(cur, target)
 	inst.ResizeInFlight = true
@@ -196,7 +232,7 @@ func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
 		op.From, op.To, op.Duration = cur, target, dur
 		op.OnComplete = onComplete
 		if !nm.Demand(op) {
-			// First node admitted is impossible here: CanAdmit pre-checked
+			// First node admitted is impossible here: resizeFits pre-checked
 			// and nothing ran in between (single-threaded simulation).
 			panic("core: resize demand rejected after CanAdmit")
 		}
@@ -614,9 +650,11 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 			continue
 		}
 		// The arriving KV needs cache space; drive the §VII-B scale-up.
-		if !c.ensureMemoryFor(req, inst) {
+		plan, ok := c.planMemory(req, inst)
+		if !ok {
 			continue
 		}
+		c.applyMemory(inst, plan)
 		if inst.JoinDecode(req) {
 			if ex := c.instExec[inst.ID]; ex != nil {
 				ex.Kick()

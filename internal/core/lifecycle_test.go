@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
@@ -400,5 +401,50 @@ func TestEvictionUnderMemorySqueeze(t *testing.T) {
 	}
 	if c.Collector.Completed == 0 {
 		t.Fatal("nothing completed under memory squeeze")
+	}
+}
+
+// TestAdmitDecidesMemoryBeforeValidating pins admission's cheap-first
+// order: a candidate whose node cannot fit the request's KV growth is
+// rejected by the memory check alone, without paying for a shadow
+// validation, and leaves no resize behind.
+func TestAdmitDecidesMemoryBeforeValidating(t *testing.T) {
+	m := model.Llama2_7B
+	// Room for the weights and a 3 GiB cache: the first cache (the 2 GiB
+	// Lmin floor plus the 25% watermark) fits, two long prompts do not.
+	spec := hwsim.NewGPUNode("tight")
+	spec.MemBytes = m.WeightBytes() + hwsim.ActivationReserve + 3*model.GiB
+	s := sim.New()
+	c := New(s, []hwsim.NodeSpec{spec}, []model.Model{m}, SLINFER())
+	mkReq := func(id int64, in int) *engine.Request {
+		return engine.NewRequest(workload.Request{ID: id, ModelName: m.Name, Arrival: s.Now(), InputLen: in, OutputLen: 1000})
+	}
+	first := mkReq(1, 256)
+	inst := c.createInstance(m, c.Cluster.Nodes, 1, first)
+	c.place(first, inst)
+	s.RunUntil(s.Now().Add(spec.LoadTime(m) + sim.Second))
+	if inst.State != engine.Active || inst.ResizeInFlight {
+		t.Fatalf("precondition: want a loaded instance with no resize in flight, got state %v", inst.State)
+	}
+
+	// Control: a request that fits the current cache reaches shadow
+	// validation and is admitted.
+	before := c.Validator.Validations
+	if !c.admit(mkReq(2, 3000), inst) {
+		t.Fatal("a request that fits should be admitted")
+	}
+	if got := c.Validator.Validations - before; got != 1 {
+		t.Fatalf("admitted request ran %d shadow validations, want 1", got)
+	}
+
+	before = c.Validator.Validations
+	if c.admit(mkReq(3, 3500), inst) {
+		t.Fatal("admitted a request whose KV growth cannot fit the node")
+	}
+	if got := c.Validator.Validations - before; got != 0 {
+		t.Fatalf("memory rejection ran %d shadow validations, want 0", got)
+	}
+	if inst.ResizeInFlight || inst.TotalLoad() != 2 {
+		t.Fatal("a rejected admission left state behind")
 	}
 }

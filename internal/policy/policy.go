@@ -143,8 +143,13 @@ type PlacementPolicy interface {
 // an existing instance can absorb a request in place.
 type PreemptionPolicy interface {
 	// TryPreempt attempts to admit req by preempting a victim; reports
-	// success. Implementations must leave the cluster unchanged on
-	// failure.
+	// success. Implementations must run every dry run before their first
+	// side effect and leave the cluster unchanged when a dry run fails.
+	// Once committed, the final Host.Admit can still reject: a victim with
+	// a resize in flight stays on the executor until it lands, and Admit
+	// charges resize and cold-start blocking that a dry run over
+	// ViewInstanceInto views omits. TryPreempt then reports false with the
+	// victim's requests already migrated and the victim reclaimed.
 	TryPreempt(h Host, req *engine.Request, m model.Model) bool
 }
 

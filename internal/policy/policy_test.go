@@ -10,6 +10,7 @@ import (
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
+	"slinfer/internal/workload"
 )
 
 // fakeHost implements Host for the pure policy mechanics; methods the
@@ -20,6 +21,13 @@ type fakeHost struct {
 	wired  int
 	armed  []sim.Duration
 	shared *cluster.Executor
+
+	// Preemption surface: live instances by model name, their executors,
+	// and the validator dry runs are counted on.
+	routes      map[string][]*engine.Instance
+	execs       map[*engine.Instance]*cluster.Executor
+	validator   *compute.Validator
+	validateOns int
 }
 
 func newFakeHost() *fakeHost {
@@ -41,11 +49,15 @@ func (h *fakeHost) AddSlot(idx int, d float64) {
 		h.slots[idx] = 0
 	}
 }
-func (h *fakeHost) RouteCandidates(model.Model) []*engine.Instance { panic("unused") }
-func (h *fakeHost) ExecutorOf(*engine.Instance) *cluster.Executor  { panic("unused") }
-func (h *fakeHost) SharedExecutor(int) *cluster.Executor           { return h.shared }
-func (h *fakeHost) WireExecutor(*cluster.Executor)                 { h.wired++ }
-func (h *fakeHost) Model(string) model.Model                       { panic("unused") }
+func (h *fakeHost) RouteCandidates(m model.Model) []*engine.Instance {
+	return append([]*engine.Instance(nil), h.routes[m.Name]...)
+}
+func (h *fakeHost) ExecutorOf(inst *engine.Instance) *cluster.Executor { return h.execs[inst] }
+func (h *fakeHost) SharedExecutor(int) *cluster.Executor               { return h.shared }
+func (h *fakeHost) WireExecutor(*cluster.Executor)                     { h.wired++ }
+func (h *fakeHost) Model(name string) model.Model {
+	return model.Model{Name: name}
+}
 func (h *fakeHost) Profile(hwsim.DeviceClass, model.Model, float64) *perfmodel.Profile {
 	panic("unused")
 }
@@ -53,9 +65,10 @@ func (h *fakeHost) FixedLimit(model.Model, hwsim.DeviceClass, float64) (int, boo
 	return 0, false
 }
 func (h *fakeHost) MaxBatch() int                 { return 256 }
-func (h *fakeHost) Validator() *compute.Validator { panic("unused") }
+func (h *fakeHost) Validator() *compute.Validator { return h.validator }
 func (h *fakeHost) ValidateOn(*cluster.Executor, *engine.Instance, compute.ReqView, sim.Duration, sim.Duration) bool {
-	panic("unused")
+	h.validateOns++
+	return true
 }
 func (h *fakeHost) ValidateScaleOut(*cluster.Executor, *perfmodel.Profile, *engine.Request, sim.Duration) bool {
 	panic("unused")
@@ -165,6 +178,43 @@ func TestKeepAlivePolicies(t *testing.T) {
 func TestNoPreemption(t *testing.T) {
 	if (NoPreemption{}).TryPreempt(nil, nil, model.Model{}) {
 		t.Error("NoPreemption must always fail")
+	}
+}
+
+// TestPreemptionChecksRehomingFirst pins SLOPreserving's cheap-first order:
+// a victim whose requests have no other live instance to move to fails the
+// preemption before any shadow validation of the grower runs.
+func TestPreemptionChecksRehomingFirst(t *testing.T) {
+	h := newFakeHost()
+	n := h.cl.NodesOfKind(hwsim.GPU)[0]
+	ex := n.NewExecutor(1)
+	reg := perfmodel.NewRegistry(256)
+	ms := model.Replicas(model.Llama2_7B, 2)
+	mkInst := func(id int, m model.Model, load int) *engine.Instance {
+		inst := &engine.Instance{
+			ID: id, Model: m, Class: n.Spec.Class, Share: 1, NodeIdxs: []int{n.Idx},
+			Profile: reg.Get(n.Spec.Class, m, 1), State: engine.Active,
+		}
+		for i := 0; i < load; i++ {
+			inst.Admit(engine.NewRequest(workload.Request{
+				ID: int64(100*id + i), ModelName: m.Name, InputLen: 256, OutputLen: 64,
+			}))
+		}
+		ex.AddInstance(inst)
+		return inst
+	}
+	grower, victim := mkInst(1, ms[0], 4), mkInst(2, ms[1], 1)
+	h.routes = map[string][]*engine.Instance{ms[0].Name: {grower}, ms[1].Name: {victim}}
+	h.execs = map[*engine.Instance]*cluster.Executor{grower: ex, victim: ex}
+	h.validator = compute.NewValidator()
+
+	req := engine.NewRequest(workload.Request{ID: 1, ModelName: ms[0].Name, InputLen: 256, OutputLen: 64})
+	if (SLOPreserving{}).TryPreempt(h, req, ms[0]) {
+		t.Fatal("preempted a victim whose request has nowhere to go")
+	}
+	if h.validator.Validations != 0 || h.validateOns != 0 {
+		t.Fatalf("ran %d grower validations and %d rehoming validations, want none",
+			h.validator.Validations, h.validateOns)
 	}
 }
 

@@ -17,9 +17,9 @@ func (NoPreemption) TryPreempt(Host, *engine.Request, model.Model) bool { return
 
 // SLOPreserving is the paper's proactive consolidation (§VIII-A): find a
 // GPU node where an existing instance of the request's model could absorb
-// it if a smaller neighbour were preempted, dry-run the grower and every
-// displaced request through shadow validation, and execute only when all
-// SLOs survive the move.
+// it if a smaller neighbour were preempted, dry-run every displaced
+// request and then the grower through shadow validation, and execute only
+// when all SLOs survive the move.
 type SLOPreserving struct{}
 
 // TryPreempt looks for a grower/victim pair, validates the move, and
@@ -54,39 +54,37 @@ func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, m model.Model) bo
 // preemptAndAdmit tears the victim down, reschedules its requests, and
 // admits req to the grower. Preemption only proceeds when the grower can
 // actually take the request afterwards.
+//
+// The dry runs are pure, so they run cheapest-and-most-likely-to-fail
+// first. §VIII-A allows preemption only when shadow validation shows the
+// preempted requests still meet their SLOs after rescheduling; rehoming
+// does not depend on req and usually fails outright (no other live
+// instance), so every victim request is dry-run before the grower's
+// whole-executor projection.
 func (p SLOPreserving) preemptAndAdmit(h Host, req *engine.Request, grower, victim *engine.Instance) bool {
-	// Cheap feasibility pre-check: without the victim, would the grower's
-	// executor pass shadow validation?
-	ex := h.ExecutorOf(grower)
-	views := make([]compute.InstView, 0, len(ex.Instances))
-	candIdx := -1
-	for _, other := range ex.Instances {
-		if other == victim {
-			continue
-		}
-		if other == grower {
-			candIdx = len(views)
-		}
-		views = append(views, compute.ViewInstance(other, h.Now()))
-	}
-	busyUntil := h.Now()
-	if ex.Busy() {
-		busyUntil = ex.BusyUntil()
-	}
-	if h.Validator().Validate(h.Now(), busyUntil, views, candIdx,
-		compute.ViewRequest(req), req.Obj.TPOT) != compute.OK {
-		return false
-	}
-	// §VIII-A: preemption is allowed only when shadow validation shows the
-	// preempted requests still meet their SLOs after rescheduling. Dry-run
-	// every victim request before committing.
-	moved := append(append([]*engine.Request(nil), victim.Running...), victim.WaitingPrefill...)
-	for _, r := range moved {
+	for _, r := range victim.Running {
 		if !p.canRehome(h, r, victim, grower) {
 			return false
 		}
 	}
+	for _, r := range victim.WaitingPrefill {
+		if !p.canRehome(h, r, victim, grower) {
+			return false
+		}
+	}
+	// Without the victim, would the grower's executor pass shadow
+	// validation?
+	ex := h.ExecutorOf(grower)
+	busyUntil := h.Now()
+	if ex.Busy() {
+		busyUntil = ex.BusyUntil()
+	}
+	if h.Validator().ValidateWithout(h.Now(), busyUntil, ex.Instances, victim, grower,
+		compute.ViewRequest(req), req.Obj.TPOT) != compute.OK {
+		return false
+	}
 	// Execute: migrate the victim's requests away, then reclaim it.
+	moved := append(append([]*engine.Request(nil), victim.Running...), victim.WaitingPrefill...)
 	h.RecordPreemption()
 	for _, r := range moved {
 		h.Migrate(r, victim)
