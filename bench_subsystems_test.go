@@ -13,9 +13,11 @@ import (
 	"testing"
 
 	"slinfer/internal/core"
+	"slinfer/internal/engine"
 	"slinfer/internal/experiments"
 	"slinfer/internal/faults"
 	"slinfer/internal/fleet"
+	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/memctl"
 	"slinfer/internal/model"
@@ -147,6 +149,50 @@ func BenchmarkSub_ReplayThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tr.Requests)*b.N)/b.Elapsed().Seconds(), "reqs/s")
+}
+
+// BenchmarkSub_PlaceAttempt times one placement attempt — existing
+// instances, then preemption, then scale-out — for a request that cannot
+// place, for a model with a live instance on a 1+1 SLINFER controller
+// driven a minute into 24 7B models at 6 rps. Past saturation every completion repeats this attempt for each
+// queued request, so its cost and allocs/op dominate the controller layer.
+func BenchmarkSub_PlaceAttempt(b *testing.B) {
+	models := model.Replicas(model.Llama2_7B, 24)
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	tr := workload.Generate(workload.TraceConfig{
+		ModelNames: names, Duration: 5 * sim.Minute, Seed: 7,
+		Dataset: workload.AzureConv, AggregateRPM: 360,
+	})
+	s := sim.New()
+	c := core.New(s, hwsim.Testbed(1, 1), models, core.SLINFER())
+	c.BeginStream(sim.Time(0).Add(tr.Duration), len(tr.Requests))
+	for _, w := range tr.Requests {
+		if w.Arrival > sim.Time(sim.Minute) {
+			break
+		}
+		s.RunUntil(w.Arrival)
+		c.Submit(w)
+	}
+	// A model with a live instance, so the attempt walks every stage.
+	name := names[0]
+	for _, n := range names {
+		if len(c.InstancesOf(n)) > 0 {
+			name = n
+			break
+		}
+	}
+	req := engine.NewRequest(workload.Request{ID: -1, ModelName: name,
+		Arrival: s.Now(), InputLen: 1024, OutputLen: 200})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.TryPlace(req) {
+			b.Fatal("placed on a saturated controller; the attempt no longer measures the failing path")
+		}
+	}
 }
 
 // BenchmarkSub_ScenarioCell runs one smoke cell with the full invariant

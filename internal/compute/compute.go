@@ -157,9 +157,9 @@ type Validator struct {
 	// calls (one validation can run per admission attempt, so the copies
 	// dominated the allocation profile). A Validator is therefore not safe
 	// for concurrent use; each controller owns one.
-	projScratch   []InstView
-	reqScratch    []ReqView
-	roundsScratch []int
+	projScratch  []InstView
+	reqScratch   []ReqView
+	stateScratch []instState
 }
 
 // NewValidator returns a validator with the paper's defaults.
@@ -176,7 +176,7 @@ func (v *Validator) Reset(overestimate float64, decodeRounds, maxSteps int) {
 	v.Validations, v.Rejections = 0, 0
 	v.projScratch = wipe(v.projScratch)
 	v.reqScratch = wipe(v.reqScratch)
-	v.roundsScratch = wipe(v.roundsScratch)
+	v.stateScratch = wipe(v.stateScratch)
 }
 
 // wipe zeroes a scratch slice's full backing array and returns the empty
@@ -286,23 +286,77 @@ func (v *Validator) beginProjection(n, need int) ([]InstView, []ReqView) {
 	return v.projScratch[:n], v.reqScratch[:0]
 }
 
+// instState is simulate's running state for one projected instance: its
+// decode batch (the requests past prefill), their summed context, and the
+// earliest next-token deadline over all of its requests. A step updates
+// only the instance it ran, so it picks the next instance in O(instances)
+// instead of rescanning every request for headroom, batch and context.
+type instState struct {
+	batch, ctx int
+	minD       sim.Time
+	// rounds counts decode iterations after the new request's prefill.
+	rounds int
+}
+
+// factor is the overestimation multiplier, with a non-positive
+// Overestimate (a zero-value Validator) meaning none.
+func (v *Validator) factor() sim.Duration {
+	if v.Overestimate <= 0 {
+		return 1
+	}
+	return sim.Duration(v.Overestimate)
+}
+
+// RejectsAggregate runs Validate's case-3 check (Figure 15) on live
+// instances before any view is built. A request under validation still
+// needs its prefill, so it never joins a decode batch: the round summed
+// here from insts' running batches, in the same order and with the same
+// factor, is bit for bit the round Validate computes over views of insts
+// with a request or a fresh, empty instance added. When it already exceeds
+// tpotSLO, Validate would return AggregateDecode (given a valid candidate),
+// so RejectsAggregate counts that validation and its rejection and returns
+// true. Otherwise it counts nothing.
+func (v *Validator) RejectsAggregate(insts []*engine.Instance, tpotSLO sim.Duration) bool {
+	over := v.factor()
+	var round sim.Duration
+	for _, inst := range insts {
+		batch := len(inst.Running)
+		if batch == 0 {
+			continue
+		}
+		ctx := 0
+		for _, r := range inst.Running {
+			ctx += r.ContextTokens()
+		}
+		round += over * inst.Profile.EstimateDecode(batch, ctx/batch)
+	}
+	if round <= tpotSLO {
+		return false
+	}
+	v.Validations++
+	v.Rejections++
+	return true
+}
+
 // simulate runs the virtual schedule over a projection it may mutate.
 func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO sim.Duration) Reason {
-	over := sim.Duration(v.Overestimate)
-	if over <= 0 {
-		over = 1
+	over := v.factor()
+	if cap(v.stateScratch) < len(proj) {
+		v.stateScratch = make([]instState, 2*len(proj))
 	}
+	st := v.stateScratch[:len(proj)]
 
 	// Case 3 (Figure 15): the aggregate decode round across all colocated
 	// instances must fit within one TPOT budget, otherwise decode tokens
 	// cannot be sustained even with perfect interleaving.
 	var round sim.Duration
-	for _, iv := range proj {
-		batch, ctx := decodeBatch(iv)
-		if batch == 0 {
+	for i := range proj {
+		s := &st[i]
+		*s = scanInst(proj[i].Reqs)
+		if s.batch == 0 {
 			continue
 		}
-		round += sim.Duration(v.Overestimate) * iv.Profile.EstimateDecode(batch, ctx/batch)
+		round += over * proj[i].Profile.EstimateDecode(s.batch, s.ctx/s.batch)
 	}
 	if round > tpotSLO {
 		return AggregateDecode
@@ -313,20 +367,13 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 		vclock = busyUntil
 	}
 	newPrefilled := false
-	if cap(v.roundsScratch) < len(proj) {
-		v.roundsScratch = make([]int, 2*len(proj))
-	}
-	roundsAfter := v.roundsScratch[:len(proj)]
-	for i := range roundsAfter {
-		roundsAfter[i] = 0
-	}
 	for step := 0; step < v.MaxSteps; step++ {
 		// Termination: the new request prefilled and every instance
 		// verified DecodeRounds decode iterations (or has no work).
 		if newPrefilled {
 			done := true
 			for i := range proj {
-				if len(proj[i].Reqs) > 0 && roundsAfter[i] < v.DecodeRounds {
+				if len(proj[i].Reqs) > 0 && st[i].rounds < v.DecodeRounds {
 					done = false
 					break
 				}
@@ -336,12 +383,14 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			}
 		}
 		// Min-headroom instance selection, mirroring PickMinHeadroom.
+		// Rounding is monotone, so minD - vclock is exactly the least of
+		// the instance's per-request headrooms.
 		best, bestH := -1, sim.Duration(0)
 		for i := range proj {
 			if len(proj[i].Reqs) == 0 {
 				continue
 			}
-			h := minHeadroom(proj[i], vclock)
+			h := st[i].minD.Sub(vclock)
 			if best == -1 || h < bestH {
 				best, bestH = i, h
 			}
@@ -349,7 +398,7 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 		if best == -1 {
 			return OK
 		}
-		iv := &proj[best]
+		iv, s := &proj[best], &st[best]
 		start := vclock
 		if iv.BlockedUntil > start {
 			start = iv.BlockedUntil
@@ -368,6 +417,9 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			r.NeedsPrefill = false
 			r.Deadline = r.Deadline.Add(r.TPOT)
 			r.Ctx++
+			s.batch++
+			s.ctx += r.Ctx
+			s.minD = scanInst(iv.Reqs).minD
 			if r.IsNew {
 				newPrefilled = true
 			}
@@ -375,24 +427,26 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			continue
 		}
 		// Decode the whole batch of this instance.
-		batch, ctx := decodeBatch(*iv)
-		end := start.Add(over * iv.Profile.EstimateDecode(batch, ctx/batch))
+		end := start.Add(over * iv.Profile.EstimateDecode(s.batch, s.ctx/s.batch))
 		for j := range iv.Reqs {
 			q := &iv.Reqs[j]
-			if q.NeedsPrefill {
-				continue
-			}
-			if end > q.Deadline {
-				if q.IsNew {
-					return NewTTFT
+			if !q.NeedsPrefill {
+				if end > q.Deadline {
+					if q.IsNew {
+						return NewTTFT
+					}
+					return ExistingDelayed
 				}
-				return ExistingDelayed
+				q.Deadline = q.Deadline.Add(q.TPOT)
+				q.Ctx++
 			}
-			q.Deadline = q.Deadline.Add(q.TPOT)
-			q.Ctx++
+			if j == 0 || q.Deadline < s.minD {
+				s.minD = q.Deadline
+			}
 		}
+		s.ctx += s.batch
 		if newPrefilled {
-			roundsAfter[best]++
+			s.rounds++
 		}
 		vclock = end
 	}
@@ -400,26 +454,19 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 	return OK
 }
 
-func decodeBatch(iv InstView) (batch, ctx int) {
-	for _, r := range iv.Reqs {
+// scanInst computes an instance's running state from its request views.
+func scanInst(reqs []ReqView) instState {
+	var s instState
+	for i, r := range reqs {
+		if i == 0 || r.Deadline < s.minD {
+			s.minD = r.Deadline
+		}
 		if !r.NeedsPrefill {
-			batch++
-			ctx += r.Ctx
+			s.batch++
+			s.ctx += r.Ctx
 		}
 	}
-	return batch, ctx
-}
-
-func minHeadroom(iv InstView, now sim.Time) sim.Duration {
-	best := sim.Duration(0)
-	first := true
-	for _, r := range iv.Reqs {
-		h := r.Deadline.Sub(now)
-		if first || h < best {
-			best, first = h, false
-		}
-	}
-	return best
+	return s
 }
 
 func mostUrgentReq(iv InstView, now sim.Time) int {

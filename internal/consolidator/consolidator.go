@@ -87,23 +87,11 @@ type NodeScore struct {
 	IsCPU bool
 }
 
-// PlaceOrder sorts placement candidates: CPU nodes first (when cpuFirst),
-// then best-fit by free memory — the tightest node that still fits, which
-// keeps the packing dense and leaves big holes for future large instances.
-// Candidates that cannot fit needBytes are dropped.
-func PlaceOrder(cands []NodeScore, needBytes int64, cpuFirst bool) []NodeScore {
-	var fit []NodeScore
-	for _, c := range cands {
-		if c.FreeBytes >= needBytes {
-			fit = append(fit, c)
-		}
-	}
-	SortPlace(fit, cpuFirst)
-	return fit
-}
-
-// SortPlace applies PlaceOrder's ordering in place without filtering or
-// allocating — for callers whose candidates all fit (needBytes 0).
+// SortPlace orders scale-out candidates in place, without allocating: CPU
+// nodes first (when cpuFirst), then best fit by free memory — the tightest
+// node, which keeps the packing dense and leaves big holes for future large
+// instances — then node index. The order is total and the sort stable, so
+// filtering candidates before or after sorting yields the same sequence.
 func SortPlace(cands []NodeScore, cpuFirst bool) {
 	insertionSort(cands, func(a, b NodeScore) bool {
 		if cpuFirst && a.IsCPU != b.IsCPU {

@@ -1,6 +1,7 @@
 package consolidator
 
 import (
+	"slices"
 	"testing"
 
 	"slinfer/internal/engine"
@@ -65,27 +66,38 @@ func TestRouteOrderLargestFirst(t *testing.T) {
 	}
 }
 
-func TestPlaceOrderBestFitCPUFirst(t *testing.T) {
-	cands := []NodeScore{
-		{NodeIdx: 0, FreeBytes: 100, IsCPU: false},
-		{NodeIdx: 1, FreeBytes: 50, IsCPU: false},
-		{NodeIdx: 2, FreeBytes: 70, IsCPU: true},
-		{NodeIdx: 3, FreeBytes: 30, IsCPU: true}, // too small for need=40
+func TestSortPlaceBestFitCPUFirst(t *testing.T) {
+	cands := func() []NodeScore {
+		return []NodeScore{
+			{NodeIdx: 0, FreeBytes: 100, IsCPU: false},
+			{NodeIdx: 1, FreeBytes: 50, IsCPU: false},
+			{NodeIdx: 2, FreeBytes: 70, IsCPU: true},
+			{NodeIdx: 3, FreeBytes: 50, IsCPU: false}, // ties node 1: index breaks it
+		}
 	}
-	got := PlaceOrder(cands, 40, true)
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3 (one dropped)", len(got))
+	order := func(got []NodeScore) []int {
+		var idx []int
+		for _, c := range got {
+			idx = append(idx, c.NodeIdx)
+		}
+		return idx
 	}
-	if got[0].NodeIdx != 2 {
-		t.Fatalf("first = %d, want CPU node 2", got[0].NodeIdx)
-	}
-	if got[1].NodeIdx != 1 || got[2].NodeIdx != 0 {
-		t.Fatalf("GPU best-fit order wrong: %v", got)
+	got := cands()
+	SortPlace(got, true)
+	if want := []int{2, 1, 3, 0}; !slices.Equal(order(got), want) {
+		t.Fatalf("CPU-first best-fit order = %v, want %v", order(got), want)
 	}
 	// Without CPU preference, pure best fit.
-	got = PlaceOrder(cands, 40, false)
-	if got[0].NodeIdx != 1 || got[1].NodeIdx != 2 || got[2].NodeIdx != 0 {
-		t.Fatalf("best-fit order wrong: %v", got)
+	got = cands()
+	SortPlace(got, false)
+	if want := []int{1, 3, 2, 0}; !slices.Equal(order(got), want) {
+		t.Fatalf("best-fit order = %v, want %v", order(got), want)
+	}
+	// Dropping a candidate leaves the others in the same relative order.
+	got = append(cands()[:1], cands()[2:]...)
+	SortPlace(got, true)
+	if want := []int{2, 3, 0}; !slices.Equal(order(got), want) {
+		t.Fatalf("order without node 1 = %v, want %v", order(got), want)
 	}
 }
 

@@ -242,23 +242,23 @@ func PaperFixedLimits(m model.Model, class hwsim.DeviceClass, share float64) int
 	full := share >= 0.99
 	switch class.Kind() {
 	case hwsim.CPU:
-		switch m.SizeClass() {
-		case "3B":
+		switch m.SizeBillions() {
+		case 3:
 			return pick(full, 59, 23)
-		case "7B", "8B":
+		case 7, 8:
 			return pick(full, 15, 4)
-		case "13B":
+		case 13:
 			return 6 // 13B keeps the whole CPU node even under sllm+c+s
-		case "34B", "22B":
+		case 34, 22:
 			return 0 // infeasible on CPU
 		}
 	default:
-		switch m.SizeClass() {
-		case "3B":
+		switch m.SizeBillions() {
+		case 3:
 			return pick(full, 160, 71)
-		case "7B", "8B":
+		case 7, 8:
 			return pick(full, 32, 12)
-		case "13B":
+		case 13:
 			return pick(full, 16, 4)
 		}
 	}

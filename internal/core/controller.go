@@ -416,6 +416,12 @@ func (c *Controller) Submit(w workload.Request) {
 	}
 }
 
+// TryPlace runs one §V placement attempt for req — the attempt a queued
+// request repeats on every completion — and reports whether req was placed.
+// A request that does not place is left as it was, not queued, so the
+// attempt can be repeated (and measured) on unchanged controller state.
+func (c *Controller) TryPlace(req *engine.Request) bool { return c.tryPlace(req) }
+
 // tryPlace attempts the full §V placement pipeline. It returns false when
 // the request must queue.
 func (c *Controller) tryPlace(req *engine.Request) bool {
@@ -581,13 +587,60 @@ func (c *Controller) endViews(views []compute.InstView, rbuf []compute.ReqView) 
 
 // validateOnExecutor runs shadow validation for adding a request view to
 // cand; candBlock additionally delays the candidate (prospective resize).
+// The case-3 aggregate-decode check runs first, on the live instances:
+// on a loaded node most attempts end there, before any view is built.
 func (c *Controller) validateOnExecutor(ex *cluster.Executor, cand *engine.Instance, rv compute.ReqView, tpot sim.Duration, candBlock sim.Duration) bool {
 	var start time.Time
 	if c.Cfg.MeasureOverhead {
 		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
 	}
-	views, rbuf := c.beginViews(ex)
-	candIdx := -1
+	ok := false
+	if !c.Validator.RejectsAggregate(ex.Instances, tpot) {
+		views, rbuf, candIdx := c.executorViews(ex, cand, candBlock)
+		ok = c.Validator.Validate(c.Sim.Now(), c.busyUntil(ex), views, candIdx, rv, tpot) == compute.OK
+		c.endViews(views, rbuf)
+	}
+	if c.Cfg.MeasureOverhead {
+		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
+	}
+	return ok
+}
+
+// validateNewInstanceOn checks that spawning a fresh instance for a request
+// on this executor would not break colocated SLOs (a scale-out must pass
+// the same §VI-C validation as a scale-up). The fresh instance has no
+// decode batch, so the live case-3 check covers it too.
+func (c *Controller) validateNewInstanceOn(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool {
+	var start time.Time
+	if c.Cfg.MeasureOverhead {
+		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
+	}
+	ok := false
+	if !c.Validator.RejectsAggregate(ex.Instances, req.Obj.TPOT) {
+		rv := compute.ViewRequest(req)
+		rv.Deadline = rv.Deadline.Add(loadDur) // cold-start grace
+		views, rbuf, _ := c.executorViews(ex, nil, 0)
+		candIdx := len(views)
+		views = append(views, compute.InstView{
+			Profile:      prof,
+			BlockedUntil: c.Sim.Now().Add(loadDur),
+		})
+		ok = c.Validator.Validate(c.Sim.Now(), c.busyUntil(ex), views, candIdx, rv, req.Obj.TPOT) == compute.OK
+		c.endViews(views, rbuf)
+	}
+	if c.Cfg.MeasureOverhead {
+		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
+	}
+	return ok
+}
+
+// executorViews builds the views of ex's instances into the view scratch
+// (release them with endViews), charging in-flight resizes and cold starts
+// as blocking; cand, when on ex, is additionally blocked for candBlock.
+// candIdx is cand's view index, or -1.
+func (c *Controller) executorViews(ex *cluster.Executor, cand *engine.Instance, candBlock sim.Duration) (views []compute.InstView, rbuf []compute.ReqView, candIdx int) {
+	views, rbuf = c.beginViews(ex)
+	candIdx = -1
 	for _, other := range ex.Instances {
 		if other == cand {
 			candIdx = len(views)
@@ -611,55 +664,15 @@ func (c *Controller) validateOnExecutor(ex *cluster.Executor, cand *engine.Insta
 		}
 		views = append(views, v)
 	}
-	busyUntil := c.Sim.Now()
-	if ex.Busy() {
-		busyUntil = ex.BusyUntil()
-	}
-	got := c.Validator.Validate(c.Sim.Now(), busyUntil, views, candIdx, rv, tpot)
-	c.endViews(views, rbuf)
-	if c.Cfg.MeasureOverhead {
-		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
-	}
-	return got == compute.OK
+	return views, rbuf, candIdx
 }
 
-// validateNewInstanceOn checks that spawning a fresh instance for a request
-// on this executor would not break colocated SLOs (a scale-out must pass
-// the same §VI-C validation as a scale-up).
-func (c *Controller) validateNewInstanceOn(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool {
-	rv := compute.ViewRequest(req)
-	rv.Deadline = rv.Deadline.Add(loadDur) // cold-start grace
-	var start time.Time
-	if c.Cfg.MeasureOverhead {
-		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
-	}
-	views, rbuf := c.beginViews(ex)
-	for _, other := range ex.Instances {
-		var v compute.InstView
-		v, rbuf = compute.ViewInstanceInto(other, rbuf)
-		if other.ResizeInFlight {
-			v.BlockedUntil = other.ResizeDoneAt // remaining fraction only
-		}
-		if eta, ok := c.loadETA[other.ID]; ok && eta > v.BlockedUntil {
-			v.BlockedUntil = eta
-		}
-		views = append(views, v)
-	}
-	candIdx := len(views)
-	views = append(views, compute.InstView{
-		Profile:      prof,
-		BlockedUntil: c.Sim.Now().Add(loadDur),
-	})
-	busyUntil := c.Sim.Now()
+// busyUntil is when ex finishes its current iteration (now when idle).
+func (c *Controller) busyUntil(ex *cluster.Executor) sim.Time {
 	if ex.Busy() {
-		busyUntil = ex.BusyUntil()
+		return ex.BusyUntil()
 	}
-	got := c.Validator.Validate(c.Sim.Now(), busyUntil, views, candIdx, rv, req.Obj.TPOT)
-	c.endViews(views, rbuf)
-	if c.Cfg.MeasureOverhead {
-		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
-	}
-	return got == compute.OK
+	return c.Sim.Now()
 }
 
 // place finalizes an admission.

@@ -86,10 +86,15 @@ func (m Model) Quantized(p Precision) Model {
 }
 
 // SizeClass buckets models the way the paper reports them ("3B-sized",
-// "7B-sized", ...): by rounded billions of parameters.
+// "7B-sized", ...): by rounded billions of parameters. It is a label; hot
+// callers switch on SizeBillions instead of formatting one.
 func (m Model) SizeClass() string {
-	return fmt.Sprintf("%dB", int(m.Params/1e9+0.5))
+	return fmt.Sprintf("%dB", m.SizeBillions())
 }
+
+// SizeBillions is the size bucket SizeClass labels: the parameter count
+// rounded to whole billions.
+func (m Model) SizeBillions() int { return int(m.Params/1e9 + 0.5) }
 
 func (m Model) String() string { return m.Name }
 

@@ -74,16 +74,23 @@ func TestCatalogValid(t *testing.T) {
 }
 
 func TestSizeClass(t *testing.T) {
-	cases := map[string]string{
-		Llama32_3B.Name:   "3B",
-		Llama2_7B.Name:    "7B",
-		Llama2_13B.Name:   "13B",
-		CodeLlama34B.Name: "34B",
+	cases := []struct {
+		m        Model
+		label    string
+		billions int
+	}{
+		{Llama32_3B, "3B", 3},
+		{Llama2_7B, "7B", 7},
+		{Llama2_13B, "13B", 13},
+		{CodeLlama34B, "34B", 34},
 	}
-	for name, want := range cases {
-		m, _ := ByName(name)
-		if got := m.SizeClass(); got != want {
-			t.Errorf("%s SizeClass = %s, want %s", name, got, want)
+	for _, c := range cases {
+		m, _ := ByName(c.m.Name)
+		if got := m.SizeClass(); got != c.label {
+			t.Errorf("%s SizeClass = %s, want %s", m.Name, got, c.label)
+		}
+		if got := m.SizeBillions(); got != c.billions {
+			t.Errorf("%s SizeBillions = %d, want %d", m.Name, got, c.billions)
 		}
 	}
 }

@@ -11,6 +11,7 @@
 package perfmodel
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -102,13 +103,14 @@ func (p *Profile) EstimateDecode(batch, avgLen int) sim.Duration {
 		avgLen = minLenSample
 	}
 	// Bilinear: interpolate along length within the two bracketing batch
-	// rows, then along batch.
+	// rows, then along batch. Both rows share the length bracket.
 	bi0, bi1, bw := bracket(p.batchSamples, batch)
-	v0 := interp1(p.lenSamples, p.tpot[bi0], avgLen)
+	li0, li1, lw := bracket(p.lenSamples, avgLen)
+	v0 := lerp(p.tpot[bi0], li0, li1, lw)
 	if bi0 == bi1 {
 		return v0
 	}
-	v1 := interp1(p.lenSamples, p.tpot[bi1], avgLen)
+	v1 := lerp(p.tpot[bi1], li0, li1, lw)
 	return v0 + sim.Duration(bw)*(v1-v0)
 }
 
@@ -116,6 +118,11 @@ func (p *Profile) EstimateDecode(batch, avgLen int) sim.Duration {
 // grid using the nearest segment's slope.
 func interp1(xs []int, ys []sim.Duration, x int) sim.Duration {
 	i0, i1, w := bracket(xs, x)
+	return lerp(ys, i0, i1, w)
+}
+
+// lerp interpolates ys between indices i0 and i1 at weight w.
+func lerp(ys []sim.Duration, i0, i1 int, w float64) sim.Duration {
 	if i0 == i1 {
 		return ys[i0]
 	}
@@ -125,6 +132,13 @@ func interp1(xs []int, ys []sim.Duration, x int) sim.Duration {
 // bracket returns the two indices surrounding x in ascending xs and the
 // interpolation weight in [0, 1] (or beyond 1 for extrapolation above the
 // grid). When x is below the grid it clamps to the first sample.
+//
+// NewProfile's grids are 2^k multiples of their first sample, with only the
+// last sample clamped, so the first sample >= x sits at index
+// bits.Len((x-1)/xs[0]) — found in O(1) instead of by binary search. The
+// guess is verified against its neighbours and falls back to
+// sort.SearchInts on any other grid, so the answer is always the binary
+// search's.
 func bracket(xs []int, x int) (i0, i1 int, w float64) {
 	n := len(xs)
 	if n == 1 || x <= xs[0] {
@@ -136,7 +150,10 @@ func bracket(xs []int, x int) (i0, i1 int, w float64) {
 		w = float64(x-xs[i0]) / float64(xs[i1]-xs[i0])
 		return i0, i1, w
 	}
-	j := sort.SearchInts(xs, x)
+	j := bits.Len(uint((x - 1) / xs[0]))
+	if j >= n || xs[j] < x || xs[j-1] >= x {
+		j = sort.SearchInts(xs, x)
+	}
 	if xs[j] == x {
 		return j, j, 0
 	}

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -170,5 +171,56 @@ func TestEstimateMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bracketSearch is bracket as it was before the O(1) segment lookup: a
+// binary search over the whole grid. It is the oracle for
+// TestBracketMatchesBinarySearch.
+func bracketSearch(xs []int, x int) (i0, i1 int, w float64) {
+	n := len(xs)
+	if n == 1 || x <= xs[0] {
+		return 0, 0, 0
+	}
+	if x >= xs[n-1] {
+		i0, i1 = n-2, n-1
+		w = float64(x-xs[i0]) / float64(xs[i1]-xs[i0])
+		return i0, i1, w
+	}
+	j := sort.SearchInts(xs, x)
+	if xs[j] == x {
+		return j, j, 0
+	}
+	i0, i1 = j-1, j
+	w = float64(x-xs[i0]) / float64(xs[i1]-xs[i0])
+	return i0, i1, w
+}
+
+// The O(1) bracket must answer exactly what the binary search answers, on
+// NewProfile grids with exact and clamped tails, on single-sample grids,
+// and on grids that are not 2^k multiples of their first sample (where it
+// falls back to the search).
+func TestBracketMatchesBinarySearch(t *testing.T) {
+	short := model.Llama2_7B
+	short.MaxContext = 3000
+	tiny := model.Llama2_7B
+	tiny.MaxContext = 40
+	var grids [][]int
+	for _, g := range []struct {
+		m        model.Model
+		maxBatch int
+	}{{model.Llama2_7B, 256}, {short, 100}, {short, 1}, {tiny, 3}} {
+		p := NewProfile(hwsim.A100, g.m, 1, g.maxBatch)
+		grids = append(grids, p.lenSamples, p.batchSamples)
+	}
+	grids = append(grids, []int{3, 5, 6, 20, 21, 64, 100}, []int{2, 4, 8, 12, 16, 32})
+	for _, xs := range grids {
+		for x := -5; x <= 2*xs[len(xs)-1]; x++ {
+			i0, i1, w := bracket(xs, x)
+			r0, r1, rw := bracketSearch(xs, x)
+			if i0 != r0 || i1 != r1 || w != rw {
+				t.Fatalf("grid %v x=%d: bracket=(%d,%d,%v), search=(%d,%d,%v)", xs, x, i0, i1, w, r0, r1, rw)
+			}
+		}
 	}
 }

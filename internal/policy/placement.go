@@ -33,7 +33,7 @@ func (p *BinPack) Share(m model.Model, class hwsim.DeviceClass) float64 {
 	switch p.Mode {
 	case Static:
 		// §IX-A: every instance gets half a node, except 13B on CPU.
-		if class.Kind() == hwsim.CPU && m.SizeClass() == "13B" {
+		if class.Kind() == hwsim.CPU && m.SizeBillions() == 13 {
 			return 1
 		}
 		return p.StaticShare
@@ -64,6 +64,10 @@ func (p *BinPack) AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share fl
 	return h.ValidateScaleOut(ex, prof, req, n.Spec.LoadTime(m))
 }
 
+// placeCands is how many scale-out candidates PlaceNew keeps on the stack;
+// a larger cluster spills its candidate list to the heap.
+const placeCands = 16
+
 // PlaceNew scales out: places a fresh instance for the request via
 // best-fit bin-packing, CPU first (§V).
 func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
@@ -73,11 +77,16 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	// NodeScore.NodeIdx is the cluster index, so candidates map back to
 	// their node via h.Nodes() — no side table needed. PlaceNew must stay
 	// stateless (one BinPack is shared across concurrently advancing fleet
-	// shards), so the candidate list is a local, not policy scratch.
+	// shards), so the candidate list is a local array, not policy scratch.
+	// Nodes whose free memory cannot hold the instance are dropped before
+	// the sort: SortPlace is stable and totally ordered, so the survivors
+	// keep the order they would have had.
 	nodes := h.Nodes()
-	var cands []consolidator.NodeScore
+	var buf [placeCands]consolidator.NodeScore
+	cands := buf[:0]
 	for _, n := range nodes {
 		class := n.Spec.Class
+		share := p.Share(m, class)
 		kindCPU := n.Kind() == hwsim.CPU
 		if kindCPU {
 			if !p.UseCPU {
@@ -87,33 +96,31 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 			// that cannot meet this request's SLO (§V). Baselines use the
 			// fixed-limit table (0 disables a class entirely).
 			if p.ShadowValidation {
-				prof := h.Profile(class, m, p.Share(m, class))
+				prof := h.Profile(class, m, share)
 				if !prof.CanMeet(req.W.InputLen, req.Obj) {
 					continue
 				}
 			}
 		}
-		share := p.Share(m, class)
 		if lim, ok := h.FixedLimit(m, class, share); ok && lim <= 0 {
 			continue
 		}
 		if !p.HasSlot(h, n, share) {
 			continue
 		}
-		if h.CreationBytes(m, n, share, req) < 0 {
+		need := h.CreationBytes(m, n, share, req)
+		free := n.Mem.OptimisticFree()
+		if need < 0 || free < need {
 			continue
 		}
 		cands = append(cands, consolidator.NodeScore{
-			NodeIdx: n.Idx, FreeBytes: n.Mem.OptimisticFree(), IsCPU: kindCPU,
+			NodeIdx: n.Idx, FreeBytes: free, IsCPU: kindCPU,
 		})
 	}
 	consolidator.SortPlace(cands, p.CPUFirst)
 	for _, cand := range cands {
 		n := nodes[cand.NodeIdx]
 		share := p.Share(m, n.Spec.Class)
-		if cand.FreeBytes < h.CreationBytes(m, n, share, req) {
-			continue
-		}
 		if !p.AdmitScaleOut(h, n, m, share, req) {
 			continue
 		}

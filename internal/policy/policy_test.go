@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"slinfer/internal/cluster"
@@ -28,6 +29,12 @@ type fakeHost struct {
 	execs       map[*engine.Instance]*cluster.Executor
 	validator   *compute.Validator
 	validateOns int
+
+	// Scale-out surface: the memory a new instance needs on each node
+	// (calls counted per node index) and the spawn attempts made.
+	need      func(n *cluster.Node) int64
+	needCalls map[int]int
+	spawns    []int
 }
 
 func newFakeHost() *fakeHost {
@@ -73,11 +80,21 @@ func (h *fakeHost) ValidateOn(*cluster.Executor, *engine.Instance, compute.ReqVi
 func (h *fakeHost) ValidateScaleOut(*cluster.Executor, *perfmodel.Profile, *engine.Request, sim.Duration) bool {
 	panic("unused")
 }
-func (h *fakeHost) CreationBytes(model.Model, *cluster.Node, float64, *engine.Request) int64 {
-	panic("unused")
+func (h *fakeHost) CreationBytes(_ model.Model, n *cluster.Node, _ float64, _ *engine.Request) int64 {
+	if h.need == nil {
+		panic("unused")
+	}
+	h.needCalls[n.Idx]++
+	return h.need(n)
 }
-func (h *fakeHost) Spawn(model.Model, []*cluster.Node, float64, *engine.Request) bool {
-	panic("unused")
+
+// Spawn records the attempt and fails, so PlaceNew walks every candidate.
+func (h *fakeHost) Spawn(_ model.Model, nodes []*cluster.Node, _ float64, _ *engine.Request) bool {
+	if h.need == nil {
+		panic("unused")
+	}
+	h.spawns = append(h.spawns, nodes[0].Idx)
+	return false
 }
 func (h *fakeHost) Admit(*engine.Request, *engine.Instance) bool { panic("unused") }
 func (h *fakeHost) Migrate(*engine.Request, *engine.Instance)    { panic("unused") }
@@ -215,6 +232,46 @@ func TestPreemptionChecksRehomingFirst(t *testing.T) {
 	if h.validator.Validations != 0 || h.validateOns != 0 {
 		t.Fatalf("ran %d grower validations and %d rehoming validations, want none",
 			h.validator.Validations, h.validateOns)
+	}
+}
+
+// PlaceNew asks each node's creation size once, drops the nodes that
+// cannot hold it before ordering, and tries the rest best-fit, CPU first.
+func TestPlaceNewSizesEachNodeOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		need   func(n *cluster.Node) int64
+		spawns []int
+	}{
+		{"both fit", func(*cluster.Node) int64 { return model.GiB }, []int{0, 1}},
+		{"gpu fits", func(n *cluster.Node) int64 {
+			if n.Kind() == hwsim.CPU {
+				return n.Mem.OptimisticFree() + 1
+			}
+			return model.GiB
+		}, []int{1}},
+		{"cpu can never host", func(n *cluster.Node) int64 {
+			if n.Kind() == hwsim.CPU {
+				return -1
+			}
+			return model.GiB
+		}, []int{1}},
+	} {
+		h := newFakeHost()
+		h.need, h.needCalls = tc.need, map[int]int{}
+		p := &BinPack{Mode: Exclusive, UseCPU: true, CPUFirst: true}
+		req := engine.NewRequest(workload.Request{ID: 1, ModelName: "m", InputLen: 512, OutputLen: 8})
+		if p.PlaceNew(h, req, model.Llama2_7B) {
+			t.Fatalf("%s: placed although every spawn fails", tc.name)
+		}
+		for _, n := range h.cl.Nodes {
+			if got := h.needCalls[n.Idx]; got != 1 {
+				t.Errorf("%s: CreationBytes called %d times for node %d, want 1", tc.name, got, n.Idx)
+			}
+		}
+		if !slices.Equal(h.spawns, tc.spawns) {
+			t.Errorf("%s: spawn attempts on nodes %v, want %v", tc.name, h.spawns, tc.spawns)
+		}
 	}
 }
 
