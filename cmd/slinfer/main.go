@@ -33,7 +33,7 @@
 // -prefix overlays the tiered prefix-sharing KV store onto the chosen
 // system (GPU tier sized by -prefix-gpu-mb, host spill tier by
 // -prefix-cpu-mb, token-block granularity by -prefix-block; zero keeps the
-// defaults). It only changes behavior on traces whose requests carry
+// defaults, and a negative -prefix-cpu-mb drops the host tier). It only changes behavior on traces whose requests carry
 // prefix keys — record one with slinfer-trace -gen chat.
 //
 // Fault injection (fleet replay only): -chaos <preset> schedules a seeded
@@ -257,6 +257,12 @@ func validateFlags() {
 		if set[name] && !get("prefix").(bool) {
 			bad("-%s sizes the prefix store; it needs -prefix", name)
 		}
+	}
+	if v := get("prefix-gpu-mb").(int64); v < 0 {
+		bad("-prefix-gpu-mb must be >= 0, got %d", v)
+	}
+	if v := get("prefix-block").(int); v < 0 {
+		bad("-prefix-block must be >= 0, got %d", v)
 	}
 	for _, name := range []string{"timeline", "series", "flightrec"} {
 		if set[name] && get("trace").(string) == "" {

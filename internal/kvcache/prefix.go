@@ -5,19 +5,15 @@
 // uncached suffix plus a PCIe promotion cost for host-resident blocks.
 //
 // The index is a radix chain over token blocks, not tokens: block i of a
-// request hashes the previous block's hash, the owning PrefixKey segment,
-// and the block index, so two requests share exactly the leading blocks
-// whose key segments and positions agree. PrefixKeys are hierarchical —
-// "tpl3@512/sess17" pins the first 512 tokens to template 3 (shared across
-// every session using it) and the remainder to session 17 (shared across
-// that conversation's turns).
+// request mixes the previous block's hash, the hash of the owning PrefixKey
+// segment, and the block index, so two requests share exactly the leading
+// blocks whose key segments and positions agree. PrefixKeys are
+// hierarchical — "tpl3@512/sess17" pins the first 512 tokens to template 3
+// (shared across every session using it) and the remainder to session 17
+// (shared across that conversation's turns).
 package kvcache
 
-import (
-	"fmt"
-
-	"slinfer/internal/sim"
-)
+import "slinfer/internal/sim"
 
 // Tier transfer cost model, calibrated the same way as ScaleTime: an
 // effective ~26 GB/s PCIe 4.0 x16 link gives 0.038 s/GB host-to-device;
@@ -81,23 +77,6 @@ func (c TieredConfig) WithDefaults() TieredConfig {
 		c.BlockTokens = DefaultBlockTokens
 	}
 	return c
-}
-
-// Validate rejects nonsense tier configurations.
-func (c TieredConfig) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.GPUBytes <= 0 {
-		return fmt.Errorf("kvcache: prefix GPU tier %d bytes, want > 0", c.GPUBytes)
-	}
-	if c.CPUBytes < 0 {
-		return fmt.Errorf("kvcache: prefix CPU tier %d bytes, want >= 0", c.CPUBytes)
-	}
-	if c.BlockTokens <= 0 {
-		return fmt.Errorf("kvcache: prefix block %d tokens, want > 0", c.BlockTokens)
-	}
-	return nil
 }
 
 // TierLedger counts every byte that moves through the tiered store. The
@@ -175,7 +154,7 @@ type tierBlock struct {
 	hash       uint64
 	bytes      int64
 	tier       int8
-	root       string // leading PrefixKey segment, for residency accounting
+	root       int32 // interned leading PrefixKey segment, for residency accounting
 	prev, next *tierBlock
 }
 
@@ -221,13 +200,16 @@ func (l *tierList) remove(b *tierBlock) {
 // transfer cost model — simulated time advances only through the durations
 // it returns.
 type TieredStore struct {
-	cfg    TieredConfig
-	blocks map[uint64]*tierBlock
-	gpu    tierList
-	cpu    tierList
-	// rootBytes tracks resident bytes per leading PrefixKey segment; fleet
-	// snapshots consume it for KV-affinity routing.
-	rootBytes map[string]int64
+	cfg   TieredConfig
+	index blockTable
+	gpu   tierList
+	cpu   tierList
+	// Leading PrefixKey segments are interned: rootID maps a root to its
+	// index in roots, and rootBytes[id] tracks that root's resident bytes.
+	// Fleet snapshots consume them for KV-affinity routing.
+	rootID    map[string]int32
+	roots     []string
+	rootBytes []int64
 	free      *tierBlock // recycled blocks, reused before allocating
 
 	// Ledger is the store's transition accounting. Read-only for callers;
@@ -245,22 +227,37 @@ type TieredStore struct {
 
 // NewTieredStore returns an empty store for the given (defaulted) config.
 func NewTieredStore(cfg TieredConfig) *TieredStore {
-	cfg = cfg.WithDefaults()
-	return &TieredStore{
-		cfg:       cfg,
-		blocks:    make(map[uint64]*tierBlock),
-		rootBytes: make(map[string]int64),
-	}
+	s := &TieredStore{}
+	s.Reset(cfg)
+	return s
 }
 
 // Reset reinitializes a recycled store in place, equivalent to
-// NewTieredStore(cfg). Resident blocks from the previous run are dropped.
+// NewTieredStore(cfg). Resident blocks from the previous run move to the
+// free list; the index, the root table and their capacity are kept.
 func (s *TieredStore) Reset(cfg TieredConfig) {
-	cfg = cfg.WithDefaults()
+	for _, l := range [...]*tierList{&s.gpu, &s.cpu} {
+		for b := l.front; b != nil; {
+			next := b.next
+			*b = tierBlock{next: s.free}
+			s.free = b
+			b = next
+		}
+	}
+	s.index.clear()
+	rootID := s.rootID
+	if rootID == nil {
+		rootID = make(map[string]int32)
+	}
+	clear(rootID)
+	clear(s.roots)
 	*s = TieredStore{
-		cfg:       cfg,
-		blocks:    make(map[uint64]*tierBlock),
-		rootBytes: make(map[string]int64),
+		cfg:       cfg.WithDefaults(),
+		index:     s.index,
+		rootID:    rootID,
+		roots:     s.roots[:0],
+		rootBytes: s.rootBytes[:0],
+		free:      s.free,
 	}
 }
 
@@ -317,14 +314,13 @@ type RootResidency struct {
 // sorted by root for determinism, and returns the extended slice.
 func (s *TieredStore) AppendResidency(dst []RootResidency) []RootResidency {
 	start := len(dst)
-	//slinfer:maporder collected tail is insertion-sorted by root below before anyone reads it
-	for root, bytes := range s.rootBytes {
+	for id, bytes := range s.rootBytes {
 		if bytes > 0 {
-			dst = append(dst, RootResidency{Root: root, Bytes: bytes})
+			dst = append(dst, RootResidency{Root: s.roots[id], Bytes: bytes})
 		}
 	}
 	tail := dst[start:]
-	// Insertion sort: residency maps are small (a handful of templates and
+	// Insertion sort: residency lists are small (a handful of templates and
 	// live sessions), and this avoids a sort.Slice closure allocation.
 	for i := 1; i < len(tail); i++ {
 		for j := i; j > 0 && tail[j].Root < tail[j-1].Root; j-- {
@@ -357,53 +353,182 @@ func fnvByte(h uint64, b byte) uint64 {
 	return h
 }
 
-// chainStep advances the block-hash chain: block i's identity folds in the
-// previous block's hash, the owning key-segment path, and the position, so
-// equal leading (segment, position) sequences — and nothing else — collide.
+// fmix64 is MurmurHash3's 64-bit finalizer: a bijection that spreads every
+// input bit over the whole word.
 //
 //slinfer:hotpath
-func chainStep(prev uint64, owner string, idx int) uint64 {
-	h := fnvString(prev^fnvOffset64, owner)
-	h = fnvByte(h, '#')
-	for v := uint64(idx); ; v >>= 7 {
-		if v < 0x80 {
-			h = fnvByte(h, byte(v))
-			break
-		}
-		h = fnvByte(h, byte(v&0x7f)|0x80)
-	}
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 
-// segmentOwner returns the PrefixKey prefix owning token index tok: segments
-// are '/'-separated, and a "@N" suffix pins a segment to its first N tokens;
-// the final segment owns the remainder. The returned string is a slice of
-// key — no allocation.
+// chainStep advances the block-hash chain: block idx's identity mixes the
+// previous block's hash, the owning key segment's hash, and the position,
+// so equal leading (segment, position) sequences — and nothing else —
+// collide. prev is mixed on its own first: the chain is seeded with the
+// model name's FNV hash and owner is the key's, so a symmetric combine
+// would send model "k" with key "k" and model "j" with key "j" to the same
+// block.
 //
 //slinfer:hotpath
-func segmentOwner(key string, tok int) string {
-	start, covered := 0, 0
-	for start < len(key) {
-		end := start
-		tokens := -1 // -1: open-ended (owns the rest)
-		for end < len(key) && key[end] != '/' {
-			if key[end] == '@' {
-				tokens = 0
-				for j := end + 1; j < len(key) && key[j] != '/'; j++ {
-					if d := key[j]; d >= '0' && d <= '9' {
-						tokens = tokens*10 + int(d-'0')
-					}
+func chainStep(prev, owner uint64, idx int) uint64 {
+	return fmix64(fmix64(prev) ^ owner ^ uint64(idx)*0x9e3779b97f4a7c15)
+}
+
+// segCursor walks a PrefixKey's segments in token order. Segments are
+// '/'-separated, and a "@N" suffix pins a segment to its next N tokens; the
+// owner of a token is the key prefix through the first segment that is
+// open-ended, still inside its bound, or last. The cursor holds the
+// current owner's FNV-1a hash, extending it one segment at a time, so a
+// walk over a whole context hashes each key byte once.
+type segCursor struct {
+	key   string
+	end   int    // the owner is key[:end]
+	limit int    // tokens below limit belong to the owner, unless open
+	open  bool   // the owner takes every remaining token
+	hash  uint64 // FNV-1a of key[:end]
+}
+
+func newSegCursor(key string) segCursor {
+	c := segCursor{key: key, end: -1, hash: fnvOffset64}
+	c.advance(0)
+	return c
+}
+
+// advance extends the owner by the next segment, whose bound starts at
+// token covered.
+//
+//slinfer:hotpath
+func (c *segCursor) advance(covered int) {
+	start := c.end + 1
+	if c.end >= 0 {
+		c.hash = fnvByte(c.hash, '/')
+	}
+	end, tokens := start, -1 // -1: open-ended
+	for end < len(c.key) && c.key[end] != '/' {
+		if c.key[end] == '@' && tokens < 0 {
+			tokens = 0
+			for j := end + 1; j < len(c.key) && c.key[j] != '/'; j++ {
+				if d := c.key[j]; d >= '0' && d <= '9' {
+					tokens = tokens*10 + int(d-'0')
 				}
 			}
-			end++
 		}
-		if tokens < 0 || tok < covered+tokens || end >= len(key) {
-			return key[:end]
-		}
-		covered += tokens
-		start = end + 1
+		end++
 	}
-	return key
+	c.hash = fnvString(c.hash, c.key[start:end])
+	c.end = end
+	c.open = tokens < 0 || end >= len(c.key)
+	c.limit = covered + tokens
+}
+
+// ownerHash moves the cursor to the segment owning token tok and returns
+// the owner's hash. tok must not decrease between calls.
+//
+//slinfer:hotpath
+func (c *segCursor) ownerHash(tok int) uint64 {
+	for !c.open && tok >= c.limit {
+		c.advance(c.limit)
+	}
+	return c.hash
+}
+
+// blockTable indexes resident blocks by chain hash: open addressing with
+// linear probing. Chain hashes are already mixed, so the low bits pick the
+// home slot. Deletion shifts the rest of the probe run back instead of
+// leaving tombstones, and the table doubles before it is half full.
+type blockTable struct {
+	slots []blockSlot // nil b marks an empty slot
+	mask  uint64
+	n     int
+}
+
+type blockSlot struct {
+	key uint64
+	b   *tierBlock
+}
+
+// minTableSlots is the size of a table's first allocation.
+const minTableSlots = 64
+
+// get returns the block indexed under key, or nil.
+//
+//slinfer:hotpath
+func (t *blockTable) get(key uint64) *tierBlock {
+	if t.n == 0 {
+		return nil
+	}
+	for i := key & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.b == nil || s.key == key {
+			return s.b
+		}
+	}
+}
+
+// put indexes b under key, which must not be present.
+//
+//slinfer:hotpath
+func (t *blockTable) put(key uint64, b *tierBlock) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	i := key & t.mask
+	for t.slots[i].b != nil {
+		i = (i + 1) & t.mask
+	}
+	t.slots[i] = blockSlot{key: key, b: b}
+	t.n++
+}
+
+// del removes key (a no-op if absent), shifting later members of its probe
+// run back so every key stays reachable from its home slot.
+//
+//slinfer:hotpath
+func (t *blockTable) del(key uint64) {
+	if t.n == 0 {
+		return
+	}
+	i := key & t.mask
+	for t.slots[i].b != nil && t.slots[i].key != key {
+		i = (i + 1) & t.mask
+	}
+	if t.slots[i].b == nil {
+		return
+	}
+	for j := (i + 1) & t.mask; t.slots[j].b != nil; j = (j + 1) & t.mask {
+		// The entry at j may fill the hole at i unless its home slot lies
+		// cyclically in (i, j].
+		if home := t.slots[j].key & t.mask; (j-home)&t.mask >= (j-i)&t.mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = blockSlot{}
+	t.n--
+}
+
+// grow doubles the table (or makes the first one) and reinserts every key.
+func (t *blockTable) grow() {
+	old := t.slots
+	t.slots = make([]blockSlot, max(2*len(old), minTableSlots))
+	t.mask = uint64(len(t.slots) - 1)
+	t.n = 0
+	for _, s := range old {
+		if s.b != nil {
+			t.put(s.key, s.b)
+		}
+	}
+}
+
+// clear empties the table and keeps its capacity.
+func (t *blockTable) clear() {
+	clear(t.slots)
+	t.n = 0
 }
 
 // Lookup walks the leading full blocks of a request's prompt through the
@@ -419,12 +544,13 @@ func (s *TieredStore) Lookup(modelName, key string, inputTokens int, kvBytesPerT
 	}
 	bt := s.cfg.BlockTokens
 	nBlocks := inputTokens / bt
+	cur := newSegCursor(key)
 	h := fnvString(fnvOffset64, modelName)
 	var promoted int64
 	for i := 0; i < nBlocks; i++ {
-		h = chainStep(h, segmentOwner(key, i*bt), i)
-		b, ok := s.blocks[h]
-		if !ok {
+		h = chainStep(h, cur.ownerHash(i*bt), i)
+		b := s.index.get(h)
+		if b == nil {
 			break
 		}
 		if b.tier == tierCPU {
@@ -519,7 +645,7 @@ func (s *TieredStore) freeBlock(b *tierBlock) {
 		s.Trace.TierEvicted(b.bytes)
 	}
 	s.rootBytes[b.root] -= b.bytes
-	delete(s.blocks, b.hash)
+	s.index.del(b.hash)
 	*b = tierBlock{next: s.free}
 	s.free = b
 }
@@ -536,12 +662,13 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 	bt := s.cfg.BlockTokens
 	nBlocks := contextTokens / bt
 	blockBytes := int64(bt) * kvBytesPerToken
-	root := PrefixRoot(key)
+	root := s.internRoot(PrefixRoot(key))
+	cur := newSegCursor(key)
 	h := fnvString(fnvOffset64, modelName)
 	spilledBefore := s.Ledger.SpillBytes
 	for i := 0; i < nBlocks; i++ {
-		h = chainStep(h, segmentOwner(key, i*bt), i)
-		if b, ok := s.blocks[h]; ok {
+		h = chainStep(h, cur.ownerHash(i*bt), i)
+		if b := s.index.get(h); b != nil {
 			// Refresh recency in place; resident tier is untouched.
 			if b.tier == tierGPU {
 				s.gpu.remove(b)
@@ -564,7 +691,7 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 			b = &tierBlock{}
 		}
 		b.hash, b.bytes, b.tier, b.root = h, blockBytes, tierGPU, root
-		s.blocks[h] = b
+		s.index.put(h, b)
 		s.gpu.pushFront(b)
 		s.Ledger.AllocatedBytes += blockBytes
 		s.Ledger.GPUBytes += blockBytes
@@ -575,4 +702,16 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 		s.Observer.TierChanged(s)
 	}
 	return SpillTime(s.Ledger.SpillBytes - spilledBefore)
+}
+
+// internRoot returns root's ID, assigning the next one on first sight.
+func (s *TieredStore) internRoot(root string) int32 {
+	if id, ok := s.rootID[root]; ok {
+		return id
+	}
+	id := int32(len(s.roots))
+	s.rootID[root] = id
+	s.roots = append(s.roots, root)
+	s.rootBytes = append(s.rootBytes, 0)
+	return id
 }

@@ -3,6 +3,7 @@ package kvcache
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -29,15 +30,6 @@ func TestTieredConfigDefaults(t *testing.T) {
 	if on.GPUBytes != 4<<30 || on.CPUBytes != 16<<30 || on.BlockTokens != DefaultBlockTokens {
 		t.Errorf("defaults = %+v", on)
 	}
-	if on.Validate() != nil {
-		t.Error("defaulted config should validate")
-	}
-	if (TieredConfig{Enabled: true, GPUBytes: -1}).Validate() == nil {
-		t.Error("negative GPU tier should fail validation")
-	}
-	if (TieredConfig{Enabled: true, GPUBytes: 1, BlockTokens: -3}).Validate() == nil {
-		t.Error("negative block size should fail validation")
-	}
 }
 
 func TestSegmentOwner(t *testing.T) {
@@ -52,13 +44,139 @@ func TestSegmentOwner(t *testing.T) {
 		{"tpl3@512/sess17", 511, "tpl3@512"},
 		{"tpl3@512/sess17", 512, "tpl3@512/sess17"},
 		{"tpl3@512/sess17", 4096, "tpl3@512/sess17"},
+		{"a@16/b@16/c", 15, "a@16"},
 		{"a@16/b@16/c", 20, "a@16/b@16"},
 		{"a@16/b@16/c", 32, "a@16/b@16/c"},
+		{"a@0/b", 0, "a@0/b"},
+		{"tpl@32/", 31, "tpl@32"},
+		{"tpl@32/", 32, "tpl@32/"},
 	}
 	for _, c := range cases {
-		if got := segmentOwner(c.key, c.tok); got != c.want {
-			t.Errorf("segmentOwner(%q, %d) = %q, want %q", c.key, c.tok, got, c.want)
+		cur := newSegCursor(c.key)
+		cur.ownerHash(c.tok)
+		if got := c.key[:cur.end]; got != c.want {
+			t.Errorf("owner(%q, %d) = %q, want %q", c.key, c.tok, got, c.want)
 		}
+	}
+}
+
+// randomKey draws a PrefixKey from an alphabet dense in separators, bounds,
+// and digits, so empty segments, "@" without digits, several "@" in one
+// segment, and trailing "/" all occur.
+func randomKey(rng *rand.Rand) string {
+	const alphabet = "ab/@@0123456789"
+	b := make([]byte, 1+rng.Intn(14))
+	for i := range b {
+		b[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return string(b)
+}
+
+// TestSegCursorMatchesReference walks one cursor per random key over every
+// token in [0, 600) and holds its owner to refOwner and its incremental
+// hash to a from-scratch FNV of the owner.
+func TestSegCursorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := []string{"a@16/b@16/c", "a@0/b", "tpl0@64/", "/", "@/@5/x", "tpl3@512/sess17"}
+	for i := 0; i < 2000; i++ {
+		keys = append(keys, randomKey(rng))
+	}
+	for _, key := range keys {
+		cur := newSegCursor(key)
+		for tok := 0; tok < 600; tok++ {
+			h := cur.ownerHash(tok)
+			got, want := key[:cur.end], refOwner(key, tok)
+			if got != want {
+				t.Fatalf("owner(%q, %d) = %q, want %q", key, tok, got, want)
+			}
+			if h != fnvString(fnvOffset64, want) {
+				t.Fatalf("owner(%q, %d): cursor hash %x != FNV of %q", key, tok, h, want)
+			}
+		}
+	}
+}
+
+// TestBlockTableVsMap drives the open-addressing index and a Go map through
+// the same random put/get/delete stream. Keys are drawn so their home slots
+// crowd the top of small tables — probe runs wrap past the last slot and
+// backward-shift deletion moves entries across the wrap — and a growth
+// phase takes the table through several doublings and back down.
+func TestBlockTableVsMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var tab blockTable
+	ref := map[uint64]*tierBlock{}
+	var live []uint64
+	wrapped := 0 // slot observations of keys stored below their home slot
+	check := func(op int, key uint64) {
+		if got, want := tab.get(key), ref[key]; got != want {
+			t.Fatalf("op %d: get(%x) = %p, want %p", op, key, got, want)
+		}
+	}
+	const ops = 120000
+	for op := 0; op < ops; op++ {
+		// Phase by op: hold the table near its first size, then grow it to
+		// a few thousand keys, then drain.
+		target := 20
+		switch {
+		case op >= ops/2 && op < 3*ops/4:
+			target = 4000
+		case op >= 3*ops/4:
+			target = 0
+		}
+		var key uint64
+		if len(ref) > 0 && rng.Intn(3) == 0 {
+			key = live[rng.Intn(len(live))]
+		} else {
+			// High bits random; low bits in the top eighth of a
+			// minTableSlots table.
+			key = rng.Uint64()&^uint64(minTableSlots-1) | uint64(minTableSlots-1-rng.Intn(minTableSlots/8))
+		}
+		grow := len(ref) < target
+		if rng.Intn(4) == 0 {
+			grow = !grow
+		}
+		_, present := ref[key]
+		switch {
+		case grow && !present:
+			b := &tierBlock{hash: key}
+			tab.put(key, b)
+			ref[key] = b
+			live = append(live, key)
+		case !grow:
+			tab.del(key) // a no-op when absent
+			if present {
+				delete(ref, key)
+				for i, k := range live {
+					if k == key {
+						live[i] = live[len(live)-1]
+						live = live[:len(live)-1]
+						break
+					}
+				}
+			}
+		}
+		check(op, key)
+		if tab.n != len(ref) {
+			t.Fatalf("op %d: table holds %d keys, map %d", op, tab.n, len(ref))
+		}
+		if op%1000 == 0 {
+			for k := range ref {
+				check(op, k)
+			}
+		}
+		if len(tab.slots) == minTableSlots {
+			for i, sl := range tab.slots {
+				if sl.b != nil && uint64(i) < sl.key&tab.mask {
+					wrapped++
+				}
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no probe run wrapped past the last slot")
+	}
+	if len(tab.slots) <= minTableSlots {
+		t.Fatalf("table never grew past %d slots", len(tab.slots))
 	}
 }
 
@@ -95,6 +213,12 @@ func TestTieredStoreBasicSharing(t *testing.T) {
 	}
 	if hit, _ = s.Lookup("m2", "tplA@64/sess1", 128, kvb); hit != 0 {
 		t.Fatalf("cross-model lookup hit %d tokens, want 0", hit)
+	}
+	// The chain seed (model name) and the owner hash (key) are both FNV
+	// hashes: model "k" with key "k" must not meet model "j" with key "j".
+	s.Insert("k", "k", 64, kvb)
+	if hit, _ = s.Lookup("j", "j", 64, kvb); hit != 0 {
+		t.Fatalf("model j / key j hit %d tokens of model k / key k, want 0", hit)
 	}
 	if !s.Ledger.Conserved() {
 		t.Fatalf("ledger not conserved: %+v", s.Ledger)
@@ -199,7 +323,7 @@ func newRefStore(cfg TieredConfig) *refStore {
 	return &refStore{cfg: cfg.WithDefaults()}
 }
 
-// refOwner restates segmentOwner with strings.Split.
+// refOwner restates the segment cursor's owner rule with strings.Split.
 func refOwner(key string, tok int) string {
 	segs := strings.Split(key, "/")
 	covered := 0
@@ -349,9 +473,43 @@ func (r *refStore) Insert(modelName, key string, contextTokens int, kvb int64) {
 	}
 }
 
+// residency restates AppendResidency: resident bytes per root, sorted by
+// root, zero-byte roots omitted.
+func (r *refStore) residency() []RootResidency {
+	bytes := map[string]int64{}
+	for _, b := range append(append([]refBlock(nil), r.gpu...), r.cpu...) {
+		bytes[b.root] += b.bytes
+	}
+	var out []RootResidency
+	for root, n := range bytes {
+		out = append(out, RootResidency{Root: root, Bytes: n})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Root < out[j].Root })
+	return out
+}
+
+// refOrder renders a reference tier front to back as (root, bytes) pairs.
+func refOrder(tier []refBlock) string {
+	var sb strings.Builder
+	for _, b := range tier {
+		fmt.Fprintf(&sb, "(%s,%d)", b.root, b.bytes)
+	}
+	return sb.String()
+}
+
+// lruOrder renders one of the store's tiers the way refOrder does.
+func (s *TieredStore) lruOrder(l *tierList) string {
+	var sb strings.Builder
+	for b := l.front; b != nil; b = b.next {
+		fmt.Fprintf(&sb, "(%s,%d)", s.roots[b.root], b.bytes)
+	}
+	return sb.String()
+}
+
 // TestTieredStorePropertyVsReference drives the real store and the naive
 // reference through the same seeded operation stream and demands identical
-// hit counts, ledgers, and tier usage after every step — and identical
+// hit counts, ledgers, tier usage, per-root residency, and each tier's
+// exact LRU order after every step — and identical
 // ledgers across a second run with the same seed (determinism).
 func TestTieredStorePropertyVsReference(t *testing.T) {
 	run := func(seed int64) TierLedger {
@@ -361,11 +519,12 @@ func TestTieredStorePropertyVsReference(t *testing.T) {
 		s := NewTieredStore(cfg)
 		ref := newRefStore(cfg)
 		rng := rand.New(rand.NewSource(seed))
-		models := []string{"llama", "mistral"}
+		models := []string{"llama", "mistral", "k", "j"}
 		keys := []string{
 			"tpl0@64/sess0", "tpl0@64/sess1", "tpl0@64/sess2",
 			"tpl1@32/sess3", "tpl1@32/sess4",
 			"sess5", "sess6", "",
+			"a@16/b@16/c", "a@0/b", "tpl1@32/", "k", "j",
 		}
 		for step := 0; step < 2000; step++ {
 			m := models[rng.Intn(len(models))]
@@ -394,6 +553,18 @@ func TestTieredStorePropertyVsReference(t *testing.T) {
 			if gpu > cfg.GPUBytes || cpu > cfg.CPUBytes {
 				t.Fatalf("step %d: capacity exceeded gpu=%d cpu=%d", step, gpu, cpu)
 			}
+			if got, want := fmt.Sprint(s.AppendResidency(nil)), fmt.Sprint(ref.residency()); got != want {
+				t.Fatalf("step %d: residency %s, ref %s", step, got, want)
+			}
+			for _, tier := range []struct {
+				name string
+				list *tierList
+				ref  []refBlock
+			}{{"gpu", &s.gpu, ref.gpu}, {"cpu", &s.cpu, ref.cpu}} {
+				if got, want := s.lruOrder(tier.list), refOrder(tier.ref); got != want {
+					t.Fatalf("step %d: %s LRU order\n store: %s\n   ref: %s", step, tier.name, got, want)
+				}
+			}
 		}
 		return s.Ledger
 	}
@@ -405,11 +576,24 @@ func TestTieredStorePropertyVsReference(t *testing.T) {
 	}
 }
 
-// Reset must behave exactly like a fresh store.
+// Reset must behave exactly like a fresh store, and keep its capacity:
+// blocks go to the free list and the index keeps its slots, so refilling
+// the same working set allocates nothing.
 func TestTieredStoreReset(t *testing.T) {
 	cfg := TieredConfig{Enabled: true, GPUBytes: 1 << 30, CPUBytes: 1 << 30, BlockTokens: 16}
 	s := NewTieredStore(cfg)
-	s.Insert("m", "sessA", 160, 1<<20)
+	s.Insert("m", "tpl@32/sessA", 1600, 1<<20)
+	slots := len(s.index.slots)
+	s.Reset(cfg)
+	if len(s.index.slots) != slots || s.free == nil {
+		t.Fatalf("reset dropped capacity: %d slots (had %d), free list empty %v", len(s.index.slots), slots, s.free == nil)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		s.Reset(cfg)
+		s.Insert("m", "tpl@32/sessA", 1600, 1<<20)
+	}); allocs != 0 {
+		t.Fatalf("refill after reset allocated %.0f times", allocs)
+	}
 	s.Reset(cfg)
 	if s.Ledger != (TierLedger{}) {
 		t.Fatalf("ledger after reset: %+v", s.Ledger)
