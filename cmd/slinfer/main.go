@@ -238,6 +238,14 @@ func validateFlags() {
 			bad("-routing kvaffinity routes on prefix-cache residency; it needs -prefix")
 		}
 	}
+	for _, name := range []string{"cpu", "gpu"} {
+		if v := get(name).(int); v < 0 {
+			bad("-%s must be >= 0, got %d", name, v)
+		}
+	}
+	if get("cpu").(int) == 0 && get("gpu").(int) == 0 {
+		bad("-cpu and -gpu are both 0; a testbed needs at least one node")
+	}
 	if v := get("admit-limit").(int); v < 0 {
 		bad("-admit-limit must be >= 0, got %d", v)
 	}

@@ -39,12 +39,19 @@ func runMain(t *testing.T, args string) (string, int) {
 
 // Negative prefix-store sizes used to be coerced to the defaults and run;
 // the flag check now rejects them before any trace is read. A negative
-// -prefix-cpu-mb keeps its documented meaning (no host tier).
+// -prefix-cpu-mb keeps its documented meaning (no host tier). Impossible
+// testbeds are rejected the same way: a negative node count used to run
+// with no nodes of that kind, and -cpu 0 -gpu 0 silently became 4+4 on a
+// single replay and node-less shards on a fleet.
 func TestNegativePrefixSizesRejected(t *testing.T) {
 	missing := t.TempDir() + "/missing.jsonl"
 	for _, c := range []struct{ args, want string }{
 		{"-prefix -prefix-gpu-mb -5", "-prefix-gpu-mb must be >= 0, got -5"},
 		{"-prefix -prefix-block -3", "-prefix-block must be >= 0, got -3"},
+		{"-cpu -1", "-cpu must be >= 0, got -1"},
+		{"-gpu -2", "-gpu must be >= 0, got -2"},
+		{"-cpu 0 -gpu 0", "-cpu and -gpu are both 0"},
+		{"-cpu 0 -gpu 0 -shards 2", "-cpu and -gpu are both 0"},
 	} {
 		out, code := runMain(t, "-trace "+missing+" "+c.args)
 		if code != 2 || !strings.Contains(out, c.want) {

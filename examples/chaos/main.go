@@ -7,7 +7,8 @@
 // functions of (config, trace, plan): replaying the same plan is
 // byte-identical, and the extended conservation invariant (offered ==
 // completed + rejected + retry-exhausted, no request lost or duplicated
-// across a crash) is checked throughout.
+// across a crash) is checked throughout: the program exits 1 if either
+// run reports an invariant violation.
 package main
 
 import (
@@ -55,13 +56,7 @@ func main() {
 	for _, rj := range res.Rejections {
 		fmt.Printf("  ledger: request %d at %v: %s\n", rj.ID, rj.At, rj.Reason)
 	}
-	if !res.Ok() {
-		fmt.Println("invariant violations detected:")
-		for _, v := range res.Violations {
-			fmt.Printf("  fleet: %s\n", v)
-		}
-		os.Exit(1)
-	}
+	exitOnViolations(res)
 
 	// Seeded presets cover the common shapes without hand-writing events;
 	// same seed, same plan, same bytes.
@@ -69,6 +64,7 @@ func main() {
 	roll := slinfer.RunFleet(cfg, trace)
 	fmt.Printf("rolling-restart: events=%d redriven=%d exhausted=%d ok=%v\n",
 		roll.Report.FaultEvents, roll.Redriven, roll.RetryExhausted, roll.Ok())
+	exitOnViolations(roll)
 
 	// Plans serialize to JSONL for replay outside this process
 	// (slinfer -faults plan.jsonl).
@@ -76,4 +72,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// exitOnViolations prints a run's fleet and shard invariant violations and
+// exits 1 if there are any.
+func exitOnViolations(res slinfer.FleetResult) {
+	if res.Ok() {
+		return
+	}
+	fmt.Println("invariant violations detected:")
+	for _, v := range res.Violations {
+		fmt.Printf("  fleet: %s\n", v)
+	}
+	for i, vs := range res.ShardViolations {
+		for _, v := range vs {
+			fmt.Printf("  shard %d: %s\n", i, v)
+		}
+	}
+	os.Exit(1)
 }

@@ -106,16 +106,15 @@ type Config struct {
 	// this hook.
 	SLO func(inputLen int) slo.Objective
 	// Probe observes lifecycle events for verification (see Probe); nil
-	// disables observation.
+	// disables observation. invariants.Attach replaces it with its suite.
 	Probe Probe
 	// Telemetry, when non-nil, records request span events and sim-time
 	// metric samples into the given recorder (internal/telemetry). Span
 	// events share Probe's emission point (Controller.emit): with both
 	// off, each emission costs two nil checks and allocates nothing. Unlike
-	// Probe — which invariants.Attach replaces and the fleet chains —
-	// this field is never rewritten by the verification machinery, so
-	// telemetry and invariant probes coexist without perturbing each
-	// other. The recorder survives Controller.reset (config replacement
+	// Probe — which invariants.Attach replaces — this field is never
+	// rewritten by the verification machinery, so telemetry and invariant
+	// probes coexist without perturbing each other. The recorder survives Controller.reset (config replacement
 	// carries the same pointer), which is how fleet crash/rebuild cycles
 	// keep one continuous per-shard timeline.
 	Telemetry *telemetry.Recorder

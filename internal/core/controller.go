@@ -56,6 +56,11 @@ type Controller struct {
 	loadETA    map[int]sim.Time
 	retrying   bool
 
+	// transferring holds PD requests whose KV is in flight to a decode
+	// instance (§IX-G), in hand-off order: between prefill and decode no
+	// instance holds them, and AppendLive must still find them.
+	transferring []*engine.Request
+
 	// Lazy arrival injection: Run schedules only the next arrival from this
 	// cursor instead of pre-loading one event per request, so the event heap
 	// stays O(active events) rather than O(total requests).
@@ -226,6 +231,7 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		c.pending[i] = nil
 	}
 	c.pending = c.pending[:0]
+	c.transferring = clearScratch(c.transferring)
 	clear(c.routeScratch)
 	clear(c.routeCPU)
 	clear(c.routeGPU)
@@ -681,7 +687,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 		ev.Cancel()
 		delete(c.dropEvents, req)
 	}
-	c.removePending(req)
+	c.pending = removeRequest(c.pending, req)
 	inst.Admit(req)
 	c.emit(telemetry.KindPlace, req, inst, 0, 0)
 	if inst.State == engine.Loading {
@@ -716,18 +722,19 @@ func (c *Controller) drop(req *engine.Request) {
 	req.State = engine.Dropped
 	req.Tracker.MarkDropped()
 	delete(c.dropEvents, req)
-	c.removePending(req)
+	c.pending = removeRequest(c.pending, req)
 	c.Collector.RecordDrop()
 	c.emit(telemetry.KindDrop, req, nil, 0, 0)
 }
 
-func (c *Controller) removePending(req *engine.Request) {
-	for i, r := range c.pending {
+// removeRequest deletes req from list, keeping the order of the rest.
+func removeRequest(list []*engine.Request, req *engine.Request) []*engine.Request {
+	for i, r := range list {
 		if r == req {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return
+			return append(list[:i], list[i+1:]...)
 		}
 	}
+	return list
 }
 
 // retryPending re-attempts placement of queued requests after capacity
@@ -766,6 +773,22 @@ func (c *Controller) InstancesOf(name string) []*engine.Instance {
 
 // PendingCount returns the queued-request count.
 func (c *Controller) PendingCount() int { return len(c.pending) }
+
+// AppendLive appends every submitted request that has neither completed
+// nor dropped to dst and returns the extended slice: the queue, then each
+// instance's prefill queue and decode batch (models in registration
+// order), then PD requests with KV in transit. The fleet pulls a crashed
+// shard's live set through it.
+func (c *Controller) AppendLive(dst []*engine.Request) []*engine.Request {
+	dst = append(dst, c.pending...)
+	for _, name := range c.modelOrder {
+		for _, inst := range c.instances[name] {
+			dst = append(dst, inst.WaitingPrefill...)
+			dst = append(dst, inst.Running...)
+		}
+	}
+	return append(dst, c.transferring...)
+}
 
 // PrefixStore exposes the tiered prefix store (nil when prefix sharing is
 // disabled). The invariant suite attaches its conservation observer here and

@@ -623,6 +623,7 @@ func (c *Controller) startPDTransfer(req *engine.Request, from *engine.Instance)
 	if from.Idle() && from.State == engine.Active {
 		c.scheduleKeepAlive(from)
 	}
+	c.transferring = append(c.transferring, req)
 	c.Sim.AfterFunc(dur, c.fnPD, req)
 }
 
@@ -656,6 +657,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 		}
 		c.applyMemory(inst, plan)
 		if inst.JoinDecode(req) {
+			c.transferring = removeRequest(c.transferring, req)
 			if ex := c.instExec[inst.ID]; ex != nil {
 				ex.Kick()
 			}

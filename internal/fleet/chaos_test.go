@@ -188,7 +188,7 @@ func TestFleetCheckerCatchesLeakedRequest(t *testing.T) {
 					{routed: int(res.Shards[1].Total), sliceCount: len(res.ShardTraces[1].Requests)},
 				}
 				ck := newChecker()
-				ck.runDone(&res, sd)
+				ck.runDone(&res, sd, 0)
 				return ck.violations
 			}
 			if vs := replay(); len(vs) > 0 {

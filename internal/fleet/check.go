@@ -75,8 +75,9 @@ func (c *checker) epochBarrier(epoch int, end sim.Time, snaps []Snapshot) {
 // dropped, retry-exhausted, or still live at run end. On fault-free runs
 // redriven and retry-exhausted are zero and the identities collapse to
 // offered == accepted + rejected and completed + dropped + live ==
-// accepted.
-func (c *checker) runDone(res *Result, shards []*shard) {
+// accepted. live is the number of requests the shards' controllers still
+// hold at run end (core.Controller.AppendLive), counted by finish.
+func (c *checker) runDone(res *Result, shards []*shard, live int64) {
 	frontShed := int64(len(res.Rejections)) - res.RetryExhausted
 	if got := res.Accepted + frontShed; got != res.Offered {
 		c.report("fleet-conservation", c.lastEpoch,
@@ -84,13 +85,12 @@ func (c *checker) runDone(res *Result, shards []*shard) {
 			res.Accepted, frontShed, got, res.Offered)
 	}
 	wantRouted := res.Accepted + res.Redriven
-	var routedSum, totalSum, completedSum, droppedSum, liveEnd int64
+	var routedSum, totalSum, completedSum, droppedSum int64
 	for i, sd := range shards {
 		routedSum += int64(sd.routed)
 		totalSum += res.Shards[i].Total
 		completedSum += res.Shards[i].Completed
 		droppedSum += res.Shards[i].Dropped
-		liveEnd += int64(len(sd.inflight))
 		if res.Shards[i].Total != int64(sd.routed) {
 			c.report("fleet-conservation", c.lastEpoch,
 				"shard %d submitted %d requests, front door routed %d (request lost or duplicated)",
@@ -116,9 +116,9 @@ func (c *checker) runDone(res *Result, shards []*shard) {
 		c.report("fleet-conservation", c.lastEpoch,
 			"merged report total %d, shard totals sum to %d", res.Report.Total, totalSum)
 	}
-	if got := completedSum + droppedSum + res.RetryExhausted + liveEnd; got != res.Accepted {
+	if got := completedSum + droppedSum + res.RetryExhausted + live; got != res.Accepted {
 		c.report("fleet-conservation", c.lastEpoch,
 			"request lost or duplicated: completed %d + dropped %d + retry-exhausted %d + live %d = %d, accepted %d",
-			completedSum, droppedSum, res.RetryExhausted, liveEnd, got, res.Accepted)
+			completedSum, droppedSum, res.RetryExhausted, live, got, res.Accepted)
 	}
 }

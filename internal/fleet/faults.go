@@ -1,9 +1,9 @@
 // Fleet-side fault machinery: the closed rejection-reason enum, the
 // RetryPolicy decision point, the compiler that quantizes a faults.Plan
-// onto the epoch grid, the probe that retires each shard's in-flight
-// requests, and the front door's fault phases (apply actions, decide
-// retries, re-drive) that pull a crashed shard's in-flight set and
-// re-route it.
+// onto the epoch grid, and the front door's fault phases (apply actions,
+// decide retries, re-drive) that pull a crashed shard's live requests —
+// read from its controller (core.Controller.AppendLive), which owns them —
+// and re-route them as their trace records.
 //
 // All fault handling runs in the serial front-door section at the top of
 // an epoch — between barriers no shard is touched from outside — so runs
@@ -15,8 +15,6 @@ import (
 	"math"
 	"sort"
 
-	"slinfer/internal/core"
-	"slinfer/internal/engine"
 	"slinfer/internal/faults"
 	"slinfer/internal/metrics"
 	"slinfer/internal/sim"
@@ -51,10 +49,11 @@ var RejectionReasons = []string{
 // section and must be deterministic.
 type RetryPolicy interface {
 	Name() string
-	// Retry is called once per pulled request; attempt counts prior
-	// re-drives (0 the first time the request is pulled). ok=false sends
-	// the request to the rejection ledger as retry-exhausted; otherwise
-	// it is re-routed delayEpochs epochs later (0 = this epoch).
+	// Retry is called once per pulled request with its trace record;
+	// attempt counts prior re-drives (0 the first time the request is
+	// pulled). ok=false sends the request to the rejection ledger as
+	// retry-exhausted; otherwise it is re-routed delayEpochs epochs later
+	// (0 = this epoch).
 	Retry(req workload.Request, attempt int) (ok bool, delayEpochs int)
 }
 
@@ -156,77 +155,30 @@ func compilePlan(p *faults.Plan, epochLen sim.Duration) []faultAction {
 	return out
 }
 
-// inflightRec is the fleet's bookkeeping for one request currently on a
-// shard: the trace arrival index (to re-point the partition on re-drive)
-// and the request as last submitted (Arrival rewritten on re-drives).
-type inflightRec struct {
-	idx int
-	req workload.Request
-}
-
 // retryEntry is a request pulled off a crashed shard: waiting for its
 // retry decision, then out its backoff in the retry queue.
 type retryEntry struct {
-	rec   inflightRec
+	idx   int // trace arrival index
 	ready int // epoch index at which the re-drive may route
 	from  int // shard the request was pulled off (telemetry provenance)
 }
 
-// shardProbe is the fleet's per-shard lifecycle witness: it retires
-// requests from the shard's in-flight set (which enqueue fills) when they
-// complete or drop, and forwards every event down the chain — to the
-// shard's invariant suite, the configured probe, or nopProbe.
-type shardProbe struct {
-	core.Probe
-	sd *shard
-}
-
-func (p *shardProbe) RequestCompleted(req *engine.Request, inst *engine.Instance) {
-	delete(p.sd.inflight, req.W.ID)
-	p.Probe.RequestCompleted(req, inst)
-}
-
-func (p *shardProbe) RequestDropped(req *engine.Request) {
-	delete(p.sd.inflight, req.W.ID)
-	p.Probe.RequestDropped(req)
-}
-
-// nopProbe ends a probe chain nothing else watches.
-type nopProbe struct{}
-
-func (nopProbe) RequestSubmitted(*engine.Request)                   {}
-func (nopProbe) RequestCompleted(*engine.Request, *engine.Instance) {}
-func (nopProbe) RequestDropped(*engine.Request)                     {}
-func (nopProbe) InstanceCreated(*engine.Instance)                   {}
-func (nopProbe) InstanceRemoved(*engine.Instance)                   {}
-func (nopProbe) RunFinished(*core.Controller, metrics.Report)       {}
-
-// pullInflight drains the shard's in-flight set into a deterministic
-// slice, sorted by (Arrival as last submitted, ID).
-func (sd *shard) pullInflight() []inflightRec {
-	if len(sd.inflight) == 0 {
-		return nil
-	}
-	out := make([]inflightRec, 0, len(sd.inflight))
-	//slinfer:maporder collected slice is sorted by (Arrival, ID) below before anyone reads it
-	for _, rec := range sd.inflight {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].req, out[j].req
-		if a.Arrival != b.Arrival {
-			return a.Arrival < b.Arrival
+// arrivalIndex returns the trace arrival index of the request with the
+// given ID, building the ID index on first use.
+func (fd *frontDoor) arrivalIndex(id int64) int {
+	if fd.arrivalIdx == nil {
+		fd.arrivalIdx = make(map[int64]int, len(fd.tr.Requests))
+		for i, r := range fd.tr.Requests {
+			fd.arrivalIdx[r.ID] = i
 		}
-		return a.ID < b.ID
-	})
-	clear(sd.inflight)
-	return out
+	}
+	return fd.arrivalIdx[id]
 }
 
 // applyFaults fires the fault actions due by this epoch, at its top and
 // before any routing decision, and patches the stale snapshots' health
 // fields in place so this epoch's decisions already route around the
-// change. A crash's in-flight set joins fd.pulled.
+// change. A crash's live requests join fd.pulled.
 func (fd *frontDoor) applyFaults() {
 	for fd.nextAction < len(fd.actions) && fd.actions[fd.nextAction].epoch <= fd.epoch {
 		a := fd.actions[fd.nextAction]
@@ -252,8 +204,8 @@ func (fd *frontDoor) apply(a faultAction) bool {
 	ts := sd.ctl.PrefixStore()
 	switch {
 	case a.op == opCrash && sd.up:
-		for _, rec := range sd.crash(fd.start, fd.ck) {
-			fd.pulled = append(fd.pulled, retryEntry{rec: rec, from: a.shard})
+		for _, req := range sd.crash(fd.start, fd.ck) {
+			fd.pulled = append(fd.pulled, retryEntry{idx: fd.arrivalIndex(req.W.ID), from: a.shard})
 		}
 		snap.Healthy, snap.SlowFactor = false, 1
 	case a.op == opRecover && !(sd.up && sd.healthy):
@@ -287,10 +239,11 @@ func (fd *frontDoor) apply(a faultAction) bool {
 // backoff in the retry queue or goes to the ledger.
 func (fd *frontDoor) decideRetries() {
 	for _, e := range fd.pulled {
-		fd.assigned[e.rec.idx] = -1
-		att := fd.attempts[e.rec.req.ID]
-		fd.attempts[e.rec.req.ID] = att + 1
-		ok, delay := fd.cfg.Retry.Retry(e.rec.req, att)
+		fd.assigned[e.idx] = -1
+		r := fd.tr.Requests[e.idx]
+		att := fd.attempts[r.ID]
+		fd.attempts[r.ID] = att + 1
+		ok, delay := fd.cfg.Retry.Retry(r, att)
 		if !ok {
 			fd.exhaust(e, ReasonRetryExhausted)
 			continue
@@ -314,14 +267,14 @@ func (fd *frontDoor) redrive() {
 		case !fd.healthy || e.ready > fd.epoch:
 			keep = append(keep, e)
 		default:
-			r := e.rec.req
+			r := fd.tr.Requests[e.idx]
 			r.Arrival = fd.start
 			s := fd.route(r)
 			if fd.front != nil {
 				fd.front.Record(fd.start, telemetry.KindRedrive, -1, r.ID, int64(e.from), int64(s))
 			}
 			fd.res.Redriven++
-			fd.place(r, e.rec.idx, s)
+			fd.place(r, e.idx, s)
 		}
 	}
 	fd.retryq = keep
@@ -329,11 +282,12 @@ func (fd *frontDoor) redrive() {
 
 // exhaust ledgers a pulled request the fleet gives up on.
 func (fd *frontDoor) exhaust(e retryEntry, reason string) {
+	r := &fd.tr.Requests[e.idx]
 	if fd.front != nil {
-		fd.front.Record(fd.start, telemetry.KindRetryExhausted, -1, e.rec.req.ID, int64(e.from), 0)
+		fd.front.Record(fd.start, telemetry.KindRetryExhausted, -1, r.ID, int64(e.from), 0)
 	}
 	fd.res.Rejections = append(fd.res.Rejections, Rejection{
-		ID: e.rec.req.ID, Model: e.rec.req.ModelName, At: fd.start, Reason: reason,
+		ID: r.ID, Model: r.ModelName, At: fd.start, Reason: reason,
 	})
 	fd.res.RetryExhausted++
 }

@@ -27,16 +27,20 @@
 //
 // There is one fleet path: a fault-free run is the empty-plan case of the
 // fault machinery (Config.Faults, internal/faults). Fault actions fire at
-// the top of an epoch, crashes pull the shard's in-flight set for budgeted
-// re-drive (Config.Retry), and request conservation holds across crashes.
+// the top of an epoch, crashes pull the shard's live requests from its
+// controller for budgeted re-drive (Config.Retry), and request
+// conservation holds across crashes.
 // See DESIGN.md "Fault injection & recovery".
 package fleet
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 
 	"slinfer/internal/core"
+	"slinfer/internal/engine"
 	"slinfer/internal/faults"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/invariants"
@@ -234,7 +238,6 @@ type shard struct {
 	sim      *sim.Simulator
 	ctl      *core.Controller
 	suite    *invariants.Suite
-	probe    shardProbe
 	fnSubmit func(any)
 	routed   int // total submissions to this shard (arrivals + re-drives)
 	// sliceCount tracks how many trace requests the shard's final
@@ -244,11 +247,6 @@ type shard struct {
 	// resScratch backs the snapshot's prefix-residency slice; safe to reuse
 	// because each barrier replaces the previous snapshot wholesale.
 	resScratch []kvcache.RootResidency
-	// inflight tracks accepted-but-not-terminal requests on the shard:
-	// enqueue records each routed request under its arrival index, and the
-	// shard's probe deletes it on completion or drop. A crash pulls it for
-	// re-drive; the checker counts what is left at run end as live.
-	inflight map[int64]inflightRec
 
 	// Fault state (only exercised when the run has a non-empty plan).
 	specs   []hwsim.NodeSpec // construction parameters, kept for crash-reset
@@ -294,39 +292,29 @@ func newShard(cfg Config, i int) *shard {
 	a := core.AcquireArena()
 	sd := &shard{
 		arena: a, sim: a.Sim(), ctl: a.NewController(spec.Specs, cfg.Models, sys),
-		inflight: map[int64]inflightRec{},
-		specs:    spec.Specs, models: cfg.Models, sys: sys,
+		specs: spec.Specs, models: cfg.Models, sys: sys,
 		attach: cfg.AttachInvariants, up: true, healthy: true,
 	}
-	sd.probe.sd = sd
 	sd.watch()
 	sd.fnSubmit = func(a any) { sd.ctl.Submit(*(a.(*workload.Request))) }
 	return sd
 }
 
-// watch installs the shard's lifecycle witnesses on its current
-// controller: the invariant suite when configured, chained behind the
-// fleet's in-flight probe. Construction and recovery both go through it,
-// so a rebuilt controller is watched exactly like the original.
+// watch attaches the invariant suite, when configured, to the shard's
+// current controller. Construction and recovery both go through it, so a
+// rebuilt controller is watched exactly like the original.
 func (sd *shard) watch() {
 	if sd.attach {
 		sd.suite = invariants.Attach(sd.ctl)
 	}
-	sd.probe.Probe = sd.ctl.Cfg.Probe
-	if sd.probe.Probe == nil {
-		sd.probe.Probe = nopProbe{}
-	}
-	sd.ctl.Cfg.Probe = &sd.probe
 }
 
-// enqueue schedules one routed request on the shard's simulator and
-// records it in flight under its trace arrival index.
+// enqueue schedules one routed request on the shard's simulator.
 //
 //slinfer:hotpath
-func (sd *shard) enqueue(r workload.Request, idx int) {
+func (sd *shard) enqueue(r workload.Request) {
 	sd.routed++
 	sd.sliceCount++
-	sd.inflight[r.ID] = inflightRec{idx: idx, req: r}
 	arg := new(workload.Request)
 	*arg = r
 	sd.sim.AtFunc(r.Arrival, sd.fnSubmit, arg)
@@ -377,23 +365,39 @@ func (sd *shard) closeSuite() {
 	sd.suite = nil
 }
 
-// crash tears the shard down at an epoch top: the current stream segment
-// is finalized into sd.segments, the in-flight set is pulled for the
-// caller to re-drive, and the controller is rebuilt from its original
+// crash tears the shard down at an epoch top: the controller's live
+// requests are pulled, sorted by (arrival as last submitted, ID), for the
+// caller to re-drive; the current stream segment is finalized into
+// sd.segments; and the controller is rebuilt from its original
 // construction parameters — the simulator reset drops every pending
 // event, and the rebuild loses all warm state (queues, instances, KV,
 // prefix tiers), which is exactly the crash semantics.
-func (sd *shard) crash(now sim.Time, ck *checker) []inflightRec {
-	// Cross-check the fleet's in-flight bookkeeping against the invariant
-	// suite's independently tracked live set before pulling.
-	if sd.suite != nil && sd.suite.LiveCount() != len(sd.inflight) {
-		ck.report("fleet-conservation", now,
-			"crash on %s: fleet tracks %d in-flight requests, invariant suite tracks %d",
-			sd.ctl.Cfg.Name, len(sd.inflight), sd.suite.LiveCount())
+func (sd *shard) crash(now sim.Time, ck *checker) []*engine.Request {
+	col := sd.ctl.Collector
+	pulled := sd.ctl.AppendLive(make([]*engine.Request, 0, max(col.Total-col.Completed-col.Dropped, 0)))
+	sort.Slice(pulled, func(i, j int) bool {
+		a, b := pulled[i].W, pulled[j].W
+		if a.Arrival != b.Arrival {
+			return a.Arrival < b.Arrival
+		}
+		return a.ID < b.ID
+	})
+	if sd.suite != nil {
+		// Cross-check the controller's live set against the invariant
+		// suite's independently tracked one before pulling.
+		ids := make([]int64, len(pulled))
+		for i, r := range pulled {
+			ids[i] = r.W.ID
+		}
+		slices.Sort(ids)
+		if want := sd.suite.AppendLiveIDs(make([]int64, 0, len(ids))); !slices.Equal(ids, want) {
+			ck.report("fleet-conservation", now,
+				"crash on %s: controller holds live requests %v, invariant suite tracks %v",
+				sd.ctl.Cfg.Name, ids, want)
+		}
 	}
 	sd.segments = append(sd.segments, sd.ctl.EndStream(now.Sub(sd.segStart)))
 	sd.closeSuite()
-	pulled := sd.pullInflight()
 	sd.sliceCount -= len(pulled) // pulled requests leave this shard's slice
 	sd.firedBefore += sd.sim.Fired()
 	sd.completedBefore += sd.ctl.Collector.Completed
@@ -472,6 +476,9 @@ type frontDoor struct {
 	retryq          []retryEntry
 	attempts        map[int64]int
 	completions     []int64 // fleet completions per epoch (goodput series)
+	// arrivalIdx maps trace request ID -> arrival index for crash pulls;
+	// built at the first crash, so fault-free runs never pay for it.
+	arrivalIdx map[int64]int
 
 	// Epoch state: [start, end) is the current window, next the first trace
 	// arrival not yet offered, st the policies' view (reused every epoch).
@@ -620,7 +627,7 @@ func (fd *frontDoor) place(r workload.Request, idx, s int) {
 	fd.assigned[idx] = s
 	fd.st.Routed[s]++
 	fd.st.Accepted++
-	fd.shards[s].enqueue(r, idx)
+	fd.shards[s].enqueue(r)
 }
 
 // admitAndRoute offers the window's trace arrivals, in arrival order, to
@@ -707,9 +714,13 @@ func (fd *frontDoor) finish() Result {
 	})
 	res := &fd.res
 	var maxGrace sim.Duration
+	var live []*engine.Request
+	var liveEnd int64
 	res.Shards = make([]metrics.Report, n)
 	for i, sd := range fd.shards {
 		maxGrace = max(maxGrace, sd.ctl.Cfg.DrainGrace)
+		live = sd.ctl.AppendLive(live[:0])
+		liveEnd += int64(len(live))
 		res.Shards[i] = sd.report(fd.horizon)
 		res.EventsFired += sd.firedBefore + sd.sim.Fired()
 		res.ShardViolations[i] = sd.segViol
@@ -732,7 +743,7 @@ func (fd *frontDoor) finish() Result {
 		pos++
 		return s
 	})
-	fd.ck.runDone(res, fd.shards)
+	fd.ck.runDone(res, fd.shards, liveEnd)
 	res.Violations = fd.ck.violations
 	// Everything read out of the shards (reports, violations, checker state)
 	// has been extracted; the arenas can go back to the pool.

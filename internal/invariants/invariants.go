@@ -176,13 +176,10 @@ func (s *Suite) Violations() []Violation {
 // Ok reports whether no invariant was violated.
 func (s *Suite) Ok() bool { return len(s.violations) == 0 && s.dropped == 0 }
 
-// LiveCount returns the number of submitted-but-not-terminal requests the
-// lifecycle checker currently tracks. The fleet crash path cross-checks
-// its own in-flight bookkeeping against this before re-driving.
-func (s *Suite) LiveCount() int { return len(s.live) }
-
-// AppendLiveIDs appends the live request IDs to dst in ascending order
-// and returns the extended slice.
+// AppendLiveIDs appends the live (submitted-but-not-terminal) request IDs
+// the lifecycle checker tracks to dst in ascending order and returns the
+// extended slice. The fleet crash path cross-checks the controller's live
+// set against it before re-driving.
 func (s *Suite) AppendLiveIDs(dst []int64) []int64 {
 	start := len(dst)
 	//slinfer:maporder collected tail is sorted below before anyone reads it
