@@ -20,6 +20,7 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/memctl"
+	"slinfer/internal/metrics"
 	"slinfer/internal/model"
 	"slinfer/internal/scenario"
 	"slinfer/internal/sim"
@@ -397,6 +398,41 @@ func BenchmarkSub_FleetEpochWide(b *testing.B) {
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})
+	}
+}
+
+// BenchmarkSub_ReportMerge measures folding 16 real shard reports into the
+// fleet report, as every fleet run does once at the end: counters sum, the
+// TTFT and memory sample sets concatenate and sort, and the decode
+// batch-size histograms add bucket by bucket. The reports come from one
+// 16-shard run of the FleetEpochWide workload, built before the timer.
+func BenchmarkSub_ReportMerge(b *testing.B) {
+	models := model.Replicas(model.Llama2_7B, 32)
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	tr := workload.GenerateBurstGPT(workload.BurstGPTConfig{
+		ModelNames: names, Duration: 2 * sim.Minute, RPS: 16, Seed: 17,
+		Dataset: workload.AzureConv,
+	})
+	res := fleet.Run(fleet.Config{
+		System:  core.SLINFER(),
+		Shards:  fleet.UniformShards(16, 2, 2),
+		Models:  models,
+		Routing: fleet.LeastOutstanding{},
+		Seed:    17,
+	}, tr)
+	if len(res.Shards) != 16 || res.Report.DecodeIters == 0 {
+		b.Fatalf("setup: %d shard reports, %d decode iterations", len(res.Shards), res.Report.DecodeIters)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := metrics.MergeReports(res.Report.System, res.Report.Duration, res.Shards...)
+		if m.DecodeIters != res.Report.DecodeIters {
+			b.Fatalf("merge lost decode iterations: %d, want %d", m.DecodeIters, res.Report.DecodeIters)
+		}
 	}
 }
 

@@ -170,10 +170,7 @@ func runFig25(s Scale) Result {
 			}
 			return pct(cdf[int(p*float64(len(cdf)-1))])
 		}
-		batchP90 := 0
-		if len(rep.BatchCDF) > 0 {
-			batchP90 = rep.BatchCDF[int(0.9*float64(len(rep.BatchCDF)-1))]
-		}
+		batchP90 := rep.BatchQuantile(0.9)
 		return []string{
 			cfg.Name, at(0.25), at(0.50), at(0.90), pct(rep.MeanMemUtil[hwsim.GPU]),
 			f1(rep.AvgBatch), fmt.Sprint(batchP90),

@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -82,5 +86,51 @@ func TestCanonicalGatesOnCountsNotRates(t *testing.T) {
 	got := r.Canonical()
 	if strings.Contains(got, "prefix") || strings.Contains(got, "faults") {
 		t.Fatalf("derived fields leaked through the gates:\n%s", got)
+	}
+}
+
+// TestCanonicalEncodingMatchesFmt pins the strconv renderings Canonical
+// hashes to the fmt verbs they replaced, byte for byte: "%.9g" for floats
+// and "%d" for ints, over random values and the edge cases (NaN, ±Inf,
+// −0, subnormals, extreme magnitudes, integer extremes).
+func TestCanonicalEncodingMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	floats := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308,
+		math.MaxFloat64, -math.MaxFloat64, 1e21, 1e-7, 123456789, 1234567890, 0.1, 1.0 / 3,
+	}
+	for i := 0; i < 20000; i++ {
+		floats = append(floats,
+			math.Float64frombits(rng.Uint64()), // every exponent, NaN payloads
+			rng.Float64(),
+			rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	var buf []byte
+	for _, v := range floats {
+		buf = appendFloat(buf[:0], v)
+		if want := fmt.Sprintf("%.9g", v); string(buf) != want {
+			t.Fatalf("float %b: got %q, want %q", math.Float64bits(v), buf, want)
+		}
+	}
+	ints := []int64{0, 1, -1, math.MaxInt64, math.MinInt64}
+	for i := 0; i < 20000; i++ {
+		ints = append(ints, int64(rng.Uint64()), rng.Int63n(1000))
+	}
+	for _, v := range ints {
+		buf = appendInt(buf[:0], v)
+		if want := fmt.Sprintf("%d", v); string(buf) != want {
+			t.Fatalf("int: got %q, want %q", buf, want)
+		}
+	}
+
+	// And the digest over a sample set equals fmt streamed into fnv.
+	h := fnv.New64a()
+	for _, v := range floats {
+		fmt.Fprintf(h, "%.9g,", v)
+	}
+	var d digest
+	if got := d.floats(floats); got != h.Sum64() {
+		t.Fatalf("float digest %x, want %x", got, h.Sum64())
 	}
 }

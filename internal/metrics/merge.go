@@ -11,18 +11,18 @@ import (
 // aggregate report. The inputs are never mutated.
 //
 // Counters sum. Everything derived from a sample set the report actually
-// carries is exact: the TTFT percentiles, TTFT/batch/memory CDFs, and the
+// carries is exact: the TTFT percentiles, TTFT/memory CDFs, and the
 // per-kind memory means are recomputed from the concatenation of the
 // shards' sorted sample buffers, so the merged percentiles equal the
-// percentiles of the pooled samples (pinned by TestMergeReportsPercentiles).
+// percentiles of the pooled samples (pinned by TestMergeReportsPercentiles),
+// and the batch histograms add bucket by bucket.
 // Node usage sums (each shard owns disjoint nodes) and decode speed is the
 // activity-weighted mean — exact, because active node-seconds reconstruct
 // from AvgNodesUsed x duration. The remaining means merge exactly from the
-// totals every report carries: AvgBatch weights by DecodeIters (correct
-// even past the BatchCDF cap), MeanKVUtil by KVSamples, ScalingOverhead
-// recomputes from summed ScalingBusy/InstanceLifetime, and the prefix-cache
-// hit rate from summed hit/miss bytes (all pinned by
-// TestMergeReportsExactTotals). Wall-clock overheads (ValidationMS,
+// totals every report carries: AvgBatch weights by DecodeIters, MeanKVUtil
+// by KVSamples, ScalingOverhead recomputes from summed
+// ScalingBusy/InstanceLifetime, and the prefix-cache hit rate from summed
+// hit/miss bytes (all pinned by TestMergeReportsExactTotals). Wall-clock overheads (ValidationMS,
 // ScheduleUS) measure host time and are not merged, matching their
 // exclusion from Canonical.
 func MergeReports(system string, duration sim.Duration, reports ...Report) Report {
@@ -35,6 +35,13 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 	}
 	decodeAct := map[hwsim.Kind]float64{} // active node-seconds per kind
 	var batchSum, kvSum float64
+	buckets := 0
+	for _, in := range reports {
+		buckets = max(buckets, len(in.BatchCDF))
+	}
+	if buckets > 0 {
+		r.BatchCDF = make([]int64, buckets)
+	}
 	for _, in := range reports {
 		r.Total += in.Total
 		r.Completed += in.Completed
@@ -48,7 +55,9 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 		r.KVResizes += in.KVResizes
 
 		r.TTFTCDF = append(r.TTFTCDF, in.TTFTCDF...)
-		r.BatchCDF = append(r.BatchCDF, in.BatchCDF...)
+		for b, n := range in.BatchCDF {
+			r.BatchCDF[b] += n
+		}
 		for kind, nodes := range in.AvgNodesUsed {
 			r.AvgNodesUsed[kind] += nodes
 			act := nodes * in.Duration.Seconds()
@@ -82,7 +91,6 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 	r.TTFTP50 = percentile(r.TTFTCDF, 0.50)
 	r.TTFTP95 = percentile(r.TTFTCDF, 0.95)
 	r.TTFTP99 = percentile(r.TTFTCDF, 0.99)
-	sort.Ints(r.BatchCDF)
 	if r.DecodeIters > 0 {
 		r.AvgBatch = batchSum / float64(r.DecodeIters)
 	}

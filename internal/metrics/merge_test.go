@@ -1,7 +1,13 @@
 package metrics
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"slinfer/internal/hwsim"
@@ -93,8 +99,8 @@ func TestMergeReportsDoesNotMutateInputs(t *testing.T) {
 // TestMergeReportsExactTotals pins the satellite contract: AvgBatch,
 // MeanKVUtil, ScalingOverhead, and the prefix hit rate merge from the exact
 // totals each report carries — equal (to float rounding) to one collector
-// having seen everything, even when a shard's BatchCDF is truncated at its
-// 200000-sample cap.
+// having seen everything, even past the 200000 samples at which the old
+// expanded BatchCDF was truncated.
 func TestMergeReportsExactTotals(t *testing.T) {
 	build := func(name string, decodes []int, kv []float64, busy, life sim.Duration, prefix [][2]int64) Report {
 		c := NewCollector()
@@ -111,8 +117,8 @@ func TestMergeReportsExactTotals(t *testing.T) {
 		return c.BuildReport(name, 10*sim.Second)
 	}
 
-	// Shard a blows past the CDF cap: 200001 iterations of batch 2 plus one
-	// of batch 8 — len(BatchCDF) stops at 200000, DecodeIters does not.
+	// Shard a runs past the old CDF cap: 200001 iterations of batch 2 plus
+	// one of batch 8, all of which its histogram must keep.
 	decodesA := make([]int, 0, 200002)
 	for i := 0; i < 200001; i++ {
 		decodesA = append(decodesA, 2)
@@ -123,8 +129,8 @@ func TestMergeReportsExactTotals(t *testing.T) {
 	b := build("b", []int{4, 4, 4, 4}, []float64{0.1}, sim.Second, 30*sim.Second,
 		[][2]int64{{200, 0}})
 
-	if len(a.BatchCDF) != 200000 {
-		t.Fatalf("shard a BatchCDF len = %d, want capped 200000", len(a.BatchCDF))
+	if want := []int64{0, 0, 200001, 0, 0, 0, 0, 0, 1}; !slices.Equal(a.BatchCDF, want) {
+		t.Fatalf("shard a BatchCDF = %v, want exact histogram %v", a.BatchCDF, want)
 	}
 	if a.DecodeIters != 200002 {
 		t.Fatalf("shard a DecodeIters = %d, want 200002", a.DecodeIters)
@@ -150,6 +156,9 @@ func TestMergeReportsExactTotals(t *testing.T) {
 			t.Errorf("%s: merged %v != pooled %v", tc.field, tc.got, tc.ref)
 		}
 	}
+	if !slices.Equal(merged.BatchCDF, want.BatchCDF) {
+		t.Errorf("merged BatchCDF = %v, want pooled %v", merged.BatchCDF, want.BatchCDF)
+	}
 	if merged.DecodeIters != want.DecodeIters || merged.KVSamples != want.KVSamples {
 		t.Errorf("totals: iters=%d kv=%d, want %d, %d",
 			merged.DecodeIters, merged.KVSamples, want.DecodeIters, want.KVSamples)
@@ -171,5 +180,121 @@ func TestMergeReportsEmpty(t *testing.T) {
 	}
 	if m.System != "fleet" || m.Duration != sim.Second {
 		t.Fatalf("identity fields lost: %+v", m)
+	}
+}
+
+// decodeReport builds a report from decode iterations at the given batch
+// sizes, in order, through the collector path a real run uses.
+func decodeReport(name string, batches []int) Report {
+	c := NewCollector()
+	for _, b := range batches {
+		c.RecordDecode(hwsim.GPU, b)
+	}
+	return c.BuildReport(name, 10*sim.Second)
+}
+
+// batchLine returns the canonical "avgbatch=... batchcdf ..." line.
+func batchLine(t *testing.T, r Report) string {
+	t.Helper()
+	for _, line := range strings.Split(r.Canonical(), "\n") {
+		if strings.HasPrefix(line, "avgbatch=") {
+			return line
+		}
+	}
+	t.Fatalf("no batchcdf line in:\n%s", r.Canonical())
+	return ""
+}
+
+// TestBatchHistogramPastOldCap records more decode iterations than the
+// 200000 samples the expanded BatchCDF used to keep. Truncation cut off the
+// top of the distribution: its P90 here was 1. The histogram keeps every
+// sample, so the P90 is the true 8 and the canonical count is the total.
+func TestBatchHistogramPastOldCap(t *testing.T) {
+	c := NewCollector()
+	for i := 0; i < 190000; i++ {
+		c.RecordDecode(hwsim.GPU, 1)
+	}
+	for i := 0; i < 60000; i++ {
+		c.RecordDecode(hwsim.CPU, 8)
+	}
+	r := c.BuildReport("x", 10*sim.Second)
+	if got := r.BatchQuantile(0.9); got != 8 {
+		t.Errorf("BatchQuantile(0.9) = %d, want 8", got)
+	}
+	if line := batchLine(t, r); !strings.Contains(line, " batchcdf n=250000 ") {
+		t.Errorf("canonical count wrong: %s", line)
+	}
+	if r.DecodeIters != 250000 {
+		t.Errorf("DecodeIters = %d, want 250000", r.DecodeIters)
+	}
+}
+
+// TestBatchHistogramProperties checks the histogram against the expanded
+// sample slice it replaced, on random workloads: BatchQuantile equals the
+// old sorted[int(q*(n-1))] index, a merge equals the histogram of the
+// concatenated samples, the total equals DecodeIters, and the canonical
+// line hashes the same text as fmt over the expanded sorted samples.
+func TestBatchHistogramProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1}
+	for trial := 0; trial < 200; trial++ {
+		var reps []Report
+		var all []int
+		for s := rng.Intn(4); s >= 0; s-- {
+			batches := make([]int, rng.Intn(300))
+			maxB := 1 + rng.Intn(64)
+			for i := range batches {
+				batches[i] = rng.Intn(maxB + 1)
+			}
+			reps = append(reps, decodeReport(fmt.Sprint("s", s), batches))
+			all = append(all, batches...)
+		}
+		merged := MergeReports("m", 10*sim.Second, reps...)
+		pooled := decodeReport("m", all)
+		if !slices.Equal(merged.BatchCDF, pooled.BatchCDF) {
+			t.Fatalf("trial %d: merged %v != pooled %v", trial, merged.BatchCDF, pooled.BatchCDF)
+		}
+		var total int64
+		for _, n := range merged.BatchCDF {
+			total += n
+		}
+		if total != merged.DecodeIters || total != int64(len(all)) {
+			t.Fatalf("trial %d: histogram total %d, DecodeIters %d, samples %d",
+				trial, total, merged.DecodeIters, len(all))
+		}
+
+		sorted := slices.Clone(all)
+		sort.Ints(sorted)
+		for _, q := range qs {
+			want := 0
+			if len(sorted) > 0 {
+				want = sorted[int(q*float64(len(sorted)-1))]
+			}
+			if got := merged.BatchQuantile(q); got != want {
+				t.Fatalf("trial %d: BatchQuantile(%v) = %d, want %d", trial, q, got, want)
+			}
+		}
+
+		h := fnv.New64a()
+		for _, v := range sorted {
+			fmt.Fprintf(h, "%d,", v)
+		}
+		want := fmt.Sprintf("avgbatch=%.9f batchcdf n=%d hash=%x", pooled.AvgBatch, len(sorted), h.Sum64())
+		if got := batchLine(t, pooled); got != want {
+			t.Fatalf("trial %d: canonical\n got  %s\n want %s", trial, got, want)
+		}
+	}
+}
+
+// TestBuildReportCopiesBatchHistogram guards arena reuse: Reset zeroes the
+// collector's histogram in place, which must not reach a returned report.
+func TestBuildReportCopiesBatchHistogram(t *testing.T) {
+	c := NewCollector()
+	c.RecordDecode(hwsim.GPU, 3)
+	r := c.BuildReport("x", sim.Second)
+	c.Reset()
+	c.RecordDecode(hwsim.GPU, 1)
+	if want := []int64{0, 0, 0, 1}; !slices.Equal(r.BatchCDF, want) {
+		t.Fatalf("report histogram changed under Reset: %v, want %v", r.BatchCDF, want)
 	}
 }

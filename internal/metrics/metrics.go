@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 
 	"slinfer/internal/hwsim"
@@ -88,9 +89,10 @@ func NewCollector() *Collector {
 // DISOWNED, not truncated: BuildReport aliases TTFTs and the MemUtil slices
 // into Report.TTFTCDF / Report.MemUtilCDF, so reusing those arrays would
 // mutate an already-returned report. Buffers that BuildReport only summarizes
-// (KVUtil feeds a mean; batchHist is materialized into a fresh BatchCDF) keep
-// their storage. When adding a sample buffer to Collector, decide which side
-// of this split it is on and update both BuildReport's doc and this method.
+// or copies (KVUtil feeds a mean; batchHist is copied into Report.BatchCDF)
+// keep their storage. When adding a sample buffer to Collector, decide which
+// side of this split it is on and update both BuildReport's doc and this
+// method.
 func (c *Collector) Reset() {
 	c.Total, c.Completed, c.Met, c.Dropped = 0, 0, 0, 0
 	c.TTFTs = nil // aliased by Report.TTFTCDF — disown
@@ -159,18 +161,11 @@ func (c *Collector) RecordPrefixLookup(hitBytes, missBytes int64) {
 func (c *Collector) RecordDecode(kind hwsim.Kind, batch int) {
 	c.DecodeTokens[kind] += int64(batch)
 	if batch >= len(c.batchHist) {
-		grown := make([]int64, maxI(batch+1, 2*len(c.batchHist)))
+		grown := make([]int64, max(batch+1, 2*len(c.batchHist)))
 		copy(grown, c.batchHist)
 		c.batchHist = grown
 	}
 	c.batchHist[batch]++
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NodeActive marks a node as hosting work from time at.
@@ -232,10 +227,13 @@ type Report struct {
 
 	// AvgBatch is the iteration-weighted mean decode batch size.
 	AvgBatch float64
-	// BatchCDF is the sorted batch-size sample distribution, capped at
-	// 200000 samples; DecodeIters is the exact uncapped iteration count
-	// (the weight that merges AvgBatch exactly).
-	BatchCDF    []int
+	// BatchCDF is the exact decode batch-size histogram: BatchCDF[b] is
+	// the number of decode iterations that ran at batch size b, trimmed
+	// after the largest size seen. It keeps the name it had when it held
+	// the expanded sorted samples, because callers clear it by name; read
+	// quantiles through BatchQuantile. DecodeIters is the histogram's total
+	// (the weight that merges AvgBatch).
+	BatchCDF    []int64
 	DecodeIters int64
 
 	// MemUtilCDF per kind, sorted ascending.
@@ -289,10 +287,10 @@ type Report struct {
 
 // BuildReport derives the summary for a run of the given duration.
 //
-// BuildReport finalizes the collector: the report's CDF slices alias the
-// collector's sample buffers (sorted in place — zero copies) instead of
-// duplicating them, and all percentiles come from that single in-place
-// sort. Call it once, after recording is done; the collector's TTFTs and
+// BuildReport finalizes the collector: the report's TTFT and memory CDF
+// slices alias the collector's sample buffers (sorted in place — zero
+// copies) instead of duplicating them, and all percentiles come from that
+// single in-place sort. Call it once, after recording is done; the collector's TTFTs and
 // MemUtil slices are in sorted order afterwards.
 func (c *Collector) BuildReport(system string, duration sim.Duration) Report {
 	r := Report{
@@ -330,22 +328,17 @@ func (c *Collector) BuildReport(system string, duration sim.Duration) Report {
 	}
 
 	var batchSum, batchN int64
+	top := -1
 	for b, n := range c.batchHist {
 		batchSum += int64(b) * n
 		batchN += n
+		if n > 0 {
+			top = b
+		}
 	}
-	if cdfLen := batchN; cdfLen > 0 {
-		if cdfLen > 200000 {
-			cdfLen = 200000
-		}
-		r.BatchCDF = make([]int, 0, cdfLen)
-		// The histogram is indexed by batch size, so this materializes the
-		// CDF already sorted (and truncation, if ever hit, is deterministic).
-		for b, n := range c.batchHist {
-			for k := int64(0); k < n && len(r.BatchCDF) < 200000; k++ {
-				r.BatchCDF = append(r.BatchCDF, b)
-			}
-		}
+	// A copy, not an alias: Reset zeroes batchHist in place.
+	if top >= 0 {
+		r.BatchCDF = append([]int64(nil), c.batchHist[:top+1]...)
 	}
 	if batchN > 0 {
 		r.AvgBatch = float64(batchSum) / float64(batchN)
@@ -402,6 +395,27 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
+// BatchQuantile returns the q-quantile (q in [0, 1]) of the decode batch
+// sizes by nearest lower rank: the element at index int(q*(n-1)) of the
+// n sorted samples the histogram stands for, or 0 when it is empty.
+func (r Report) BatchQuantile(q float64) int {
+	var n int64
+	for _, c := range r.BatchCDF {
+		n += c
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := int64(q * float64(n-1))
+	for b, c := range r.BatchCDF {
+		if rank < c {
+			return b
+		}
+		rank -= c
+	}
+	return len(r.BatchCDF) - 1
+}
+
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -421,22 +435,24 @@ func mean(xs []float64) float64 {
 // any divergence still flips the output without bloating the text.
 func (r Report) Canonical() string {
 	var b strings.Builder
+	var d digest
 	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 	p("system=%s duration=%v\n", r.System, r.Duration)
 	p("total=%d completed=%d met=%d dropped=%d slo=%.9f\n",
 		r.Total, r.Completed, r.Met, r.Dropped, r.SLORate)
 	p("ttft p50=%.9f p95=%.9f p99=%.9f\n", r.TTFTP50, r.TTFTP95, r.TTFTP99)
-	p("ttftcdf n=%d hash=%x\n", len(r.TTFTCDF), hashFloats(r.TTFTCDF))
+	p("ttftcdf n=%d hash=%x\n", len(r.TTFTCDF), d.floats(r.TTFTCDF))
 	for _, k := range sortedKinds(r.AvgNodesUsed) {
 		p("nodes[%v]=%.9f\n", k, r.AvgNodesUsed[k])
 	}
 	for _, k := range sortedKinds(r.DecodeSpeed) {
 		p("decode[%v]=%.9f\n", k, r.DecodeSpeed[k])
 	}
-	p("avgbatch=%.9f batchcdf n=%d hash=%x\n", r.AvgBatch, len(r.BatchCDF), hashInts(r.BatchCDF))
+	n, h := d.hist(r.BatchCDF)
+	p("avgbatch=%.9f batchcdf n=%d hash=%x\n", r.AvgBatch, n, h)
 	for _, k := range sortedKinds(r.MeanMemUtil) {
 		p("memutil[%v]=%.9f cdf n=%d hash=%x\n", k, r.MeanMemUtil[k],
-			len(r.MemUtilCDF[k]), hashFloats(r.MemUtilCDF[k]))
+			len(r.MemUtilCDF[k]), d.floats(r.MemUtilCDF[k]))
 	}
 	p("kvutil=%.9f scaling=%.9f migrate=%.9f\n", r.MeanKVUtil, r.ScalingOverhead, r.MigrationRate)
 	p("cold=%d reclaim=%d preempt=%d migr=%d evict=%d resize=%d\n",
@@ -465,20 +481,45 @@ func sortedKinds[V any](m map[hwsim.Kind]V) []hwsim.Kind {
 	return ks
 }
 
-func hashFloats(vs []float64) uint64 {
+// digest folds Canonical's sample sets to FNV-1a hashes of their text:
+// each float rendered as fmt's "%.9g," and each batch sample as "%d,".
+// Values render through strconv into one reused buffer rather than an fmt
+// call per sample; TestCanonicalEncodingMatchesFmt pins the bytes.
+type digest struct{ buf []byte }
+
+func appendFloat(buf []byte, v float64) []byte {
+	return strconv.AppendFloat(buf, v, 'g', 9, 64)
+}
+
+func appendInt(buf []byte, v int64) []byte { return strconv.AppendInt(buf, v, 10) }
+
+func (d *digest) floats(vs []float64) uint64 {
 	h := fnv.New64a()
 	for _, v := range vs {
-		fmt.Fprintf(h, "%.9g,", v)
+		d.buf = append(appendFloat(d.buf[:0], v), ',')
+		h.Write(d.buf)
 	}
 	return h.Sum64()
 }
 
-func hashInts(vs []int) uint64 {
+// hist returns the sample count of a batch histogram and the hash of its
+// expanded sorted samples: each bucket's "b," is rendered once and hashed
+// once per sample, so the text matches the old expanded slice byte for
+// byte.
+func (d *digest) hist(hist []int64) (int64, uint64) {
+	var n int64
 	h := fnv.New64a()
-	for _, v := range vs {
-		fmt.Fprintf(h, "%d,", v)
+	for b, c := range hist {
+		if c == 0 {
+			continue
+		}
+		d.buf = append(appendInt(d.buf[:0], int64(b)), ',')
+		for k := int64(0); k < c; k++ {
+			h.Write(d.buf)
+		}
+		n += c
 	}
-	return h.Sum64()
+	return n, h.Sum64()
 }
 
 // CDFAt returns the fraction of samples <= x in an ascending sample set.

@@ -70,9 +70,11 @@ func (t *Trace) ExportChrome(w io.Writer) error {
 		}
 		emit(fmt.Sprintf("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%q}}", pid, name))
 		tids := map[int32]bool{}
-		for _, ev := range r.events {
-			if ev.Inst >= 0 {
-				tids[ev.Inst] = true
+		for _, c := range r.spans() {
+			for _, ev := range c {
+				if ev.Inst >= 0 {
+					tids[ev.Inst] = true
+				}
 			}
 		}
 		//slinfer:maporder collected into a slice and sorted before emission
@@ -102,46 +104,48 @@ func (t *Trace) ExportChrome(w io.Writer) error {
 			emit(fmt.Sprintf("{\"name\":%q,\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"args\":{\"req\":%d,\"a\":%d,\"b\":%d}}",
 				ev.Kind.String(), pid, tid, chromeTS(ev.T), ev.Req, ev.A, ev.B))
 		}
-		for _, ev := range r.events {
-			switch ev.Kind {
-			case KindAdmit:
-				open[ev.Req] = &reqPhase{admit: ev.T, inst: -1}
-			case KindEnqueue:
-				// Queue occupancy is the admit→place span; nothing to emit.
-			case KindPlace:
-				if p := open[ev.Req]; p != nil {
-					span("queue", 0, p.admit, ev.T, ev.Req)
-					p.place, p.inst, p.placed = ev.T, ev.Inst, true
-				}
-			case KindFirstToken:
-				if p := open[ev.Req]; p != nil && p.placed {
-					span("prefill", int(p.inst)+1, p.place, ev.T, ev.Req)
-					p.first, p.prefilled = ev.T, true
-				}
-			case KindComplete:
-				if p := open[ev.Req]; p != nil {
-					if p.prefilled {
-						span("decode", int(p.inst)+1, p.first, ev.T, ev.Req)
+		for _, c := range r.spans() {
+			for _, ev := range c {
+				switch ev.Kind {
+				case KindAdmit:
+					open[ev.Req] = &reqPhase{admit: ev.T, inst: -1}
+				case KindEnqueue:
+					// Queue occupancy is the admit→place span; nothing to emit.
+				case KindPlace:
+					if p := open[ev.Req]; p != nil {
+						span("queue", 0, p.admit, ev.T, ev.Req)
+						p.place, p.inst, p.placed = ev.T, ev.Inst, true
 					}
-					delete(open, ev.Req)
+				case KindFirstToken:
+					if p := open[ev.Req]; p != nil && p.placed {
+						span("prefill", int(p.inst)+1, p.place, ev.T, ev.Req)
+						p.first, p.prefilled = ev.T, true
+					}
+				case KindComplete:
+					if p := open[ev.Req]; p != nil {
+						if p.prefilled {
+							span("decode", int(p.inst)+1, p.first, ev.T, ev.Req)
+						}
+						delete(open, ev.Req)
+					}
+				case KindDrop:
+					if p := open[ev.Req]; p != nil {
+						span("queue", 0, p.admit, ev.T, ev.Req)
+						delete(open, ev.Req)
+					}
+					instant(ev, 0)
+				case KindDecodeIter:
+					start := ev.T.Add(-sim.Duration(float64(ev.B) / 1e9))
+					d := float64(ev.B) / 1e3 // ns → µs
+					emit(fmt.Sprintf("{\"name\":\"iter\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":{\"batch\":%d}}",
+						pid, int(ev.Inst)+1, chromeTS(start), strconv.FormatFloat(d, 'f', 3, 64), ev.A))
+				default:
+					tid := 0
+					if ev.Inst >= 0 {
+						tid = int(ev.Inst) + 1
+					}
+					instant(ev, tid)
 				}
-			case KindDrop:
-				if p := open[ev.Req]; p != nil {
-					span("queue", 0, p.admit, ev.T, ev.Req)
-					delete(open, ev.Req)
-				}
-				instant(ev, 0)
-			case KindDecodeIter:
-				start := ev.T.Add(-sim.Duration(float64(ev.B) / 1e9))
-				d := float64(ev.B) / 1e3 // ns → µs
-				emit(fmt.Sprintf("{\"name\":\"iter\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":{\"batch\":%d}}",
-					pid, int(ev.Inst)+1, chromeTS(start), strconv.FormatFloat(d, 'f', 3, 64), ev.A))
-			default:
-				tid := 0
-				if ev.Inst >= 0 {
-					tid = int(ev.Inst) + 1
-				}
-				instant(ev, tid)
 			}
 		}
 	}
@@ -155,9 +159,11 @@ func (t *Trace) ExportChrome(w io.Writer) error {
 func (t *Trace) ExportJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range t.recorders() {
-		for _, ev := range r.events {
-			fmt.Fprintf(bw, "{\"t\":%s,\"kind\":%q,\"shard\":%d,\"inst\":%d,\"req\":%d,\"a\":%d,\"b\":%d}\n",
-				formatTime(ev.T), ev.Kind.String(), ev.Shard, ev.Inst, ev.Req, ev.A, ev.B)
+		for _, c := range r.spans() {
+			for _, ev := range c {
+				fmt.Fprintf(bw, "{\"t\":%s,\"kind\":%q,\"shard\":%d,\"inst\":%d,\"req\":%d,\"a\":%d,\"b\":%d}\n",
+					formatTime(ev.T), ev.Kind.String(), ev.Shard, ev.Inst, ev.Req, ev.A, ev.B)
+			}
 		}
 	}
 	return bw.Flush()

@@ -170,6 +170,10 @@ type Options struct {
 // DefaultFlightRing is the ring capacity CLI surfaces use for -flightrec.
 const DefaultFlightRing = 256
 
+// spanChunk is the number of span events per storage chunk. Record fills
+// one chunk and then starts the next, so a buffered span is never copied.
+const spanChunk = 1024
+
 // Recorder buffers one shard's telemetry. Exactly one goroutine writes a
 // recorder at a time (the shard's own, or the fleet front door between
 // barriers); the Trace that owns it merges at export time.
@@ -177,8 +181,11 @@ type Recorder struct {
 	//slinfer:resetsafe identity: the shard row this recorder is bound to for life
 	shard int32
 	//slinfer:resetsafe configuration: pillar gates are per-Trace, not per-run
-	opts    Options
-	events  []Event
+	opts Options
+	// chunks[:used] hold the span events in recording order; every one but
+	// the last is full. chunks[used:] are empty spares a Reset kept.
+	chunks  [][]Event
+	used    int
 	samples []Sample
 
 	ring    []Event
@@ -186,12 +193,19 @@ type Recorder struct {
 	ringLen int
 }
 
-// Record appends one span event. Hot-path safe: scalar args, amortized
-// append, one branch when the span pillar is off.
+// Record appends one span event into the current chunk, starting a new
+// chunk when it is full. Hot-path safe: scalar args, no copying of earlier
+// events, one branch when the span pillar is off.
+//
+//slinfer:hotpath
 func (r *Recorder) Record(t sim.Time, k Kind, inst int32, req int64, a, b int64) {
 	ev := Event{T: t, Kind: k, Shard: r.shard, Inst: inst, Req: req, A: a, B: b}
 	if r.opts.Spans {
-		r.events = append(r.events, ev)
+		if r.used == 0 || len(r.chunks[r.used-1]) == cap(r.chunks[r.used-1]) {
+			r.nextChunk()
+		}
+		c := &r.chunks[r.used-1]
+		*c = append(*c, ev)
 	}
 	if n := len(r.ring); n > 0 {
 		r.ring[r.ringPos] = ev
@@ -203,6 +217,27 @@ func (r *Recorder) Record(t sim.Time, k Kind, inst int32, req int64, a, b int64)
 			r.ringLen++
 		}
 	}
+}
+
+// nextChunk makes the next chunk current: a spare kept by Reset, or a new
+// one.
+func (r *Recorder) nextChunk() {
+	if r.used == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, 0, spanChunk))
+	}
+	r.used++
+}
+
+// spans returns the chunks holding span events, in recording order.
+func (r *Recorder) spans() [][]Event { return r.chunks[:r.used] }
+
+// eventCount returns the number of buffered span events.
+func (r *Recorder) eventCount() int {
+	n := 0
+	for _, c := range r.spans() {
+		n += len(c)
+	}
+	return n
 }
 
 // Sample appends one metric-stream row.
@@ -225,13 +260,33 @@ func (r *Recorder) SeriesEnabled() bool { return r != nil && r.opts.Series }
 // Shard returns the recorder's shard row.
 func (r *Recorder) Shard() int { return int(r.shard) }
 
-// Events returns the recorded span events (owned by the recorder).
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the recorded span events (owned by the recorder). When
+// they span more than one chunk, it copies them once into one exact-size
+// slice that replaces the chunks, so a repeated call does not copy again.
+func (r *Recorder) Events() []Event {
+	switch r.used {
+	case 0:
+		return nil
+	case 1:
+		return r.chunks[0]
+	}
+	flat := make([]Event, 0, r.eventCount())
+	for _, c := range r.spans() {
+		flat = append(flat, c...)
+	}
+	clear(r.chunks[1:])
+	r.chunks = append(r.chunks[:0], flat)
+	r.used = 1
+	return flat
+}
 
-// Reset truncates every buffer in place, keeping capacity — the arena
-// lifecycle for a recorder reused across runs.
+// Reset truncates every buffer in place, keeping capacity (the span chunks
+// included) — the arena lifecycle for a recorder reused across runs.
 func (r *Recorder) Reset() {
-	r.events = r.events[:0]
+	for i := range r.spans() {
+		r.chunks[i] = r.chunks[i][:0]
+	}
+	r.used = 0
 	r.samples = r.samples[:0]
 	r.ringPos, r.ringLen = 0, 0
 	for i := range r.ring {
@@ -312,7 +367,7 @@ func (t *Trace) recorders() []*Recorder {
 func (t *Trace) EventCount() int {
 	n := 0
 	for _, r := range t.recorders() {
-		n += len(r.events)
+		n += r.eventCount()
 	}
 	return n
 }

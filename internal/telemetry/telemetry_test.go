@@ -2,8 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"slinfer/internal/sim"
 )
 
 // TestRecorderPillarsIndependent checks the three pillars gate
@@ -197,4 +202,95 @@ func TestTraceRecorderIdentity(t *testing.T) {
 	if !strings.Contains(buf.String(), "\n1,tick,2,") {
 		t.Fatalf("sample shard not stamped: %s", buf.String())
 	}
+}
+
+// TestSpanChunkBoundaries records event counts around the chunk size and
+// checks the chunked storage against a flat reference: Events and both
+// exports agree before and after Events flattens the chunks, EventCount
+// is exact, recording after Events keeps the order, and a Reset re-record
+// of the same count allocates nothing.
+func TestSpanChunkBoundaries(t *testing.T) {
+	const c = spanChunk
+	for _, n := range []int{0, 1, c - 1, c, c + 1, 3*c + 5} {
+		tr := New(Options{Spans: true})
+		r := tr.Recorder(0)
+		var want []Event
+		record := func(i int) {
+			ev := Event{T: sim.Time(i), Kind: Kind(i % int(kindCount)), Inst: int32(i%3 - 1), Req: int64(i), A: int64(2 * i), B: int64(i % 7)}
+			r.Record(ev.T, ev.Kind, ev.Inst, ev.Req, ev.A, ev.B)
+			want = append(want, ev)
+		}
+		for i := 0; i < n; i++ {
+			record(i)
+		}
+
+		jsonl := func() string {
+			var buf bytes.Buffer
+			if err := tr.ExportJSONL(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
+		}
+		chrome := func() string {
+			var buf bytes.Buffer
+			if err := tr.ExportChrome(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
+		}
+		if got := tr.EventCount(); got != n {
+			t.Fatalf("n=%d: EventCount = %d", n, got)
+		}
+		chunkedJSONL, chunkedChrome := jsonl(), chrome()
+		if ref := referenceJSONL(want); chunkedJSONL != ref {
+			t.Fatalf("n=%d: chunked JSONL differs from the flat reference", n)
+		}
+		if got := r.Events(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: Events() differs from the flat reference", n)
+		}
+		if jsonl() != chunkedJSONL || chrome() != chunkedChrome {
+			t.Fatalf("n=%d: exports changed after Events() flattened the chunks", n)
+		}
+		if got := tr.EventCount(); got != n {
+			t.Fatalf("n=%d: EventCount after Events() = %d", n, got)
+		}
+
+		for i := n; i < n+c+2; i++ {
+			record(i)
+		}
+		if got := r.Events(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: recording after Events() broke the order", n)
+		}
+		if jsonl() != referenceJSONL(want) {
+			t.Fatalf("n=%d: JSONL after re-recording differs from the flat reference", n)
+		}
+
+		// Re-recording the same count after a Reset reuses the chunks, on a
+		// recorder whose spans were flattened and on one never flattened.
+		for _, rec := range []*Recorder{r, New(Options{Spans: true}).Recorder(0)} {
+			allocs := testing.AllocsPerRun(5, func() {
+				rec.Reset()
+				for i := 0; i < n; i++ {
+					rec.Record(sim.Time(i), KindDecodeIter, 0, -1, 1, 1)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("n=%d: Reset re-record allocated %v times", n, allocs)
+			}
+			if got := rec.eventCount(); got != n {
+				t.Fatalf("n=%d: re-recorded count = %d", n, got)
+			}
+		}
+	}
+}
+
+// referenceJSONL renders events the way ExportJSONL does, from one flat
+// slice.
+func referenceJSONL(evs []Event) string {
+	var b strings.Builder
+	for _, ev := range evs {
+		fmt.Fprintf(&b, "{\"t\":%s,\"kind\":%q,\"shard\":%d,\"inst\":%d,\"req\":%d,\"a\":%d,\"b\":%d}\n",
+			strconv.FormatFloat(float64(ev.T), 'g', 9, 64), ev.Kind.String(), ev.Shard, ev.Inst, ev.Req, ev.A, ev.B)
+	}
+	return b.String()
 }
