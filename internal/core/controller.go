@@ -152,7 +152,6 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	if cfg.PrefixCache.Enabled {
 		c.prefix = kvcache.NewTieredStore(cfg.PrefixCache)
 	}
-	c.wireTelemetry()
 	c.finishSetup(models)
 	return c
 }
@@ -258,7 +257,6 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	default:
 		c.prefix.Reset(cfg.PrefixCache)
 	}
-	c.wireTelemetry()
 	c.finishSetup(models)
 }
 
@@ -404,7 +402,9 @@ func (c *Controller) Submit(w workload.Request) {
 		// rides on it, and the hit/miss bytes feed the run's hit-rate
 		// counters. Keyless requests bypass the store entirely.
 		perTok := m.KVBytesPerToken()
+		before := c.prefix.Ledger
 		hitTokens, xfer := c.prefix.Lookup(w.ModelName, w.PrefixKey, w.InputLen, perTok)
+		c.emitTierMoves(&before)
 		req.CachedPrefixTokens = hitTokens
 		req.PrefixXfer = xfer
 		c.Collector.RecordPrefixLookup(int64(hitTokens)*perTok,
@@ -791,6 +791,19 @@ func (c *Controller) AppendLive(dst []*engine.Request) []*engine.Request {
 }
 
 // PrefixStore exposes the tiered prefix store (nil when prefix sharing is
-// disabled). The invariant suite attaches its conservation observer here and
-// the fleet layer snapshots per-root residency for KV-affinity routing.
+// disabled) for reading: the invariant suite checks its ledger and the fleet
+// layer snapshots per-root residency for KV-affinity routing. Mutations go
+// through the controller so tier telemetry sees them.
 func (c *Controller) PrefixStore() *kvcache.TieredStore { return c.prefix }
+
+// SetPrefixGPUCapacity changes the prefix store's GPU-tier capacity in place
+// (fault injection: KVTierDegrade shrinks it, recovery restores it) and
+// emits the tier moves a shrink forces. No-op without a prefix store.
+func (c *Controller) SetPrefixGPUCapacity(bytes int64) {
+	if c.prefix == nil {
+		return
+	}
+	before := c.prefix.Ledger
+	c.prefix.SetGPUCapacity(bytes)
+	c.emitTierMoves(&before)
+}

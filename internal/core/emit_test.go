@@ -5,11 +5,9 @@ import (
 
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
-	"slinfer/internal/kvcache"
 	"slinfer/internal/metrics"
 	"slinfer/internal/sim"
 	"slinfer/internal/telemetry"
-	"slinfer/internal/workload"
 )
 
 // lifecycleEvent is one observed lifecycle transition, in the shape both
@@ -87,44 +85,6 @@ func TestProbeSeesTelemetryLifecycleStream(t *testing.T) {
 	for i := range want {
 		if probe.seen[i] != want[i] {
 			t.Fatalf("lifecycle event %d: probe saw %+v, recorder holds %+v", i, probe.seen[i], want[i])
-		}
-	}
-}
-
-// nopCacheObserver is a CacheObserver that ignores every transition.
-type nopCacheObserver struct{}
-
-func (nopCacheObserver) CacheChanged(*kvcache.Cache)            {}
-func (nopCacheObserver) CacheOverRelease(*kvcache.Cache, int64) {}
-
-// TestArenaResetDropsCacheObservers: an arena reset retires the live
-// instances into the spare pool with their Cache objects kept for reuse;
-// none of those caches may still reference the finished run's observer
-// (the invariant suite's cache watch), or a pooled arena would keep the
-// whole suite reachable.
-func TestArenaResetDropsCacheObservers(t *testing.T) {
-	models, _ := perfTrace(1)
-	a := AcquireArena()
-	defer a.Release()
-	c := a.NewController(hwsim.Testbed(2, 2), models, SLINFER())
-	c.Submit(workload.Request{ID: 1, ModelName: models[0].Name, InputLen: 512, OutputLen: 64})
-	live := 0
-	for _, list := range c.instances {
-		for _, inst := range list {
-			inst.Cache.Observer = nopCacheObserver{}
-			live++
-		}
-	}
-	if live == 0 {
-		t.Fatal("submission created no instance")
-	}
-	c = a.NewController(hwsim.Testbed(2, 2), models, SLINFER())
-	if len(c.spareInsts) != live {
-		t.Fatalf("spareInsts has %d shells, want %d", len(c.spareInsts), live)
-	}
-	for i, inst := range c.spareInsts {
-		if inst.Cache.Observer != nil {
-			t.Fatalf("spareInsts[%d] still holds the previous run's cache observer", i)
 		}
 	}
 }

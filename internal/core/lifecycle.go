@@ -99,8 +99,10 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 		// A completion demotes its context into the tiered store instead of
 		// dropping it: the full prompt+response becomes the shareable prefix
 		// the session's next turn looks up.
+		before := c.prefix.Ledger
 		c.prefix.Insert(req.W.ModelName, req.W.PrefixKey, req.ContextTokens(),
 			inst.Model.KVBytesPerToken())
+		c.emitTierMoves(&before)
 	}
 	ttft, haveTTFT := req.Tracker.TTFT()
 	c.Collector.RecordCompletion(req.Tracker.Met(), ttft, haveTTFT)
@@ -589,18 +591,23 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 	if dynamicKV {
 		unloadFrom = weights
 	}
-	// The per-node teardown is a batched ledger step: the KV release and the
-	// weights unload stage into the node's step batch and apply in one
-	// Commit, so the ledger (and its conservation observer) sees the
-	// teardown as a single coherent burst rather than interleaved calls.
+	// Per node, the KV release goes first, then the weights unload.
 	for _, idx := range inst.NodeIdxs {
 		node := c.Cluster.Nodes[idx]
+		nm := node.Mem
 		dur := node.Spec.UnloadTime(inst.Model)
-		b := node.Mem.StepBatch()
 		if dynamicKV && kv > 0 {
-			b.Demand(memctl.ResizeKV, inst.KVOwner(), kv, 0, dur, nil)
+			op := nm.AcquireOp()
+			op.Kind, op.Owner = memctl.ResizeKV, inst.KVOwner()
+			op.From, op.To, op.Duration = kv, 0, dur
+			if !nm.Demand(op) {
+				panic("core: KV release rejected")
+			}
 		}
-		b.Demand(memctl.UnloadWeights, inst.WeightsOwner(), unloadFrom, 0, dur, func() {
+		op := nm.AcquireOp()
+		op.Kind, op.Owner = memctl.UnloadWeights, inst.WeightsOwner()
+		op.From, op.To, op.Duration = unloadFrom, 0, dur
+		op.OnComplete = func() {
 			if node.ReservedBy == inst.ID {
 				node.ReservedBy = 0
 			}
@@ -608,8 +615,10 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 				c.Collector.NodeInactive(node.Idx, c.Sim.Now())
 			}
 			c.retryPending()
-		})
-		b.Commit()
+		}
+		if !nm.Demand(op) {
+			panic("core: weights unload rejected")
+		}
 	}
 	inst.Cache.SetCapacity(0)
 }

@@ -1,11 +1,14 @@
 package core
 
-import "slinfer/internal/telemetry"
+import (
+	"slinfer/internal/kvcache"
+	"slinfer/internal/telemetry"
+)
 
 // Controller-side telemetry plumbing. Span events go through emit
 // (probe.go), the controller's one lifecycle emission point; this file
-// holds the sampler-tick metric row, the tiered store's transition adapter,
-// and the flight-recorder dump. Telemetry is strictly observational — no
+// holds the sampler-tick metric row, the prefix store's tier events, and
+// the flight-recorder dump. Telemetry is strictly observational — no
 // hook may influence scheduling, timing, or the invariant probes riding
 // Config.Probe.
 
@@ -38,32 +41,25 @@ func (c *Controller) telemSample() {
 	})
 }
 
-// tierTelem adapts the tiered prefix store's transition hooks onto the
-// controller's recorder, stamping virtual time at the call site. Wired at
-// construction/reset (never on a hot path); the store's nil check is its
-// whole disabled-path cost.
-type tierTelem struct{ c *Controller }
-
-func (t tierTelem) TierPromoted(bytes int64) {
-	t.c.emit(telemetry.KindTierPromote, nil, nil, bytes, 0)
-}
-func (t tierTelem) TierSpilled(bytes int64) {
-	t.c.emit(telemetry.KindTierSpill, nil, nil, bytes, 0)
-}
-func (t tierTelem) TierEvicted(bytes int64) {
-	t.c.emit(telemetry.KindTierEvict, nil, nil, bytes, 0)
-}
-
-// wireTelemetry attaches the tier-transition adapter to the prefix store
-// when both features are on. Called from New and reset after the store
-// exists.
-func (c *Controller) wireTelemetry() {
-	if c.prefix != nil {
-		if c.Cfg.Telemetry != nil {
-			c.prefix.Trace = tierTelem{c}
-		} else {
-			c.prefix.Trace = nil
-		}
+// emitTierMoves reports one prefix-store call's tier traffic: it diffs the
+// store's lifetime byte counters against before, the ledger as it stood
+// just ahead of the call, and emits one event per kind that moved —
+// promoted CPU->GPU, spilled GPU->CPU, evicted out of the store.
+//
+//slinfer:hotpath
+func (c *Controller) emitTierMoves(before *kvcache.TierLedger) {
+	if c.Cfg.Telemetry == nil {
+		return
+	}
+	led := &c.prefix.Ledger
+	if d := led.PromotedBytes - before.PromotedBytes; d > 0 {
+		c.emit(telemetry.KindTierPromote, nil, nil, d, 0)
+	}
+	if d := led.SpillBytes - before.SpillBytes; d > 0 {
+		c.emit(telemetry.KindTierSpill, nil, nil, d, 0)
+	}
+	if d := led.FreedBytes - before.FreedBytes; d > 0 {
+		c.emit(telemetry.KindTierEvict, nil, nil, d, 0)
 	}
 }
 

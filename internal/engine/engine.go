@@ -202,16 +202,11 @@ type Instance struct {
 // Recycle strips a retired instance back to an empty shell for reuse: every
 // field is zeroed except the slice capacities (NodeIdxs, request queues,
 // scratch) and the Cache object, which the next creation rebinds with
-// Cache.Reset. The kept cache's Observer is cleared so the shell does not
-// pin the finished run's observer (and the verification suite behind it).
-// Only recycle instances no scheduled event can still reach — in practice,
-// at an arena reset after the simulator's queue was discarded, never
-// mid-run.
+// Cache.Reset. Only recycle instances no scheduled event can still reach —
+// in practice, at an arena reset after the simulator's queue was discarded,
+// never mid-run.
 func (i *Instance) Recycle() {
 	cache := i.Cache
-	if cache != nil {
-		cache.Observer = nil
-	}
 	idxs := i.NodeIdxs[:0]
 	waiting := clearRequests(i.WaitingPrefill)
 	running := clearRequests(i.Running)

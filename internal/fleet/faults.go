@@ -222,11 +222,9 @@ func (fd *frontDoor) apply(a faultAction) bool {
 	case a.op == opDegradeStart && sd.up && sd.gpuFull == 0 && ts != nil &&
 		int64(a.factor*float64(ts.Config().GPUBytes)) > 0:
 		sd.gpuFull = ts.Config().GPUBytes
-		ts.SetGPUCapacity(int64(a.factor * float64(sd.gpuFull)))
+		sd.ctl.SetPrefixGPUCapacity(int64(a.factor * float64(sd.gpuFull)))
 	case a.op == opDegradeEnd && sd.up && sd.gpuFull > 0:
-		if ts != nil {
-			ts.SetGPUCapacity(sd.gpuFull)
-		}
+		sd.ctl.SetPrefixGPUCapacity(sd.gpuFull)
 		sd.gpuFull = 0
 	default:
 		return false

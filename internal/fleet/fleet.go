@@ -502,10 +502,16 @@ func Run(cfg Config, tr workload.Trace) Result {
 		panic("fleet: config hosts no models")
 	}
 	fd := newFrontDoor(cfg.withDefaults(), tr)
-	// The loop covers the trace window, then extension epochs until every
-	// pending fault action has fired and the retry queue has drained (each
-	// entry is eventually re-driven or ledgered, so the extension is
-	// bounded by the plan and the backoff). Fault-free runs have neither.
+	fd.runEpochs()
+	fd.drain()
+	return fd.finish()
+}
+
+// runEpochs covers the trace window, then extension epochs until every
+// pending fault action has fired and the retry queue has drained (each
+// entry is eventually re-driven or ledgered, so the extension is bounded
+// by the plan and the backoff). Fault-free runs have neither.
+func (fd *frontDoor) runEpochs() {
 	for fd.start < fd.traceEnd || len(fd.retryq) > 0 || fd.nextAction < len(fd.actions) {
 		fd.beginEpoch()
 		fd.applyFaults()
@@ -515,7 +521,6 @@ func Run(cfg Config, tr workload.Trace) Result {
 		fd.admitAndRoute()
 		fd.barrier()
 	}
-	return fd.finish()
 }
 
 func newFrontDoor(cfg Config, tr workload.Trace) *frontDoor {
@@ -703,15 +708,19 @@ func (fd *frontDoor) sampleEpoch(i int, goodput int64) {
 	})
 }
 
-// finish drains every shard through its grace window, builds the shard
-// and merged reports and the per-shard trace slices, runs the checker's
-// end-of-run pass, and returns the arenas to the pool.
-func (fd *frontDoor) finish() Result {
-	n := len(fd.shards)
-	par.Do(fd.sem, n, func(i int) struct{} {
+// drain runs every shard through its grace window.
+func (fd *frontDoor) drain() {
+	par.Do(fd.sem, len(fd.shards), func(i int) struct{} {
 		fd.shards[i].sim.RunUntil(fd.horizon.Add(fd.shards[i].ctl.Cfg.DrainGrace))
 		return struct{}{}
 	})
+}
+
+// finish builds the drained shards' and the merged reports and the
+// per-shard trace slices, runs the checker's end-of-run pass, and returns
+// the arenas to the pool.
+func (fd *frontDoor) finish() Result {
+	n := len(fd.shards)
 	res := &fd.res
 	var maxGrace sim.Duration
 	var live []*engine.Request

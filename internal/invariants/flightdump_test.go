@@ -5,57 +5,27 @@ import (
 	"testing"
 
 	"slinfer/internal/core"
-	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
-	"slinfer/internal/sim"
 	"slinfer/internal/telemetry"
-	"slinfer/internal/workload"
 )
 
 // TestFlightRecorderDumpsOnViolation is the post-mortem path end to end: a
 // chat workload drives the tiered prefix store, an event scheduled mid-run
-// corrupts its ledger, and the tier-conservation checker fires on the next
-// store transition. The suite must capture the telemetry flight ring at
+// corrupts its ledger, and the tier-conservation checker fires after the
+// next store call. The suite must capture the telemetry flight ring at
 // that first violation, and the dump must hold the span history leading up
-// to it — including the tier transition whose bookkeeping was corrupted,
-// which the store records before the observer checks the ledger.
+// to it — including tier events, which the controller emits for each store
+// call before the probe checks the ledger.
 func TestFlightRecorderDumpsOnViolation(t *testing.T) {
-	models := model.Replicas(model.Llama2_7B, 8)
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	tr := workload.GenerateChat(workload.ChatConfig{
-		ModelNames: names, Duration: 4 * sim.Minute, Seed: 7,
-	})
-
-	// A deliberately tight GPU tier keeps blocks churning between tiers, so
-	// the transition that trips the checker records its own tier event into
-	// the ring right before the observer validates the ledger.
-	perTok := model.Llama2_7B.KVBytesPerToken()
-	cfg := core.SLINFER()
-	cfg.PrefixCache = kvcache.TieredConfig{
-		Enabled: true, GPUBytes: 64 * 16 * perTok, CPUBytes: 128 * 16 * perTok,
-	}
-	// The violating transition can burst hundreds of spill/evict events at
-	// once (one per displaced block); the ring must be deep enough to keep
-	// the request history that led up to it alongside the burst itself.
+	// The tight GPU tier keeps blocks churning between tiers, so store calls
+	// record tier events into the ring right before the probe validates the
+	// ledger. Mid-run, a block's worth of GPU-resident bytes leaks from the
+	// ledger; the conservation law breaks at the store's next call.
 	telem := telemetry.New(telemetry.Options{FlightRing: 2048})
-	cfg.Telemetry = telem.Recorder(0)
-
-	s := sim.New()
-	c := core.New(s, hwsim.Testbed(2, 2), models, cfg)
-	suite := Attach(c)
-
-	// Mid-run sabotage: leak a block's worth of GPU-resident bytes from the
-	// ledger. Run does not reset the simulator, so this fires at t=60s with
-	// traffic in flight; the conservation law breaks on the store's next
-	// tier transition.
-	s.AtFunc(sim.Time(60*sim.Second), func(any) {
-		c.PrefixStore().Ledger.GPUBytes -= 16 * perTok
-	}, nil)
-	c.Run(tr)
+	suite, _ := runChatWithSuite(t, telem.Recorder(0), func(ts *kvcache.TieredStore) {
+		ts.Ledger.GPUBytes -= 16 * model.Llama2_7B.KVBytesPerToken()
+	})
 
 	if suite.Ok() {
 		t.Fatal("corrupted ledger escaped the tier-conservation checker")
@@ -77,9 +47,9 @@ func TestFlightRecorderDumpsOnViolation(t *testing.T) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)
 		}
 	}
-	// ...and the violating subsystem's own events in the tail: the store
-	// records tier transitions before the observer validates the ledger, so
-	// the transition that tripped the checker is in the capture.
+	// ...and the violating subsystem's own events in the tail: the
+	// controller emits each store call's tier events before the probe
+	// validates the ledger.
 	if !strings.Contains(dump, "tier_") {
 		t.Fatalf("dump tail missing the violating tier event:\n%s", dump)
 	}

@@ -1,8 +1,8 @@
 // Package invariants implements always-on runtime checkers for the
 // simulation: a Suite attaches to a controller through the cheap observer
-// hooks in sim, memctl, kvcache, and core, and verifies — on every event,
-// not just at the end — that the run never violates the properties the
-// paper's correctness rests on:
+// hooks in sim, memctl, and core, and verifies — on every event, not just
+// at the end — that the run never violates the properties the paper's
+// correctness rests on:
 //
 //   - Event-clock monotonicity: the virtual clock never moves backwards
 //     (sim.Simulator.OnEvent).
@@ -14,14 +14,17 @@
 //     most one op is in flight per allocation, physical usage never
 //     exceeds the pessimistic bound, and the pessimistic bound never
 //     exceeds capacity.
-//   - KV-cache accounting: token releases never exceed live tokens
-//     (kvcache.CacheObserver), and on every completion the cache's live
-//     token count equals the sum of the running batch's context tokens.
-//   - Tiered prefix-store conservation: on every store transition
-//     (kvcache.TierObserver), allocated bytes equal GPU-resident plus
-//     CPU-resident plus freed bytes, tiers stay within their configured
-//     capacities, and at end of run the ledger's resident counters reconcile
-//     against an independent walk of the block lists.
+//   - KV-cache accounting: token releases never exceed live tokens (the
+//     cache's over-release counter, read on every completion, at instance
+//     removal, and at end of run for instances still live), and on every
+//     completion the cache's live token count equals the sum of the
+//     running batch's context tokens.
+//   - Tiered prefix-store conservation: after every store call — the
+//     controller's Lookup at submission and Insert at completion, both
+//     right before the probe fires — allocated bytes equal GPU-resident
+//     plus CPU-resident plus freed bytes and tiers stay within their
+//     configured capacities; at end of run the ledger's resident counters
+//     reconcile against an independent walk of the block lists.
 //   - Request lifecycle: every submitted request is seen exactly once and
 //     terminates at most once (no request lost or duplicated); completed
 //     requests generated exactly their trace-declared output tokens.
@@ -37,7 +40,9 @@
 package invariants
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"slinfer/internal/core"
 	"slinfer/internal/engine"
@@ -84,8 +89,14 @@ type Suite struct {
 	completed int64
 	droppedRq int64
 
-	// tier is the watched prefix store (nil unless WatchTier was called);
-	// RunFinished reconciles its ledger against the block lists.
+	// kv holds the live instances (from InstanceCreated until
+	// InstanceRemoved), each with the over-released tokens already
+	// reported for its cache.
+	kv map[*engine.Instance]int64
+
+	// tier is the controller's prefix store (nil when it has none): checked
+	// after each store call and reconciled against its block lists at
+	// RunFinished.
 	tier *kvcache.TieredStore
 
 	// dump is the flight-recorder hook (see SetDumper): invoked once, on
@@ -104,12 +115,13 @@ type FlightDumper interface {
 }
 
 // New returns a Suite observing the simulator's event clock. Use WatchNode /
-// WatchCache / core wiring (Attach) to add the remaining checkers.
+// core wiring (Attach) to add the remaining checkers.
 func New(s *sim.Simulator) *Suite {
 	su := &Suite{
 		sim:      s,
 		live:     map[int64]bool{},
 		terminal: map[int64]bool{},
+		kv:       map[*engine.Instance]int64{},
 	}
 	if s != nil {
 		su.lastEvent = s.Now()
@@ -119,17 +131,16 @@ func New(s *sim.Simulator) *Suite {
 }
 
 // Attach wires a full Suite into a controller: the event clock, every
-// node's memory ledger, the request-lifecycle probe, and — as instances are
-// created — their KV caches. Attach must be called before Run; it replaces
-// any previously configured Config.Probe.
+// node's memory ledger, and the lifecycle probe, which also checks the KV
+// caches of the instances it sees created and the prefix store's ledger.
+// Attach must be called before Run; it replaces any previously configured
+// Config.Probe.
 func Attach(c *core.Controller) *Suite {
 	su := New(c.Sim)
 	for _, n := range c.Cluster.Nodes {
 		su.WatchNode(n.Mem)
 	}
-	if ts := c.PrefixStore(); ts != nil {
-		su.WatchTier(ts)
-	}
+	su.tier = c.PrefixStore()
 	// Telemetry's flight recorder, when the controller runs one, dumps on
 	// the first violation — strictly read-only, so the probe semantics are
 	// unchanged whether or not telemetry is attached.
@@ -323,74 +334,44 @@ func (l *ledger) OpRejected(_ *memctl.NodeMemory, op *memctl.Op) {
 	l.compare("reject")
 }
 
-func (l *ledger) OpCanceled(_ *memctl.NodeMemory, op *memctl.Op) {
-	l.shadowOpt -= op.To - op.From
-	delete(l.admitted, op.Owner)
-	l.compare("cancel")
-}
-
 // ---- KV-cache accounting ------------------------------------------------------
 
-// cacheWatch ties a cache observer to its owning instance for reporting.
-type cacheWatch struct {
-	suite *Suite
-	inst  *engine.Instance
-}
-
-// WatchCache attaches a KV accounting checker to an instance's cache,
-// replacing any previous observer. Attach installs one per instance via
-// InstanceCreated.
-func (s *Suite) WatchCache(inst *engine.Instance) {
-	inst.Cache.Observer = &cacheWatch{suite: s, inst: inst}
-}
-
-// CacheChanged is the per-mutation hook; the current checks all live in
-// CacheOverRelease and the completion-time batch/cache identity
-// (checkInstanceKV), so this is the extension point for future
-// capacity-vs-usage properties, not an active checker.
-func (w *cacheWatch) CacheChanged(*kvcache.Cache) {}
-
-func (w *cacheWatch) CacheOverRelease(c *kvcache.Cache, released int64) {
-	w.suite.report("kv-accounting",
-		"inst%d: released %d tokens but only %d live (double release)",
-		w.inst.ID, released, c.UsedTokens())
+// checkKVRelease reports the tokens inst's cache released past its live
+// count since the last check (the cache clamps at zero, so its lifetime
+// over-release counter is the only trace of a double release).
+func (s *Suite) checkKVRelease(inst *engine.Instance) {
+	got := inst.Cache.OverReleasedTokens()
+	if seen := s.kv[inst]; got != seen {
+		s.report("kv-accounting",
+			"inst%d: released %d tokens past the live count (double release)",
+			inst.ID, got-seen)
+		s.kv[inst] = got
+	}
 }
 
 // ---- Tiered prefix-store conservation ------------------------------------------
 
-// tierWatch checks the tier ledger's conservation law on every transition.
-type tierWatch struct {
-	suite *Suite
-}
-
-// WatchTier attaches the conservation checker to a tiered prefix store,
-// replacing any previous observer, and registers the store for end-of-run
-// reconciliation. Attach wires it automatically when the controller has
-// prefix sharing enabled.
-func (s *Suite) WatchTier(ts *kvcache.TieredStore) {
-	ts.Observer = &tierWatch{suite: s}
-	s.tier = ts
-}
-
-func (w *tierWatch) TierChanged(ts *kvcache.TieredStore) {
-	led := ts.Ledger
+// checkTier holds the prefix store's ledger to the conservation law and the
+// tier capacities. The probe runs it right after each store call.
+func (s *Suite) checkTier() {
+	led := s.tier.Ledger
 	if !led.Conserved() {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"allocated %d != gpu %d + cpu %d + freed %d (bytes leaked or conjured)",
 			led.AllocatedBytes, led.GPUBytes, led.CPUBytes, led.FreedBytes)
 	}
 	if led.GPUBytes < 0 || led.CPUBytes < 0 || led.FreedBytes < 0 || led.AllocatedBytes < 0 {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"negative accounting: alloc=%d gpu=%d cpu=%d freed=%d",
 			led.AllocatedBytes, led.GPUBytes, led.CPUBytes, led.FreedBytes)
 	}
-	cfg := ts.Config()
+	cfg := s.tier.Config()
 	if led.GPUBytes > cfg.GPUBytes {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"GPU tier %d bytes exceeds capacity %d", led.GPUBytes, cfg.GPUBytes)
 	}
 	if led.CPUBytes > cfg.CPUBytes {
-		w.suite.report("tier-conservation",
+		s.report("tier-conservation",
 			"CPU tier %d bytes exceeds capacity %d", led.CPUBytes, cfg.CPUBytes)
 	}
 }
@@ -417,8 +398,12 @@ func (s *Suite) checkTierResidency() {
 
 // ---- Request lifecycle + SLO bookkeeping --------------------------------------
 
-// RequestSubmitted implements core.Probe.
+// RequestSubmitted implements core.Probe. A request with a prefix key has
+// just been looked up in the prefix store, so the store's ledger is checked.
 func (s *Suite) RequestSubmitted(req *engine.Request) {
+	if s.tier != nil && req.W.PrefixKey != "" {
+		s.checkTier()
+	}
 	id := req.W.ID
 	if s.live[id] || s.terminal[id] {
 		s.report("request-lifecycle", "request %d submitted twice", id)
@@ -428,8 +413,13 @@ func (s *Suite) RequestSubmitted(req *engine.Request) {
 	s.submitted++
 }
 
-// RequestCompleted implements core.Probe.
+// RequestCompleted implements core.Probe. A request with a prefix key has
+// just been inserted into the prefix store, so the store's ledger is
+// checked.
 func (s *Suite) RequestCompleted(req *engine.Request, inst *engine.Instance) {
+	if s.tier != nil && req.W.PrefixKey != "" {
+		s.checkTier()
+	}
 	id := req.W.ID
 	switch {
 	case s.terminal[id]:
@@ -458,10 +448,11 @@ func (s *Suite) RequestCompleted(req *engine.Request, inst *engine.Instance) {
 	}
 }
 
-// checkInstanceKV verifies the engine-level KV conservation identity at a
-// quiescent point: the cache's live tokens equal the running batch's summed
-// context.
+// checkInstanceKV verifies the engine-level KV conservation identities at a
+// quiescent point: no tokens were released past the live count, and the
+// cache's live tokens equal the running batch's summed context.
 func (s *Suite) checkInstanceKV(inst *engine.Instance) {
+	s.checkKVRelease(inst)
 	var want int64
 	for _, r := range inst.Running {
 		want += int64(r.ContextTokens())
@@ -494,8 +485,9 @@ func (s *Suite) RequestDropped(req *engine.Request) {
 	}
 }
 
-// InstanceCreated implements core.Probe: new instances get a KV watcher.
-func (s *Suite) InstanceCreated(inst *engine.Instance) { s.WatchCache(inst) }
+// InstanceCreated implements core.Probe: the suite tracks the new instance
+// so its KV cache is checked until removal (or at end of run).
+func (s *Suite) InstanceCreated(inst *engine.Instance) { s.kv[inst] = 0 }
 
 // InstanceRemoved implements core.Probe. Every removal path (keep-alive
 // reclaim, preemption) drains or migrates requests out before the unload is
@@ -510,6 +502,8 @@ func (s *Suite) InstanceRemoved(inst *engine.Instance) {
 		s.report("kv-accounting",
 			"inst%d unloading with %d live KV tokens", inst.ID, got)
 	}
+	s.checkKVRelease(inst)
+	delete(s.kv, inst)
 }
 
 // RunFinished implements core.Probe: end-of-run conservation identities
@@ -547,5 +541,20 @@ func (s *Suite) RunFinished(_ *core.Controller, rep metrics.Report) {
 			"%d TTFT samples for %d completions (every completed request has a first token)",
 			len(rep.TTFTCDF), rep.Completed)
 	}
+	s.checkLiveKV()
 	s.checkTierResidency()
+}
+
+// checkLiveKV runs the over-release check on every instance still live at
+// end of run, in instance-ID order.
+func (s *Suite) checkLiveKV() {
+	insts := make([]*engine.Instance, 0, len(s.kv))
+	//slinfer:maporder collected instances are sorted below before anyone reads them
+	for inst := range s.kv {
+		insts = append(insts, inst)
+	}
+	slices.SortFunc(insts, func(a, b *engine.Instance) int { return cmp.Compare(a.ID, b.ID) })
+	for _, inst := range insts {
+		s.checkKVRelease(inst)
+	}
 }

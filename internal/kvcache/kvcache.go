@@ -152,20 +152,6 @@ func (w Watermark) Validate() error {
 	return nil
 }
 
-// CacheObserver watches one cache's accounting transitions. The invariant
-// suite uses it to flag over-releases (more tokens released than live —
-// accounting corruption that the clamp below would otherwise silently
-// absorb) and capacity/usage inversions. Nil costs one branch per
-// transition.
-type CacheObserver interface {
-	// CacheChanged fires after any mutation (AddTokens, ReleaseTokens,
-	// SetCapacity) with the cache in its new state.
-	CacheChanged(c *Cache)
-	// CacheOverRelease fires when a release exceeds the live token count;
-	// the cache clamps at zero, but the excess marks an accounting bug.
-	CacheOverRelease(c *Cache, released int64)
-}
-
 // Cache tracks one instance's allocated KV capacity and live usage in
 // tokens. It is pure accounting: timing and safety live in memctl.
 type Cache struct {
@@ -177,9 +163,9 @@ type Cache struct {
 	perNodeDivisor int
 	capacityBytes  int64
 	usedTokens     int64
-
-	// Observer, if set, watches accounting transitions (see CacheObserver).
-	Observer CacheObserver
+	// overReleased counts, over the cache's lifetime, the tokens released
+	// past the live count (see OverReleasedTokens).
+	overReleased int64
 }
 
 // NewCache returns an empty cache for the model.
@@ -211,6 +197,12 @@ func (c *Cache) UsedBytes() int64 {
 // UsedTokens returns the number of live tokens.
 func (c *Cache) UsedTokens() int64 { return c.usedTokens }
 
+// OverReleasedTokens returns the lifetime count of tokens released past the
+// live count. ReleaseTokens clamps usage at zero, so a nonzero count is the
+// only trace of an accounting bug (a double release); the invariant suite
+// reads it at its check points.
+func (c *Cache) OverReleasedTokens() int64 { return c.overReleased }
+
 // Utilization returns used/capacity in [0, 1]; zero-capacity caches report 0.
 func (c *Cache) Utilization() float64 {
 	if c.capacityBytes == 0 {
@@ -229,9 +221,6 @@ func (c *Cache) SetCapacity(bytes int64) {
 		bytes = 0
 	}
 	c.capacityBytes = bytes
-	if c.Observer != nil {
-		c.Observer.CacheChanged(c)
-	}
 }
 
 // AddTokens accounts tokens entering the cache (prefill admits InputLen at
@@ -246,23 +235,15 @@ func (c *Cache) AddTokens(n int64) bool {
 		return false
 	}
 	c.usedTokens += n
-	if c.Observer != nil {
-		c.Observer.CacheChanged(c)
-	}
 	return true
 }
 
 // ReleaseTokens accounts tokens leaving the cache on request completion.
 func (c *Cache) ReleaseTokens(n int64) {
-	if n > c.usedTokens && c.Observer != nil {
-		c.Observer.CacheOverRelease(c, n)
-	}
 	c.usedTokens -= n
 	if c.usedTokens < 0 {
+		c.overReleased -= c.usedTokens
 		c.usedTokens = 0
-	}
-	if c.Observer != nil {
-		c.Observer.CacheChanged(c)
 	}
 }
 

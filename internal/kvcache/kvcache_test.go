@@ -124,9 +124,20 @@ func TestCacheAccounting(t *testing.T) {
 	if c.UsedTokens() != 3 {
 		t.Fatalf("UsedTokens after release = %d", c.UsedTokens())
 	}
+	if c.OverReleasedTokens() != 0 {
+		t.Fatalf("OverReleasedTokens = %d after in-range releases", c.OverReleasedTokens())
+	}
 	c.ReleaseTokens(100) // over-release clamps
 	if c.UsedTokens() != 0 {
 		t.Fatal("over-release should clamp to zero")
+	}
+	c.ReleaseTokens(4)
+	if got := c.OverReleasedTokens(); got != 97+4 {
+		t.Fatalf("OverReleasedTokens = %d, want %d", got, 97+4)
+	}
+	c.Reset(model.Llama2_7B, 1)
+	if c.OverReleasedTokens() != 0 {
+		t.Fatal("Reset kept the over-release count")
 	}
 }
 

@@ -84,8 +84,10 @@ func (c TieredConfig) WithDefaults() TieredConfig {
 //
 //	AllocatedBytes == GPUBytes + CPUBytes + FreedBytes
 //
-// after every transition, and reconciles the resident tiers against a walk
-// of the actual block lists at end of run.
+// after every store call the controller makes, and reconciles the resident
+// tiers against a walk of the actual block lists at end of run. The
+// lifetime byte counters (SpillBytes, PromotedBytes, FreedBytes) are also
+// what tier telemetry reports.
 type TierLedger struct {
 	// AllocatedBytes is the lifetime total admitted into the store.
 	AllocatedBytes int64
@@ -113,32 +115,15 @@ type TierLedger struct {
 	Evictions int64
 	// SpillBytes is the lifetime total demoted GPU->CPU.
 	SpillBytes int64
+	// PromotedBytes is the lifetime total moved CPU->GPU on hits. It is
+	// CPUHitBytes minus the blocks too large for the GPU tier, which are
+	// served over PCIe in place.
+	PromotedBytes int64
 }
 
 // Conserved reports whether the byte-conservation law holds.
 func (l TierLedger) Conserved() bool {
 	return l.AllocatedBytes == l.GPUBytes+l.CPUBytes+l.FreedBytes
-}
-
-// TierObserver watches a tiered store's transitions. The invariants suite
-// uses it to check the conservation law after every mutation; nil costs one
-// branch per transition.
-type TierObserver interface {
-	// TierChanged fires after any Lookup or Insert with the store in its
-	// new state.
-	TierChanged(s *TieredStore)
-}
-
-// TierTrace receives per-transition telemetry from a tiered store: bytes
-// promoted back to GPU on a hit, spilled to the host tier to make room,
-// and evicted out of the store entirely. The core controller adapts it
-// onto its telemetry recorder (internal/telemetry), stamping virtual time
-// at the call site; nil costs one branch per transition. Purely
-// observational — implementations must not touch the store.
-type TierTrace interface {
-	TierPromoted(bytes int64)
-	TierSpilled(bytes int64)
-	TierEvicted(bytes int64)
 }
 
 // Block tier tags.
@@ -216,13 +201,6 @@ type TieredStore struct {
 	// tests may corrupt it deliberately to prove the conservation checker
 	// fires.
 	Ledger TierLedger
-
-	// Observer, if set, watches transitions (see TierObserver).
-	Observer TierObserver
-
-	// Trace, if set, receives per-transition telemetry (see TierTrace).
-	// Reset clears it; the controller rewires it per run.
-	Trace TierTrace
 }
 
 // NewTieredStore returns an empty store for the given (defaulted) config.
@@ -267,8 +245,8 @@ func (s *TieredStore) Config() TieredConfig { return s.cfg }
 // SetGPUCapacity changes the GPU tier's capacity in place (fault
 // injection: KVTierDegrade shrinks it, recovery restores it). Shrinking
 // below current residency spills LRU blocks to the CPU tier immediately,
-// so the capacity invariant (WatchTier reads Config at check time) holds
-// through the transition. No-op on a nil/zero-capacity store.
+// so the GPU tier never holds more than its capacity. No-op on a
+// nil/zero-capacity store.
 func (s *TieredStore) SetGPUCapacity(bytes int64) {
 	if s == nil || bytes <= 0 || bytes == s.cfg.GPUBytes {
 		return
@@ -276,9 +254,6 @@ func (s *TieredStore) SetGPUCapacity(bytes int64) {
 	s.cfg.GPUBytes = bytes
 	s.makeGPURoom(0)
 }
-
-// BlockTokens returns the sharing granularity.
-func (s *TieredStore) BlockTokens() int { return s.cfg.BlockTokens }
 
 // TierUsage recomputes the resident bytes per tier by walking the block
 // lists — the ground truth the ledger is reconciled against.
@@ -570,9 +545,6 @@ func (s *TieredStore) Lookup(modelName, key string, inputTokens int, kvBytesPerT
 	s.Ledger.HitBytes += hitBytes
 	s.Ledger.MissBytes += int64(inputTokens-hitTokens) * kvBytesPerToken
 	s.Ledger.CPUHitBytes += promoted
-	if s.Observer != nil {
-		s.Observer.TierChanged(s)
-	}
 	return hitTokens, PromoteTime(promoted)
 }
 
@@ -593,9 +565,7 @@ func (s *TieredStore) promote(b *tierBlock) {
 	b.tier = tierGPU
 	s.gpu.pushFront(b)
 	s.Ledger.GPUBytes += b.bytes
-	if s.Trace != nil {
-		s.Trace.TierPromoted(b.bytes)
-	}
+	s.Ledger.PromotedBytes += b.bytes
 }
 
 // makeGPURoom spills LRU GPU blocks to the CPU tier (or frees them when the
@@ -614,9 +584,6 @@ func (s *TieredStore) makeGPURoom(need int64) {
 			s.Ledger.CPUBytes += victim.bytes
 			s.Ledger.Spills++
 			s.Ledger.SpillBytes += victim.bytes
-			if s.Trace != nil {
-				s.Trace.TierSpilled(victim.bytes)
-			}
 		} else {
 			s.freeBlock(victim)
 		}
@@ -641,9 +608,6 @@ func (s *TieredStore) makeCPURoom(need int64) {
 func (s *TieredStore) freeBlock(b *tierBlock) {
 	s.Ledger.FreedBytes += b.bytes
 	s.Ledger.Evictions++
-	if s.Trace != nil {
-		s.Trace.TierEvicted(b.bytes)
-	}
 	s.rootBytes[b.root] -= b.bytes
 	s.index.del(b.hash)
 	*b = tierBlock{next: s.free}
@@ -697,9 +661,6 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 		s.Ledger.GPUBytes += blockBytes
 		s.Ledger.Inserts++
 		s.rootBytes[root] += blockBytes
-	}
-	if s.Observer != nil {
-		s.Observer.TierChanged(s)
 	}
 	return SpillTime(s.Ledger.SpillBytes - spilledBefore)
 }

@@ -247,8 +247,8 @@ func TestTieredStoreSpillAndPromote(t *testing.T) {
 	if hit != 64 {
 		t.Fatalf("sessA lookup hit %d tokens, want 64", hit)
 	}
-	if s.Ledger.CPUHitBytes != 4*block || xfer != PromoteTime(4*block) {
-		t.Fatalf("promotion: cpuHit=%d xfer=%v", s.Ledger.CPUHitBytes, xfer)
+	if s.Ledger.CPUHitBytes != 4*block || s.Ledger.PromotedBytes != 4*block || xfer != PromoteTime(4*block) {
+		t.Fatalf("promotion: cpuHit=%d promoted=%d xfer=%v", s.Ledger.CPUHitBytes, s.Ledger.PromotedBytes, xfer)
 	}
 	if !s.Ledger.Conserved() {
 		t.Fatalf("ledger not conserved: %+v", s.Ledger)
@@ -433,6 +433,7 @@ func (r *refStore) Lookup(modelName, key string, inputTokens int, kvb int64) (hi
 				r.makeGPURoom(b.bytes)
 				pushFront(&r.gpu, b)
 				r.ledger.GPUBytes += b.bytes
+				r.ledger.PromotedBytes += b.bytes
 			}
 		} else {
 			pushFront(&r.gpu, b)

@@ -67,22 +67,8 @@ type Op struct {
 	// OnComplete runs when the operation finishes (physical state updated).
 	OnComplete func()
 
-	canceled bool
-	started  bool
-	pooled   bool        // owned by nm.free; recycled after complete/cancel
-	nm       *NodeMemory // set at admission; completion trampoline target
-}
-
-// Cancel abandons a reservation-station entry. Ops that already started
-// cannot be cancelled (the hardware is already copying); Cancel reports
-// whether it took effect. The optimistic budget is rolled back by the
-// NodeMemory that admitted the op.
-func (o *Op) Cancel() bool {
-	if o.started || o.canceled {
-		return false
-	}
-	o.canceled = true
-	return true
+	pooled bool        // owned by nm.free; recycled after completion
+	nm     *NodeMemory // set at admission; completion trampoline target
 }
 
 // Observer receives every ledger transition of one NodeMemory, in program
@@ -102,9 +88,6 @@ type Observer interface {
 	OpCompleted(nm *NodeMemory, op *Op)
 	// OpRejected fires when the optimistic budget refuses a scale-up.
 	OpRejected(nm *NodeMemory, op *Op)
-	// OpCanceled fires when a parked operation is abandoned and its
-	// optimistic admission rolled back.
-	OpCanceled(nm *NodeMemory, op *Op)
 }
 
 // NodeMemory orchestrates the memory of one node (one device).
@@ -122,9 +105,8 @@ type NodeMemory struct {
 
 	station []*Op // reservation station: admitted scale-ups awaiting safety
 	//slinfer:resetsafe drainStation ping-pong scratch, invariantly empty between drains
-	spare []*Op  // ping-pong buffer for drainStation rebuilds
-	free  []*Op  // recycled pooled ops (see AcquireOp)
-	batch *Batch // per-node reusable step batch (see StepBatch)
+	spare []*Op // ping-pong buffer for drainStation rebuilds
+	free  []*Op // recycled pooled ops (see AcquireOp)
 
 	// drainStation reentrancy: a completion cascade that frees more bytes
 	// while a drain is in progress requests another pass instead of nesting.
@@ -163,19 +145,16 @@ func (nm *NodeMemory) Reset(name string, capacity int64) {
 	}
 	clear(nm.station)
 	nm.station = nm.station[:0]
-	if nm.batch != nil {
-		nm.batch.Abandon()
-	}
 	nm.draining, nm.redrain = false, false
 	nm.opsStarted, nm.opsCompleted, nm.stationedTotal, nm.rejected = 0, 0, 0, 0
 }
 
 // AcquireOp returns a zeroed Op owned by this node's free-list. Pooled ops
-// recycle themselves when they complete or are cancelled out of the station,
-// so a steady-state Demand stream allocates nothing. The caller must not
-// retain a pooled Op past its completion (the slot is reused); an op whose
-// Demand was rejected stays with the caller for retry — hand it back with
-// ReleaseOp if the retry is abandoned.
+// recycle themselves when they complete, so a steady-state Demand stream
+// allocates nothing. The caller must not retain a pooled Op past its
+// completion (the slot is reused); an op whose Demand was rejected stays
+// with the caller for retry — hand it back with ReleaseOp if the retry is
+// abandoned.
 //
 //slinfer:hotpath
 func (nm *NodeMemory) AcquireOp() *Op {
@@ -193,18 +172,6 @@ func (nm *NodeMemory) AcquireOp() *Op {
 // Ops that were admitted recycle themselves; releasing a non-pooled op is a
 // no-op.
 func (nm *NodeMemory) ReleaseOp(op *Op) { nm.recycle(op) }
-
-// StepBatch returns this node's reusable step batch, lazily created. Callers
-// that issue several ledger transitions in one simulation step stage them
-// here and Commit once; the batch empties itself on Commit, so the singleton
-// is safely shared by every call site in the single-threaded simulation —
-// stage and commit within one step, never across steps.
-func (nm *NodeMemory) StepBatch() *Batch {
-	if nm.batch == nil {
-		nm.batch = NewBatch(nm)
-	}
-	return nm.batch
-}
 
 // recycle returns a finished pooled op to the free-list; non-pooled ops
 // (caller-owned &Op{} literals) pass through untouched.
@@ -236,21 +203,9 @@ func (nm *NodeMemory) OptimisticFree() int64 { return nm.capacity - nm.optimisti
 // PessimisticUsed returns the execution-safety usage bound.
 func (nm *NodeMemory) PessimisticUsed() int64 { return nm.pessimistic }
 
-// PhysicalUsed returns the upper bound on bytes physically occupied right
-// now (operations are charged at their peak for their whole duration).
-func (nm *NodeMemory) PhysicalUsed() int64 { return nm.pessimistic }
-
 // StationDepth returns the number of operations waiting in the reservation
 // station.
-func (nm *NodeMemory) StationDepth() int {
-	n := 0
-	for _, op := range nm.station {
-		if !op.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (nm *NodeMemory) StationDepth() int { return len(nm.station) }
 
 // Stats returns (started, completed, ever-stationed, rejected) counters.
 func (nm *NodeMemory) Stats() (started, completed, stationed, rejected int64) {
@@ -307,7 +262,6 @@ func (nm *NodeMemory) Demand(op *Op) bool {
 //
 //slinfer:hotpath
 func (nm *NodeMemory) execute(op *Op) {
-	op.started = true
 	nm.opsStarted++
 	delta := op.To - op.From
 	if delta > 0 {
@@ -383,15 +337,6 @@ func (nm *NodeMemory) drainStation() {
 		}
 		nm.station, nm.spare = nm.spare[:0], src
 		for _, op := range src {
-			if op.canceled {
-				// Roll back its optimistic admission.
-				nm.optimistic -= op.To - op.From
-				if nm.Observer != nil {
-					nm.Observer.OpCanceled(nm, op)
-				}
-				nm.recycle(op)
-				continue
-			}
 			delta := op.To - op.From
 			if nm.pessimistic+delta <= nm.capacity {
 				nm.execute(op)
@@ -406,103 +351,6 @@ func (nm *NodeMemory) drainStation() {
 		}
 	}
 	nm.draining = false
-}
-
-// CancelStationed cancels a parked op and rolls back its optimistic budget.
-// Returns false if the op already started.
-func (nm *NodeMemory) CancelStationed(op *Op) bool {
-	if !op.Cancel() {
-		return false
-	}
-	nm.drainStation()
-	return true
-}
-
-// Batch coalesces a burst of demands against one NodeMemory into at most one
-// operation per owner, applied in a single Commit. Per-iteration callers
-// (e.g. a scheduler step that grows several KV caches and frees others) stage
-// their demands here instead of issuing one ledger transition each: the
-// ledger, its observer, and the reservation station see one op per owner per
-// step, with the net From→To movement.
-//
-// Coalescing rule per owner: the first staged demand pins From, the last
-// pins To and Duration (the final move is the one that executes), and every
-// staged OnComplete runs in staging order when the coalesced op completes.
-// The From-chain stays continuous for conservation checkers because
-// intermediate sizes never become ledger transitions.
-//
-// A Batch is reusable: Commit applies the staged ops and leaves the batch
-// empty. Ops come from the node's free-list, so a steady-state
-// stage/commit cycle allocates nothing.
-type Batch struct {
-	nm  *NodeMemory
-	ops []*Op
-	idx map[string]int // owner -> index in ops
-}
-
-// NewBatch returns an empty batch against nm.
-func NewBatch(nm *NodeMemory) *Batch {
-	return &Batch{nm: nm, idx: make(map[string]int)}
-}
-
-// Node returns the NodeMemory this batch commits against.
-func (b *Batch) Node() *NodeMemory { return b.nm }
-
-// Len returns the number of coalesced (per-owner) operations staged.
-func (b *Batch) Len() int { return len(b.ops) }
-
-// Demand stages one demand. Demands against an owner already staged coalesce
-// into its pending op instead of creating a new one.
-func (b *Batch) Demand(kind OpKind, owner string, from, to int64, dur sim.Duration, onComplete func()) {
-	if i, ok := b.idx[owner]; ok {
-		op := b.ops[i]
-		op.Kind, op.To, op.Duration = kind, to, dur
-		if onComplete != nil {
-			if prev := op.OnComplete; prev != nil {
-				op.OnComplete = func() { prev(); onComplete() }
-			} else {
-				op.OnComplete = onComplete
-			}
-		}
-		return
-	}
-	op := b.nm.AcquireOp()
-	op.Kind, op.Owner, op.From, op.To = kind, owner, from, to
-	op.Duration, op.OnComplete = dur, onComplete
-	b.idx[owner] = len(b.ops)
-	b.ops = append(b.ops, op)
-}
-
-// Commit applies the staged operations in staging order and empties the
-// batch. Owners whose staged demands net to no size change (From == To) are
-// still applied — their OnComplete chain must run — but cost no budget.
-// Returns the number of admitted and rejected operations; rejected ops are
-// returned to the free-list (stage a compromised size next step to retry).
-func (b *Batch) Commit() (admitted, rejected int) {
-	for i, op := range b.ops {
-		b.ops[i] = nil
-		if b.nm.Demand(op) {
-			admitted++
-		} else {
-			rejected++
-			b.nm.ReleaseOp(op)
-		}
-	}
-	b.ops = b.ops[:0]
-	clear(b.idx)
-	return admitted, rejected
-}
-
-// Abandon discards every staged operation without applying it, returning the
-// ops to the free-list. NodeMemory.Reset uses it to drop a batch staged but
-// never committed when its run was torn down.
-func (b *Batch) Abandon() {
-	for i, op := range b.ops {
-		b.ops[i] = nil
-		b.nm.ReleaseOp(op)
-	}
-	b.ops = b.ops[:0]
-	clear(b.idx)
 }
 
 // CheckInvariants verifies the safety conditions; tests call it after every

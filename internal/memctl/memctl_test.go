@@ -134,41 +134,6 @@ func TestOutOfOrderSkipsBlockedHead(t *testing.T) {
 	}
 }
 
-func TestCancelStationed(t *testing.T) {
-	s := sim.New()
-	nm := New(s, "n", 100)
-	nm.Demand(&Op{Owner: "a", From: 0, To: 98, Duration: 0})
-	nm.Demand(&Op{Owner: "a", From: 98, To: 80, Duration: 10})
-	nm.Demand(&Op{Owner: "d", From: 0, To: 8, Duration: 1}) // parked (98+8>100)
-	op := &Op{Owner: "b", From: 0, To: 9, Duration: 1}
-	nm.Demand(op) // parked too
-	if nm.StationDepth() != 2 {
-		t.Fatalf("StationDepth = %d, want 2", nm.StationDepth())
-	}
-	if !nm.CancelStationed(op) {
-		t.Fatal("cancel failed")
-	}
-	// Optimistic rolled back: 80 + 8 = 88.
-	s.Run()
-	if nm.OptimisticUsed() != 88 {
-		t.Fatalf("optimistic = %d, want 88", nm.OptimisticUsed())
-	}
-	if err := nm.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCancelStartedFails(t *testing.T) {
-	s := sim.New()
-	nm := New(s, "n", 100)
-	op := &Op{Owner: "a", From: 0, To: 10, Duration: 5}
-	nm.Demand(op)
-	if nm.CancelStationed(op) {
-		t.Fatal("started op must not be cancellable")
-	}
-	s.Run()
-}
-
 // Property: under arbitrary interleavings of scale-ups and scale-downs
 // across several allocations, the pessimistic bound never exceeds capacity
 // (no OOM) and all invariants hold at every event boundary.
