@@ -60,7 +60,12 @@ func main() {
 
 	// Seeded presets cover the common shapes without hand-writing events;
 	// same seed, same plan, same bytes.
-	cfg.Faults = slinfer.FaultPreset("rolling-restart", 4, trace.Duration, 11)
+	preset, err := slinfer.FaultPreset("rolling-restart", 4, trace.Duration, 11)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	cfg.Faults = preset
 	roll := slinfer.RunFleet(cfg, trace)
 	fmt.Printf("rolling-restart: events=%d redriven=%d exhausted=%d ok=%v\n",
 		roll.Report.FaultEvents, roll.Redriven, roll.RetryExhausted, roll.Ok())

@@ -16,10 +16,6 @@ import (
 	"sort"
 
 	"slinfer"
-	"slinfer/internal/cluster"
-	"slinfer/internal/engine"
-	"slinfer/internal/hwsim"
-	"slinfer/internal/model"
 )
 
 // WidestFit inverts the paper's placement: candidates are ordered by free
@@ -32,20 +28,21 @@ type WidestFit struct {
 }
 
 // PlaceNew spreads the request onto the emptiest feasible node, GPU first.
-func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *engine.Request, m model.Model) bool {
+func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *slinfer.PolicyRequest, m slinfer.Model) bool {
 	if m.TPDegree > 1 {
 		// Tensor-parallel spans are placement-order-insensitive; reuse the
 		// stock logic.
 		return p.BinPackPlacement.PlaceNew(h, req, m)
 	}
 	type cand struct {
-		n    *cluster.Node
+		idx  int // index into nodes
 		free int64
 	}
+	nodes := h.Nodes()
 	var gpus, cpus []cand
-	for _, n := range h.Nodes() {
+	for i, n := range nodes {
 		share := p.Share(m, n.Spec.Class)
-		if n.Kind() == hwsim.CPU {
+		if n.Kind() == slinfer.CPU {
 			if !p.UseCPU {
 				continue
 			}
@@ -62,8 +59,8 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *engine.Request, m model.
 		if need < 0 || n.Mem.OptimisticFree() < need {
 			continue
 		}
-		c := cand{n, n.Mem.OptimisticFree()}
-		if n.Kind() == hwsim.GPU {
+		c := cand{i, n.Mem.OptimisticFree()}
+		if n.Kind() == slinfer.GPU {
 			gpus = append(gpus, c)
 		} else {
 			cpus = append(cpus, c)
@@ -75,11 +72,12 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *engine.Request, m model.
 	widest(gpus)
 	widest(cpus)
 	for _, c := range append(gpus, cpus...) {
-		share := p.Share(m, c.n.Spec.Class)
-		if !p.AdmitScaleOut(h, c.n, m, share, req) {
+		n := nodes[c.idx]
+		share := p.Share(m, n.Spec.Class)
+		if !p.AdmitScaleOut(h, n, m, share, req) {
 			continue
 		}
-		if h.Spawn(m, []*cluster.Node{c.n}, share, req) {
+		if h.Spawn(m, nodes[c.idx:c.idx+1], share, req) {
 			return true
 		}
 	}

@@ -8,10 +8,6 @@ import (
 	"fmt"
 
 	"slinfer"
-	"slinfer/internal/hwsim"
-	"slinfer/internal/perfmodel"
-	"slinfer/internal/slo"
-	"slinfer/internal/workload"
 )
 
 func main() {
@@ -24,9 +20,8 @@ func main() {
 	for _, l := range []int{256, 1024, 4096, 8192} {
 		fmt.Printf("  %-14d", l)
 		for _, m := range []slinfer.Model{slinfer.Llama32_3B, slinfer.Llama2_7B, slinfer.Llama2_13B, slinfer.CodeLlama34B} {
-			prof := perfmodel.NewProfile(hwsim.XeonGen4, m, 1, 64)
 			ok := "yes"
-			if l > m.MaxContext || !prof.CanMeet(l, slo.Default(l)) {
+			if l > m.MaxContext || !slinfer.CPUMeetsSLO(m, l) {
 				ok = "-"
 			}
 			fmt.Printf("  %-6s", ok)
@@ -42,7 +37,7 @@ func main() {
 		names[i] = m.Name
 	}
 	for _, ds := range []slinfer.Dataset{slinfer.HumanEval, slinfer.AzureConv, slinfer.LongBench} {
-		trace := slinfer.CustomTrace(workload.TraceConfig{
+		trace := slinfer.CustomTrace(slinfer.TraceConfig{
 			ModelNames: names, Duration: 20 * 60, Dataset: ds, Seed: 3,
 			MaxInput: slinfer.Llama31_8B.MaxContext,
 		})

@@ -43,7 +43,6 @@ type Executor struct {
 
 	busy      bool
 	busyUntil sim.Time
-	busyTotal sim.Duration
 	iters     int64
 
 	// inflight holds the running iteration between Kick and its completion
@@ -61,9 +60,6 @@ func (e *Executor) Busy() bool { return e.busy }
 
 // BusyUntil returns when the in-flight iteration completes (valid if Busy).
 func (e *Executor) BusyUntil() sim.Time { return e.busyUntil }
-
-// BusyTotal returns the accumulated iteration time.
-func (e *Executor) BusyTotal() sim.Duration { return e.busyTotal }
 
 // Iterations returns the number of completed iterations.
 func (e *Executor) Iterations() int64 { return e.iters }
@@ -125,7 +121,6 @@ func (e *Executor) finishIteration() {
 	w, dur := e.inflight, e.inflightDur
 	e.inflight, e.inflightDur = engine.Work{}, 0
 	e.busy = false
-	e.busyTotal += dur
 	e.iters++
 	if e.OnDone != nil {
 		e.OnDone(e, w, dur)
@@ -306,15 +301,6 @@ func (c *Cluster) NodesOfKind(k hwsim.Kind) []*Node {
 func (c *Cluster) SetSlow(f float64) {
 	for _, n := range c.Nodes {
 		n.Slow = f
-	}
-}
-
-// KickAll kicks every executor (used after global state changes).
-func (c *Cluster) KickAll() {
-	for _, n := range c.Nodes {
-		for _, e := range n.Executors {
-			e.Kick()
-		}
 	}
 }
 

@@ -62,8 +62,8 @@ func TestExecutorRunsIterationsSerially(t *testing.T) {
 	if r.State != engine.Done || !r.Tracker.Met() {
 		t.Fatalf("state=%v met=%v", r.State, r.Tracker.Met())
 	}
-	if ex.Iterations() != 3 || ex.BusyTotal() <= 0 {
-		t.Fatalf("iters=%d busy=%v", ex.Iterations(), ex.BusyTotal())
+	if ex.Iterations() != 3 {
+		t.Fatalf("iters=%d", ex.Iterations())
 	}
 	if ex.Busy() {
 		t.Fatal("executor should be idle at end")

@@ -56,18 +56,10 @@ func PreemptionVictims(grower *engine.Instance, neighbours []*engine.Instance) [
 	return out
 }
 
-// RouteOrder sorts same-model instances for reactive bin-packing (§VIII-B):
-// new requests go preferentially to the instance with the largest batch, so
-// large instances grow (and gain preemption priority) while small fragments
-// drain and get reclaimed.
-func RouteOrder(instances []*engine.Instance) []*engine.Instance {
-	out := append([]*engine.Instance(nil), instances...)
-	SortRoute(out)
-	return out
-}
-
-// SortRoute applies RouteOrder's ordering in place, without allocating —
-// the form the controller's routing hot path uses over its scratch buffers.
+// SortRoute sorts same-model instances in place for reactive bin-packing
+// (§VIII-B), without allocating: new requests go preferentially to the
+// instance with the largest batch, so large instances grow (and gain
+// preemption priority) while small fragments drain and get reclaimed.
 func SortRoute(instances []*engine.Instance) {
 	insertionSort(instances, func(a, b *engine.Instance) bool {
 		if a.TotalLoad() != b.TotalLoad() {
@@ -102,27 +94,4 @@ func SortPlace(cands []NodeScore, cpuFirst bool) {
 		}
 		return a.NodeIdx < b.NodeIdx
 	})
-}
-
-// Fragmented reports whether a model's deployment is fragmented: more than
-// one active instance, with at least one small fragment (batch below half
-// the largest instance's).
-func Fragmented(instances []*engine.Instance) bool {
-	active := 0
-	maxLoad, minLoad := 0, 1<<30
-	for _, i := range instances {
-		if i.State != engine.Active {
-			continue
-		}
-		active++
-		if l := i.TotalLoad(); l > maxLoad {
-			maxLoad = l
-		} else if l < minLoad {
-			minLoad = l
-		}
-	}
-	if active < 2 {
-		return false
-	}
-	return minLoad <= maxLoad/2
 }

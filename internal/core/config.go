@@ -130,8 +130,6 @@ type Config struct {
 	DrainGrace sim.Duration
 	// Seed drives all run-local randomness.
 	Seed uint64
-	// CPUStressProcs models background CPU stress (Figure 11).
-	CPUStressProcs int
 	// PrefixCache configures the tiered prefix-sharing KV store. The zero
 	// value disables it, leaving every preset byte-identical to the
 	// pre-sharing behavior.

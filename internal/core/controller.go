@@ -117,26 +117,24 @@ type Controller struct {
 	pick func([]*engine.Instance, sim.Time) (engine.Work, bool)
 }
 
-// New builds a controller over the given node specs and hosted models.
+// New builds a controller over the given node specs and hosted models: an
+// empty shell that reset then binds, the same path an arena takes when it
+// rebinds a recycled controller between runs.
 func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Config) *Controller {
-	cfg = cfg.withDefaults().composePolicies()
 	c := &Controller{
-		Sim: s, Cfg: cfg,
-		Cluster:      cluster.New(s, specs),
-		Registry:     perfmodel.NewRegistry(cfg.MaxBatch),
+		Sim:          s,
+		Cluster:      cluster.New(s, nil),
 		Collector:    metrics.NewCollector(),
-		Validator:    &compute.Validator{Overestimate: cfg.Overestimate, DecodeRounds: 3, MaxSteps: 600},
+		Validator:    &compute.Validator{},
 		models:       map[string]model.Model{},
 		estimators:   map[string]*kvcache.Estimator{},
 		instances:    map[string][]*engine.Instance{},
 		elasticExecs: map[int]*cluster.Executor{},
-		slotUsed:     make([]float64, len(specs)),
 		instExec:     map[int]*cluster.Executor{},
 		dropEvents:   map[*engine.Request]sim.Event{},
 		keepAlive:    map[int]sim.Event{},
 		loadETA:      map[int]sim.Time{},
-		rng:          sim.NewRNG(cfg.Seed^0xC0FFEE, cfg.Seed+13),
-		nextInstID:   1,
+		rng:          sim.NewRNG(0, 0), // reseeded from cfg by reset
 	}
 	c.host = hostView{c}
 	c.fnArrival = func(any) { c.injectArrival() }
@@ -149,49 +147,23 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		delete(c.keepAlive, inst.ID)
 		c.reclaim(inst)
 	}
-	if cfg.PrefixCache.Enabled {
-		c.prefix = kvcache.NewTieredStore(cfg.PrefixCache)
-	}
-	c.finishSetup(models)
+	c.reset(specs, models, cfg)
 	return c
 }
 
-// finishSetup is the tail of construction shared by New and reset: the
-// iteration-scheduling pick, the hosted-model tables, and (under elastic
-// sharing) one wired executor per node.
-func (c *Controller) finishSetup(models []model.Model) {
-	// Iteration scheduling: min-headroom unless the FIFO ablation is on.
-	// Partitioned executors host one instance each, where headroom order
-	// degenerates to FIFO anyway.
-	c.pick = compute.PickFIFO
-	if c.Cfg.TokenLevelSched || c.Cfg.Sharing != Elastic {
-		c.pick = compute.PickMinHeadroom
-	}
-	for _, m := range models {
-		c.RegisterModel(m)
-	}
-	if c.Cfg.Sharing == Elastic {
-		for _, n := range c.Cluster.Nodes {
-			ex := n.NewExecutor(1)
-			c.wireExecutor(ex)
-			c.elasticExecs[n.Idx] = ex
-		}
-	}
-}
-
-// reset rebinds a recycled controller for a new run over (possibly
-// different) specs, models, and config — equivalent to New on the same
-// simulator, but reusing the cluster, ledgers, collector, validator,
+// reset binds the controller to a run over (possibly different) specs,
+// models, and config, reusing the cluster, ledgers, collector, validator,
 // profile registry, pre-bound callbacks, scratch buffers, and retired
-// instance shells. The caller (Arena.NewController) must Reset the shared
-// simulator first so no event from the previous run survives into this one.
-// Keep this in lockstep with New: any per-run field added to Controller
-// must be re-zeroed here.
+// instance shells. New calls it on an empty shell, so a fresh and a
+// recycled controller share this one setup path; any per-run field added
+// to Controller must be re-zeroed here. A caller rebinding a used
+// controller (Arena.NewController) must Reset the shared simulator first
+// so no event from the previous run survives into this one.
 func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Config) {
 	cfg = cfg.withDefaults().composePolicies()
 	c.Cfg = cfg
 	c.Cluster.Reset(specs)
-	if c.Registry.MaxBatch() != cfg.MaxBatch {
+	if c.Registry == nil || c.Registry.MaxBatch() != cfg.MaxBatch {
 		// Profiles are pure in (class, model, share, maxBatch); a registry
 		// carried across runs stays valid unless the batch ceiling changed.
 		c.Registry = perfmodel.NewRegistry(cfg.MaxBatch)
@@ -257,7 +229,23 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	default:
 		c.prefix.Reset(cfg.PrefixCache)
 	}
-	c.finishSetup(models)
+	// Iteration scheduling: min-headroom unless the FIFO ablation is on.
+	// Partitioned executors host one instance each, where headroom order
+	// degenerates to FIFO anyway.
+	c.pick = compute.PickFIFO
+	if cfg.TokenLevelSched || cfg.Sharing != Elastic {
+		c.pick = compute.PickMinHeadroom
+	}
+	for _, m := range models {
+		c.RegisterModel(m)
+	}
+	if cfg.Sharing == Elastic {
+		for _, n := range c.Cluster.Nodes {
+			ex := n.NewExecutor(1)
+			c.wireExecutor(ex)
+			c.elasticExecs[n.Idx] = ex
+		}
+	}
 }
 
 // newEstimator builds (or recycles) a per-model KV-demand estimator.
@@ -283,8 +271,8 @@ func (c *Controller) takeInstance() *engine.Instance {
 	return &engine.Instance{}
 }
 
-// RegisterModel adds a hosted model (at construction via finishSetup, or
-// after it) and records its place in the deterministic walk order;
+// RegisterModel adds a hosted model (at construction via reset, or after
+// it) and records its place in the deterministic walk order;
 // re-registration keeps the original slot.
 func (c *Controller) RegisterModel(m model.Model) {
 	if _, known := c.models[m.Name]; !known {
@@ -467,7 +455,7 @@ func (c *Controller) ensureDecodeInstance(m model.Model, req *engine.Request) {
 
 // tryExisting routes to a live instance per the reactive bin-packing order.
 func (c *Controller) tryExisting(req *engine.Request, m model.Model) bool {
-	cands := c.routeCandidates(m, wantRole(c.Cfg, engine.PrefillWork))
+	cands := c.routeCandidates(m, wantRole(c.Cfg))
 	for _, inst := range cands {
 		if c.admit(req, inst) {
 			return true
@@ -508,7 +496,7 @@ func (c *Controller) routeCandidates(m model.Model, role engine.Role) []*engine.
 }
 
 // wantRole returns the instance role requests are admitted to.
-func wantRole(cfg Config, _ engine.WorkKind) engine.Role {
+func wantRole(cfg Config) engine.Role {
 	if cfg.PD {
 		return engine.PrefillOnly
 	}

@@ -41,7 +41,7 @@ func TestResetRetiresInRegistrationOrder(t *testing.T) {
 		}
 	}
 	if len(c.modelOrder) != len(models) {
-		t.Fatalf("modelOrder has %d entries after reset+finishSetup, want %d", len(c.modelOrder), len(models))
+		t.Fatalf("modelOrder has %d entries after reset, want %d", len(c.modelOrder), len(models))
 	}
 	for i, m := range models {
 		if c.modelOrder[i] != m.Name {

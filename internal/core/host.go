@@ -34,7 +34,7 @@ func (h hostView) RouteCandidates(m model.Model) []*engine.Instance {
 	// Copy out of the controller's route scratch: policies route recursively
 	// (preemption dry-runs rehoming candidates while iterating growers), so
 	// they cannot share the scratch the internal admission path reuses.
-	return append([]*engine.Instance(nil), h.c.routeCandidates(m, wantRole(h.c.Cfg, engine.PrefillWork))...)
+	return append([]*engine.Instance(nil), h.c.routeCandidates(m, wantRole(h.c.Cfg))...)
 }
 
 func (h hostView) ExecutorOf(inst *engine.Instance) *cluster.Executor {

@@ -35,15 +35,14 @@ func (c *Controller) wireExecutor(ex *cluster.Executor) {
 	}
 	ex.OnDone = c.onIterationDone
 	amp := c.Cfg.Fluctuation
-	stress := hwsim.StressSlowdown(c.Cfg.CPUStressProcs, 32)
-	if amp > 0 || stress != 1 {
+	if amp > 0 {
 		// Derive is pure in (seed, name), so each executor needs its own
 		// stream name or they would all draw identical noise. Executor
 		// wiring order is deterministic, making the counter reproducible.
 		c.noiseStreams++
 		noise := c.rng.Derive(fmt.Sprintf("noise#%d", c.noiseStreams))
 		ex.Noise = func() float64 {
-			return stress * (1 + amp*(2*noise.Float64()-1))
+			return 1 + amp*(2*noise.Float64()-1)
 		}
 	}
 }
@@ -343,7 +342,7 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 // recursion into preemption (avoids ping-pong).
 func (c *Controller) tryPlaceAvoiding(req *engine.Request, avoid *engine.Instance) bool {
 	m := c.models[req.W.ModelName]
-	for _, inst := range c.routeCandidates(m, wantRole(c.Cfg, engine.PrefillWork)) {
+	for _, inst := range c.routeCandidates(m, wantRole(c.Cfg)) {
 		if inst == avoid {
 			continue
 		}
@@ -398,7 +397,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	inst.ID, inst.Model, inst.Class, inst.Share = c.nextInstID, m, nodes[0].Spec.Class, share
 	inst.Profile = c.Registry.Get(nodes[0].Spec.Class, m, share*orOne(nodes[0].SpeedFactor))
 	inst.State = engine.Loading
-	inst.Role = wantRole(c.Cfg, engine.PrefillWork)
+	inst.Role = wantRole(c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
 	c.nextInstID++
 	if c.Cfg.NEOAssist {

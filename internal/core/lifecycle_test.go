@@ -106,27 +106,6 @@ func TestHarvestedNodeServesSlowly(t *testing.T) {
 	}
 }
 
-func TestCPUStressSlowsIterations(t *testing.T) {
-	m := model.Llama2_7B
-	run := func(stress int) sim.Duration {
-		cfg := SLINFER()
-		cfg.CPUStressProcs = stress
-		cfg.Fluctuation = 0
-		s := sim.New()
-		c := New(s, hwsim.Testbed(1, 0), []model.Model{m}, cfg)
-		c.Submit(workload.Request{ID: 1, ModelName: m.Name, Arrival: 0, InputLen: 1024, OutputLen: 50})
-		s.Run()
-		_ = c
-		return s.Now().Sub(0)
-	}
-	base := run(0)
-	stressed := run(64)
-	ratio := stressed.Seconds() / base.Seconds()
-	if ratio < 1.005 || ratio > 1.10 {
-		t.Fatalf("stress completion ratio = %.3f, want ~1.04 (Figure 11)", ratio)
-	}
-}
-
 func TestTPPartnerNodeReleasedOnReclaim(t *testing.T) {
 	m := model.CodeLlama34B
 	cfg := SLINFER()

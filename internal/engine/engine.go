@@ -258,14 +258,6 @@ func (i *Instance) TotalContextTokens() int {
 	return n
 }
 
-// AvgContextLen returns the mean per-sequence context of the running batch.
-func (i *Instance) AvgContextLen() int {
-	if len(i.Running) == 0 {
-		return 0
-	}
-	return i.TotalContextTokens() / len(i.Running)
-}
-
 // HasWork reports whether the instance has an iteration to run.
 func (i *Instance) HasWork() bool {
 	if i.State != Active && i.State != Draining {
@@ -474,14 +466,9 @@ func (i *Instance) CompleteDecode(now sim.Time) (finished []*Request, underestim
 	return finished, false
 }
 
-// KVReqStates converts the live requests to Eq.-2 inputs, covering both the
-// decode batch and admitted-but-unprefilled requests.
-func (i *Instance) KVReqStates() []kvcache.ReqState {
-	return i.AppendKVReqStates(make([]kvcache.ReqState, 0, len(i.Running)+len(i.WaitingPrefill)))
-}
-
-// AppendKVReqStates appends the Eq.-2 inputs to buf and returns it, letting
-// hot callers reuse one scratch buffer instead of allocating per query.
+// AppendKVReqStates appends the live requests' Eq.-2 inputs to buf and
+// returns it, covering both the decode batch and admitted-but-unprefilled
+// requests; hot callers reuse one scratch buffer instead of allocating.
 func (i *Instance) AppendKVReqStates(buf []kvcache.ReqState) []kvcache.ReqState {
 	for _, r := range i.Running {
 		buf = append(buf, kvcache.ReqState{InputLen: r.W.InputLen, Generated: r.Generated})

@@ -521,15 +521,3 @@ func (d *digest) hist(hist []int64) (int64, uint64) {
 	}
 	return n, h.Sum64()
 }
-
-// CDFAt returns the fraction of samples <= x in an ascending sample set.
-func CDFAt(sorted []float64, x float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(sorted, x)
-	for i < len(sorted) && sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(sorted))
-}

@@ -140,22 +140,6 @@ func TestPercentileInterpolates(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	s := []float64{1, 2, 2, 3}
-	if got := CDFAt(s, 2); got != 0.75 {
-		t.Fatalf("CDFAt(2) = %v, want 0.75", got)
-	}
-	if got := CDFAt(s, 0.5); got != 0 {
-		t.Fatalf("CDFAt(0.5) = %v, want 0", got)
-	}
-	if got := CDFAt(s, 5); got != 1 {
-		t.Fatalf("CDFAt(5) = %v, want 1", got)
-	}
-	if CDFAt(nil, 1) != 0 {
-		t.Fatal("empty CDF")
-	}
-}
-
 func TestWallClockOverheads(t *testing.T) {
 	c := NewCollector()
 	c.ValidationNs = 4_000_000

@@ -176,21 +176,6 @@ func (p *Profile) CanMeet(inputLen int, obj slo.Objective) bool {
 	return p.EstimateDecode(1, inputLen) <= obj.TPOT
 }
 
-// MaxBatchWithin returns the largest batch size whose estimated decode
-// iteration at avgLen stays within budget; 0 if none.
-func (p *Profile) MaxBatchWithin(avgLen int, budget sim.Duration) int {
-	lo, hi := 0, p.batchSamples[len(p.batchSamples)-1]*2
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if p.EstimateDecode(mid, avgLen) <= budget {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // profileKey identifies a cached profile. A comparable struct, not a
 // formatted string: Get sits on the instance-creation path and the
 // Sprintf-rendered key showed up in run profiles.

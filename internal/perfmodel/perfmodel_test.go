@@ -121,19 +121,6 @@ func TestCanMeetGatesCPUs(t *testing.T) {
 	}
 }
 
-func TestMaxBatchWithinMatchesConcurrencyLimit(t *testing.T) {
-	m := model.Llama2_7B
-	p := NewProfile(hwsim.XeonGen4, m, 1, 256)
-	got := p.MaxBatchWithin(2048, slo.DefaultTPOT)
-	// Table II: C-7B-2K limit 27.
-	if got < 25 || got > 29 {
-		t.Errorf("MaxBatchWithin(2K) = %d, want ~27", got)
-	}
-	if p.MaxBatchWithin(2048, 0.001) != 0 {
-		t.Error("impossible budget should yield 0")
-	}
-}
-
 func TestRegistryCaches(t *testing.T) {
 	r := NewRegistry(256)
 	a := r.Get(hwsim.A100, model.Llama2_7B, 1)

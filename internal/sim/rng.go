@@ -63,11 +63,6 @@ func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Norm returns a normally distributed value.
-func (g *RNG) Norm(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
-
 // LogNormal returns exp(N(mu, sigma)).
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(g.r.NormFloat64()*sigma + mu)
@@ -84,6 +79,3 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -141,13 +141,12 @@ func (h Event) Canceled() bool {
 // Simulator owns the virtual clock, the pending-event queue, and the event
 // arena. The zero value is not usable; construct with New.
 type Simulator struct {
-	now     Time
-	seq     uint64
-	queue   []heapEntry // 4-ary index min-heap with inline keys (heap.go)
-	slots   []event     // arena: all events, addressed by slot index
-	pool    []int32     // free-list of recycled arena slots
-	fired   uint64
-	stopped bool
+	now   Time
+	seq   uint64
+	queue []heapEntry // 4-ary index min-heap with inline keys (heap.go)
+	slots []event     // arena: all events, addressed by slot index
+	pool  []int32     // free-list of recycled arena slots
+	fired uint64
 
 	// OnEvent, if set, observes every fired event just before its callback
 	// runs (after the clock has advanced to the event's timestamp). The
@@ -245,9 +244,6 @@ func (s *Simulator) AfterFunc(d Duration, fn func(arg any), arg any) Event {
 	return s.schedule(s.now.Add(d), nil, fn, arg)
 }
 
-// Stop makes Run return after the currently-executing event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Reset returns the simulator to the state of a fresh New() — clock at
 // zero, empty queue, no observer — while keeping the event arena, the
 // free-list, and the heap's backing storage for reuse. A long-lived worker
@@ -268,7 +264,6 @@ func (s *Simulator) Reset() {
 	}
 	s.queue = s.queue[:0]
 	s.now, s.seq, s.fired = 0, 0, 0
-	s.stopped = false
 	s.OnEvent = nil
 }
 
@@ -302,21 +297,16 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline. Events scheduled beyond the deadline remain pending.
 func (s *Simulator) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
-		if len(s.queue) == 0 || s.slots[s.queue[0].slot].at > deadline {
-			break
-		}
+	for len(s.queue) > 0 && s.slots[s.queue[0].slot].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {

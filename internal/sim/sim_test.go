@@ -94,21 +94,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	s.At(1, func() { count++; s.Stop() })
-	s.At(2, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (Stop should halt)", count)
-	}
-	s.Run()
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 after resuming", count)
-	}
-}
-
 func TestPastSchedulingPanics(t *testing.T) {
 	s := New()
 	s.At(5, func() {})

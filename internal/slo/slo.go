@@ -65,7 +65,6 @@ type Tracker struct {
 	generated int
 	violated  bool
 	firstTok  sim.Time
-	lastTok   sim.Time
 	haveFirst bool
 }
 
@@ -132,7 +131,6 @@ func (t *Tracker) RecordToken(at sim.Time) bool {
 		t.haveFirst = true
 		t.firstTok = at
 	}
-	t.lastTok = at
 	t.generated++
 	return ok
 }
@@ -152,13 +150,4 @@ func (t *Tracker) TTFT() (sim.Duration, bool) {
 		return 0, false
 	}
 	return t.firstTok.Sub(t.start), true
-}
-
-// MeanTPOT returns the observed mean time-per-output-token across decode
-// tokens (excludes the first token), and whether it is defined.
-func (t *Tracker) MeanTPOT() (sim.Duration, bool) {
-	if t.generated < 2 {
-		return 0, false
-	}
-	return t.lastTok.Sub(t.firstTok) / sim.Duration(t.generated-1), true
 }

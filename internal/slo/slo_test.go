@@ -121,23 +121,6 @@ func TestMarkDropped(t *testing.T) {
 	}
 }
 
-func TestMeanTPOT(t *testing.T) {
-	tr := NewTracker(Objective{TTFT: 1, TPOT: 0.25}, 0)
-	if _, ok := tr.MeanTPOT(); ok {
-		t.Fatal("MeanTPOT defined with no tokens")
-	}
-	tr.RecordToken(0.5)
-	if _, ok := tr.MeanTPOT(); ok {
-		t.Fatal("MeanTPOT defined with one token")
-	}
-	tr.RecordToken(0.6)
-	tr.RecordToken(0.7)
-	mean, ok := tr.MeanTPOT()
-	if !ok || !approx(mean, 0.1) {
-		t.Fatalf("MeanTPOT = %v, %v, want 0.1", mean, ok)
-	}
-}
-
 // Property: headroom decreases linearly in now, increases by TPOT per
 // generated token, and is never NaN.
 func TestHeadroomProperties(t *testing.T) {

@@ -197,20 +197,6 @@ func (t *Trace) SeriesCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SeriesJSONL writes the metric streams as one JSON object per line.
-func (t *Trace) SeriesJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range t.recorders() {
-		for _, s := range r.samples {
-			fmt.Fprintf(bw, "{\"t\":%s,\"kind\":%q,\"shard\":%d,\"queue\":%d,\"active\":%d,\"kv_gpu_bytes\":%d,\"kv_cpu_bytes\":%d,\"outstanding\":%d,\"goodput\":%d,\"retry_backlog\":%d,\"schedule_ns\":%d,\"validation_ns\":%d}\n",
-				formatTime(s.T), sampleKindName(s.Kind), s.Shard, s.Queue, s.Active,
-				s.KVGPU, s.KVCPU, s.Outstanding, s.Goodput, s.RetryBacklog,
-				s.ScheduleNs, s.ValidationNs)
-		}
-	}
-	return bw.Flush()
-}
-
 // fnvWriter hashes everything written through it (fnv-1a, matching the
 // metrics package's canonical float hashing discipline).
 type fnvWriter struct{ h uint64 }

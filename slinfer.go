@@ -26,10 +26,13 @@
 package slinfer
 
 import (
+	"fmt"
 	"io"
+	"strings"
 
 	"slinfer/internal/baseline"
 	"slinfer/internal/core"
+	"slinfer/internal/engine"
 	"slinfer/internal/experiments"
 	"slinfer/internal/faults"
 	"slinfer/internal/fleet"
@@ -38,9 +41,11 @@ import (
 	"slinfer/internal/kvcache"
 	"slinfer/internal/metrics"
 	"slinfer/internal/model"
+	"slinfer/internal/perfmodel"
 	"slinfer/internal/policy"
 	"slinfer/internal/scenario"
 	"slinfer/internal/sim"
+	"slinfer/internal/slo"
 	"slinfer/internal/telemetry"
 	"slinfer/internal/workload"
 	"slinfer/internal/workload/traceio"
@@ -67,8 +72,10 @@ type (
 	Report = metrics.Report
 	// TraceMeta is the provenance recorded in a saved trace's header.
 	TraceMeta = traceio.Meta
-	// ReplayOptions configures Replay/ReplayFile.
+	// ReplayOptions configures Replay.
 	ReplayOptions = experiments.ReplayOptions
+	// TraceConfig fully specifies a synthetic trace for CustomTrace.
+	TraceConfig = workload.TraceConfig
 	// TieredPrefixConfig sizes the tiered prefix-sharing KV store
 	// (Config.PrefixCache): a GPU tier backed by a CPU spill tier, indexed
 	// by token-block hash chains. The zero value disables it; Enabled with
@@ -80,42 +87,26 @@ type (
 // Policy layer: a serving scheme is a composition of three policies over
 // the thin controller. Set them on Config (Placement, Preemption,
 // KeepAlivePolicy) to build schemes beyond the paper's presets; nil fields
-// compose the preset behavior from the scalar knobs. See DESIGN.md and
-// examples/custompolicy.
+// compose the preset behavior from the scalar knobs. A custom placement
+// typically embeds BinPackPlacement and overrides PlaceNew. See DESIGN.md
+// and examples/custompolicy.
 type (
-	// PlacementPolicy decides where new instances land and how node
-	// compute is carved for them.
-	PlacementPolicy = policy.PlacementPolicy
-	// PreemptionPolicy decides whether neighbours are preempted so an
-	// existing instance can absorb a request in place.
-	PreemptionPolicy = policy.PreemptionPolicy
-	// KeepAlivePolicy decides how long idle instances are retained.
-	KeepAlivePolicy = policy.KeepAlivePolicy
 	// PolicyHost is the controller surface custom policies program
 	// against.
 	PolicyHost = policy.Host
-	// SharingMode selects how node compute is divided among instances.
-	SharingMode = policy.SharingMode
-
+	// PolicyRequest is the in-flight request a placement decision is made
+	// for.
+	PolicyRequest = engine.Request
 	// BinPackPlacement is the paper's best-fit bin-packing placement,
 	// parameterized by sharing mode.
 	BinPackPlacement = policy.BinPack
-	// SLOPreservingPreemption is the §VIII-A consolidation policy.
-	SLOPreservingPreemption = policy.SLOPreserving
-	// NoPreemption disables consolidation.
-	NoPreemption = policy.NoPreemption
 	// FixedKeepAlive reclaims idle instances after a constant window.
 	FixedKeepAlive = policy.FixedKeepAlive
-	// PinKeepAlive never reclaims idle instances.
-	PinKeepAlive = policy.Pin
 )
 
-// Sharing modes.
-const (
-	Exclusive     = policy.Exclusive
-	StaticSharing = policy.Static
-	Elastic       = policy.Elastic
-)
+// Elastic is the paper's elastic compute-sharing mode (§VI), the one
+// SLINFER uses.
+const Elastic = policy.Elastic
 
 // Device kinds for Report lookups.
 const (
@@ -164,17 +155,28 @@ func Testbed(nCPU, nGPU int) []NodeSpec { return hwsim.Testbed(nCPU, nGPU) }
 // Replicas derives n independently-hosted replicas of a base model.
 func Replicas(base Model, n int) []Model { return model.Replicas(base, n) }
 
+// CPUMeetsSLO reports whether a whole gen-4 AMX Xeon node can serve a lone
+// inputLen-token request for m within the paper's default SLO: the §V CPU
+// gate that decides which requests SLINFER may place on CPUs.
+func CPUMeetsSLO(m Model, inputLen int) bool {
+	return perfmodel.NewProfile(hwsim.XeonGen4, m, 1, 64).CanMeet(inputLen, slo.Default(inputLen))
+}
+
+// traceModels returns the models' names and their largest context window,
+// which bounds generated prompt lengths.
+func traceModels(models []Model) (names []string, maxCtx int) {
+	names = make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+		maxCtx = max(maxCtx, m.MaxContext)
+	}
+	return names, maxCtx
+}
+
 // AzureTrace generates an Azure-Serverless-style trace over the models:
 // Zipf popularity, bursty arrivals, AzureConv token lengths.
 func AzureTrace(models []Model, minutes float64, seed uint64) Trace {
-	names := make([]string, len(models))
-	maxCtx := 0
-	for i, m := range models {
-		names[i] = m.Name
-		if m.MaxContext > maxCtx {
-			maxCtx = m.MaxContext
-		}
-	}
+	names, maxCtx := traceModels(models)
 	return workload.Generate(workload.TraceConfig{
 		ModelNames: names,
 		Duration:   sim.Duration(minutes) * sim.Minute,
@@ -188,14 +190,7 @@ func AzureTrace(models []Model, minutes float64, seed uint64) Trace {
 // bursty stream at ~rps aggregate requests/second, split across models by a
 // Pareto distribution.
 func BurstGPTTrace(models []Model, minutes, rps float64, seed uint64) Trace {
-	names := make([]string, len(models))
-	maxCtx := 0
-	for i, m := range models {
-		names[i] = m.Name
-		if m.MaxContext > maxCtx {
-			maxCtx = m.MaxContext
-		}
-	}
+	names, maxCtx := traceModels(models)
 	return workload.GenerateBurstGPT(workload.BurstGPTConfig{
 		ModelNames: names,
 		Duration:   sim.Duration(minutes) * sim.Minute,
@@ -206,21 +201,14 @@ func BurstGPTTrace(models []Model, minutes, rps float64, seed uint64) Trace {
 }
 
 // CustomTrace generates a trace with full control over the workload.
-func CustomTrace(cfg workload.TraceConfig) Trace { return workload.Generate(cfg) }
+func CustomTrace(cfg TraceConfig) Trace { return workload.Generate(cfg) }
 
 // ChatTrace generates a multi-turn chat trace: sessions grow a shared
 // system-prompt template plus their own conversation history turn by turn,
 // and every request carries the PrefixKey that lets the tiered prefix store
 // (Config.PrefixCache) serve the recurring prefix from cache.
 func ChatTrace(models []Model, minutes float64, seed uint64) Trace {
-	names := make([]string, len(models))
-	maxCtx := 0
-	for i, m := range models {
-		names[i] = m.Name
-		if m.MaxContext > maxCtx {
-			maxCtx = m.MaxContext
-		}
-	}
+	names, maxCtx := traceModels(models)
 	return workload.GenerateChat(workload.ChatConfig{
 		ModelNames: names,
 		Duration:   sim.Duration(minutes) * sim.Minute,
@@ -242,8 +230,8 @@ func WithPrefixCache(cfg Config) Config { return baseline.WithPrefixCache(cfg) }
 type (
 	// Telemetry is one run's observability sink: a recorder per shard plus
 	// a fleet front-door recorder. Thread it through Config.Telemetry
-	// (WithTelemetry), ReplayOptions.Telemetry, FleetConfig.Telemetry, or
-	// ScenarioCell.Telemetry, then export after the run.
+	// (WithTelemetry), ReplayOptions.Telemetry, or FleetConfig.Telemetry,
+	// then export after the run.
 	Telemetry = telemetry.Trace
 	// TelemetryRecorder is one shard's event/sample buffer.
 	TelemetryRecorder = telemetry.Recorder
@@ -305,12 +293,6 @@ func MergeTraces(traces ...Trace) Trace { return traceio.Merge(traces...) }
 // sequence — recorded, loaded, or transformed — and returns its report.
 func Replay(tr Trace, opt ReplayOptions) (Report, error) { return experiments.Replay(tr, opt) }
 
-// ReplayFile replays a saved JSONL trace, binding model identities from the
-// recorded header unless overridden in opt.
-func ReplayFile(path string, opt ReplayOptions) (Report, error) {
-	return experiments.ReplayFile(path, opt)
-}
-
 // Scenario matrix & invariants: the verification subsystem. A ScenarioGrid
 // composes axes (workload × transform × topology × system × SLO × seed)
 // into cells; RunScenarios fans them across the experiment worker pool with
@@ -320,8 +302,6 @@ func ReplayFile(path string, opt ReplayOptions) (Report, error) {
 type (
 	// ScenarioGrid is a declarative scenario matrix (cross product of axes).
 	ScenarioGrid = scenario.Grid
-	// ScenarioCell is one fully specified simulation of a grid.
-	ScenarioCell = scenario.Cell
 	// ScenarioResult is one cell's report plus detected violations.
 	ScenarioResult = scenario.CellResult
 	// ScenarioWorkload is the workload-shape axis value.
@@ -335,26 +315,11 @@ type (
 	ScenarioSLO = scenario.SLOClass
 	// InvariantSuite is one run's attached checker set.
 	InvariantSuite = invariants.Suite
-	// InvariantViolation is one detected invariant breach.
-	InvariantViolation = invariants.Violation
-	// ControllerProbe observes controller lifecycle events (advanced use:
-	// custom witnesses beyond the stock invariant suite).
-	ControllerProbe = core.Probe
 )
-
-// SmokeGrid returns the CI smoke matrix (384 two-minute cells; fleet and
-// chaos axes included).
-func SmokeGrid() ScenarioGrid { return scenario.Smoke() }
-
-// NightlyGrid returns the deep verification matrix (960 cells).
-func NightlyGrid() ScenarioGrid { return scenario.Nightly() }
 
 // RunScenarios evaluates every cell of a grid with invariants attached,
 // fanning cells across the experiment worker pool.
 func RunScenarios(g ScenarioGrid) []ScenarioResult { return scenario.RunGrid(g) }
-
-// RunScenario evaluates one cell with invariants attached.
-func RunScenario(c ScenarioCell) ScenarioResult { return scenario.RunCell(c) }
 
 // AttachInvariants wires the always-on checker suite — event-clock
 // monotonicity, memory-ledger conservation, KV accounting, request
@@ -378,21 +343,12 @@ type (
 	// reports and replayable trace slices, the rejection ledger, and any
 	// invariant violations.
 	FleetResult = fleet.Result
-	// FleetSnapshot is the per-shard state routing decisions see (always
-	// one epoch stale — the determinism contract).
-	FleetSnapshot = fleet.Snapshot
-	// FleetEpochState is the front door's view while routing one epoch.
-	FleetEpochState = fleet.EpochState
-	// FleetRejection is one shed-request ledger entry.
-	FleetRejection = fleet.Rejection
 	// FleetRoutingPolicy picks the shard an accepted request lands on.
 	FleetRoutingPolicy = fleet.RoutingPolicy
 	// FleetAdmissionPolicy sheds arrivals at the front door.
 	FleetAdmissionPolicy = fleet.AdmissionPolicy
 	// FleetAutoscalePolicy resizes the active shard set per epoch.
 	FleetAutoscalePolicy = fleet.AutoscalePolicy
-	// ScenarioFleet is the scenario grid's fleet axis value.
-	ScenarioFleet = scenario.FleetAxis
 )
 
 // UniformFleet returns n identical shards over the paper's testbed shape.
@@ -400,15 +356,10 @@ func UniformFleet(n, cpu, gpu int) []FleetShard { return fleet.UniformShards(n, 
 
 // RunFleet executes a fleet over a trace: requests are admitted and routed
 // in global arrival order on previous-epoch shard snapshots, shards advance
-// in parallel between epoch barriers, and the per-shard reports merge via
-// MergeReports. Deterministic in (cfg, tr).
+// in parallel between epoch barriers, and the per-shard reports merge into
+// one (counters sum, percentiles recomputed from the pooled sample CDFs).
+// Deterministic in (cfg, tr).
 func RunFleet(cfg FleetConfig, tr Trace) FleetResult { return fleet.Run(cfg, tr) }
-
-// MergeReports folds per-shard reports into one aggregate: counters sum and
-// percentiles are recomputed from the pooled sample CDFs.
-func MergeReports(system string, duration sim.Duration, reports ...Report) Report {
-	return metrics.MergeReports(system, duration, reports...)
-}
 
 // PartitionTrace splits a trace into n slices (the inverse of MergeTraces):
 // assign maps each request to its slice, negative drops it. Each slice is a
@@ -419,14 +370,8 @@ func PartitionTrace(tr Trace, n int, assign func(Request) int) []Trace {
 
 // Stock fleet policies.
 
-// RoundRobinRouting cycles arrivals across the active shards.
-func RoundRobinRouting() FleetRoutingPolicy { return new(fleet.RoundRobin) }
-
 // LeastOutstandingRouting routes to the least-loaded active shard.
 func LeastOutstandingRouting() FleetRoutingPolicy { return fleet.LeastOutstanding{} }
-
-// ModelAffinityRouting pins each model to a shard by rendezvous hashing.
-func ModelAffinityRouting() FleetRoutingPolicy { return fleet.ModelAffinity{} }
 
 // KVAffinityRouting routes prefix-keyed requests to the shard holding the
 // most resident bytes for their prefix root (end-of-epoch snapshots), with
@@ -434,17 +379,11 @@ func ModelAffinityRouting() FleetRoutingPolicy { return fleet.ModelAffinity{} }
 // prefix-enabled system (WithPrefixCache) and a chat-style trace.
 func KVAffinityRouting() FleetRoutingPolicy { return &fleet.KVAffinity{} }
 
-// AcceptAllAdmission admits every arrival.
-func AcceptAllAdmission() FleetAdmissionPolicy { return fleet.AcceptAll{} }
-
 // MaxOutstandingAdmission sheds arrivals past perShard outstanding requests
 // per active shard, recording each in the rejection ledger.
 func MaxOutstandingAdmission(perShard int) FleetAdmissionPolicy {
 	return fleet.MaxOutstanding{PerShard: perShard}
 }
-
-// FixedFleetScale keeps every shard active.
-func FixedFleetScale() FleetAutoscalePolicy { return fleet.FixedFleet{} }
 
 // LoadThresholdScale grows/shrinks the active shard set one shard per epoch
 // around per-shard outstanding-load watermarks (low < high; min bounds the
@@ -464,8 +403,6 @@ type (
 	FaultPlan = faults.Plan
 	// FaultEvent is one typed fault on the fleet timeline.
 	FaultEvent = faults.Event
-	// FaultKind enumerates the fault event types.
-	FaultKind = faults.Kind
 	// FleetRetryPolicy decides the fate of requests pulled off crashed
 	// shards (FleetConfig.Retry).
 	FleetRetryPolicy = fleet.RetryPolicy
@@ -473,32 +410,21 @@ type (
 
 // Fault event kinds.
 const (
-	FaultShardCrash    = faults.ShardCrash
-	FaultShardRecover  = faults.ShardRecover
-	FaultShardDrain    = faults.ShardDrain
-	FaultSlowdown      = faults.Slowdown
-	FaultKVTierDegrade = faults.KVTierDegrade
+	FaultShardCrash   = faults.ShardCrash
+	FaultShardRecover = faults.ShardRecover
+	FaultSlowdown     = faults.Slowdown
 )
-
-// Rejection-ledger reasons the fleet itself emits (FleetRejection.Reason).
-const (
-	RejectionFleetOverload  = fleet.ReasonFleetOverload
-	RejectionRetryExhausted = fleet.ReasonRetryExhausted
-	RejectionNoHealthyShard = fleet.ReasonNoHealthyShard
-)
-
-// FaultPresetNames lists the seeded chaos presets FaultPreset accepts.
-func FaultPresetNames() []string { return faults.PresetNames }
 
 // FaultPreset builds a seeded fault plan ("crash", "rolling-restart",
 // "straggler", "kvdegrade") for a fleet of the given shape — a pure
-// function of its arguments. Unknown names return nil.
-func FaultPreset(name string, shards int, dur sim.Duration, seed int64) *FaultPlan {
-	return faults.Preset(name, shards, dur, seed)
+// function of its arguments. An unknown name is an error listing the
+// valid ones.
+func FaultPreset(name string, shards int, dur sim.Duration, seed int64) (*FaultPlan, error) {
+	if p := faults.Preset(name, shards, dur, seed); p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("unknown fault preset %q (have %s)", name, strings.Join(faults.PresetNames, ", "))
 }
-
-// LoadFaultPlan reads a JSONL fault plan from disk.
-func LoadFaultPlan(path string) (*FaultPlan, error) { return faults.LoadFile(path) }
 
 // SaveFaultPlan writes a fault plan as JSONL.
 func SaveFaultPlan(w io.Writer, p *FaultPlan) error { return faults.Save(w, p) }

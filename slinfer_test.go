@@ -2,7 +2,13 @@ package slinfer
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"slinfer/internal/faults"
+	"slinfer/internal/hwsim"
+	"slinfer/internal/perfmodel"
+	"slinfer/internal/slo"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -144,5 +150,41 @@ func TestCatalogExports(t *testing.T) {
 		if d.Name == "" {
 			t.Error("unnamed dataset export")
 		}
+	}
+}
+
+func TestFaultPresetUnknownNameIsError(t *testing.T) {
+	if p, err := FaultPreset("rolling-restart", 4, 60, 1); err != nil || p == nil {
+		t.Fatalf("known preset: plan=%v err=%v", p, err)
+	}
+	p, err := FaultPreset("rolling-restrat", 4, 60, 1)
+	if err == nil || p != nil {
+		t.Fatalf("typo'd preset: plan=%v err=%v, want an error", p, err)
+	}
+	for _, name := range faults.PresetNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list valid preset %q", err, name)
+		}
+	}
+}
+
+// TestCPUMeetsSLOMatchesProfile pins the facade's CPU gate to the profile
+// it wraps on the heterogeneous example's model x input-length grid.
+func TestCPUMeetsSLOMatchesProfile(t *testing.T) {
+	feasible := 0
+	for _, m := range []Model{Llama32_3B, Llama2_7B, Llama2_13B, CodeLlama34B} {
+		prof := perfmodel.NewProfile(hwsim.XeonGen4, m, 1, 64)
+		for _, l := range []int{256, 1024, 4096, 8192} {
+			want := prof.CanMeet(l, slo.Default(l))
+			if got := CPUMeetsSLO(m, l); got != want {
+				t.Errorf("CPUMeetsSLO(%s, %d) = %v, want %v", m.Name, l, got, want)
+			}
+			if want {
+				feasible++
+			}
+		}
+	}
+	if feasible == 0 || feasible == 16 {
+		t.Fatalf("%d of 16 cells feasible; the grid no longer separates CPU-servable requests", feasible)
 	}
 }

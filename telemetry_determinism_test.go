@@ -14,6 +14,10 @@ func chaosTelemetryRun(t *testing.T, workers int) (timeline, series string) {
 	t.Helper()
 	models := Replicas(Llama2_7B, 8)
 	tr := BurstGPTTrace(models, 2, 2.0, 7)
+	plan, err := FaultPreset("crash", 2, tr.Duration, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	telem := NewTelemetry(TelemetryOptions{Spans: true, Series: true, FlightRing: 128})
 	res := RunFleet(FleetConfig{
 		System:           SLINFER(),
@@ -22,7 +26,7 @@ func chaosTelemetryRun(t *testing.T, workers int) (timeline, series string) {
 		Workers:          workers,
 		Seed:             7,
 		AttachInvariants: true,
-		Faults:           FaultPreset("crash", 2, tr.Duration, 7),
+		Faults:           plan,
 		Telemetry:        telem,
 	}, tr)
 	if !res.Ok() {
