@@ -18,19 +18,28 @@ import (
 // executor's instances, run the iteration whose driving request has the
 // least headroom (Figure 14). ok is false when nothing is runnable.
 //
+// An instance's least headroom is MinDeadline().Sub(now) bit for bit
+// (rounding is monotone), so instances compare on their cached earliest
+// deadline with NextWork's first-strict-minimum rule, and only the winner
+// is scanned for its work.
+//
 //slinfer:hotpath
-func PickMinHeadroom(insts []*engine.Instance, now sim.Time) (best engine.Work, ok bool) {
+func PickMinHeadroom(insts []*engine.Instance, now sim.Time) (engine.Work, bool) {
+	var best *engine.Instance
 	var bestH sim.Duration
 	for _, inst := range insts {
-		w, h, has := inst.NextWork(now)
-		if !has {
+		if !inst.HasWork() {
 			continue
 		}
-		if !ok || h < bestH {
-			best, bestH, ok = w, h, true
+		if h := inst.MinDeadline().Sub(now); best == nil || h < bestH {
+			best, bestH = inst, h
 		}
 	}
-	return best, ok
+	if best == nil {
+		return engine.Work{}, false
+	}
+	w, _, _ := best.NextWork(now)
+	return w, true
 }
 
 // PickFIFO is the ablation alternative: serve instances round-robin-by-order
@@ -296,6 +305,10 @@ type instState struct {
 	minD       sim.Time
 	// rounds counts decode iterations after the new request's prefill.
 	rounds int
+	// cur is the instance's decode-estimate cursor. It outlives the
+	// simulate call: it checks its own profile and brackets, so a slot
+	// reused for another instance stays exact.
+	cur perfmodel.DecodeCursor
 }
 
 // factor is the overestimation multiplier, with a non-positive
@@ -320,15 +333,10 @@ func (v *Validator) RejectsAggregate(insts []*engine.Instance, tpotSLO sim.Durat
 	over := v.factor()
 	var round sim.Duration
 	for _, inst := range insts {
-		batch := len(inst.Running)
-		if batch == 0 {
+		if inst.BatchSize() == 0 {
 			continue
 		}
-		ctx := 0
-		for _, r := range inst.Running {
-			ctx += r.ContextTokens()
-		}
-		round += over * inst.Profile.EstimateDecode(batch, ctx/batch)
+		round += over * inst.EstimateDecode()
 	}
 	if round <= tpotSLO {
 		return false
@@ -352,11 +360,12 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 	var round sim.Duration
 	for i := range proj {
 		s := &st[i]
-		*s = scanInst(proj[i].Reqs)
+		s.batch, s.ctx, s.minD = scanInst(proj[i].Reqs)
+		s.rounds = 0
 		if s.batch == 0 {
 			continue
 		}
-		round += over * proj[i].Profile.EstimateDecode(s.batch, s.ctx/s.batch)
+		round += over * proj[i].Profile.EstimateDecodeAt(&s.cur, s.batch, s.ctx/s.batch)
 	}
 	if round > tpotSLO {
 		return AggregateDecode
@@ -404,7 +413,7 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			start = iv.BlockedUntil
 		}
 		// Run the most urgent request's iteration.
-		ri := mostUrgentReq(*iv, vclock)
+		ri := mostUrgentReq(iv.Reqs, s.minD, vclock)
 		r := &iv.Reqs[ri]
 		if r.NeedsPrefill {
 			end := start.Add(over * iv.Profile.EstimatePrefill(r.InputLen))
@@ -419,7 +428,7 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			r.Ctx++
 			s.batch++
 			s.ctx += r.Ctx
-			s.minD = scanInst(iv.Reqs).minD
+			_, _, s.minD = scanInst(iv.Reqs)
 			if r.IsNew {
 				newPrefilled = true
 			}
@@ -427,7 +436,7 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			continue
 		}
 		// Decode the whole batch of this instance.
-		end := start.Add(over * iv.Profile.EstimateDecode(s.batch, s.ctx/s.batch))
+		end := start.Add(over * iv.Profile.EstimateDecodeAt(&s.cur, s.batch, s.ctx/s.batch))
 		for j := range iv.Reqs {
 			q := &iv.Reqs[j]
 			if !q.NeedsPrefill {
@@ -454,28 +463,31 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 	return OK
 }
 
-// scanInst computes an instance's running state from its request views.
-func scanInst(reqs []ReqView) instState {
-	var s instState
+// scanInst computes an instance's decode batch, summed context and
+// earliest deadline from its request views.
+func scanInst(reqs []ReqView) (batch, ctx int, minD sim.Time) {
 	for i, r := range reqs {
-		if i == 0 || r.Deadline < s.minD {
-			s.minD = r.Deadline
+		if i == 0 || r.Deadline < minD {
+			minD = r.Deadline
 		}
 		if !r.NeedsPrefill {
-			s.batch++
-			s.ctx += r.Ctx
+			batch++
+			ctx += r.Ctx
 		}
 	}
-	return s
+	return batch, ctx, minD
 }
 
-func mostUrgentReq(iv InstView, now sim.Time) int {
-	best, idx := sim.Duration(0), 0
-	for i, r := range iv.Reqs {
-		h := r.Deadline.Sub(now)
-		if i == 0 || h < best {
-			best, idx = h, i
+// mostUrgentReq returns the index of the first request with the least
+// headroom at now, given minD, the earliest deadline among reqs. Rounding
+// is monotone, so that headroom is minD.Sub(now), and the first request
+// whose own headroom equals it is the first strict minimum of a full scan.
+func mostUrgentReq(reqs []ReqView, minD, now sim.Time) int {
+	least := minD.Sub(now)
+	for i, r := range reqs {
+		if r.Deadline.Sub(now) == least {
+			return i
 		}
 	}
-	return idx
+	return 0
 }

@@ -15,7 +15,8 @@ import (
 
 // simulateRef is the validator's step loop as it was before per-instance
 // running state: every step rescans every request for headroom, batch and
-// context. It is the oracle simulate must agree with.
+// context, picks the request to run by a full scan, and estimates decode
+// rounds without a cursor. It is the oracle simulate must agree with.
 func (v *Validator) simulateRef(now, busyUntil sim.Time, proj []InstView, tpotSLO sim.Duration) Reason {
 	over := sim.Duration(v.Overestimate)
 	if over <= 0 {
@@ -78,7 +79,7 @@ func (v *Validator) simulateRef(now, busyUntil sim.Time, proj []InstView, tpotSL
 			start = iv.BlockedUntil
 		}
 		// Run the most urgent request's iteration.
-		ri := mostUrgentReq(*iv, vclock)
+		ri := mostUrgentReqRef(*iv, vclock)
 		r := &iv.Reqs[ri]
 		if r.NeedsPrefill {
 			end := start.Add(over * iv.Profile.EstimatePrefill(r.InputLen))
@@ -143,6 +144,19 @@ func minHeadroom(iv InstView, now sim.Time) sim.Duration {
 		}
 	}
 	return best
+}
+
+// mostUrgentReqRef is mostUrgentReq as a full scan: the first request with
+// the strictly least headroom.
+func mostUrgentReqRef(iv InstView, now sim.Time) int {
+	best, idx := sim.Duration(0), 0
+	for i, r := range iv.Reqs {
+		h := r.Deadline.Sub(now)
+		if i == 0 || h < best {
+			best, idx = h, i
+		}
+	}
+	return idx
 }
 
 // refProfiles spans fast and slow decode: A100 rounds rarely trip case 3,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,17 +32,19 @@ type Controller struct {
 	Collector *metrics.Collector
 	Validator *compute.Validator
 
-	models     map[string]model.Model
-	estimators map[string]*kvcache.Estimator
-	instances  map[string][]*engine.Instance
+	// hosted holds one record per registered model. order lists the same
+	// records in registration order, so every walk over the models (reset
+	// retirement, sampler ticks, AppendLive) is deterministic; ranging the
+	// map would randomize recycling and sample order.
+	hosted map[string]*hostedModel
+	order  []*hostedModel
+	// lastHosted memoizes lookup: one placement attempt resolves the same
+	// model in routing, memory planning and every policy callback.
+	lastHosted *hostedModel
 	// prefix is the tiered prefix-sharing KV store (nil when the feature is
 	// disabled); shared by every instance of this controller, keyed by
 	// (model, token-block chain).
 	prefix *kvcache.TieredStore
-	// modelOrder pins registration order so every walk over the model
-	// tables (reset retirement, sampler ticks) is deterministic; ranging
-	// the maps directly would randomize recycling and sample order.
-	modelOrder []string
 
 	// elasticExecs maps node index to its shared executor (Elastic mode).
 	elasticExecs map[int]*cluster.Executor
@@ -104,11 +107,13 @@ type Controller struct {
 	routeCPU     []*engine.Instance
 	routeGPU     []*engine.Instance
 
-	// Arena recycling (reset): instance and estimator shells retired by the
-	// previous run on this controller. Instances are recycled ONLY at reset —
-	// a mid-run removal may still be referenced by in-flight events.
-	spareInsts []*engine.Instance
-	spareEsts  []*kvcache.Estimator
+	// Arena recycling (reset): instance, estimator and model-record shells
+	// retired by the previous run on this controller. Instances are
+	// recycled ONLY at reset — a mid-run removal may still be referenced by
+	// in-flight events.
+	spareInsts  []*engine.Instance
+	spareEsts   []*kvcache.Estimator
+	spareHosted []*hostedModel
 
 	// host is the policy.Host view policies call back through.
 	//slinfer:resetsafe stable self-reference wired at construction; carries no per-run state
@@ -126,9 +131,7 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		Cluster:      cluster.New(s, nil),
 		Collector:    metrics.NewCollector(),
 		Validator:    &compute.Validator{},
-		models:       map[string]model.Model{},
-		estimators:   map[string]*kvcache.Estimator{},
-		instances:    map[string][]*engine.Instance{},
+		hosted:       map[string]*hostedModel{},
 		elasticExecs: map[int]*cluster.Executor{},
 		instExec:     map[int]*cluster.Executor{},
 		dropEvents:   map[*engine.Request]sim.Event{},
@@ -170,23 +173,23 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	}
 	c.Collector.Reset()
 	c.Validator.Reset(cfg.Overestimate, 3, 600)
-	// Retire the surviving instances (and every model's estimator) into the
-	// spare pools before clearing the tables, walking models in
-	// registration order so the spare pools refill deterministically and
-	// the next run's recycled shells come back in a reproducible order.
-	for _, name := range c.modelOrder {
-		for _, inst := range c.instances[name] {
+	// Retire the surviving instances, every model's estimator and the model
+	// records themselves into the spare pools before clearing the tables,
+	// walking models in registration order so the spare pools refill
+	// deterministically and the next run's recycled shells come back in a
+	// reproducible order.
+	for _, hm := range c.order {
+		for _, inst := range hm.insts {
 			inst.Recycle()
 			c.spareInsts = append(c.spareInsts, inst)
 		}
-		if est := c.estimators[name]; est != nil {
-			c.spareEsts = append(c.spareEsts, est)
-		}
+		c.spareEsts = append(c.spareEsts, hm.est)
+		*hm = hostedModel{insts: clearScratch(hm.insts)}
+		c.spareHosted = append(c.spareHosted, hm)
 	}
-	c.modelOrder = c.modelOrder[:0]
-	clear(c.models)
-	clear(c.estimators)
-	clear(c.instances)
+	c.order = clearScratch(c.order)
+	clear(c.hosted)
+	c.lastHosted = nil
 	clear(c.elasticExecs)
 	clear(c.instExec)
 	clear(c.dropEvents)
@@ -236,6 +239,14 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	if cfg.TokenLevelSched || cfg.Sharing != Elastic {
 		c.pick = compute.PickMinHeadroom
 	}
+	if short := len(models) - len(c.spareHosted); short > 0 {
+		// One slab for the records no retired one covers.
+		slab := make([]hostedModel, short)
+		c.spareHosted = slices.Grow(c.spareHosted, short)
+		for i := range slab {
+			c.spareHosted = append(c.spareHosted, &slab[i])
+		}
+	}
 	for _, m := range models {
 		c.RegisterModel(m)
 	}
@@ -273,13 +284,80 @@ func (c *Controller) takeInstance() *engine.Instance {
 
 // RegisterModel adds a hosted model (at construction via reset, or after
 // it) and records its place in the deterministic walk order;
-// re-registration keeps the original slot.
+// re-registration keeps the original slot and live instances, and starts a
+// fresh estimator and profile cache.
 func (c *Controller) RegisterModel(m model.Model) {
-	if _, known := c.models[m.Name]; !known {
-		c.modelOrder = append(c.modelOrder, m.Name)
+	hm := c.hosted[m.Name]
+	if hm == nil {
+		if n := len(c.spareHosted); n > 0 {
+			hm = c.spareHosted[n-1]
+			c.spareHosted[n-1] = nil
+			c.spareHosted = c.spareHosted[:n-1]
+		} else {
+			hm = &hostedModel{}
+		}
+		c.hosted[m.Name] = hm
+		c.order = append(c.order, hm)
 	}
-	c.models[m.Name] = m
-	c.estimators[m.Name] = c.newEstimator(m)
+	hm.m, hm.est = m, c.newEstimator(m)
+	hm.profiles, hm.nprofiles = [len(hm.profiles)]hostedProfile{}, 0
+}
+
+// hostedModel is one registered model's record: the model, its KV-demand
+// estimator, its live instances in creation order, and the profiles
+// fetched for it so far.
+type hostedModel struct {
+	m     model.Model
+	est   *kvcache.Estimator
+	insts []*engine.Instance
+	// profiles[:nprofiles] caches Registry.Get for m by (class, share), in
+	// fetch order. A model meets few device classes and shares, so a short
+	// scan beats the registry's locked map; a miss once the array is full
+	// just asks the registry. The registry is replaced only in reset, which
+	// re-registers every model, so a cached profile is always the
+	// registry's own.
+	profiles  [4]hostedProfile
+	nprofiles int
+}
+
+type hostedProfile struct {
+	class hwsim.DeviceClass
+	share float64
+	p     *perfmodel.Profile
+}
+
+// lookup returns the record of the model named name, or nil when no such
+// model is registered. Consecutive lookups of one name hash it once.
+func (c *Controller) lookup(name string) *hostedModel {
+	if hm := c.lastHosted; hm != nil && hm.m.Name == name {
+		return hm
+	}
+	hm := c.hosted[name]
+	if hm != nil {
+		c.lastHosted = hm
+	}
+	return hm
+}
+
+// profile returns Registry.Get(class, *m, share), served from m's record
+// when m is registered under its name as is. m is a pointer only to spare
+// the copy.
+func (c *Controller) profile(class hwsim.DeviceClass, m *model.Model, share float64) *perfmodel.Profile {
+	hm := c.lookup(m.Name)
+	if hm == nil || hm.m != *m {
+		return c.Registry.Get(class, *m, share)
+	}
+	for i := range hm.profiles[:hm.nprofiles] {
+		if hp := &hm.profiles[i]; hp.class == class && hp.share == share {
+			return hp.p
+		}
+	}
+	p := c.Registry.Get(class, hm.m, share)
+	if hm.nprofiles < len(hm.profiles) {
+		hm.profiles[hm.nprofiles] = hostedProfile{class: class, share: share, p: p}
+		hm.nprofiles++
+	}
+	return p
 }
 
 // clearScratch wipes a scratch slice's full backing array (dropping any
@@ -372,10 +450,11 @@ func (c *Controller) arrivalsExhausted() bool { return c.arrIdx >= len(c.arrival
 
 // Submit admits one request into the system.
 func (c *Controller) Submit(w workload.Request) {
-	m, ok := c.models[w.ModelName]
-	if !ok {
+	hm := c.lookup(w.ModelName)
+	if hm == nil {
 		panic(fmt.Sprintf("core: unknown model %q", w.ModelName))
 	}
+	m := hm.m
 	if w.InputLen > m.MaxContext {
 		w.InputLen = m.MaxContext
 	}
@@ -419,11 +498,12 @@ func (c *Controller) TryPlace(req *engine.Request) bool { return c.tryPlace(req)
 // tryPlace attempts the full §V placement pipeline. It returns false when
 // the request must queue.
 func (c *Controller) tryPlace(req *engine.Request) bool {
-	m := c.models[req.W.ModelName]
+	hm := c.lookup(req.W.ModelName)
+	m := hm.m
 	placed := false
 	switch {
 	// 1. Existing instances, CPU first, largest batch first (§VIII-B).
-	case c.tryExisting(req, m):
+	case c.tryExisting(req, hm):
 		placed = true
 	// 2. Proactive consolidation: preempt smaller neighbours so an existing
 	//    instance can scale up in place (§VIII-A).
@@ -444,7 +524,7 @@ func (c *Controller) tryPlace(req *engine.Request) bool {
 
 // ensureDecodeInstance guarantees a DecodeOnly instance exists for a model.
 func (c *Controller) ensureDecodeInstance(m model.Model, req *engine.Request) {
-	for _, inst := range c.instances[m.Name] {
+	for _, inst := range c.lookup(m.Name).insts {
 		if inst.Role == engine.DecodeOnly &&
 			(inst.State == engine.Active || inst.State == engine.Loading) {
 			return
@@ -454,8 +534,8 @@ func (c *Controller) ensureDecodeInstance(m model.Model, req *engine.Request) {
 }
 
 // tryExisting routes to a live instance per the reactive bin-packing order.
-func (c *Controller) tryExisting(req *engine.Request, m model.Model) bool {
-	cands := c.routeCandidates(m, wantRole(c.Cfg))
+func (c *Controller) tryExisting(req *engine.Request, hm *hostedModel) bool {
+	cands := c.routeCandidates(hm, wantRole(c.Cfg))
 	for _, inst := range cands {
 		if c.admit(req, inst) {
 			return true
@@ -464,13 +544,13 @@ func (c *Controller) tryExisting(req *engine.Request, m model.Model) bool {
 	return false
 }
 
-// routeCandidates returns live instances of a model in routing order:
-// CPU before GPU (when CPUFirst), then §VIII-B largest-batch-first. The
-// result is backed by the controller's route scratch — valid until the next
-// routeCandidates call, so iterate it, don't keep it.
-func (c *Controller) routeCandidates(m model.Model, role engine.Role) []*engine.Instance {
+// routeCandidates returns live instances of a hosted model in routing
+// order: CPU before GPU (when CPUFirst), then §VIII-B largest-batch-first.
+// The result is backed by the controller's route scratch — valid until the
+// next routeCandidates call, so iterate it, don't keep it.
+func (c *Controller) routeCandidates(hm *hostedModel, role engine.Role) []*engine.Instance {
 	cpu, gpu := c.routeCPU[:0], c.routeGPU[:0]
-	for _, inst := range c.instances[m.Name] {
+	for _, inst := range hm.insts {
 		if inst.Role != role {
 			continue
 		}
@@ -676,12 +756,14 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 		delete(c.dropEvents, req)
 	}
 	c.pending = removeRequest(c.pending, req)
-	inst.Admit(req)
-	c.emit(telemetry.KindPlace, req, inst, 0, 0)
 	if inst.State == engine.Loading {
-		// Cold-start grace equal to the load duration (§IX-A).
+		// Cold-start grace equal to the load duration (§IX-A). It moves
+		// the request's deadlines, so it lands before Admit, which resets
+		// the instance's cached earliest deadline.
 		req.Tracker.AddGrace(c.specOf(inst).LoadTime(inst.Model))
 	}
+	inst.Admit(req)
+	c.emit(telemetry.KindPlace, req, inst, 0, 0)
 	c.cancelKeepAlive(inst)
 	inst.LastActiveAt = c.Sim.Now()
 	if ex := c.instExec[inst.ID]; ex != nil {
@@ -753,10 +835,14 @@ func (c *Controller) specOf(inst *engine.Instance) hwsim.NodeSpec {
 	return c.Cluster.Nodes[inst.NodeIdxs[0]].Spec
 }
 
-// instancesOf returns the live instances of a model (exported for tests and
-// experiments).
+// InstancesOf returns a copy of the live instances of the model named name
+// (for tests and experiments).
 func (c *Controller) InstancesOf(name string) []*engine.Instance {
-	return append([]*engine.Instance(nil), c.instances[name]...)
+	var insts []*engine.Instance
+	if hm := c.lookup(name); hm != nil {
+		insts = append(insts, hm.insts...)
+	}
+	return insts
 }
 
 // PendingCount returns the queued-request count.
@@ -769,8 +855,8 @@ func (c *Controller) PendingCount() int { return len(c.pending) }
 // shard's live set through it.
 func (c *Controller) AppendLive(dst []*engine.Request) []*engine.Request {
 	dst = append(dst, c.pending...)
-	for _, name := range c.modelOrder {
-		for _, inst := range c.instances[name] {
+	for _, hm := range c.order {
+		for _, inst := range hm.insts {
 			dst = append(dst, inst.WaitingPrefill...)
 			dst = append(dst, inst.Running...)
 		}

@@ -27,7 +27,7 @@ func TestResetRetiresInRegistrationOrder(t *testing.T) {
 	// identify the shells afterwards.
 	caches := []*kvcache.Cache{new(kvcache.Cache), new(kvcache.Cache), new(kvcache.Cache)}
 	for i, name := range []string{model.Llama2_13B.Name, model.Llama32_3B.Name, model.Llama2_7B.Name} {
-		c.instances[name] = []*engine.Instance{{ID: 100 + i, Cache: caches[i]}}
+		c.hosted[name].insts = []*engine.Instance{{ID: 100 + i, Cache: caches[i]}}
 	}
 	c.reset(specs, models, SLINFER())
 
@@ -40,12 +40,12 @@ func TestResetRetiresInRegistrationOrder(t *testing.T) {
 			t.Fatalf("spareInsts[%d] is the wrong shell (retirement must follow registration order)", i)
 		}
 	}
-	if len(c.modelOrder) != len(models) {
-		t.Fatalf("modelOrder has %d entries after reset, want %d", len(c.modelOrder), len(models))
+	if len(c.order) != len(models) {
+		t.Fatalf("order has %d entries after reset, want %d", len(c.order), len(models))
 	}
 	for i, m := range models {
-		if c.modelOrder[i] != m.Name {
-			t.Fatalf("modelOrder[%d] = %q, want %q", i, c.modelOrder[i], m.Name)
+		if c.order[i].m.Name != m.Name {
+			t.Fatalf("order[%d] = %q, want %q", i, c.order[i].m.Name, m.Name)
 		}
 	}
 }

@@ -34,7 +34,11 @@ func (h hostView) RouteCandidates(m model.Model) []*engine.Instance {
 	// Copy out of the controller's route scratch: policies route recursively
 	// (preemption dry-runs rehoming candidates while iterating growers), so
 	// they cannot share the scratch the internal admission path reuses.
-	return append([]*engine.Instance(nil), h.c.routeCandidates(m, wantRole(h.c.Cfg))...)
+	hm := h.c.lookup(m.Name)
+	if hm == nil {
+		return nil
+	}
+	return append([]*engine.Instance(nil), h.c.routeCandidates(hm, wantRole(h.c.Cfg))...)
 }
 
 func (h hostView) ExecutorOf(inst *engine.Instance) *cluster.Executor {
@@ -57,10 +61,15 @@ func (h hostView) SharedExecutor(nodeIdx int) *cluster.Executor {
 
 func (h hostView) WireExecutor(ex *cluster.Executor) { h.c.wireExecutor(ex) }
 
-func (h hostView) Model(name string) model.Model { return h.c.models[name] }
+func (h hostView) Model(name string) model.Model {
+	if hm := h.c.lookup(name); hm != nil {
+		return hm.m
+	}
+	return model.Model{}
+}
 
 func (h hostView) Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile {
-	return h.c.Registry.Get(class, m, share)
+	return h.c.profile(class, &m, share)
 }
 
 func (h hostView) FixedLimit(m model.Model, class hwsim.DeviceClass, share float64) (int, bool) {

@@ -92,8 +92,7 @@ func (c *Controller) onIterationDone(ex *cluster.Executor, w engine.Work, dur si
 //
 //slinfer:hotpath
 func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance) {
-	est := c.estimators[req.W.ModelName]
-	est.Observe(req.W.OutputLen)
+	c.lookup(req.W.ModelName).est.Observe(req.W.OutputLen)
 	if c.prefix != nil && req.W.PrefixKey != "" {
 		// A completion demotes its context into the tiered store instead of
 		// dropping it: the full prompt+response becomes the shareable prefix
@@ -136,7 +135,7 @@ func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance) (mem
 	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) {
 		return memPlan{}, inst.Cache.FitsTokens(needTokens)
 	}
-	est := c.estimators[inst.Model.Name]
+	est := c.lookup(inst.Model.Name).est
 	states := append(inst.AppendKVReqStates(c.kvStateScratch[:0]),
 		kvcache.ReqState{InputLen: req.W.InputLen})
 	c.kvStateScratch = states[:0]
@@ -268,7 +267,7 @@ func (c *Controller) recheckKV(inst *engine.Instance) {
 	if inst.State != engine.Active {
 		return
 	}
-	est := c.estimators[inst.Model.Name]
+	est := c.lookup(inst.Model.Name).est
 	states := inst.AppendKVReqStates(c.kvStateScratch[:0])
 	c.kvStateScratch = states[:0]
 	require := est.RequireBytes(inst.Model, states, len(inst.NodeIdxs))
@@ -341,8 +340,8 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 // tryPlaceAvoiding is tryPlace minus the originating instance and minus
 // recursion into preemption (avoids ping-pong).
 func (c *Controller) tryPlaceAvoiding(req *engine.Request, avoid *engine.Instance) bool {
-	m := c.models[req.W.ModelName]
-	for _, inst := range c.routeCandidates(m, wantRole(c.Cfg)) {
+	hm := c.lookup(req.W.ModelName)
+	for _, inst := range c.routeCandidates(hm, wantRole(c.Cfg)) {
 		if inst == avoid {
 			continue
 		}
@@ -350,7 +349,7 @@ func (c *Controller) tryPlaceAvoiding(req *engine.Request, avoid *engine.Instanc
 			return true
 		}
 	}
-	return c.Cfg.Placement.PlaceNew(c.host, req, m)
+	return c.Cfg.Placement.PlaceNew(c.host, req, hm.m)
 }
 
 // ---- Instance lifecycle ------------------------------------------------------
@@ -367,7 +366,7 @@ func (c *Controller) isStaticInstance(inst *engine.Instance) bool {
 func (c *Controller) creationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {
 	weights := m.WeightBytes() + hwsim.ActivationReserve
 	if c.Cfg.DynamicMemory {
-		est := c.estimators[m.Name]
+		est := c.lookup(m.Name).est
 		kv := c.Cfg.Watermark.Recommend(est.RequireBytes(m,
 			[]kvcache.ReqState{{InputLen: req.W.InputLen}}, 1))
 		return weights + kv
@@ -395,7 +394,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		inst.Cache.Reset(m, len(nodes))
 	}
 	inst.ID, inst.Model, inst.Class, inst.Share = c.nextInstID, m, nodes[0].Spec.Class, share
-	inst.Profile = c.Registry.Get(nodes[0].Spec.Class, m, share*orOne(nodes[0].SpeedFactor))
+	inst.Profile = c.profile(nodes[0].Spec.Class, &m, share*orOne(nodes[0].SpeedFactor))
 	inst.State = engine.Loading
 	inst.Role = wantRole(c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
@@ -410,7 +409,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	dynamicKV := c.Cfg.DynamicMemory && len(nodes) == 1
 	var kvInit int64
 	if dynamicKV {
-		est := c.estimators[m.Name]
+		est := c.lookup(m.Name).est
 		states := c.kvStateScratch[:0]
 		if first != nil {
 			states = append(states, kvcache.ReqState{InputLen: first.W.InputLen})
@@ -479,7 +478,8 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		}
 		c.Collector.NodeActive(n.Idx, n.Kind(), c.Sim.Now())
 	}
-	c.instances[m.Name] = append(c.instances[m.Name], inst)
+	hm := c.lookup(m.Name)
+	hm.insts = append(hm.insts, inst)
 	c.Collector.ColdStarts++
 	c.emit(telemetry.KindInstanceUp, nil, inst, 0, 0)
 	if dynamicKV && kvInit > 0 {
@@ -560,10 +560,10 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 		delete(c.instExec, inst.ID)
 	}
 	// Drop from the live set.
-	list := c.instances[inst.Model.Name]
-	for i, x := range list {
+	hm := c.lookup(inst.Model.Name)
+	for i, x := range hm.insts {
 		if x == inst {
-			c.instances[inst.Model.Name] = append(list[:i], list[i+1:]...)
+			hm.insts = append(hm.insts[:i], hm.insts[i+1:]...)
 			break
 		}
 	}
@@ -639,7 +639,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 	if req.State != engine.Transferring {
 		return
 	}
-	m := c.models[req.W.ModelName]
+	m := c.lookup(req.W.ModelName).m
 	// Join the largest decode instance that fits; else create one. A
 	// decode instance still loading grants the request a cold-start grace
 	// window (§IX-A) and is joined once up.
@@ -685,7 +685,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 
 func (c *Controller) decodeCandidates(m model.Model) []*engine.Instance {
 	var out []*engine.Instance
-	for _, inst := range c.instances[m.Name] {
+	for _, inst := range c.lookup(m.Name).insts {
 		if inst.Role == engine.DecodeOnly {
 			out = append(out, inst)
 		}
@@ -702,7 +702,7 @@ func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *e
 				continue
 			}
 			if c.Cfg.ShadowValidation {
-				prof := c.Registry.Get(n.Spec.Class, m,
+				prof := c.profile(n.Spec.Class, &m,
 					c.Cfg.Placement.Share(m, n.Spec.Class)*orOne(n.SpeedFactor))
 				if !prof.CanMeet(req.W.InputLen, req.Obj) {
 					continue
@@ -759,8 +759,8 @@ func (c *Controller) samplerTick() {
 	}
 	// Walk models in registration order: samples land in the collector in
 	// iteration order, so ranging the map would shuffle them run-to-run.
-	for _, name := range c.modelOrder {
-		for _, inst := range c.instances[name] {
+	for _, hm := range c.order {
+		for _, inst := range hm.insts {
 			if inst.State != engine.Active {
 				continue
 			}
@@ -804,8 +804,8 @@ func (c *Controller) workloadDrained() bool {
 	if c.Collector.Completed+c.Collector.Dropped < c.Collector.Total {
 		return false
 	}
-	for _, list := range c.instances {
-		if len(list) > 0 {
+	for _, hm := range c.order {
+		if len(hm.insts) > 0 {
 			return false
 		}
 	}

@@ -41,7 +41,7 @@ func saturated(t *testing.T, until sim.Time) (*Controller, *engine.Request) {
 // the shadow validation it runs reuses the validator's scratch.
 func TestScaleOutProbeDoesNotAllocate(t *testing.T) {
 	c, req := saturated(t, 60)
-	m := c.models[req.W.ModelName]
+	m := c.lookup(req.W.ModelName).m
 	if c.Cfg.Placement.PlaceNew(c.host, req, m) {
 		t.Fatal("precondition: a saturated 1+1 testbed should have no node for a new instance")
 	}
@@ -61,7 +61,7 @@ func TestScaleOutProbeDoesNotAllocate(t *testing.T) {
 // Validate rejects as AggregateDecode, and move the counters identically.
 func TestAggregatePreCheckMatchesValidate(t *testing.T) {
 	c, req := saturated(t, 60)
-	m := c.models[req.W.ModelName]
+	m := c.lookup(req.W.ModelName).m
 	tpot := req.Obj.TPOT
 	seen := map[compute.Reason]int{}
 	for _, until := range []sim.Time{60, 90, 120} {

@@ -51,8 +51,8 @@ func (c *Controller) SetSlowdown(factor float64) {
 // (cheap controller state for fleet snapshots).
 func (c *Controller) InstanceCount() int {
 	n := 0
-	for _, list := range c.instances {
-		n += len(list)
+	for _, hm := range c.order {
+		n += len(hm.insts)
 	}
 	return n
 }

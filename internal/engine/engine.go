@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
@@ -167,12 +168,18 @@ type Instance struct {
 	// WaitingPrefill holds admitted requests awaiting their prefill
 	// iteration, in admission order.
 	WaitingPrefill []*Request
-	// Running is the continuous batch in decode.
+	// Running is the continuous batch in decode. Change either queue, or a
+	// member's Generated or deadlines, only through the methods below:
+	// they keep TotalContextTokens and MinDeadline current.
 	Running []*Request
 
 	// ResizeInFlight marks a KV resize in progress; iterations are blocked
 	// until it completes (this is the scaling overhead of §IX-I5).
 	ResizeInFlight bool
+	// minDOK and decodeOK mark minD and decodeEst current. They sit in the
+	// padding after ResizeInFlight, which keeps an Instance in the same
+	// 384-byte allocation size class as before the cached facts.
+	minDOK, decodeOK bool
 	// KVTarget is the allocation size the latest admitted resize moves to.
 	KVTarget int64
 	// ResizeDoneAt is when the in-flight resize lands. Scale-out validation
@@ -197,6 +204,17 @@ type Instance struct {
 	kvOwner, weightsOwner string
 	// finishedScratch backs CompleteDecode's result across iterations.
 	finishedScratch []*Request
+
+	// ctxSum is the summed context of Running, kept by every mutator that
+	// changes Running or a member's Generated (TotalContextTokens).
+	ctxSum int
+	// minD caches the earliest next-token deadline over WaitingPrefill and
+	// Running; every mutator that touches either queue or a member's
+	// tracker clears minDOK (MinDeadline).
+	minD sim.Time
+	// decodeEst caches EstimateDecode; every mutator that changes ctxSum
+	// or the batch size clears decodeOK.
+	decodeEst sim.Duration
 }
 
 // Recycle strips a retired instance back to an empty shell for reuse: every
@@ -249,13 +267,42 @@ func (i *Instance) BatchSize() int { return len(i.Running) }
 // ordering key.
 func (i *Instance) TotalLoad() int { return len(i.Running) + len(i.WaitingPrefill) }
 
-// TotalContextTokens returns the summed context of the running batch.
-func (i *Instance) TotalContextTokens() int {
-	n := 0
-	for _, r := range i.Running {
-		n += r.ContextTokens()
+// TotalContextTokens returns the summed context of the running batch. The
+// sum is kept current by the mutators, so reading it is O(1).
+func (i *Instance) TotalContextTokens() int { return i.ctxSum }
+
+// MinDeadline returns the earliest next-token deadline over the prefill
+// queue and the decode batch (+Inf when both are empty). It is recomputed
+// only after a mutator has invalidated it. Headroom is fl(deadline - now),
+// which is monotone in the deadline, so MinDeadline().Sub(now) is bit for
+// bit the least headroom NextWork finds.
+//
+//slinfer:hotpath
+func (i *Instance) MinDeadline() sim.Time {
+	if !i.minDOK {
+		d := sim.Time(math.Inf(1))
+		for _, r := range i.WaitingPrefill {
+			d = min(d, r.Tracker.NextDeadline())
+		}
+		for _, r := range i.Running {
+			d = min(d, r.Tracker.NextDeadline())
+		}
+		i.minD, i.minDOK = d, true
 	}
-	return n
+	return i.minD
+}
+
+// EstimateDecode returns Profile.EstimateDecode for one decode iteration of
+// the running batch, which must not be empty, at its size and average
+// context. The estimate is a pure function of the profile (fixed for the
+// instance's life), the batch size and the summed context, so it is
+// computed once per change of either.
+func (i *Instance) EstimateDecode() sim.Duration {
+	if !i.decodeOK {
+		batch := len(i.Running)
+		i.decodeEst, i.decodeOK = i.Profile.EstimateDecode(batch, i.ctxSum/batch), true
+	}
+	return i.decodeEst
 }
 
 // HasWork reports whether the instance has an iteration to run.
@@ -352,6 +399,7 @@ func (i *Instance) Admit(r *Request) {
 	r.State = WaitingPrefill
 	r.Inst = i
 	i.WaitingPrefill = append(i.WaitingPrefill, r)
+	i.minDOK = false
 }
 
 // RemoveWaiting removes a request from the prefill queue (migration/drop).
@@ -359,6 +407,7 @@ func (i *Instance) RemoveWaiting(r *Request) bool {
 	for k, x := range i.WaitingPrefill {
 		if x == r {
 			i.WaitingPrefill = append(i.WaitingPrefill[:k], i.WaitingPrefill[k+1:]...)
+			i.minDOK = false
 			return true
 		}
 	}
@@ -372,6 +421,8 @@ func (i *Instance) RemoveRunning(r *Request) bool {
 		if x == r {
 			i.Running = append(i.Running[:k], i.Running[k+1:]...)
 			i.Cache.ReleaseTokens(int64(r.ContextTokens()))
+			i.ctxSum -= r.ContextTokens()
+			i.minDOK, i.decodeOK = false, false
 			return true
 		}
 	}
@@ -395,6 +446,7 @@ func (i *Instance) CompletePrefill(r *Request, now sim.Time) bool {
 	i.RemoveWaiting(r)
 	r.Generated++
 	r.Tracker.RecordToken(now)
+	i.minDOK = false
 	if r.Finished() || i.Role == PrefillOnly {
 		// Single-token outputs complete at prefill; PD prefill instances
 		// hand off without joining a batch.
@@ -409,6 +461,8 @@ func (i *Instance) CompletePrefill(r *Request, now sim.Time) bool {
 	}
 	r.State = Decoding
 	i.Running = append(i.Running, r)
+	i.ctxSum += r.ContextTokens()
+	i.decodeOK = false
 	return true
 }
 
@@ -421,6 +475,8 @@ func (i *Instance) JoinDecode(r *Request) bool {
 	r.State = Decoding
 	r.Inst = i
 	i.Running = append(i.Running, r)
+	i.ctxSum += r.ContextTokens()
+	i.minDOK, i.decodeOK = false, false
 	return true
 }
 
@@ -443,6 +499,8 @@ func (i *Instance) CompleteDecode(now sim.Time) (finished []*Request, underestim
 	}
 	finished = i.finishedScratch[:0]
 	keep := i.Running[:0]
+	i.ctxSum += len(i.Running)
+	i.minDOK, i.decodeOK = false, false
 	for _, r := range i.Running {
 		r.Generated++
 		r.Tracker.RecordToken(now)
@@ -450,6 +508,7 @@ func (i *Instance) CompleteDecode(now sim.Time) (finished []*Request, underestim
 			r.State = Done
 			r.Inst = nil
 			i.Cache.ReleaseTokens(int64(r.ContextTokens()))
+			i.ctxSum -= r.ContextTokens()
 			finished = append(finished, r)
 		} else {
 			keep = append(keep, r)

@@ -18,7 +18,9 @@
 //     cache's over-release counter, read on every completion, at instance
 //     removal, and at end of run for instances still live), and on every
 //     completion the cache's live token count equals the sum of the
-//     running batch's context tokens.
+//     running batch's context tokens. On every completion and at instance
+//     removal, the running context the engine keeps incrementally equals
+//     that sum too.
 //   - Tiered prefix-store conservation: after every store call — the
 //     controller's Lookup at submission and Insert at completion, both
 //     right before the probe fires — allocated bytes equal GPU-resident
@@ -453,15 +455,29 @@ func (s *Suite) RequestCompleted(req *engine.Request, inst *engine.Instance) {
 // cache's live tokens equal the running batch's summed context.
 func (s *Suite) checkInstanceKV(inst *engine.Instance) {
 	s.checkKVRelease(inst)
-	var want int64
-	for _, r := range inst.Running {
-		want += int64(r.ContextTokens())
-	}
+	want := s.checkRunningContext(inst)
 	if got := inst.Cache.UsedTokens(); got != want {
 		s.report("kv-accounting",
 			"inst%d: cache holds %d tokens but running batch accounts %d",
 			inst.ID, got, want)
 	}
+}
+
+// checkRunningContext verifies the running context the engine keeps
+// incrementally (Instance.TotalContextTokens) against a recount of the
+// decode batch, and returns the recount. A mutator that changes the batch
+// or a member's generated tokens without updating the sum trips it.
+func (s *Suite) checkRunningContext(inst *engine.Instance) int64 {
+	var want int64
+	for _, r := range inst.Running {
+		want += int64(r.ContextTokens())
+	}
+	if got := int64(inst.TotalContextTokens()); got != want {
+		s.report("kv-accounting",
+			"inst%d: running context kept at %d tokens but the batch sums to %d",
+			inst.ID, got, want)
+	}
+	return want
 }
 
 // RequestDropped implements core.Probe.
@@ -502,6 +518,7 @@ func (s *Suite) InstanceRemoved(inst *engine.Instance) {
 		s.report("kv-accounting",
 			"inst%d unloading with %d live KV tokens", inst.ID, got)
 	}
+	s.checkRunningContext(inst)
 	s.checkKVRelease(inst)
 	delete(s.kv, inst)
 }

@@ -188,6 +188,43 @@ func TestKVOverReleaseCaught(t *testing.T) {
 	}
 }
 
+// TestRunningContextDriftCaught emulates a mutator that drops a request
+// from the decode batch and releases its KV but forgets the instance's
+// running-context sum. The next check point, a completion on the instance
+// or its removal, must report the drift, and nothing else.
+func TestRunningContextDriftCaught(t *testing.T) {
+	for _, at := range []string{"completion", "removal"} {
+		t.Run(at, func(t *testing.T) {
+			suite := New(sim.New())
+			inst := &engine.Instance{ID: 7, Model: model.Llama2_7B, Cache: kvcache.NewCache(model.Llama2_7B, 1)}
+			suite.InstanceCreated(inst)
+			inst.Cache.SetCapacity(1 << 30)
+			r := engine.NewRequest(workload.Request{ID: 1, ModelName: "m", InputLen: 100, OutputLen: 10})
+			r.Generated = 1
+			if !inst.JoinDecode(r) {
+				t.Fatal("request did not fit")
+			}
+			inst.Cache.ReleaseTokens(int64(r.ContextTokens()))
+			inst.Running = inst.Running[:0]
+			switch at {
+			case "completion":
+				done := engine.NewRequest(workload.Request{ID: 2, ModelName: "m", InputLen: 10, OutputLen: 1})
+				suite.RequestSubmitted(done)
+				done.State, done.Generated = engine.Done, 1
+				done.Tracker.RecordToken(0.1)
+				suite.RequestCompleted(done, inst)
+			case "removal":
+				suite.InstanceRemoved(inst)
+			}
+			vs := suite.Violations()
+			if len(vs) != 1 || vs[0].Check != "kv-accounting" ||
+				!strings.Contains(vs[0].Detail, "running context kept at 101 tokens but the batch sums to 0") {
+				t.Fatalf("want exactly the running-context drift, got %v", vs)
+			}
+		})
+	}
+}
+
 // runChatWithSuite replays a multi-turn chat trace through SLINFER with a
 // deliberately tight prefix store, so blocks churn between tiers, and the
 // full suite attached. rec, if set, records telemetry. sabotage, if set,

@@ -11,6 +11,7 @@
 package perfmodel
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -96,22 +97,102 @@ func (p *Profile) EstimatePrefill(length int) sim.Duration {
 // EstimateDecode returns the interpolated duration of one decode iteration
 // for the given batch size and average per-sequence token length.
 func (p *Profile) EstimateDecode(batch, avgLen int) sim.Duration {
+	batch, avgLen = clampDecode(batch, avgLen)
+	bi0, bi1, bw := bracket(p.batchSamples, batch)
+	li0, li1, lw := bracket(p.lenSamples, avgLen)
+	return p.bilinear(bi0, bi1, bw, li0, li1, lw)
+}
+
+// clampDecode raises a decode query onto the grid's floor.
+func clampDecode(batch, avgLen int) (int, int) {
 	if batch < 1 {
 		batch = 1
 	}
 	if avgLen < minLenSample {
 		avgLen = minLenSample
 	}
-	// Bilinear: interpolate along length within the two bracketing batch
-	// rows, then along batch. Both rows share the length bracket.
-	bi0, bi1, bw := bracket(p.batchSamples, batch)
-	li0, li1, lw := bracket(p.lenSamples, avgLen)
+	return batch, avgLen
+}
+
+// bilinear interpolates along length within the two bracketing batch rows,
+// then along batch. Both rows share the length bracket.
+func (p *Profile) bilinear(bi0, bi1 int, bw float64, li0, li1 int, lw float64) sim.Duration {
 	v0 := lerp(p.tpot[bi0], li0, li1, lw)
 	if bi0 == bi1 {
 		return v0
 	}
 	v1 := lerp(p.tpot[bi1], li0, li1, lw)
 	return v0 + sim.Duration(bw)*(v1-v0)
+}
+
+// DecodeCursor remembers the brackets of a profile's last decode query, so
+// a caller whose queries move slowly — a decode batch whose average length
+// grows by about one token per round, and whose size changes only when a
+// request joins or leaves — skips the bracket search. Its zero value is
+// ready to use, with any profile.
+type DecodeCursor struct {
+	p *Profile
+	// batch is the (clamped) batch size bi0, bi1 and bw were found for.
+	batch    int
+	bi0, bi1 int
+	bw       float64
+	// [lo, hi] is the range of (clamped) lengths for which bracket over
+	// p.lenSamples returns the index pair (li0, li1).
+	lo, hi   int
+	li0, li1 int
+}
+
+// EstimateDecodeAt is EstimateDecode through cur. It keeps cur's batch
+// bracket while the batch size holds and its length bracket while avgLen
+// stays in the range that bracket maps to the same index pair, recomputes
+// the length weight with bracket's own expression, and interpolates with
+// the same code, so every result is bit-identical to EstimateDecode's.
+func (p *Profile) EstimateDecodeAt(cur *DecodeCursor, batch, avgLen int) sim.Duration {
+	batch, avgLen = clampDecode(batch, avgLen)
+	if cur.p != p {
+		*cur = DecodeCursor{p: p, batch: -1, lo: 1, hi: 0}
+	}
+	if batch != cur.batch {
+		cur.bi0, cur.bi1, cur.bw = bracket(p.batchSamples, batch)
+		cur.batch = batch
+	}
+	if avgLen < cur.lo || avgLen > cur.hi {
+		cur.li0, cur.li1, cur.lo, cur.hi = bracketRange(p.lenSamples, avgLen)
+	}
+	var lw float64
+	if cur.li0 != cur.li1 {
+		xs := p.lenSamples
+		lw = float64(avgLen-xs[cur.li0]) / float64(xs[cur.li1]-xs[cur.li0])
+	}
+	return p.bilinear(cur.bi0, cur.bi1, cur.bw, cur.li0, cur.li1, lw)
+}
+
+// bracketRange returns bracket's index pair for x over strictly ascending
+// xs, plus the widest range [lo, hi] around x on which bracket returns that
+// same pair. Per bracket branch:
+//
+//   - single sample, or below the grid (x <= xs[0]): (0, 0), on
+//     [MinInt, xs[0]], or every int for a single sample;
+//   - an exact interior sample xs[j] (0 < j < n-1): (j, j), on [xs[j], xs[j]];
+//   - interior, xs[j-1] < x < xs[j]: (j-1, j), on [xs[j-1]+1, xs[j]-1];
+//   - extrapolation above the grid (x >= xs[n-1]): (n-2, n-1), on
+//     [xs[n-1], MaxInt]; the last sample itself takes this branch, with
+//     weight 1.
+func bracketRange(xs []int, x int) (i0, i1, lo, hi int) {
+	n := len(xs)
+	i0, i1, _ = bracket(xs, x)
+	switch {
+	case n == 1:
+		return 0, 0, math.MinInt, math.MaxInt
+	case i1 == 0:
+		return 0, 0, math.MinInt, xs[0]
+	case i1 == n-1 && x >= xs[n-1]:
+		return i0, i1, xs[n-1], math.MaxInt
+	case i0 == i1:
+		return i0, i1, xs[i0], xs[i0]
+	default:
+		return i0, i1, xs[i0] + 1, xs[i1] - 1
+	}
 }
 
 // interp1 linearly interpolates ys over xs at x, extrapolating beyond the

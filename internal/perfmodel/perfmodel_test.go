@@ -211,3 +211,48 @@ func TestBracketMatchesBinarySearch(t *testing.T) {
 		}
 	}
 }
+
+// EstimateDecodeAt must return EstimateDecode's exact bits for every
+// catalog device class and model: walking every length up and then down
+// (the cursor's steady case, one token per round), changing the batch
+// between walks, and jumping at random across profiles with one cursor.
+// The 24-batch grid ends in a clamped sample; the 3000-token model's
+// length grid does too.
+func TestDecodeCursorMatchesEstimateDecode(t *testing.T) {
+	const maxBatch = 24
+	short := model.Llama2_7B
+	short.MaxContext = 3000
+	var profs []*Profile
+	for _, class := range []hwsim.DeviceClass{hwsim.XeonGen4, hwsim.XeonGen3, hwsim.A100} {
+		for _, m := range append(model.Catalog(), short) {
+			profs = append(profs, NewProfile(class, m, 1, maxBatch))
+		}
+	}
+	check := func(p *Profile, cur *DecodeCursor, batch, avgLen int) {
+		if got, want := p.EstimateDecodeAt(cur, batch, avgLen), p.EstimateDecode(batch, avgLen); got != want {
+			t.Fatalf("%v %s batch %d len %d: cursor %v, EstimateDecode %v",
+				p.Class, p.Model.Name, batch, avgLen, got, want)
+		}
+	}
+	for _, p := range profs {
+		var cur DecodeCursor
+		top := p.Model.MaxContext + 300
+		for batch := 0; batch <= maxBatch+8; batch++ {
+			if batch%2 == 0 {
+				for l := 0; l <= top; l++ {
+					check(p, &cur, batch, l)
+				}
+			} else {
+				for l := top; l >= 0; l-- {
+					check(p, &cur, batch, l)
+				}
+			}
+		}
+	}
+	rng := sim.NewRNG(5, 8)
+	var cur DecodeCursor
+	for i := 0; i < 20000; i++ {
+		p := profs[rng.IntN(len(profs))]
+		check(p, &cur, rng.IntN(maxBatch+9), rng.IntN(p.Model.MaxContext+301))
+	}
+}
