@@ -1,16 +1,18 @@
-// Prefix-aware tiered KV cache (ROADMAP open item #1). Completed requests
-// demote their KV blocks into a shared two-tier pool (GPU-resident, then
-// host-spill) instead of dropping them; admission looks the new request's
-// prefix up by token-block hash chain and charges prefill only for the
-// uncached suffix plus a PCIe promotion cost for host-resident blocks.
+// Prefix-aware tiered KV cache. Completed requests demote their KV blocks
+// into a shared two-tier pool (GPU-resident, then host-spill) instead of
+// dropping them; admission looks the new request's prefix up and charges
+// prefill only for the uncached suffix plus a PCIe promotion cost for
+// host-resident blocks.
 //
-// The index is a radix chain over token blocks, not tokens: block i of a
-// request mixes the previous block's hash, the hash of the owning PrefixKey
-// segment, and the block index, so two requests share exactly the leading
-// blocks whose key segments and positions agree. PrefixKeys are
-// hierarchical — "tpl3@512/sess17" pins the first 512 tokens to template 3
-// (shared across every session using it) and the remainder to session 17
-// (shared across that conversation's turns).
+// Sharing is per token block, and the index is per key segment: block i of
+// a request belongs to the PrefixKey segment owning its first token, and
+// two requests share exactly the leading blocks whose owners and positions
+// agree. PrefixKeys are hierarchical — "tpl3@512/sess17" pins the first
+// 512 tokens to template 3 (shared across every session using it) and the
+// remainder to session 17 (shared across that conversation's turns). Each
+// owner segment of a model's chain is one index node, and the node's
+// resident blocks are extents: runs of positions that sit together in one
+// tier's LRU list.
 package kvcache
 
 import "slinfer/internal/sim"
@@ -52,8 +54,9 @@ type TieredConfig struct {
 	Enabled bool
 	// GPUBytes caps the GPU-resident tier.
 	GPUBytes int64
-	// CPUBytes caps the host spill tier; zero means spilled blocks are
-	// freed immediately (no second tier).
+	// CPUBytes caps the host spill tier. Zero means the default, four
+	// times GPUBytes; a negative value drops the host tier, so spilled
+	// blocks are freed immediately.
 	CPUBytes int64
 	// BlockTokens is the sharing granularity (default DefaultBlockTokens).
 	BlockTokens int
@@ -132,61 +135,106 @@ const (
 	tierCPU = int8(1)
 )
 
-// tierBlock is one resident token block. Blocks live in the hash index and
-// on exactly one tier's intrusive LRU list; evicted blocks recycle through
-// the store's free list.
-type tierBlock struct {
-	hash       uint64
-	bytes      int64
-	tier       int8
-	root       int32 // interned leading PrefixKey segment, for residency accounting
-	prev, next *tierBlock
+// segNode is one owner segment of one model's chain, e.g. "tpl3@512" or
+// "tpl3@512/sess17" under it. Its resident blocks are its extents, kept in
+// a list sorted by position; an indexed node always has at least one.
+type segNode struct {
+	key  uint64
+	root int32 // interned leading PrefixKey segment, for residency accounting
+	ext  *extent
+	free *segNode // free-list link
 }
 
-// tierList is an intrusive doubly-linked LRU list: front is most recently
-// used, eviction candidates come off the back.
+// extent is the positions [lo, hi) of one node in one tier, hi-lo blocks of
+// bytes each. Its blocks sit next to each other in the tier's LRU list, and
+// recency rises with position: lo is the least recent.
+type extent struct {
+	node       *segNode
+	lo, hi     int32
+	bytes      int64 // per block
+	tier       int8
+	prev, next *extent // tier list; prev is toward the front; next links the free list
+	nnext      *extent // node list, sorted by lo
+}
+
+// at returns the node's first extent that ends after position p, or nil:
+// the one holding p if its lo is p, else the next one. A walk meets every
+// extent at its lo (DESIGN.md, "Tiers"), so that extent never starts
+// below p.
+//
+//slinfer:hotpath
+func (n *segNode) at(p int32) *extent {
+	e := n.ext
+	for e != nil && e.hi <= p {
+		e = e.nnext
+	}
+	if e != nil && e.lo < p {
+		panic("kvcache: a walk met an extent past its lo")
+	}
+	return e
+}
+
+// link inserts e into its node's list, keeping the list sorted by lo.
+//
+//slinfer:hotpath
+func (n *segNode) link(e *extent) {
+	pp := &n.ext
+	for *pp != nil && (*pp).lo < e.lo {
+		pp = &(*pp).nnext
+	}
+	e.nnext, *pp = *pp, e
+}
+
+//slinfer:hotpath
+func (n *segNode) unlink(e *extent) {
+	pp := &n.ext
+	for *pp != e {
+		pp = &(*pp).nnext
+	}
+	*pp = e.nnext
+}
+
+// tierList is an intrusive doubly-linked LRU list of extents: front is most
+// recently used, eviction candidates come off the back.
 type tierList struct {
-	front, back *tierBlock
+	front, back *extent
 	bytes       int64
 }
 
 //slinfer:hotpath
-func (l *tierList) pushFront(b *tierBlock) {
-	b.prev = nil
-	b.next = l.front
+func (l *tierList) pushFront(e *extent) {
+	e.prev = nil
+	e.next = l.front
 	if l.front != nil {
-		l.front.prev = b
+		l.front.prev = e
 	}
-	l.front = b
+	l.front = e
 	if l.back == nil {
-		l.back = b
+		l.back = e
 	}
-	l.bytes += b.bytes
 }
 
 //slinfer:hotpath
-func (l *tierList) remove(b *tierBlock) {
-	if b.prev != nil {
-		b.prev.next = b.next
+func (l *tierList) remove(e *extent) {
+	if e.prev != nil {
+		e.prev.next = e.next
 	} else {
-		l.front = b.next
+		l.front = e.next
 	}
-	if b.next != nil {
-		b.next.prev = b.prev
+	if e.next != nil {
+		e.next.prev = e.prev
 	} else {
-		l.back = b.prev
+		l.back = e.prev
 	}
-	b.prev, b.next = nil, nil
-	l.bytes -= b.bytes
 }
 
-// TieredStore is the controller-wide prefix pool: a deterministic block-hash
-// index over two capacity-bounded LRU tiers. It is pure accounting plus a
-// transfer cost model — simulated time advances only through the durations
-// it returns.
+// TieredStore is the controller-wide prefix pool: a deterministic index of
+// segment nodes over two capacity-bounded LRU tiers of extents. It is pure
+// accounting plus a transfer cost model — simulated time advances only
+// through the durations it returns.
 type TieredStore struct {
 	cfg   TieredConfig
-	index blockTable
+	index map[uint64]*segNode
 	gpu   tierList
 	cpu   tierList
 	// Leading PrefixKey segments are interned: rootID maps a root to its
@@ -195,7 +243,8 @@ type TieredStore struct {
 	rootID    map[string]int32
 	roots     []string
 	rootBytes []int64
-	free      *tierBlock // recycled blocks, reused before allocating
+	freeExt   *extent  // recycled extents, reused before allocating
+	freeNode  *segNode // recycled nodes, likewise
 
 	// Ledger is the store's transition accounting. Read-only for callers;
 	// tests may corrupt it deliberately to prove the conservation checker
@@ -211,31 +260,37 @@ func NewTieredStore(cfg TieredConfig) *TieredStore {
 }
 
 // Reset reinitializes a recycled store in place, equivalent to
-// NewTieredStore(cfg). Resident blocks from the previous run move to the
-// free list; the index, the root table and their capacity are kept.
+// NewTieredStore(cfg). Resident extents and their nodes from the previous
+// run move to the free lists; the index, the root table and their
+// capacity are kept.
 func (s *TieredStore) Reset(cfg TieredConfig) {
 	for _, l := range [...]*tierList{&s.gpu, &s.cpu} {
-		for b := l.front; b != nil; {
-			next := b.next
-			*b = tierBlock{next: s.free}
-			s.free = b
-			b = next
+		for e := l.front; e != nil; {
+			next := e.next
+			if n := e.node; n.ext != nil { // first extent seen of this node
+				*n = segNode{free: s.freeNode}
+				s.freeNode = n
+			}
+			*e = extent{next: s.freeExt}
+			s.freeExt = e
+			e = next
 		}
 	}
-	s.index.clear()
-	rootID := s.rootID
-	if rootID == nil {
-		rootID = make(map[string]int32)
+	index, rootID := s.index, s.rootID
+	if index == nil {
+		index, rootID = make(map[uint64]*segNode), make(map[string]int32)
 	}
+	clear(index)
 	clear(rootID)
 	clear(s.roots)
 	*s = TieredStore{
 		cfg:       cfg.WithDefaults(),
-		index:     s.index,
+		index:     index,
 		rootID:    rootID,
 		roots:     s.roots[:0],
 		rootBytes: s.rootBytes[:0],
-		free:      s.free,
+		freeExt:   s.freeExt,
+		freeNode:  s.freeNode,
 	}
 }
 
@@ -252,17 +307,17 @@ func (s *TieredStore) SetGPUCapacity(bytes int64) {
 		return
 	}
 	s.cfg.GPUBytes = bytes
-	s.makeGPURoom(0)
+	s.makeGPURoom()
 }
 
-// TierUsage recomputes the resident bytes per tier by walking the block
+// TierUsage recomputes the resident bytes per tier by walking the extent
 // lists — the ground truth the ledger is reconciled against.
 func (s *TieredStore) TierUsage() (gpuBytes, cpuBytes int64) {
-	for b := s.gpu.front; b != nil; b = b.next {
-		gpuBytes += b.bytes
+	for e := s.gpu.front; e != nil; e = e.next {
+		gpuBytes += int64(e.hi-e.lo) * e.bytes
 	}
-	for b := s.cpu.front; b != nil; b = b.next {
-		cpuBytes += b.bytes
+	for e := s.cpu.front; e != nil; e = e.next {
+		cpuBytes += int64(e.hi-e.lo) * e.bytes
 	}
 	return gpuBytes, cpuBytes
 }
@@ -412,98 +467,34 @@ func (c *segCursor) ownerHash(tok int) uint64 {
 	return c.hash
 }
 
-// blockTable indexes resident blocks by chain hash: open addressing with
-// linear probing. Chain hashes are already mixed, so the low bits pick the
-// home slot. Deletion shifts the rest of the probe run back instead of
-// leaving tombstones, and the table doubles before it is half full.
-type blockTable struct {
-	slots []blockSlot // nil b marks an empty slot
-	mask  uint64
-	n     int
+// nodeWalk steps through the segment nodes a key's first n blocks fall
+// in. After next, key is the node's index key and [lo, hi) the block
+// positions it owns, clipped to n: a bounded owner takes positions up to
+// ceil(limit/bt), an open one the rest.
+type nodeWalk struct {
+	cur    segCursor
+	key    uint64
+	lo, hi int32
+	n      int32
+	bt     int
 }
 
-type blockSlot struct {
-	key uint64
-	b   *tierBlock
+func newNodeWalk(modelName, key string, n, bt int) nodeWalk {
+	return nodeWalk{cur: newSegCursor(key), key: fnvString(fnvOffset64, modelName), n: int32(n), bt: bt}
 }
 
-// minTableSlots is the size of a table's first allocation.
-const minTableSlots = 64
-
-// get returns the block indexed under key, or nil.
-//
 //slinfer:hotpath
-func (t *blockTable) get(key uint64) *tierBlock {
-	if t.n == 0 {
-		return nil
+func (w *nodeWalk) next() bool {
+	w.lo = w.hi
+	if w.lo >= w.n {
+		return false
 	}
-	for i := key & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.b == nil || s.key == key {
-			return s.b
-		}
+	w.key = chainStep(w.key, w.cur.ownerHash(int(w.lo)*w.bt), int(w.lo))
+	w.hi = w.n
+	if !w.cur.open && w.cur.limit < int(w.n)*w.bt {
+		w.hi = int32((w.cur.limit + w.bt - 1) / w.bt)
 	}
-}
-
-// put indexes b under key, which must not be present.
-//
-//slinfer:hotpath
-func (t *blockTable) put(key uint64, b *tierBlock) {
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	i := key & t.mask
-	for t.slots[i].b != nil {
-		i = (i + 1) & t.mask
-	}
-	t.slots[i] = blockSlot{key: key, b: b}
-	t.n++
-}
-
-// del removes key (a no-op if absent), shifting later members of its probe
-// run back so every key stays reachable from its home slot.
-//
-//slinfer:hotpath
-func (t *blockTable) del(key uint64) {
-	if t.n == 0 {
-		return
-	}
-	i := key & t.mask
-	for t.slots[i].b != nil && t.slots[i].key != key {
-		i = (i + 1) & t.mask
-	}
-	if t.slots[i].b == nil {
-		return
-	}
-	for j := (i + 1) & t.mask; t.slots[j].b != nil; j = (j + 1) & t.mask {
-		// The entry at j may fill the hole at i unless its home slot lies
-		// cyclically in (i, j].
-		if home := t.slots[j].key & t.mask; (j-home)&t.mask >= (j-i)&t.mask {
-			t.slots[i] = t.slots[j]
-			i = j
-		}
-	}
-	t.slots[i] = blockSlot{}
-	t.n--
-}
-
-// grow doubles the table (or makes the first one) and reinserts every key.
-func (t *blockTable) grow() {
-	old := t.slots
-	t.slots = make([]blockSlot, max(2*len(old), minTableSlots))
-	t.mask = uint64(len(t.slots) - 1)
-	t.n = 0
-	for _, s := range old {
-		if s.b != nil {
-			t.put(s.key, s.b)
-		}
-	}
-}
-
-// clear empties the table and keeps its capacity.
-func (t *blockTable) clear() {
-	clear(t.slots)
-	t.n = 0
+	return true
 }
 
 // Lookup walks the leading full blocks of a request's prompt through the
@@ -518,25 +509,43 @@ func (s *TieredStore) Lookup(modelName, key string, inputTokens int, kvBytesPerT
 		return 0, 0
 	}
 	bt := s.cfg.BlockTokens
-	nBlocks := inputTokens / bt
-	cur := newSegCursor(key)
-	h := fnvString(fnvOffset64, modelName)
+	w := newNodeWalk(modelName, key, inputTokens/bt, bt)
+	var hit int32
 	var promoted int64
-	for i := 0; i < nBlocks; i++ {
-		h = chainStep(h, cur.ownerHash(i*bt), i)
-		b := s.index.get(h)
-		if b == nil {
-			break
+walk:
+	for w.next() {
+		n := s.index[w.key]
+		for p := w.lo; p < w.hi; {
+			var e *extent
+			if n != nil {
+				e = n.at(p)
+			}
+			if e == nil || e.lo > p {
+				break walk
+			}
+			q, b := min(e.hi, w.hi), e.bytes
+			switch {
+			case e.tier == tierGPU:
+				s.move(e, q, tierGPU)
+			case b > s.cfg.GPUBytes:
+				// Too large for the GPU tier: served over PCIe in place.
+				promoted += int64(q-p) * b
+				s.move(e, q, tierCPU)
+			default:
+				q = p + s.promoteBatch(b, q-p)
+				moved := int64(q-p) * b
+				promoted += moved
+				s.move(e, q, tierGPU)
+				s.Ledger.CPUBytes -= moved
+				s.Ledger.GPUBytes += moved
+				s.Ledger.PromotedBytes += moved
+				s.makeGPURoom()
+			}
+			hit += q - p
+			p = q
 		}
-		if b.tier == tierCPU {
-			promoted += b.bytes
-			s.promote(b)
-		} else {
-			s.gpu.remove(b)
-			s.gpu.pushFront(b)
-		}
-		hitTokens += bt
 	}
+	hitTokens = int(hit) * bt
 	hitBytes := int64(hitTokens) * kvBytesPerToken
 	s.Ledger.Lookups++
 	if hitTokens > 0 {
@@ -548,71 +557,145 @@ func (s *TieredStore) Lookup(modelName, key string, inputTokens int, kvBytesPerT
 	return hitTokens, PromoteTime(promoted)
 }
 
-// promote moves a CPU-tier block back into the GPU tier, spilling the GPU
-// tail to make room. If the block cannot fit even after spilling everything
-// else, it stays resident in the CPU tier (served over PCIe in place).
+// promoteBatch returns how many of k CPU blocks of w bytes (w within the
+// GPU tier) one promote step may move: no more than the GPU tier holds,
+// and more than one only while every GPU block the step spills has w bytes
+// too (DESIGN.md, "Exactness rule for bulk steps").
 //
 //slinfer:hotpath
-func (s *TieredStore) promote(b *tierBlock) {
-	if b.bytes > s.cfg.GPUBytes {
-		s.cpu.remove(b)
-		s.cpu.pushFront(b)
+func (s *TieredStore) promoteBatch(w int64, k int32) int32 {
+	room := s.cfg.GPUBytes - s.gpu.bytes
+	for e := s.gpu.back; e != nil && e.bytes == w && room < int64(k)*w; e = e.prev {
+		room += int64(e.hi-e.lo) * w
+	}
+	return max(1, min(k, int32(room/w)))
+}
+
+// move takes e's positions below q out of it and pushes them to the front
+// of tier to. Byte counts follow; the ledger is the caller's.
+//
+//slinfer:hotpath
+func (s *TieredStore) move(e *extent, q int32, to int8) {
+	n, p, w := e.node, e.lo, e.bytes
+	s.cut(e, q)
+	s.pushFront(to, n, p, q, w)
+}
+
+// cut removes e's positions below q. Every step takes an extent's lowest
+// positions: a walk meets each extent at its lo, and spills and evictions
+// take the back extent's lowest (DESIGN.md, "Tiers"). The node stays
+// indexed even if this empties it: a cut is half of a move, and only free
+// drops a node.
+//
+//slinfer:hotpath
+func (s *TieredStore) cut(e *extent, q int32) {
+	l := s.list(e.tier)
+	l.bytes -= int64(q-e.lo) * e.bytes
+	if q < e.hi {
+		e.lo = q
 		return
 	}
-	s.cpu.remove(b)
-	s.Ledger.CPUBytes -= b.bytes
-	s.makeGPURoom(b.bytes)
-	b.tier = tierGPU
-	s.gpu.pushFront(b)
-	s.Ledger.GPUBytes += b.bytes
-	s.Ledger.PromotedBytes += b.bytes
+	l.remove(e)
+	e.node.unlink(e)
+	*e = extent{next: s.freeExt}
+	s.freeExt = e
+}
+
+// pushFront makes positions [p, q) of node n, blocks of w bytes, the most
+// recent run of a tier, merging into the front extent when it continues it.
+//
+//slinfer:hotpath
+func (s *TieredStore) pushFront(tier int8, n *segNode, p, q int32, w int64) {
+	l := s.list(tier)
+	l.bytes += int64(q-p) * w
+	if f := l.front; f != nil && f.node == n && f.hi == p && f.bytes == w {
+		f.hi = q
+		return
+	}
+	e := s.newExtent()
+	*e = extent{node: n, lo: p, hi: q, bytes: w, tier: tier}
+	l.pushFront(e)
+	n.link(e)
+}
+
+//slinfer:hotpath
+func (s *TieredStore) list(tier int8) *tierList {
+	if tier == tierGPU {
+		return &s.gpu
+	}
+	return &s.cpu
+}
+
+//slinfer:hotpath
+func (s *TieredStore) newExtent() *extent {
+	e := s.freeExt
+	if e == nil {
+		return &extent{}
+	}
+	s.freeExt = e.next
+	return e
 }
 
 // makeGPURoom spills LRU GPU blocks to the CPU tier (or frees them when the
-// host tier is disabled or full) until need bytes fit.
+// host tier is disabled or too small) until the tier fits its capacity,
+// taking the lowest positions of the back extent a chunk at a time.
 //
 //slinfer:hotpath
-func (s *TieredStore) makeGPURoom(need int64) {
-	for s.gpu.bytes+need > s.cfg.GPUBytes && s.gpu.back != nil {
-		victim := s.gpu.back
-		s.gpu.remove(victim)
-		s.Ledger.GPUBytes -= victim.bytes
-		if s.cfg.CPUBytes > 0 && victim.bytes <= s.cfg.CPUBytes {
-			s.makeCPURoom(victim.bytes)
-			victim.tier = tierCPU
-			s.cpu.pushFront(victim)
-			s.Ledger.CPUBytes += victim.bytes
-			s.Ledger.Spills++
-			s.Ledger.SpillBytes += victim.bytes
+func (s *TieredStore) makeGPURoom() {
+	for s.gpu.bytes > s.cfg.GPUBytes && s.gpu.back != nil {
+		e := s.gpu.back
+		n, lo, w := e.node, e.lo, e.bytes
+		c := min(int64(e.hi-lo), ceilDiv(s.gpu.bytes-s.cfg.GPUBytes, w))
+		if s.cfg.CPUBytes > 0 && w <= s.cfg.CPUBytes {
+			c = min(c, s.cfg.CPUBytes/w)
+			s.makeCPURoom(c * w) // before the cut: n keeps e meanwhile
+			s.cut(e, lo+int32(c))
+			s.pushFront(tierCPU, n, lo, lo+int32(c), w)
+			s.Ledger.GPUBytes -= c * w
+			s.Ledger.CPUBytes += c * w
+			s.Ledger.Spills += c
+			s.Ledger.SpillBytes += c * w
 		} else {
-			s.freeBlock(victim)
+			s.cut(e, lo+int32(c))
+			s.Ledger.GPUBytes -= c * w
+			s.free(n, c, w)
 		}
 	}
 }
 
-// makeCPURoom frees LRU CPU blocks until need bytes fit in the host tier.
+// makeCPURoom frees LRU CPU blocks until need more bytes fit in the host
+// tier.
 //
 //slinfer:hotpath
 func (s *TieredStore) makeCPURoom(need int64) {
 	for s.cpu.bytes+need > s.cfg.CPUBytes && s.cpu.back != nil {
-		victim := s.cpu.back
-		s.cpu.remove(victim)
-		s.Ledger.CPUBytes -= victim.bytes
-		s.freeBlock(victim)
+		e := s.cpu.back
+		n, w := e.node, e.bytes
+		c := min(int64(e.hi-e.lo), ceilDiv(s.cpu.bytes+need-s.cfg.CPUBytes, w))
+		s.cut(e, e.lo+int32(c))
+		s.Ledger.CPUBytes -= c * w
+		s.free(n, c, w)
 	}
 }
 
-// freeBlock evicts a block out of the store entirely and recycles it.
+// free books c blocks of w bytes of node n, already cut from their tier,
+// as evicted out of the store, and drops n from the index once it holds
+// nothing.
 //
 //slinfer:hotpath
-func (s *TieredStore) freeBlock(b *tierBlock) {
-	s.Ledger.FreedBytes += b.bytes
-	s.Ledger.Evictions++
-	s.rootBytes[b.root] -= b.bytes
-	s.index.del(b.hash)
-	*b = tierBlock{next: s.free}
-	s.free = b
+func (s *TieredStore) free(n *segNode, c, w int64) {
+	s.Ledger.FreedBytes += c * w
+	s.Ledger.Evictions += c
+	s.rootBytes[n.root] -= c * w
+	if n.ext == nil {
+		delete(s.index, n.key)
+		*n = segNode{free: s.freeNode}
+		s.freeNode = n
+	}
 }
+
+//slinfer:hotpath
+func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // Insert demotes a completed request's context into the store: every full
 // leading block (prompt plus generated tokens — the whole KV state resident
@@ -624,45 +707,60 @@ func (s *TieredStore) Insert(modelName, key string, contextTokens int, kvBytesPe
 		return 0
 	}
 	bt := s.cfg.BlockTokens
-	nBlocks := contextTokens / bt
-	blockBytes := int64(bt) * kvBytesPerToken
+	w := int64(bt) * kvBytesPerToken
 	root := s.internRoot(PrefixRoot(key))
-	cur := newSegCursor(key)
-	h := fnvString(fnvOffset64, modelName)
+	walk := newNodeWalk(modelName, key, contextTokens/bt, bt)
 	spilledBefore := s.Ledger.SpillBytes
-	for i := 0; i < nBlocks; i++ {
-		h = chainStep(h, cur.ownerHash(i*bt), i)
-		if b := s.index.get(h); b != nil {
-			// Refresh recency in place; resident tier is untouched.
-			if b.tier == tierGPU {
-				s.gpu.remove(b)
-				s.gpu.pushFront(b)
-			} else {
-				s.cpu.remove(b)
-				s.cpu.pushFront(b)
+	for walk.next() {
+		n := s.index[walk.key]
+		for p := walk.lo; p < walk.hi; {
+			var e *extent
+			if n != nil {
+				e = n.at(p)
 			}
-			continue
+			if e != nil && e.lo == p {
+				// Refresh recency in place; resident tier is untouched.
+				q := min(e.hi, walk.hi)
+				s.move(e, q, e.tier)
+				p = q
+				continue
+			}
+			q := walk.hi // a missing run: up to the next resident block
+			if e != nil {
+				q = min(q, e.lo)
+			}
+			if w > s.cfg.GPUBytes {
+				p = q // a single block larger than the tier can never fit
+				continue
+			}
+			q = min(q, p+int32(s.cfg.GPUBytes/w))
+			if n == nil {
+				n = s.newNode(walk.key, root)
+			}
+			s.pushFront(tierGPU, n, p, q, w)
+			added := int64(q-p) * w
+			s.Ledger.AllocatedBytes += added
+			s.Ledger.GPUBytes += added
+			s.Ledger.Inserts += int64(q - p)
+			s.rootBytes[n.root] += added
+			s.makeGPURoom()
+			p = q
 		}
-		if blockBytes > s.cfg.GPUBytes {
-			continue // a single block larger than the tier can never fit
-		}
-		s.makeGPURoom(blockBytes)
-		b := s.free
-		if b != nil {
-			s.free = b.next
-			*b = tierBlock{}
-		} else {
-			b = &tierBlock{}
-		}
-		b.hash, b.bytes, b.tier, b.root = h, blockBytes, tierGPU, root
-		s.index.put(h, b)
-		s.gpu.pushFront(b)
-		s.Ledger.AllocatedBytes += blockBytes
-		s.Ledger.GPUBytes += blockBytes
-		s.Ledger.Inserts++
-		s.rootBytes[root] += blockBytes
 	}
 	return SpillTime(s.Ledger.SpillBytes - spilledBefore)
+}
+
+// newNode indexes an empty node under key; the caller gives it an extent.
+func (s *TieredStore) newNode(key uint64, root int32) *segNode {
+	n := s.freeNode
+	if n != nil {
+		s.freeNode = n.free
+	} else {
+		n = &segNode{}
+	}
+	*n = segNode{key: key, root: root}
+	s.index[key] = n
+	return n
 }
 
 // internRoot returns root's ID, assigning the next one on first sight.
