@@ -37,15 +37,15 @@ func BenchmarkSub_SimEventLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New()
 		fired := 0
-		var tick func()
-		tick = func() {
+		var tick func(any)
+		tick = func(any) {
 			fired++
 			if fired < 100*chain {
-				s.After(sim.Millisecond, tick)
+				s.AfterFunc(sim.Millisecond, tick, nil)
 			}
 		}
 		for c := 0; c < chain; c++ {
-			s.After(sim.Duration(c)*sim.Millisecond, tick)
+			s.AfterFunc(sim.Duration(c)*sim.Millisecond, tick, nil)
 		}
 		s.Run()
 		if fired < 100*chain {
@@ -343,9 +343,7 @@ func BenchmarkSub_FleetEpoch(b *testing.B) {
 	})
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("%dshard", shards), func(b *testing.B) {
-			var events uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			run := func() uint64 {
 				res := fleet.Run(fleet.Config{
 					System: core.SLINFER(),
 					Shards: fleet.UniformShards(shards, 1, 1),
@@ -358,7 +356,13 @@ func BenchmarkSub_FleetEpoch(b *testing.B) {
 				if len(res.Violations) > 0 {
 					b.Fatalf("fleet violations: %v", res.Violations)
 				}
-				events += res.EventsFired
+				return res.EventsFired
+			}
+			run() // untimed warm-up: -benchtime 1x measures the steady state
+			var events uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				events += run()
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})
@@ -382,10 +386,7 @@ func BenchmarkSub_FleetEpochWide(b *testing.B) {
 	})
 	for _, shards := range []int{16, 64} {
 		b.Run(fmt.Sprintf("%dshard", shards), func(b *testing.B) {
-			var events uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			run := func() uint64 {
 				res := fleet.Run(fleet.Config{
 					System:  core.SLINFER(),
 					Shards:  fleet.UniformShards(shards, 2, 2),
@@ -399,7 +400,14 @@ func BenchmarkSub_FleetEpochWide(b *testing.B) {
 				if len(res.Violations) > 0 {
 					b.Fatalf("fleet violations: %v", res.Violations)
 				}
-				events += res.EventsFired
+				return res.EventsFired
+			}
+			run() // untimed warm-up: -benchtime 1x measures the steady state
+			var events uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				events += run()
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})
@@ -466,10 +474,7 @@ func BenchmarkSub_FaultEpoch(b *testing.B) {
 		plan *faults.Plan
 	}{{"empty", nil}, {"crash", crash}} {
 		b.Run(bc.name, func(b *testing.B) {
-			var events uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			run := func() uint64 {
 				res := fleet.Run(fleet.Config{
 					System: core.SLINFER(),
 					Shards: fleet.UniformShards(4, 1, 1),
@@ -486,7 +491,14 @@ func BenchmarkSub_FaultEpoch(b *testing.B) {
 				if bc.plan != nil && res.Report.FaultEvents != 2 {
 					b.Fatalf("crash plan applied %d events, want 2", res.Report.FaultEvents)
 				}
-				events += res.EventsFired
+				return res.EventsFired
+			}
+			run() // untimed warm-up: -benchtime 1x measures the steady state
+			var events uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				events += run()
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})

@@ -20,9 +20,8 @@
 // It prints a per-benchmark delta table (positive deltas are improvements;
 // "/s" metrics improve upward, ns/op, B/op and allocs/op improve downward)
 // and exits nonzero when any metric worsened past the threshold. -match
-// restricts the comparison to benchmarks whose name matches a regexp, so CI
-// can gate hard on the subsystem suite while keeping the experiment suite
-// warn-only:
+// restricts the comparison to benchmarks whose name matches a regexp; CI
+// gates hard on the subsystem suite this way:
 //
 //	benchfmt -compare -match '^Sub_' -threshold 4 BENCH_baseline.json BENCH_matrix.json
 //

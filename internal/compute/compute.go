@@ -7,8 +7,6 @@
 package compute
 
 import (
-	"slices"
-
 	"slinfer/internal/engine"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
@@ -110,18 +108,13 @@ type InstView struct {
 	Profile *perfmodel.Profile
 	Reqs    []ReqView
 	// BlockedUntil delays the instance's first virtual iteration (an
-	// in-flight KV resize).
+	// in-flight KV resize or cold start).
 	BlockedUntil sim.Time
 }
 
-// ViewInstanceInto builds an InstView whose request views live in buf,
-// returning the view and the extended buffer. Hot callers reuse one buffer
-// across an executor's instances; the buffer must be pre-sized for every
-// view built from it (growth would reallocate and detach the views already
-// handed out). Validate deep-copies its inputs, so the buffer is free for
-// reuse once validation returns.
-func ViewInstanceInto(inst *engine.Instance, buf []ReqView) (InstView, []ReqView) {
-	start := len(buf)
+// appendViews appends the views of inst's requests to buf: the decode
+// batch, then the prefill queue.
+func appendViews(buf []ReqView, inst *engine.Instance) []ReqView {
 	for _, r := range inst.Running {
 		buf = append(buf, ReqView{
 			Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
@@ -135,7 +128,7 @@ func ViewInstanceInto(inst *engine.Instance, buf []ReqView) (InstView, []ReqView
 			InputLen: r.ContextTokens(), Ctx: r.ContextTokens(), NeedsPrefill: true,
 		})
 	}
-	return InstView{Profile: inst.Profile, Reqs: buf[start:len(buf):len(buf)]}, buf
+	return buf
 }
 
 // ViewRequest builds the candidate's ReqView. For migrated requests the
@@ -162,10 +155,10 @@ type Validator struct {
 	Validations int64
 	Rejections  int64
 
-	// Scratch storage for the virtual projection, reused across Validate
-	// calls (one validation can run per admission attempt, so the copies
-	// dominated the allocation profile). A Validator is therefore not safe
-	// for concurrent use; each controller owns one.
+	// Scratch storage for the projection, reused across dry runs (one can
+	// run per admission attempt, so fresh copies dominated the allocation
+	// profile). A Validator is therefore not safe for concurrent use; each
+	// controller owns one.
 	projScratch  []InstView
 	reqScratch   []ReqView
 	stateScratch []instState
@@ -196,67 +189,14 @@ func wipe[T any](s []T) []T {
 	return s[:0]
 }
 
-// Validate virtually adds newReq to insts[candIdx] and simulates the
-// executor's future schedule from now (the executor is busy until
-// busyUntil). It returns OK only if no request misses a deadline in the
-// horizon and the aggregate decode round fits the TPOT SLO.
-//
-// The projection mirrors the live scheduler: min-headroom iteration order,
-// estimated durations inflated by Overestimate, decode advancing every
-// batch member's deadline.
-func (v *Validator) Validate(now, busyUntil sim.Time, insts []InstView, candIdx int, newReq ReqView, tpotSLO sim.Duration) Reason {
-	v.Validations++
-	reason := v.validate(now, busyUntil, insts, candIdx, newReq, tpotSLO)
-	if reason != OK {
-		v.Rejections++
-	}
-	return reason
-}
-
-// ValidateWithout is Validate over the ViewInstanceInto views of insts with
-// skip left out and newReq added to cand: the §VIII-A dry run of a grower
-// once its victim is gone. The views are built straight into the
-// validator's scratch, so the dry run allocates nothing; like
-// ViewInstanceInto they carry no resize or cold-start blocking. A cand that
-// is skip or absent from insts is NewTTFT, as for Validate's out-of-range
-// candIdx.
-func (v *Validator) ValidateWithout(now, busyUntil sim.Time, insts []*engine.Instance, skip, cand *engine.Instance, newReq ReqView, tpotSLO sim.Duration) Reason {
-	v.Validations++
-	reason := NewTTFT
-	if cand != skip && slices.Contains(insts, cand) {
-		reason = v.simulate(now, busyUntil, v.projectLive(insts, skip, cand, newReq), tpotSLO)
-	}
-	if reason != OK {
-		v.Rejections++
-	}
-	return reason
-}
-
-func (v *Validator) validate(now, busyUntil sim.Time, insts []InstView, candIdx int, newReq ReqView, tpotSLO sim.Duration) Reason {
-	if candIdx < 0 || candIdx >= len(insts) {
-		return NewTTFT
-	}
-	// Deep-copy the projection so validation never touches live state.
-	need := 1 // newReq
-	for _, iv := range insts {
-		need += len(iv.Reqs)
-	}
-	proj, buf := v.beginProjection(len(insts), need)
-	for i, iv := range insts {
-		start := len(buf)
-		buf = append(buf, iv.Reqs...)
-		if i == candIdx {
-			buf = append(buf, newReq)
-		}
-		proj[i] = InstView{Profile: iv.Profile, BlockedUntil: iv.BlockedUntil,
-			Reqs: buf[start:len(buf):len(buf)]}
-	}
-	v.projScratch, v.reqScratch = proj, buf[:0]
-	return v.simulate(now, busyUntil, proj, tpotSLO)
-}
-
-// projectLive builds ValidateWithout's projection from live instances.
-func (v *Validator) projectLive(insts []*engine.Instance, skip, cand *engine.Instance, newReq ReqView) []InstView {
+// Project builds the §VI-C projection of insts into the validator's
+// scratch: one view per instance in order, skip left out, and newReq
+// appended to cand's requests. A nil cand is a scale-out: newReq goes to a
+// fresh instance with profile fresh, appended as the last view. The views
+// carry no blocking; a caller that charges it sets BlockedUntil before
+// Check. The projection is valid until the next Project. A cand that is
+// skip or absent from insts yields nil, which Check rejects as NewTTFT.
+func (v *Validator) Project(insts []*engine.Instance, skip, cand *engine.Instance, fresh *perfmodel.Profile, newReq ReqView) []InstView {
 	n, need := 0, 1 // newReq
 	for _, inst := range insts {
 		if inst != skip {
@@ -264,35 +204,64 @@ func (v *Validator) projectLive(insts []*engine.Instance, skip, cand *engine.Ins
 			need += len(inst.Running) + len(inst.WaitingPrefill)
 		}
 	}
-	proj, buf := v.beginProjection(n, need)
-	i := 0
+	// Size the request buffer up front: growth mid-build would detach the
+	// windows already carved from it.
+	if cap(v.reqScratch) < need {
+		v.reqScratch = make([]ReqView, 0, 2*need)
+	}
+	if cap(v.projScratch) < n+1 {
+		v.projScratch = make([]InstView, 0, 2*(n+1))
+	}
+	proj, buf := v.projScratch[:0], v.reqScratch[:0]
+	found := cand == nil
 	for _, inst := range insts {
 		if inst == skip {
 			continue
 		}
 		start := len(buf)
-		proj[i], buf = ViewInstanceInto(inst, buf)
+		buf = appendViews(buf, inst)
 		if inst == cand {
 			buf = append(buf, newReq)
-			proj[i].Reqs = buf[start:len(buf):len(buf)]
+			found = true
 		}
-		i++
+		proj = append(proj, InstView{Profile: inst.Profile, Reqs: buf[start:len(buf):len(buf)]})
 	}
-	v.projScratch, v.reqScratch = proj, buf[:0]
+	if cand == nil {
+		buf = append(buf, newReq)
+		proj = append(proj, InstView{Profile: fresh, Reqs: buf[len(buf)-1 : len(buf) : len(buf)]})
+	}
+	v.projScratch, v.reqScratch = proj, buf
+	if !found {
+		return nil
+	}
 	return proj
 }
 
-// beginProjection returns the scratch for an n-instance projection holding
-// need request views. The request buffer is sized up front so carving
-// per-instance windows never reallocates.
-func (v *Validator) beginProjection(n, need int) ([]InstView, []ReqView) {
-	if cap(v.reqScratch) < need {
-		v.reqScratch = make([]ReqView, 0, 2*need)
+// Check simulates the executor's future schedule over proj from now (the
+// executor is busy until busyUntil) and counts the validation. It returns
+// OK only if no request misses a deadline in the horizon and the aggregate
+// decode round fits the TPOT SLO; a nil proj is NewTTFT. The simulation
+// advances proj's views in place.
+//
+// The projection mirrors the live scheduler: min-headroom iteration order,
+// estimated durations inflated by Overestimate, decode advancing every
+// batch member's deadline.
+func (v *Validator) Check(now, busyUntil sim.Time, proj []InstView, tpotSLO sim.Duration) Reason {
+	v.Validations++
+	reason := NewTTFT
+	if proj != nil {
+		reason = v.simulate(now, busyUntil, proj, tpotSLO)
 	}
-	if cap(v.projScratch) < n {
-		v.projScratch = make([]InstView, n, 2*n)
+	if reason != OK {
+		v.Rejections++
 	}
-	return v.projScratch[:n], v.reqScratch[:0]
+	return reason
+}
+
+// ValidateWithout checks newReq on cand with skip left out and no blocking
+// charged: the §VIII-A dry run of a grower once its victim is gone.
+func (v *Validator) ValidateWithout(now, busyUntil sim.Time, insts []*engine.Instance, skip, cand *engine.Instance, newReq ReqView, tpotSLO sim.Duration) Reason {
+	return v.Check(now, busyUntil, v.Project(insts, skip, cand, nil, newReq), tpotSLO)
 }
 
 // instState is simulate's running state for one projected instance: its
@@ -320,14 +289,14 @@ func (v *Validator) factor() sim.Duration {
 	return sim.Duration(v.Overestimate)
 }
 
-// RejectsAggregate runs Validate's case-3 check (Figure 15) on live
-// instances before any view is built. A request under validation still
-// needs its prefill, so it never joins a decode batch: the round summed
-// here from insts' running batches, in the same order and with the same
-// factor, is bit for bit the round Validate computes over views of insts
-// with a request or a fresh, empty instance added. When it already exceeds
-// tpotSLO, Validate would return AggregateDecode (given a valid candidate),
-// so RejectsAggregate counts that validation and its rejection and returns
+// RejectsAggregate runs Check's case-3 check (Figure 15) on live instances
+// before any view is built. A request under validation still needs its
+// prefill, so it never joins a decode batch: the round summed here from
+// insts' running batches, in the same order and with the same factor, is
+// bit for bit the round Check computes over Project's views of insts with
+// a request or a fresh instance added. When it already exceeds tpotSLO,
+// Check would return AggregateDecode (given a valid candidate), so
+// RejectsAggregate counts that validation and its rejection and returns
 // true. Otherwise it counts nothing.
 func (v *Validator) RejectsAggregate(insts []*engine.Instance, tpotSLO sim.Duration) bool {
 	over := v.factor()

@@ -1,6 +1,7 @@
 package compute
 
 import (
+	"slices"
 	"testing"
 
 	"slinfer/internal/engine"
@@ -71,8 +72,26 @@ func newValidatorForTest() *Validator { return NewValidator() }
 
 // viewOf builds a standalone view of inst's live state.
 func viewOf(inst *engine.Instance) InstView {
-	v, _ := ViewInstanceInto(inst, nil)
-	return v
+	return InstView{Profile: inst.Profile, Reqs: appendViews(nil, inst)}
+}
+
+// Validate is the view-level entry the tests drive and the reference the
+// production projection is held to: it deep-copies insts with newReq added
+// to insts[candIdx] and checks the copy, so the caller's views are never
+// touched. An out-of-range candIdx is NewTTFT.
+func (v *Validator) Validate(now, busyUntil sim.Time, insts []InstView, candIdx int, newReq ReqView, tpotSLO sim.Duration) Reason {
+	if candIdx < 0 || candIdx >= len(insts) {
+		return v.Check(now, busyUntil, nil, tpotSLO)
+	}
+	proj := make([]InstView, len(insts))
+	for i, iv := range insts {
+		proj[i] = iv
+		proj[i].Reqs = slices.Clone(iv.Reqs)
+		if i == candIdx {
+			proj[i].Reqs = append(proj[i].Reqs, newReq)
+		}
+	}
+	return v.Check(now, busyUntil, proj, tpotSLO)
 }
 
 func TestValidateAcceptsLightlyLoadedInstance(t *testing.T) {
@@ -244,10 +263,12 @@ func TestOverestimationMargin(t *testing.T) {
 	}
 }
 
-// ValidateWithout must answer exactly what Validate answers over
-// ViewInstanceInto views with the skipped instance removed, for every
-// (skip, cand) pair over a few instance mixes, including a cand that is
-// skipped or absent (NewTTFT), and must not allocate once warm.
+// Project plus Check must answer exactly what the deep-copy Validate
+// answers over viewOf views with the skipped instance removed, for every
+// (skip, cand) pair over a few instance mixes: each live cand through
+// ValidateWithout, including one that is skipped or absent (NewTTFT), and
+// a nil cand as a fresh instance. The counters must move as Validate's do,
+// and ValidateWithout must not allocate once warm.
 func TestValidateWithoutMatchesValidate(t *testing.T) {
 	gpuMix := func() []*engine.Instance {
 		big := mkInst(1, model.Llama2_7B, hwsim.A100)
@@ -287,10 +308,11 @@ func TestValidateWithoutMatchesValidate(t *testing.T) {
 		{"cpu-long-prompt", cpuMix(), 0.5, 0.6, mkReq(99, 4096, 100, 0.5)},
 	}
 	outsider := mkInst(100, model.Llama2_7B, hwsim.A100)
+	fresh := reg.Get(hwsim.A100, model.Llama2_13B, 1)
 	seen := map[Reason]bool{}
 	for _, tc := range cases {
 		skips := append([]*engine.Instance{nil}, tc.insts...)
-		cands := append(append([]*engine.Instance(nil), tc.insts...), outsider)
+		cands := append(append([]*engine.Instance{nil}, tc.insts...), outsider)
 		for _, skip := range skips {
 			for _, cand := range cands {
 				var views []InstView
@@ -304,13 +326,22 @@ func TestValidateWithoutMatchesValidate(t *testing.T) {
 					}
 					views = append(views, viewOf(inst))
 				}
+				if cand == nil {
+					candIdx = len(views)
+					views = append(views, InstView{Profile: fresh})
+				}
 				rv := ViewRequest(tc.newReq)
 				want := NewValidator().Validate(tc.now, tc.busy, views, candIdx, rv, slo.DefaultTPOT)
 				v := NewValidator()
-				got := v.ValidateWithout(tc.now, tc.busy, tc.insts, skip, cand, rv, slo.DefaultTPOT)
+				var got Reason
+				if cand == nil {
+					got = v.Check(tc.now, tc.busy, v.Project(tc.insts, skip, nil, fresh, rv), slo.DefaultTPOT)
+				} else {
+					got = v.ValidateWithout(tc.now, tc.busy, tc.insts, skip, cand, rv, slo.DefaultTPOT)
+				}
 				if got != want {
-					t.Errorf("%s skip=%v cand=%d: ValidateWithout=%v, Validate=%v",
-						tc.name, skip != nil, cand.ID, got, want)
+					t.Errorf("%s skip=%v fresh=%v: projection=%v, Validate=%v",
+						tc.name, skip != nil, cand == nil, got, want)
 				}
 				wantRej := int64(0)
 				if got != OK {

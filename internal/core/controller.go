@@ -90,19 +90,16 @@ type Controller struct {
 	nextInstID   int
 	traceEnd     sim.Time
 
-	// Scratch buffers reused by the admission hot path (shadow validation
-	// builds a projection of every colocated instance per candidate, and
-	// retryPending snapshots the queue); the simulation is single-threaded
+	// Scratch buffers reused by the admission hot path (memory planning
+	// and retryPending's queue snapshot); the simulation is single-threaded
 	// per controller, so plain fields suffice.
-	viewScratch    []compute.InstView
-	reqViewScratch []compute.ReqView
 	kvStateScratch []kvcache.ReqState
 	retryScratch   []*engine.Request
 	// routeCandidates scratch: the returned ordering lives in routeScratch
-	// until the next routeCandidates call. Internal callers (tryExisting,
-	// tryPlaceAvoiding) iterate it immediately and admit never routes, so
-	// they cannot nest; policies get a copy via hostView.RouteCandidates
-	// because preemption routes recursively while iterating.
+	// until the next routeCandidates call. tryExisting iterates it
+	// immediately and admit never routes, so they cannot nest; policies get
+	// a copy via hostView.RouteCandidates because preemption routes
+	// recursively while iterating.
 	routeScratch []*engine.Instance
 	routeCPU     []*engine.Instance
 	routeGPU     []*engine.Instance
@@ -212,8 +209,6 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	c.routeScratch, c.routeCPU, c.routeGPU = c.routeScratch[:0], c.routeCPU[:0], c.routeGPU[:0]
 	// The admission scratch buffers rest at length 0 but their backing
 	// arrays still pin last run's profiles and requests; wipe to capacity.
-	c.viewScratch = clearScratch(c.viewScratch)
-	c.reqViewScratch = clearScratch(c.reqViewScratch)
 	c.kvStateScratch = clearScratch(c.kvStateScratch)
 	c.retryScratch = clearScratch(c.retryScratch)
 	c.retrying = false
@@ -503,7 +498,7 @@ func (c *Controller) tryPlace(req *engine.Request) bool {
 	placed := false
 	switch {
 	// 1. Existing instances, CPU first, largest batch first (§VIII-B).
-	case c.tryExisting(req, hm):
+	case c.tryExisting(req, hm, nil):
 		placed = true
 	// 2. Proactive consolidation: preempt smaller neighbours so an existing
 	//    instance can scale up in place (§VIII-A).
@@ -533,11 +528,11 @@ func (c *Controller) ensureDecodeInstance(m model.Model, req *engine.Request) {
 	c.createDecodeInstance(m, req)
 }
 
-// tryExisting routes to a live instance per the reactive bin-packing order.
-func (c *Controller) tryExisting(req *engine.Request, hm *hostedModel) bool {
-	cands := c.routeCandidates(hm, wantRole(c.Cfg))
-	for _, inst := range cands {
-		if c.admit(req, inst) {
+// tryExisting routes to a live instance other than avoid per the reactive
+// bin-packing order.
+func (c *Controller) tryExisting(req *engine.Request, hm *hostedModel, avoid *engine.Instance) bool {
+	for _, inst := range c.routeCandidates(hm, wantRole(c.Cfg)) {
+		if inst != avoid && c.admit(req, inst) {
 			return true
 		}
 	}
@@ -620,8 +615,8 @@ func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
 }
 
 // shadowValidate projects the candidate's executor forward with the request
-// virtually added (§VI-C), measuring real scheduling overhead (Figure 33);
-// resizeBlock is the stall of the scale-up this admission would issue.
+// virtually added (§VI-C); resizeBlock is the stall of the scale-up this
+// admission would issue.
 func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance, resizeBlock sim.Duration) bool {
 	ex := c.instExec[inst.ID]
 	if ex == nil {
@@ -633,112 +628,52 @@ func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance, 
 		// validate against the graced deadline.
 		rv.Deadline = rv.Deadline.Add(c.specOf(inst).LoadTime(inst.Model))
 	}
-	return c.validateOnExecutor(ex, inst, rv, req.Obj.TPOT, resizeBlock)
+	return c.validate(ex, inst, nil, rv, req.Obj.TPOT, resizeBlock) == compute.OK
 }
 
-// beginViews prepares the view scratch for projecting ex's instances (plus
-// one candidate view). Validate deep-copies its inputs, so both buffers are
-// free for reuse as soon as it returns; the request-view buffer is sized up
-// front because growth mid-build would detach earlier views' sub-slices.
-func (c *Controller) beginViews(ex *cluster.Executor) ([]compute.InstView, []compute.ReqView) {
-	need := 0
-	for _, other := range ex.Instances {
-		need += other.TotalLoad()
-	}
-	if cap(c.reqViewScratch) < need {
-		c.reqViewScratch = make([]compute.ReqView, 0, need*2)
-	}
-	if cap(c.viewScratch) < len(ex.Instances)+1 {
-		c.viewScratch = make([]compute.InstView, 0, 2*(len(ex.Instances)+1))
-	}
-	return c.viewScratch[:0], c.reqViewScratch[:0]
-}
-
-// endViews returns the (possibly grown) scratch backing for reuse.
-func (c *Controller) endViews(views []compute.InstView, rbuf []compute.ReqView) {
-	c.viewScratch, c.reqViewScratch = views[:0], rbuf[:0]
-}
-
-// validateOnExecutor runs shadow validation for adding a request view to
-// cand; candBlock additionally delays the candidate (prospective resize).
-// The case-3 aggregate-decode check runs first, on the live instances:
-// on a loaded node most attempts end there, before any view is built.
-func (c *Controller) validateOnExecutor(ex *cluster.Executor, cand *engine.Instance, rv compute.ReqView, tpot sim.Duration, candBlock sim.Duration) bool {
+// validate is the controller's shadow validation (§VI-C), measuring real
+// scheduling overhead (Figure 33): rv joins cand on ex, or a fresh instance
+// with profile fresh when cand is nil (a scale-out must pass the same
+// validation as a scale-up). Blocking is charged as the executor will see
+// it: every instance's in-flight resize or cold start, and block on the
+// candidate (the planned scale-up stall, or the fresh instance's load). The
+// case-3 aggregate-decode check runs first, on the live instances: on a
+// loaded node most attempts end there, before any view is built.
+func (c *Controller) validate(ex *cluster.Executor, cand *engine.Instance, fresh *perfmodel.Profile, rv compute.ReqView, tpot, block sim.Duration) compute.Reason {
 	var start time.Time
 	if c.Cfg.MeasureOverhead {
 		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
 	}
-	ok := false
+	reason := compute.AggregateDecode
 	if !c.Validator.RejectsAggregate(ex.Instances, tpot) {
-		views, rbuf, candIdx := c.executorViews(ex, cand, candBlock)
-		ok = c.Validator.Validate(c.Sim.Now(), c.busyUntil(ex), views, candIdx, rv, tpot) == compute.OK
-		c.endViews(views, rbuf)
-	}
-	if c.Cfg.MeasureOverhead {
-		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
-	}
-	return ok
-}
-
-// validateNewInstanceOn checks that spawning a fresh instance for a request
-// on this executor would not break colocated SLOs (a scale-out must pass
-// the same §VI-C validation as a scale-up). The fresh instance has no
-// decode batch, so the live case-3 check covers it too.
-func (c *Controller) validateNewInstanceOn(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool {
-	var start time.Time
-	if c.Cfg.MeasureOverhead {
-		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
-	}
-	ok := false
-	if !c.Validator.RejectsAggregate(ex.Instances, req.Obj.TPOT) {
-		rv := compute.ViewRequest(req)
-		rv.Deadline = rv.Deadline.Add(loadDur) // cold-start grace
-		views, rbuf, _ := c.executorViews(ex, nil, 0)
-		candIdx := len(views)
-		views = append(views, compute.InstView{
-			Profile:      prof,
-			BlockedUntil: c.Sim.Now().Add(loadDur),
-		})
-		ok = c.Validator.Validate(c.Sim.Now(), c.busyUntil(ex), views, candIdx, rv, req.Obj.TPOT) == compute.OK
-		c.endViews(views, rbuf)
-	}
-	if c.Cfg.MeasureOverhead {
-		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
-	}
-	return ok
-}
-
-// executorViews builds the views of ex's instances into the view scratch
-// (release them with endViews), charging in-flight resizes and cold starts
-// as blocking; cand, when on ex, is additionally blocked for candBlock.
-// candIdx is cand's view index, or -1.
-func (c *Controller) executorViews(ex *cluster.Executor, cand *engine.Instance, candBlock sim.Duration) (views []compute.InstView, rbuf []compute.ReqView, candIdx int) {
-	views, rbuf = c.beginViews(ex)
-	candIdx = -1
-	for _, other := range ex.Instances {
-		if other == cand {
-			candIdx = len(views)
-		}
-		var v compute.InstView
-		v, rbuf = compute.ViewInstanceInto(other, rbuf)
-		if other.ResizeInFlight {
-			// The resize op recorded its landing time when it was issued;
-			// charge only the remaining fraction, not a fresh full-size
-			// transfer (which overstated the stall several-fold for resizes
-			// caught near completion).
-			v.BlockedUntil = other.ResizeDoneAt
-		}
-		if eta, ok := c.loadETA[other.ID]; ok && eta > v.BlockedUntil {
-			v.BlockedUntil = eta // cold start still in progress
-		}
-		if other == cand && candBlock > 0 {
-			if b := c.Sim.Now().Add(candBlock); b > v.BlockedUntil {
-				v.BlockedUntil = b
+		now := c.Sim.Now()
+		proj := c.Validator.Project(ex.Instances, nil, cand, fresh, rv)
+		if proj != nil { // nil: cand is not on ex, which Check rejects
+			ci := len(proj) - 1 // the fresh instance, unless cand is live
+			for i, inst := range ex.Instances {
+				if inst == cand {
+					ci = i
+				}
+				if inst.ResizeInFlight {
+					// The resize op recorded its landing time when it was
+					// issued; charge only the remaining fraction, not a fresh
+					// full-size transfer.
+					proj[i].BlockedUntil = inst.ResizeDoneAt
+				}
+				if eta, ok := c.loadETA[inst.ID]; ok && eta > proj[i].BlockedUntil {
+					proj[i].BlockedUntil = eta // cold start still in progress
+				}
+			}
+			if b := now.Add(block); block > 0 && b > proj[ci].BlockedUntil {
+				proj[ci].BlockedUntil = b
 			}
 		}
-		views = append(views, v)
+		reason = c.Validator.Check(now, c.busyUntil(ex), proj, tpot)
 	}
-	return views, rbuf, candIdx
+	if c.Cfg.MeasureOverhead {
+		c.Collector.ValidationNs += time.Since(start).Nanoseconds() //slinfer:wallclock diagnostic overhead counter only
+	}
+	return reason
 }
 
 // busyUntil is when ex finishes its current iteration (now when idle).

@@ -332,24 +332,12 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 	req.Migrations++
 	c.Collector.Migrations++
 	c.emit(telemetry.KindPreempt, req, from, int64(req.Migrations), 0)
-	if !c.tryPlaceAvoiding(req, from) {
+	// tryPlace minus the originating instance and minus recursion into
+	// preemption (avoids ping-pong).
+	hm := c.lookup(req.W.ModelName)
+	if !c.tryExisting(req, hm, from) && !c.Cfg.Placement.PlaceNew(c.host, req, hm.m) {
 		c.enqueue(req)
 	}
-}
-
-// tryPlaceAvoiding is tryPlace minus the originating instance and minus
-// recursion into preemption (avoids ping-pong).
-func (c *Controller) tryPlaceAvoiding(req *engine.Request, avoid *engine.Instance) bool {
-	hm := c.lookup(req.W.ModelName)
-	for _, inst := range c.routeCandidates(hm, wantRole(c.Cfg)) {
-		if inst == avoid {
-			continue
-		}
-		if c.admit(req, inst) {
-			return true
-		}
-	}
-	return c.Cfg.Placement.PlaceNew(c.host, req, hm.m)
 }
 
 // ---- Instance lifecycle ------------------------------------------------------

@@ -300,8 +300,8 @@ func TestResizeChargesRemainingFractionOnly(t *testing.T) {
 		})
 	}
 	observed, partial := 0, 0
-	var probe func()
-	probe = func() {
+	var probe func(any)
+	probe = func(any) {
 		for _, inst := range c.InstancesOf(m.Name) {
 			if !inst.ResizeInFlight {
 				if inst.ResizeDoneAt != 0 {
@@ -324,10 +324,10 @@ func TestResizeChargesRemainingFractionOnly(t *testing.T) {
 			}
 		}
 		if s.Now() < 40 {
-			s.After(0.01, probe)
+			s.AfterFunc(0.01, probe, nil)
 		}
 	}
-	s.After(1, probe)
+	s.AfterFunc(1, probe, nil)
 	c.Run(workload.Trace{Requests: reqs, Duration: 60 * sim.Second})
 	if observed == 0 {
 		t.Fatal("probe never caught a resize in flight — cadence too coarse for this workload")

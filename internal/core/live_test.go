@@ -50,9 +50,9 @@ func TestAppendLiveMatchesSuite(t *testing.T) {
 			suite := invariants.Attach(c)
 			traceEnd := sim.Time(0).Add(tr.Duration)
 			c.BeginStream(traceEnd, len(tr.Requests))
-			for _, r := range tr.Requests {
-				r := r
-				s.At(r.Arrival, func() { c.Submit(r) })
+			submit := func(r any) { c.Submit(*r.(*workload.Request)) }
+			for i := range tr.Requests {
+				s.AtFunc(tr.Requests[i].Arrival, submit, &tr.Requests[i])
 			}
 
 			var live []*engine.Request

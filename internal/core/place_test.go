@@ -4,10 +4,12 @@ import (
 	"slices"
 	"testing"
 
+	"slinfer/internal/cluster"
 	"slinfer/internal/compute"
-
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
+	"slinfer/internal/model"
+	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 )
@@ -55,53 +57,215 @@ func TestScaleOutProbeDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// On a saturated controller, validateOnExecutor and validateNewInstanceOn
-// must decide every attempt as a full Validate over the same views does,
-// with the live case-3 pre-check rejecting exactly the attempts that
-// Validate rejects as AggregateDecode, and move the counters identically.
+// refViews is the controller's view builder before the one projection, kept
+// as the oracle: it copies every colocated request into fresh views,
+// charging in-flight resizes and cold starts as blocking and candBlock on
+// cand. candIdx is cand's view index, or -1.
+func refViews(c *Controller, ex *cluster.Executor, cand *engine.Instance, candBlock sim.Duration) (views []compute.InstView, candIdx int) {
+	candIdx = -1
+	for _, other := range ex.Instances {
+		if other == cand {
+			candIdx = len(views)
+		}
+		v := compute.InstView{Profile: other.Profile}
+		for _, r := range other.Running {
+			v.Reqs = append(v.Reqs, compute.ReqView{
+				Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
+				InputLen: r.W.InputLen, Ctx: r.ContextTokens(),
+			})
+		}
+		for _, r := range other.WaitingPrefill {
+			v.Reqs = append(v.Reqs, compute.ReqView{
+				Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
+				InputLen: r.ContextTokens(), Ctx: r.ContextTokens(), NeedsPrefill: true,
+			})
+		}
+		if other.ResizeInFlight {
+			v.BlockedUntil = other.ResizeDoneAt
+		}
+		if eta, ok := c.loadETA[other.ID]; ok && eta > v.BlockedUntil {
+			v.BlockedUntil = eta
+		}
+		if other == cand && candBlock > 0 {
+			if b := c.Sim.Now().Add(candBlock); b > v.BlockedUntil {
+				v.BlockedUntil = b
+			}
+		}
+		views = append(views, v)
+	}
+	return views, candIdx
+}
+
+// refValidate is the deep-copy Validate the oracle runs: newReq joins a
+// copy of views[candIdx], and the copy is checked.
+func refValidate(v *compute.Validator, now, busyUntil sim.Time, views []compute.InstView, candIdx int, newReq compute.ReqView, tpot sim.Duration) compute.Reason {
+	if candIdx < 0 || candIdx >= len(views) {
+		return v.Check(now, busyUntil, nil, tpot)
+	}
+	proj := make([]compute.InstView, len(views))
+	for i, iv := range views {
+		proj[i] = iv
+		proj[i].Reqs = slices.Clone(iv.Reqs)
+		if i == candIdx {
+			proj[i].Reqs = append(proj[i].Reqs, newReq)
+		}
+	}
+	return v.Check(now, busyUntil, proj, tpot)
+}
+
+// On the saturated shape, densely over its light start and then at 60, 90
+// and 120 s, validate must decide every attempt (each live candidate with
+// and without a planned stall, and a fresh instance, for a tight and a
+// loose new request) with the same Reason as the former builder plus a
+// deep-copy Validate, with the live case-3 pre-check rejecting exactly the
+// attempts the reference rejects as AggregateDecode, and must move the
+// counters identically.
 func TestAggregatePreCheckMatchesValidate(t *testing.T) {
-	c, req := saturated(t, 60)
-	m := c.lookup(req.W.ModelName).m
-	tpot := req.Obj.TPOT
+	models, tr := goldenShape(24, 360)
+	s := sim.New()
+	c := New(s, hwsim.Testbed(1, 1), models, SLINFER())
+	c.BeginStream(sim.Time(0).Add(tr.Duration), len(tr.Requests))
+	m := models[0]
+	v := c.Validator
 	seen := map[compute.Reason]int{}
-	for _, until := range []sim.Time{60, 90, 120} {
-		c.Sim.RunUntil(until)
+	check := func(ex *cluster.Executor, cand *engine.Instance, fresh *perfmodel.Profile, rv compute.ReqView, block sim.Duration) {
+		t.Helper()
+		views, candIdx := refViews(c, ex, cand, block)
+		if cand == nil {
+			candIdx = len(views)
+			views = append(views, compute.InstView{Profile: fresh, BlockedUntil: s.Now().Add(block)})
+		}
+		ref := &compute.Validator{Overestimate: v.Overestimate, DecodeRounds: v.DecodeRounds, MaxSteps: v.MaxSteps}
+		want := refValidate(ref, s.Now(), c.busyUntil(ex), views, candIdx, rv, rv.TPOT)
+		seen[want]++
+
+		pre := &compute.Validator{Overestimate: v.Overestimate}
+		if got := pre.RejectsAggregate(ex.Instances, rv.TPOT); got != (want == compute.AggregateDecode) {
+			t.Fatalf("pre-check rejected=%v, reference=%v", got, want)
+		}
+		v0, r0 := v.Validations, v.Rejections
+		if got := c.validate(ex, cand, fresh, rv, rv.TPOT, block); got != want {
+			t.Fatalf("validate=%v, reference=%v", got, want)
+		}
+		if dv, dr := v.Validations-v0, v.Rejections-r0; dv != ref.Validations || dr != ref.Rejections {
+			t.Fatalf("controller counted %d/%d, reference %d/%d", dv, dr, ref.Validations, ref.Rejections)
+		}
+	}
+	var times []sim.Time
+	for at := sim.Time(0.5); at < 30; at += 0.5 {
+		times = append(times, at) // loads and resizes in flight
+	}
+	next := 0
+	for _, until := range append(times, 60, 90, 120) {
+		for ; next < len(tr.Requests) && tr.Requests[next].Arrival <= until; next++ {
+			s.RunUntil(tr.Requests[next].Arrival)
+			c.Submit(tr.Requests[next])
+		}
+		s.RunUntil(until)
+		req := engine.NewRequest(workload.Request{ID: -1, ModelName: m.Name,
+			Arrival: s.Now(), InputLen: 1024, OutputLen: 200})
 		for _, ex := range c.elasticExecs {
 			prof := c.Registry.Get(ex.Node.Spec.Class, m, 1)
-			for _, cand := range append(slices.Clone(ex.Instances), nil) {
+			for _, slack := range []sim.Duration{0, 4} {
 				rv := compute.ViewRequest(req)
-				views, rbuf, candIdx := c.executorViews(ex, cand, 0)
-				if cand == nil {
-					rv.Deadline = rv.Deadline.Add(sim.Second)
-					candIdx = len(views)
-					views = append(views, compute.InstView{Profile: prof, BlockedUntil: c.Sim.Now().Add(sim.Second)})
+				rv.Deadline = rv.Deadline.Add(slack)
+				for _, cand := range ex.Instances {
+					for _, block := range []sim.Duration{0, 0.3, sim.Second} {
+						check(ex, cand, nil, rv, block)
+					}
 				}
-				ref := &compute.Validator{Overestimate: c.Cfg.Overestimate, DecodeRounds: 3, MaxSteps: 600}
-				want := ref.Validate(c.Sim.Now(), c.busyUntil(ex), views, candIdx, rv, tpot)
-				c.endViews(views, rbuf)
-				seen[want]++
-
-				pre := &compute.Validator{Overestimate: c.Cfg.Overestimate}
-				if got := pre.RejectsAggregate(ex.Instances, tpot); got != (want == compute.AggregateDecode) {
-					t.Fatalf("pre-check rejected=%v, Validate=%v", got, want)
-				}
-				v0, r0 := c.Validator.Validations, c.Validator.Rejections
-				var ok bool
-				if cand == nil {
-					ok = c.validateNewInstanceOn(ex, prof, req, sim.Second)
-				} else {
-					ok = c.validateOnExecutor(ex, cand, rv, tpot, 0)
-				}
-				if ok != (want == compute.OK) {
-					t.Fatalf("controller placed=%v, Validate=%v", ok, want)
-				}
-				if dv, dr := c.Validator.Validations-v0, c.Validator.Rejections-r0; dv != ref.Validations || dr != ref.Rejections {
-					t.Fatalf("controller counted %d/%d, Validate %d/%d", dv, dr, ref.Validations, ref.Rejections)
-				}
+				// A fresh instance is blocked by its load and graced by it.
+				rv.Deadline = rv.Deadline.Add(sim.Second)
+				check(ex, nil, prof, rv, sim.Second)
 			}
 		}
 	}
-	if seen[compute.AggregateDecode] == 0 || len(seen) < 2 {
-		t.Fatalf("outcomes %v: want aggregate-decode rejections and some other outcome", seen)
+	if len(seen) != 4 {
+		t.Fatalf("outcomes %v: want all four reasons", seen)
+	}
+}
+
+// The three dry runs (scale-up onto a live candidate, scale-out onto a
+// fresh instance, and a grower with its victim left out) must not allocate
+// once warm, on an executor whose case-3 pre-check passes so that each one
+// builds and simulates its projection.
+func TestDryRunsDoNotAllocate(t *testing.T) {
+	c, req := saturated(t, 60)
+	m := c.lookup(req.W.ModelName).m
+	tpot := req.Obj.TPOT
+	rv := compute.ViewRequest(req)
+	var ex *cluster.Executor
+	for until := sim.Time(60); ex == nil && until <= 120; until += 5 {
+		c.Sim.RunUntil(until)
+		for _, nodeEx := range c.elasticExecs {
+			pre := &compute.Validator{Overestimate: c.Validator.Overestimate}
+			if len(nodeEx.Instances) >= 2 && !pre.RejectsAggregate(nodeEx.Instances, tpot) {
+				ex = nodeEx
+				break
+			}
+		}
+	}
+	if ex == nil {
+		t.Fatal("precondition: no executor with two instances passes the case-3 pre-check")
+	}
+	prof := c.Registry.Get(ex.Node.Spec.Class, m, 1)
+	grower, victim := ex.Instances[0], ex.Instances[1]
+	for _, run := range []struct {
+		name string
+		fn   func()
+	}{
+		{"scale-up", func() { c.validate(ex, grower, nil, rv, tpot, 0.3) }},
+		{"scale-out", func() { c.validate(ex, nil, prof, rv, tpot, sim.Second) }},
+		{"grower", func() {
+			c.Validator.ValidateWithout(c.Sim.Now(), c.busyUntil(ex), ex.Instances, victim, grower, rv, tpot)
+		}},
+	} {
+		before := c.Validator.Validations
+		run.fn()
+		if c.Validator.Validations != before+1 {
+			t.Fatalf("%s: counted %d validations, want 1", run.name, c.Validator.Validations-before)
+		}
+		if allocs := testing.AllocsPerRun(20, run.fn); allocs != 0 {
+			t.Errorf("%s dry run allocates %.1f times once warm", run.name, allocs)
+		}
+	}
+}
+
+// The §VIII-A grower dry run charges no blocking, while the scale-up path
+// charges every in-flight resize: with a resize on the grower that lands
+// past the new request's TTFT deadline, ValidateWithout accepts and
+// validate rejects. A preemption executed on that answer leaves the
+// stall to the grower's final Admit.
+func TestGrowerDryRunIgnoresResizeInFlight(t *testing.T) {
+	models := model.Replicas(model.Llama2_7B, 2)
+	s := sim.New()
+	c := New(s, hwsim.Testbed(0, 1), models, SLINFER())
+	var insts []*engine.Instance
+	for i, m := range models {
+		// The grower's request finishes at once; the victim stays busy.
+		out := []int{1, 1000}[i]
+		r := engine.NewRequest(workload.Request{ID: int64(i), ModelName: m.Name,
+			Arrival: s.Now(), InputLen: 256, OutputLen: out})
+		inst := c.createInstance(m, c.Cluster.Nodes, 1, r)
+		c.place(r, inst)
+		insts = append(insts, inst)
+	}
+	s.RunUntil(s.Now().Add(c.Cluster.Nodes[0].Spec.LoadTime(models[0]) + sim.Second))
+	grower, victim := insts[0], insts[1]
+	ex := c.instExec[grower.ID]
+	if ex == nil || c.instExec[victim.ID] != ex || grower.State != engine.Active || victim.TotalLoad() == 0 {
+		t.Fatal("precondition: want an active grower and a busy victim sharing one executor")
+	}
+	req := engine.NewRequest(workload.Request{ID: 9, ModelName: models[0].Name,
+		Arrival: s.Now(), InputLen: 1024, OutputLen: 200})
+	rv := compute.ViewRequest(req)
+	grower.ResizeInFlight, grower.ResizeDoneAt = true, rv.Deadline.Add(sim.Second)
+	defer func() { grower.ResizeInFlight, grower.ResizeDoneAt = false, 0 }()
+
+	if got := c.Validator.ValidateWithout(s.Now(), c.busyUntil(ex), ex.Instances, victim, grower, rv, req.Obj.TPOT); got != compute.OK {
+		t.Fatalf("grower dry run = %v, want OK: it must not charge the resize", got)
+	}
+	if got := c.validate(ex, grower, nil, rv, req.Obj.TPOT, 0); got != compute.NewTTFT {
+		t.Fatalf("scale-up validation = %v, want %v from the resize in flight", got, compute.NewTTFT)
 	}
 }

@@ -146,10 +146,11 @@ type PreemptionPolicy interface {
 	// success. Implementations must run every dry run before their first
 	// side effect and leave the cluster unchanged when a dry run fails.
 	// Once committed, the final Host.Admit can still reject: a victim with
-	// a resize in flight stays on the executor until it lands, and Admit
-	// charges resize and cold-start blocking that a dry run over
-	// ViewInstanceInto views omits. TryPreempt then reports false with the
-	// victim's requests already migrated and the victim reclaimed.
+	// a resize in flight stays on the executor until it lands, Admit plans
+	// memory, and Admit charges the scale-up stall and every in-flight
+	// resize and cold start, which the grower dry run
+	// (Validator.ValidateWithout) does not. TryPreempt then reports false
+	// with the victim's requests already migrated and the victim reclaimed.
 	TryPreempt(h Host, req *engine.Request, m model.Model) bool
 }
 

@@ -18,7 +18,7 @@ import (
 //     GC write barrier per level (the barriers showed up in profiles when
 //     the queue held *event pointers).
 //   - The time key is stored as its IEEE-754 bit pattern: event times are
-//     always >= 0 (At rejects the past and the clock starts at zero), and
+//     always >= 0 (AtFunc rejects the past and the clock starts at zero), and
 //     for non-negative floats the bit patterns order identically to the
 //     values — so the hot comparison is two integer compares instead of a
 //     float compare with a tie branch (ties on `at` are common: every batch
@@ -44,7 +44,7 @@ type heapEntry struct {
 }
 
 // timeBits maps a non-negative Time to an order-preserving uint64 key.
-// Adding +0 first normalizes -0.0 (which At admits: -0.0 < 0 is false) to
+// Adding +0 first normalizes -0.0 (which AtFunc admits: -0.0 < 0 is false) to
 // +0.0, whose bit pattern would otherwise sort above every positive time.
 func timeBits(t Time) uint64 {
 	return math.Float64bits(float64(t) + 0)

@@ -11,14 +11,14 @@ import (
 func TestPoolRecyclesSlots(t *testing.T) {
 	s := New()
 	fired := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		fired++
 		if fired < 10000 {
-			s.After(Millisecond, tick)
+			s.AfterFunc(Millisecond, tick, nil)
 		}
 	}
-	s.After(Millisecond, tick)
+	s.AfterFunc(Millisecond, tick, nil)
 	allocs := testing.AllocsPerRun(1, func() { s.Run() })
 	if fired != 10000 {
 		t.Fatalf("fired = %d, want 10000", fired)
@@ -36,11 +36,11 @@ func TestPoolRecyclesSlots(t *testing.T) {
 // affect the successor.
 func TestStaleHandleCannotCancelSuccessor(t *testing.T) {
 	s := New()
-	stale := s.At(1, func() {})
+	stale := s.AtFunc(1, func(any) {}, nil)
 	s.Run() // fires; the slot returns to the pool
 
 	succFired := false
-	succ := s.At(2, func() { succFired = true })
+	succ := s.AtFunc(2, func(any) { succFired = true }, nil)
 	if succ.slot != stale.slot {
 		t.Fatalf("pool did not recycle the fired slot (test premise broken)")
 	}
@@ -61,7 +61,7 @@ func TestStaleHandleCannotCancelSuccessor(t *testing.T) {
 // reused, then degrades to inert.
 func TestStaleHandleAfterCancelledSlotReuse(t *testing.T) {
 	s := New()
-	old := s.At(5, func() { t.Fatal("cancelled event fired") })
+	old := s.AtFunc(5, func(any) { t.Fatal("cancelled event fired") }, nil)
 	if !old.Cancel() {
 		t.Fatal("Cancel failed for pending event")
 	}
@@ -70,7 +70,7 @@ func TestStaleHandleAfterCancelledSlotReuse(t *testing.T) {
 	}
 
 	succFired := false
-	succ := s.At(6, func() { succFired = true })
+	succ := s.AtFunc(6, func(any) { succFired = true }, nil)
 	if succ.slot != old.slot {
 		t.Fatalf("pool did not recycle the cancelled slot (test premise broken)")
 	}
@@ -111,7 +111,7 @@ func TestPooledOrderMatchesReference(t *testing.T) {
 			at := Time(rng.Intn(40)) // coarse times force heavy ties
 			id := i
 			want = append(want, ref{at: at, id: id})
-			handles = append(handles, s.At(at, func() { got = append(got, id) }))
+			handles = append(handles, s.AtFunc(at, func(any) { got = append(got, id) }, nil))
 		}
 		for i := range handles {
 			if rng.Intn(4) == 0 {
@@ -142,14 +142,14 @@ func TestPooledOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAtFuncDeliversArgument checks the pre-bound callback variants carry
-// their argument and respect ordering with closure-based events.
+// TestAtFuncDeliversArgument checks the pre-bound callbacks carry their
+// argument and fire in time order.
 func TestAtFuncDeliversArgument(t *testing.T) {
 	s := New()
 	var got []int
 	push := func(a any) { got = append(got, a.(int)) }
 	s.AtFunc(2, push, 2)
-	s.At(1, func() { got = append(got, 1) })
+	s.AtFunc(1, push, 1)
 	s.AfterFunc(3, push, 3)
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {

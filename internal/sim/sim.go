@@ -17,9 +17,10 @@
 //     concrete event type (see heap.go) — no interface boxing per push/pop,
 //     and half the depth of a binary heap on large queues.
 //
-// Hot callers that would otherwise allocate a fresh closure per scheduled
-// event should use AtFunc/AfterFunc with a callback bound once, per the
-// closure-allocation rules in DESIGN.md.
+// Events are scheduled with AtFunc/AfterFunc: a callback plus the argument
+// it is passed, so a hot caller binds the callback once and schedules
+// without a closure allocation per event (the closure-allocation rules in
+// DESIGN.md).
 package sim
 
 import (
@@ -63,13 +64,12 @@ func (d Duration) String() string { return fmt.Sprintf("%.6fs", float64(d)) }
 type event struct {
 	at  Time
 	seq uint64
-	// Exactly one of fn / fn1 is set. fn1 carries a pre-bound callback plus
-	// its argument so hot callers avoid a closure allocation per event.
-	fn       func()
-	fn1      func(any)
+	// fn is a pre-bound callback and arg its argument, so hot callers avoid
+	// a closure allocation per event.
+	fn       func(any)
 	arg      any
-	index    int32 // heap index, -1 when not queued
 	gen      uint64
+	index    int32 // heap index, -1 when not queued
 	canceled bool
 }
 
@@ -125,7 +125,7 @@ func (h Event) Cancel() bool {
 	}
 	e.canceled = true
 	h.s.remove(int(e.index))
-	e.fn, e.fn1, e.arg = nil, nil, nil
+	e.fn, e.arg = nil, nil
 	h.s.pool = append(h.s.pool, h.slot)
 	return true
 }
@@ -187,8 +187,16 @@ func (s *Simulator) alloc() int32 {
 	return int32(len(s.slots) - 1)
 }
 
+// AtFunc schedules fn(arg) to run at absolute time t. Scheduling in the past
+// panics: it would silently reorder causality and every caller bug we have
+// seen manifests this way. The callback is passed its argument explicitly,
+// so hot callers bind fn once (at construction) and schedule without
+// allocating a closure per event: the argument rides inside the pooled
+// event. Passing a pointer (or any pointer-shaped value) as arg does not
+// allocate.
+//
 //slinfer:hotpath
-func (s *Simulator) schedule(t Time, fn func(), fn1 func(any), arg any) Event {
+func (s *Simulator) AtFunc(t Time, fn func(arg any), arg any) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -197,40 +205,10 @@ func (s *Simulator) schedule(t Time, fn func(), fn1 func(any), arg any) Event {
 	}
 	sl := s.alloc()
 	e := &s.slots[sl]
-	e.at, e.seq, e.fn, e.fn1, e.arg = t, s.seq, fn, fn1, arg
+	e.at, e.seq, e.fn, e.arg = t, s.seq, fn, arg
 	s.seq++
 	s.push(sl)
 	return Event{s: s, gen: e.gen, slot: sl}
-}
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would silently reorder causality and every caller bug we have seen
-// manifests this way.
-//
-//slinfer:hotpath
-func (s *Simulator) At(t Time, fn func()) Event {
-	return s.schedule(t, fn, nil, nil)
-}
-
-// After schedules fn to run d after the current time. Negative d panics.
-//
-//slinfer:hotpath
-func (s *Simulator) After(d Duration, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.schedule(s.now.Add(d), fn, nil, nil)
-}
-
-// AtFunc schedules fn(arg) to run at absolute time t. Unlike At, the
-// callback is passed its argument explicitly, so hot callers can bind fn
-// once (at construction) and schedule without allocating a closure per
-// event: the argument rides inside the pooled event. Passing a pointer (or
-// any pointer-shaped value) as arg does not allocate.
-//
-//slinfer:hotpath
-func (s *Simulator) AtFunc(t Time, fn func(arg any), arg any) Event {
-	return s.schedule(t, nil, fn, arg)
 }
 
 // AfterFunc schedules fn(arg) to run d after the current time; see AtFunc.
@@ -241,7 +219,7 @@ func (s *Simulator) AfterFunc(d Duration, fn func(arg any), arg any) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.schedule(s.now.Add(d), nil, fn, arg)
+	return s.AtFunc(s.now.Add(d), fn, arg)
 }
 
 // Reset returns the simulator to the state of a fresh New() — clock at
@@ -259,7 +237,7 @@ func (s *Simulator) Reset() {
 		e.gen++ // invalidate outstanding handles immediately
 		e.index = -1
 		e.canceled = false
-		e.fn, e.fn1, e.arg = nil, nil, nil
+		e.fn, e.arg = nil, nil
 		s.pool = append(s.pool, he.slot)
 	}
 	s.queue = s.queue[:0]
@@ -278,22 +256,18 @@ func (s *Simulator) Step() bool {
 	}
 	sl := s.pop()
 	e := &s.slots[sl]
-	at, fn, fn1, arg := e.at, e.fn, e.fn1, e.arg
+	at, fn, arg := e.at, e.fn, e.arg
 	// Recycle before running the callback (and drop the arena pointer — the
 	// callback may grow the arena): a self-renewing timer chain reuses its
 	// own slot, so steady-state scheduling never allocates.
-	e.fn, e.fn1, e.arg = nil, nil, nil
+	e.fn, e.arg = nil, nil
 	s.pool = append(s.pool, sl)
 	s.now = at
 	s.fired++
 	if s.OnEvent != nil {
 		s.OnEvent(at)
 	}
-	if fn != nil {
-		fn()
-	} else {
-		fn1(arg)
-	}
+	fn(arg)
 	return true
 }
 

@@ -10,9 +10,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	s := New()
 	var got []int
-	s.At(3, func() { got = append(got, 3) })
-	s.At(1, func() { got = append(got, 1) })
-	s.At(2, func() { got = append(got, 2) })
+	s.AtFunc(3, func(any) { got = append(got, 3) }, nil)
+	s.AtFunc(1, func(any) { got = append(got, 1) }, nil)
+	s.AtFunc(2, func(any) { got = append(got, 2) }, nil)
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -30,7 +30,7 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5, func() { got = append(got, i) })
+		s.AtFunc(5, func(any) { got = append(got, i) }, nil)
 	}
 	s.Run()
 	for i := range got {
@@ -43,7 +43,7 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
-	e := s.At(1, func() { fired = true })
+	e := s.AtFunc(1, func(any) { fired = true }, nil)
 	if !e.Cancel() {
 		t.Fatal("Cancel returned false for pending event")
 	}
@@ -62,10 +62,10 @@ func TestCancel(t *testing.T) {
 func TestAfterAndNestedScheduling(t *testing.T) {
 	s := New()
 	var times []Time
-	s.After(1, func() {
+	s.AfterFunc(1, func(any) {
 		times = append(times, s.Now())
-		s.After(2, func() { times = append(times, s.Now()) })
-	})
+		s.AfterFunc(2, func(any) { times = append(times, s.Now()) }, nil)
+	}, nil)
 	s.Run()
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
 		t.Fatalf("times = %v, want [1 3]", times)
@@ -76,7 +76,7 @@ func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(Time(i), func() { count++ })
+		s.AtFunc(Time(i), func(any) { count++ }, nil)
 	}
 	s.RunUntil(5)
 	if count != 5 {
@@ -96,14 +96,14 @@ func TestRunUntil(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	s := New()
-	s.At(5, func() {})
+	s.AtFunc(5, func(any) {}, nil)
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	s.At(1, func() {})
+	s.AtFunc(1, func(any) {}, nil)
 }
 
 func TestNonFiniteTimePanics(t *testing.T) {
@@ -113,7 +113,7 @@ func TestNonFiniteTimePanics(t *testing.T) {
 			t.Fatal("expected panic scheduling at NaN")
 		}
 	}()
-	s.At(Time(math.NaN()), func() {})
+	s.AtFunc(Time(math.NaN()), func(any) {}, nil)
 }
 
 // Property: for any set of timestamps, events fire in sorted order.
@@ -123,7 +123,7 @@ func TestEventsFireSortedProperty(t *testing.T) {
 		var fired []Time
 		for _, r := range raw {
 			tm := Time(r)
-			s.At(tm, func() { fired = append(fired, tm) })
+			s.AtFunc(tm, func(any) { fired = append(fired, tm) }, nil)
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -214,10 +214,10 @@ func TestCancelRemovesFromHeapEagerly(t *testing.T) {
 	s := New()
 	var evs []Event
 	for i := 0; i < 1000; i++ {
-		evs = append(evs, s.After(Duration(i+1), func() {}))
+		evs = append(evs, s.AfterFunc(Duration(i+1), func(any) {}, nil))
 	}
 	fired := 0
-	s.After(2000, func() { fired++ })
+	s.AfterFunc(2000, func(any) { fired++ }, nil)
 	for _, e := range evs {
 		if !e.Cancel() {
 			t.Fatal("Cancel returned false for a pending event")
@@ -237,9 +237,9 @@ func TestCancelRemovesFromHeapEagerly(t *testing.T) {
 func TestCancelHeadPreservesOrder(t *testing.T) {
 	s := New()
 	var order []int
-	a := s.After(1, func() { order = append(order, 1) })
-	s.After(2, func() { order = append(order, 2) })
-	s.After(3, func() { order = append(order, 3) })
+	a := s.AfterFunc(1, func(any) { order = append(order, 1) }, nil)
+	s.AfterFunc(2, func(any) { order = append(order, 2) }, nil)
+	s.AfterFunc(3, func(any) { order = append(order, 3) }, nil)
 	a.Cancel()
 	s.Run()
 	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
@@ -251,8 +251,8 @@ func TestCancelDuringRun(t *testing.T) {
 	s := New()
 	var b Event
 	ran := false
-	s.After(1, func() { b.Cancel() })
-	b = s.After(2, func() { ran = true })
+	s.AfterFunc(1, func(any) { b.Cancel() }, nil)
+	b = s.AfterFunc(2, func(any) { ran = true }, nil)
 	s.Run()
 	if ran {
 		t.Fatal("cancelled-from-an-event callback still ran")
