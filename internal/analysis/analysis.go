@@ -3,7 +3,7 @@
 // prose — determinism of simulation semantics (nodeterminism),
 // reset-completeness of the arena lifecycle (resetcomplete), the hot-path
 // closure/allocation discipline (hotpath), and acquire/release pairing of
-// the pooled resources (poolpair).
+// the pooled arenas (poolpair).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API surface
 // (Analyzer, Pass, Diagnostic, analysistest-style fixtures under
@@ -29,7 +29,7 @@
 //	    On or immediately above a range-over-map statement: asserts the
 //	    body's effects are iteration-order-insensitive. Mandatory reason.
 //	//slinfer:poolpair <reason>
-//	    On or immediately above an Acquire* statement: exempts that
+//	    On or immediately above an AcquireArena statement: exempts that
 //	    acquisition from poolpair. Mandatory reason.
 package analysis
 

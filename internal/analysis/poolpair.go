@@ -6,16 +6,10 @@ import (
 	"go/types"
 )
 
-// PoolPair is a flow-sensitive check that pooled-resource acquisitions are
-// paired on every return path, including early-error returns:
-//
-//   - AcquireArena results must reach a Release (direct or deferred) or be
-//     handed off (returned, stored in a struct/slice/map, passed to a
-//     call) before every function exit.
-//   - AcquireOp results must be consumed — passed to a call (Demand,
-//     ReleaseOp, append into a station/batch) or handed off — before every
-//     function exit. Admitted ops recycle themselves on complete/cancel,
-//     so reaching Demand is the pairing.
+// PoolPair is a flow-sensitive check that pooled arenas are paired on every
+// return path, including early-error returns: an AcquireArena result must
+// reach a Release (direct or deferred) or be handed off (returned, stored
+// in a struct/slice/map, passed to a call) before every function exit.
 //
 // The analysis is syntactic dataflow over the function body: branches of
 // if/switch/select merge conservatively (a path is clean only if every
@@ -25,16 +19,9 @@ import (
 // //slinfer:poolpair <reason> on the acquisition line.
 var PoolPair = &Analyzer{
 	Name: "poolpair",
-	Doc:  "pair AcquireArena with Release and AcquireOp with Demand/ReleaseOp on every return path",
+	Doc:  "pair AcquireArena with Release on every return path",
 	Run:  runPoolPair,
 }
-
-type poolKind int
-
-const (
-	kindArena poolKind = iota
-	kindOp
-)
 
 func runPoolPair(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -78,7 +65,7 @@ func checkPoolBody(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		id := calleeIdent(call)
-		if id == nil || (id.Name != "AcquireArena" && id.Name != "AcquireOp") {
+		if id == nil || id.Name != "AcquireArena" {
 			return true
 		}
 		if pass.LinePragma(as, "poolpair") {
@@ -92,18 +79,13 @@ func checkPoolBody(pass *Pass, body *ast.BlockStmt) {
 			return true // stored straight into a field/element: escaped
 		}
 		if lhs.Name == "_" {
-			pass.Reportf(as.Pos(), "%s result discarded: the pooled value leaks", id.Name)
+			pass.Reportf(as.Pos(), "AcquireArena result discarded: the pooled value leaks")
 			return true
 		}
 		acqs = append(acqs, as)
 		return true
 	})
 	for _, acq := range acqs {
-		name := calleeIdent(acq.Rhs[0].(*ast.CallExpr)).Name
-		kind := kindArena
-		if name == "AcquireOp" {
-			kind = kindOp
-		}
 		lhs := acq.Lhs[0].(*ast.Ident)
 		obj := pass.TypesInfo.Defs[lhs]
 		if obj == nil {
@@ -112,7 +94,7 @@ func checkPoolBody(pass *Pass, body *ast.BlockStmt) {
 		if obj == nil {
 			continue
 		}
-		ck := &ppChecker{pass: pass, obj: obj, kind: kind, acq: acq, name: name, varName: lhs.Name}
+		ck := &ppChecker{pass: pass, obj: obj, acq: acq, varName: lhs.Name}
 		st, terminated := ck.runList(body.List, ppState{})
 		if !terminated && st.acquired && !st.done {
 			ck.report(acq.Pos(), "the end of the function")
@@ -128,9 +110,7 @@ type ppState struct {
 type ppChecker struct {
 	pass     *Pass
 	obj      types.Object
-	kind     poolKind
 	acq      ast.Stmt
-	name     string
 	varName  string
 	reported bool
 }
@@ -140,14 +120,8 @@ func (c *ppChecker) report(pos token.Pos, where string) {
 		return
 	}
 	c.reported = true
-	switch c.kind {
-	case kindArena:
-		c.pass.Reportf(pos, "%s result %q may reach %s without Release: release on this path, defer %s.Release(), or annotate //slinfer:poolpair <reason>",
-			c.name, c.varName, where, c.varName)
-	default:
-		c.pass.Reportf(pos, "%s result %q may reach %s unconsumed: hand it to Demand or ReleaseOp on this path, or annotate //slinfer:poolpair <reason>",
-			c.name, c.varName, where)
-	}
+	c.pass.Reportf(pos, "AcquireArena result %q may reach %s without Release: release on this path, defer %s.Release(), or annotate //slinfer:poolpair <reason>",
+		c.varName, where, c.varName)
 }
 
 // runList walks a statement list in order. It returns the state after the
@@ -349,11 +323,11 @@ func (c *ppChecker) scanExpr(e ast.Expr, st *ppState) {
 	case *ast.CallExpr:
 		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 			if id, ok := sel.X.(*ast.Ident); ok && c.isObj(id) {
-				if c.kind == kindArena && sel.Sel.Name == "Release" {
+				if sel.Sel.Name == "Release" {
 					st.done = true
 				}
-				// Other methods on v (a.NewController, a.Sim, op.Cancel)
-				// neither release nor consume.
+				// Other methods on v (a.NewController, a.Sim) neither
+				// release nor hand off.
 			} else {
 				c.scanExpr(e.Fun, st)
 			}
@@ -362,7 +336,7 @@ func (c *ppChecker) scanExpr(e ast.Expr, st *ppState) {
 		}
 		for _, a := range e.Args {
 			if c.isObjExpr(a) {
-				st.done = true // handed to a callee (Demand, ReleaseOp, append, ...)
+				st.done = true // handed to a callee (append, a registry, ...)
 			} else {
 				c.scanExpr(a, st)
 			}

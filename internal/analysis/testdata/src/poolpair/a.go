@@ -1,5 +1,5 @@
 // Package poolpair exercises the poolpair analyzer with a local pool shaped
-// like the core.Arena / memctl.Op lifecycle (detection is name-matched).
+// like the core.Arena lifecycle (detection is name-matched).
 package poolpair
 
 import "errors"
@@ -10,14 +10,6 @@ func (a *Arena) Release()  {}
 func (a *Arena) Work() int { return a.n }
 
 func AcquireArena() *Arena { return &Arena{} }
-
-type Op struct{ Kind int }
-
-type Mem struct{ free []*Op }
-
-func (m *Mem) AcquireOp() *Op     { return &Op{} }
-func (m *Mem) Demand(op *Op) bool { return true }
-func (m *Mem) ReleaseOp(op *Op)   {}
 
 var errBoom = errors.New("boom")
 
@@ -84,38 +76,10 @@ func annotated() *Arena {
 
 var globalReg holder
 
-func opDemand(m *Mem) {
-	op := m.AcquireOp()
-	op.Kind = 1 // writes through the op are neutral
-	if !m.Demand(op) {
-		panic("rejected")
-	}
-}
-
-func opRejectedPath(m *Mem, risky bool) bool {
-	op := m.AcquireOp()
-	op.Kind = 2
-	if risky {
-		m.ReleaseOp(op)
-		return false
-	}
-	return m.Demand(op)
-}
-
-func opLeaky(m *Mem, fail bool) error {
-	op := m.AcquireOp()
-	op.Kind = 3
-	if fail {
-		return errBoom // want `may reach this return unconsumed`
-	}
-	m.Demand(op)
-	return nil
-}
-
-func opInLiteral(m *Mem) {
+func leakyInLiteral() {
 	fn := func() {
-		op := m.AcquireOp() // want `may reach the end of the function unconsumed`
-		op.Kind = 4
+		a := AcquireArena() // want `may reach the end of the function without Release`
+		a.Work()
 	}
 	fn()
 }

@@ -46,9 +46,9 @@ func TestPreemptionVictimsOnlySmallerBatches(t *testing.T) {
 func TestPreemptionSkipsNonActive(t *testing.T) {
 	grower := inst(1, "A", 4)
 	v := inst(2, "B", 1)
-	v.State = engine.Draining
+	v.State = engine.Loading
 	if got := PreemptionVictims(grower, []*engine.Instance{v}); len(got) != 0 {
-		t.Fatal("draining neighbours must not be re-preempted")
+		t.Fatal("a loading neighbour must not be preempted")
 	}
 }
 

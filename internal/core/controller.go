@@ -56,7 +56,6 @@ type Controller struct {
 	pending    []*engine.Request
 	dropEvents map[*engine.Request]sim.Event
 	keepAlive  map[int]sim.Event
-	loadETA    map[int]sim.Time
 	retrying   bool
 
 	// transferring holds PD requests whose KV is in flight to a decode
@@ -133,7 +132,6 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		instExec:     map[int]*cluster.Executor{},
 		dropEvents:   map[*engine.Request]sim.Event{},
 		keepAlive:    map[int]sim.Event{},
-		loadETA:      map[int]sim.Time{},
 		rng:          sim.NewRNG(0, 0), // reseeded from cfg by reset
 	}
 	c.host = hostView{c}
@@ -191,7 +189,6 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	clear(c.instExec)
 	clear(c.dropEvents)
 	clear(c.keepAlive)
-	clear(c.loadETA)
 	if cap(c.slotUsed) < len(specs) {
 		c.slotUsed = make([]float64, len(specs))
 	} else {
@@ -660,8 +657,10 @@ func (c *Controller) validate(ex *cluster.Executor, cand *engine.Instance, fresh
 					// full-size transfer.
 					proj[i].BlockedUntil = inst.ResizeDoneAt
 				}
-				if eta, ok := c.loadETA[inst.ID]; ok && eta > proj[i].BlockedUntil {
-					proj[i].BlockedUntil = eta // cold start still in progress
+				if inst.State == engine.Loading {
+					if eta := inst.CreatedAt.Add(c.specOf(inst).LoadTime(inst.Model)); eta > proj[i].BlockedUntil {
+						proj[i].BlockedUntil = eta // cold start still in progress
+					}
 				}
 			}
 			if b := now.Add(block); block > 0 && b > proj[ci].BlockedUntil {

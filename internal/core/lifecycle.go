@@ -132,7 +132,7 @@ type memPlan struct {
 // issues the plan only once every check has passed.
 func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance) (memPlan, bool) {
 	needTokens := int64(req.W.InputLen) + 1
-	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) {
+	if c.isStaticInstance(len(inst.NodeIdxs)) {
 		return memPlan{}, inst.Cache.FitsTokens(needTokens)
 	}
 	est := c.lookup(inst.Model.Name).est
@@ -226,12 +226,8 @@ func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
 		c.finishResize(inst, target, dur)
 	}
 	for _, idx := range inst.NodeIdxs {
-		nm := c.Cluster.Nodes[idx].Mem
-		op := nm.AcquireOp()
-		op.Kind, op.Owner = memctl.ResizeKV, inst.KVOwner()
-		op.From, op.To, op.Duration = cur, target, dur
-		op.OnComplete = onComplete
-		if !nm.Demand(op) {
+		if !c.Cluster.Nodes[idx].Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: inst.KVOwner(),
+			From: cur, To: target, Duration: dur, OnComplete: onComplete}) {
 			// First node admitted is impossible here: resizeFits pre-checked
 			// and nothing ran in between (single-threaded simulation).
 			panic("core: resize demand rejected after CanAdmit")
@@ -261,7 +257,7 @@ func (c *Controller) finishResize(inst *engine.Instance, target int64, dur sim.D
 // recheckKV applies the watermark policy against current demand: early
 // scale-up when short, lazy scale-down when far over (§VII-B).
 func (c *Controller) recheckKV(inst *engine.Instance) {
-	if !c.Cfg.DynamicMemory || c.isStaticInstance(inst) || inst.ResizeInFlight {
+	if c.isStaticInstance(len(inst.NodeIdxs)) || inst.ResizeInFlight {
 		return
 	}
 	if inst.State != engine.Active {
@@ -342,31 +338,39 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 
 // ---- Instance lifecycle ------------------------------------------------------
 
-// isStaticInstance reports whether the instance's memory was allocated
-// whole at creation (exclusive/static baselines and TP fallback models).
-func (c *Controller) isStaticInstance(inst *engine.Instance) bool {
-	return !c.Cfg.DynamicMemory || len(inst.NodeIdxs) > 1
+// isStaticInstance reports whether an instance spanning nodes host nodes
+// has its memory allocated whole at creation (exclusive/static baselines
+// and TP fallback models).
+func (c *Controller) isStaticInstance(nodes int) bool {
+	return !c.Cfg.DynamicMemory || nodes > 1
+}
+
+// footprint returns the per-node memory of a new instance of m on nodes
+// host nodes like n at the given share: its weights plus activation
+// reserve, its initial node-resident KV, and whether that KV is dynamic.
+// Dynamic KV is the watermark recommendation for a first prompt of
+// inputLen tokens, issued as its own resize once the load is submitted;
+// static KV is the rest of the node's memory share, loaded with the
+// weights. Teardown reads only the weights.
+func (c *Controller) footprint(m model.Model, n *cluster.Node, nodes int, share float64, inputLen int) (weights, kv int64, dynamic bool) {
+	weights = m.WeightBytes()/int64(nodes) + hwsim.ActivationReserve
+	if c.isStaticInstance(nodes) {
+		return weights, int64(float64(n.Spec.MemBytes)*share) - weights, false
+	}
+	states := append(c.kvStateScratch[:0], kvcache.ReqState{InputLen: inputLen})
+	c.kvStateScratch = states[:0]
+	return weights, c.Cfg.Watermark.Recommend(c.lookup(m.Name).est.RequireBytes(m, states, 1)), true
 }
 
 // creationBytes returns the per-node memory a new instance needs at
-// creation: weights + activation reserve + its initial KV allocation.
-// Negative means the node can never host it.
+// creation on n: its footprint's weights and initial KV. Negative means the
+// node can never host it (a static share too small for the prompt).
 func (c *Controller) creationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {
-	weights := m.WeightBytes() + hwsim.ActivationReserve
-	if c.Cfg.DynamicMemory {
-		est := c.lookup(m.Name).est
-		kv := c.Cfg.Watermark.Recommend(est.RequireBytes(m,
-			[]kvcache.ReqState{{InputLen: req.W.InputLen}}, 1))
-		return weights + kv
-	}
-	// Static memory: the instance takes its whole share.
-	memShare := int64(float64(n.Spec.MemBytes) * share)
-	kv := memShare - weights
-	minKV := int64(req.W.InputLen+1024) * m.KVBytesPerToken()
-	if kv < minKV {
+	weights, kv, dynamic := c.footprint(m, n, 1, share, req.W.InputLen)
+	if !dynamic && kv < int64(req.W.InputLen+1024)*m.KVBytesPerToken() {
 		return -1
 	}
-	return memShare
+	return weights + kv
 }
 
 // createInstance builds the instance, carves its executor, and issues the
@@ -391,52 +395,30 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		inst.DecodePenalty = c.Cfg.NEODecodePenalty
 	}
 
-	// Per-node allocations.
-	div := int64(len(nodes))
-	weights := m.WeightBytes()/div + hwsim.ActivationReserve
-	dynamicKV := c.Cfg.DynamicMemory && len(nodes) == 1
-	var kvInit int64
-	if dynamicKV {
-		est := c.lookup(m.Name).est
-		states := c.kvStateScratch[:0]
-		if first != nil {
-			states = append(states, kvcache.ReqState{InputLen: first.W.InputLen})
-		}
-		kvInit = c.Cfg.Watermark.Recommend(est.RequireBytes(m, states, 1))
-		c.kvStateScratch = states[:0]
-	} else {
-		memShare := int64(float64(nodes[0].Spec.MemBytes) * share)
-		kvInit = memShare - weights
+	// Per-node allocations. Static KV loads with the weights, and its cache
+	// also holds NEO's offloaded KV, which lives in host DRAM rather than
+	// node memory; dynamic KV is a separate resize op so later admissions
+	// see a truthful ledger.
+	weights, kv, dynamic := c.footprint(m, nodes[0], len(nodes), share, first.W.InputLen)
+	loadTo, staticKV := weights, int64(0)
+	if !dynamic {
+		loadTo += kv
+		staticKV = kv
 		if c.Cfg.NEOAssist {
-			kvInit += c.Cfg.NEOExtraKVBytes
+			staticKV += c.Cfg.NEOExtraKVBytes
 		}
-		if kvInit <= 0 {
+		if staticKV <= 0 {
 			return nil
 		}
 	}
-
-	// Admission across all host nodes first (all-or-nothing). Offloaded
-	// NEO KV lives in host DRAM, not node memory.
-	kvCharge := kvInit
-	if c.Cfg.NEOAssist {
-		kvCharge = kvInit - c.Cfg.NEOExtraKVBytes
-	}
+	// Admission across all host nodes first (all-or-nothing).
 	for _, n := range nodes {
-		if !n.Mem.CanAdmit(weights + kvCharge) {
+		if !n.Mem.CanAdmit(weights + kv) {
 			return nil
 		}
 	}
 
-	// Weights load; under dynamic memory the KV allocation is a separate
-	// resize op so later admissions see a truthful ledger.
-	loadTo := weights
-	staticKV := int64(0)
-	if !dynamicKV {
-		loadTo += kvCharge
-		staticKV = kvInit
-	}
 	loadDur := nodes[0].Spec.LoadTime(m)
-	c.loadETA[inst.ID] = c.Sim.Now().Add(loadDur)
 	remaining := len(nodes)
 	onLoaded := func() {
 		remaining--
@@ -446,11 +428,8 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		c.finishLoad(inst, staticKV)
 	}
 	for _, n := range nodes {
-		op := n.Mem.AcquireOp()
-		op.Kind, op.Owner = memctl.LoadWeights, inst.WeightsOwner()
-		op.From, op.To, op.Duration = 0, loadTo, loadDur
-		op.OnComplete = onLoaded
-		if !n.Mem.Demand(op) {
+		if !n.Mem.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: inst.WeightsOwner(),
+			To: loadTo, Duration: loadDur, OnComplete: onLoaded}) {
 			panic("core: load demand rejected after CanAdmit")
 		}
 	}
@@ -470,8 +449,8 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	hm.insts = append(hm.insts, inst)
 	c.Collector.ColdStarts++
 	c.emit(telemetry.KindInstanceUp, nil, inst, 0, 0)
-	if dynamicKV && kvInit > 0 {
-		c.issueResize(inst, kvInit)
+	if dynamic && kv > 0 {
+		c.issueResize(inst, kv)
 	}
 	return inst
 }
@@ -490,7 +469,6 @@ func (c *Controller) finishLoad(inst *engine.Instance, staticKV int64) {
 	if inst.State != engine.Loading {
 		return
 	}
-	delete(c.loadETA, inst.ID)
 	inst.State = engine.Active
 	if staticKV > 0 {
 		inst.Cache.SetCapacity(staticKV)
@@ -528,19 +506,16 @@ func (c *Controller) reclaim(inst *engine.Instance) {
 		c.Sim.AfterFunc(0.2, c.fnReclaim, inst)
 		return
 	}
-	c.removeInstance(inst, true)
+	c.removeInstance(inst)
 	c.Collector.Reclaims++
 }
 
 // removeInstance detaches an instance and issues its unload operations.
-// countLifetime records instance lifetime stats (skipped for PD helpers).
-func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
+func (c *Controller) removeInstance(inst *engine.Instance) {
 	inst.State = engine.Unloading
 	c.emit(telemetry.KindInstanceDown, nil, inst, 0, 0)
 	c.cancelKeepAlive(inst)
-	if countLifetime {
-		c.Collector.InstanceLifetime += c.Sim.Now().Sub(inst.CreatedAt)
-	}
+	c.Collector.InstanceLifetime += c.Sim.Now().Sub(inst.CreatedAt)
 	// Detach compute.
 	if ex := c.instExec[inst.ID]; ex != nil {
 		ex.RemoveInstance(inst)
@@ -557,53 +532,41 @@ func (c *Controller) removeInstance(inst *engine.Instance, countLifetime bool) {
 	}
 	// Release memory per node. Static instances unload their whole
 	// allocation (weights + activation + resident KV) under the weights
-	// owner, mirroring the combined load at creation. Dynamic-memory
-	// instances allocated their KV under a separate ledger owner (creation
-	// resize), so the teardown releases it under that same owner — the
-	// per-allocation ledger stays conserved (bytes unloaded under an owner
-	// match the bytes loaded under it), which the invariant suite checks.
-	// Both releases ride the same unload window, so the node's byte
-	// timeline is unchanged.
-	div := int64(len(inst.NodeIdxs))
-	weights := inst.Model.WeightBytes()/div + hwsim.ActivationReserve
+	// owner, mirroring the combined load at creation; NEO's offloaded KV
+	// was never charged to the node. Dynamic-memory instances allocated
+	// their KV under a separate ledger owner (creation resize), so the
+	// teardown releases it under that same owner — the per-allocation
+	// ledger stays conserved (bytes unloaded under an owner match the bytes
+	// loaded under it), which the invariant suite checks. Both releases
+	// ride the same unload window, so the node's byte timeline is
+	// unchanged.
+	weights, _, dynamic := c.footprint(inst.Model, c.Cluster.Nodes[inst.NodeIdxs[0]], len(inst.NodeIdxs), inst.Share, 0)
 	kv := inst.Cache.CapacityBytes()
-	if c.Cfg.NEOAssist {
-		kv -= c.Cfg.NEOExtraKVBytes
-		if kv < 0 {
-			kv = 0
+	unloadFrom := weights
+	if !dynamic {
+		if c.Cfg.NEOAssist {
+			kv = max(kv-c.Cfg.NEOExtraKVBytes, 0)
 		}
-	}
-	dynamicKV := !c.isStaticInstance(inst)
-	unloadFrom := weights + kv
-	if dynamicKV {
-		unloadFrom = weights
+		unloadFrom += kv
 	}
 	// Per node, the KV release goes first, then the weights unload.
 	for _, idx := range inst.NodeIdxs {
 		node := c.Cluster.Nodes[idx]
-		nm := node.Mem
 		dur := node.Spec.UnloadTime(inst.Model)
-		if dynamicKV && kv > 0 {
-			op := nm.AcquireOp()
-			op.Kind, op.Owner = memctl.ResizeKV, inst.KVOwner()
-			op.From, op.To, op.Duration = kv, 0, dur
-			if !nm.Demand(op) {
-				panic("core: KV release rejected")
-			}
+		if dynamic && kv > 0 && !node.Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: inst.KVOwner(),
+			From: kv, Duration: dur}) {
+			panic("core: KV release rejected")
 		}
-		op := nm.AcquireOp()
-		op.Kind, op.Owner = memctl.UnloadWeights, inst.WeightsOwner()
-		op.From, op.To, op.Duration = unloadFrom, 0, dur
-		op.OnComplete = func() {
-			if node.ReservedBy == inst.ID {
-				node.ReservedBy = 0
-			}
-			if !node.Occupied() {
-				c.Collector.NodeInactive(node.Idx, c.Sim.Now())
-			}
-			c.retryPending()
-		}
-		if !nm.Demand(op) {
+		if !node.Mem.Demand(memctl.Op{Kind: memctl.UnloadWeights, Owner: inst.WeightsOwner(),
+			From: unloadFrom, Duration: dur, OnComplete: func() {
+				if node.ReservedBy == inst.ID {
+					node.ReservedBy = 0
+				}
+				if !node.Occupied() {
+					c.Collector.NodeInactive(node.Idx, c.Sim.Now())
+				}
+				c.retryPending()
+			}}) {
 			panic("core: weights unload rejected")
 		}
 	}
@@ -633,7 +596,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 	// window (§IX-A) and is joined once up.
 	for _, inst := range c.decodeCandidates(m) {
 		if inst.State == engine.Loading {
-			if eta, ok := c.loadETA[inst.ID]; ok && eta > c.Sim.Now() {
+			if eta := inst.CreatedAt.Add(c.specOf(inst).LoadTime(inst.Model)); eta > c.Sim.Now() {
 				req.Tracker.ExtendGrace(eta.Sub(c.Sim.Now()))
 				c.Sim.AfterFunc(eta.Sub(c.Sim.Now())+0.02, c.fnPD, req)
 				return
@@ -701,8 +664,7 @@ func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *e
 		if !c.Cfg.Placement.HasSlot(c.host, n, share) {
 			continue
 		}
-		if c.creationBytes(m, n, share, req) < 0 ||
-			n.Mem.OptimisticFree() < c.creationBytes(m, n, share, req) {
+		if b := c.creationBytes(m, n, share, req); b < 0 || n.Mem.OptimisticFree() < b {
 			continue
 		}
 		// Decode instances share nodes too: the same §VI-C scale-out

@@ -57,11 +57,24 @@ func TestScaleOutProbeDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// loadProbe records each instance's cold-start landing time as the
+// controller announces it: creation time plus its node's load time.
+type loadProbe struct {
+	recordingProbe
+	c   *Controller
+	eta map[int]sim.Time
+}
+
+func (p *loadProbe) InstanceCreated(inst *engine.Instance) {
+	p.eta[inst.ID] = p.c.Sim.Now().Add(p.c.Cluster.Nodes[inst.NodeIdxs[0]].Spec.LoadTime(inst.Model))
+}
+
 // refViews is the controller's view builder before the one projection, kept
 // as the oracle: it copies every colocated request into fresh views,
-// charging in-flight resizes and cold starts as blocking and candBlock on
-// cand. candIdx is cand's view index, or -1.
-func refViews(c *Controller, ex *cluster.Executor, cand *engine.Instance, candBlock sim.Duration) (views []compute.InstView, candIdx int) {
+// charging in-flight resizes and cold starts (from loadETA, while the
+// instance is still loading) as blocking and candBlock on cand. candIdx is
+// cand's view index, or -1.
+func refViews(c *Controller, loadETA map[int]sim.Time, ex *cluster.Executor, cand *engine.Instance, candBlock sim.Duration) (views []compute.InstView, candIdx int) {
 	candIdx = -1
 	for _, other := range ex.Instances {
 		if other == cand {
@@ -83,7 +96,7 @@ func refViews(c *Controller, ex *cluster.Executor, cand *engine.Instance, candBl
 		if other.ResizeInFlight {
 			v.BlockedUntil = other.ResizeDoneAt
 		}
-		if eta, ok := c.loadETA[other.ID]; ok && eta > v.BlockedUntil {
+		if eta, ok := loadETA[other.ID]; ok && other.State == engine.Loading && eta > v.BlockedUntil {
 			v.BlockedUntil = eta
 		}
 		if other == cand && candBlock > 0 {
@@ -123,14 +136,18 @@ func refValidate(v *compute.Validator, now, busyUntil sim.Time, views []compute.
 func TestAggregatePreCheckMatchesValidate(t *testing.T) {
 	models, tr := goldenShape(24, 360)
 	s := sim.New()
-	c := New(s, hwsim.Testbed(1, 1), models, SLINFER())
+	probe := &loadProbe{eta: map[int]sim.Time{}}
+	cfg := SLINFER()
+	cfg.Probe = probe
+	c := New(s, hwsim.Testbed(1, 1), models, cfg)
+	probe.c = c
 	c.BeginStream(sim.Time(0).Add(tr.Duration), len(tr.Requests))
 	m := models[0]
 	v := c.Validator
 	seen := map[compute.Reason]int{}
 	check := func(ex *cluster.Executor, cand *engine.Instance, fresh *perfmodel.Profile, rv compute.ReqView, block sim.Duration) {
 		t.Helper()
-		views, candIdx := refViews(c, ex, cand, block)
+		views, candIdx := refViews(c, probe.eta, ex, cand, block)
 		if cand == nil {
 			candIdx = len(views)
 			views = append(views, compute.InstView{Profile: fresh, BlockedUntil: s.Now().Add(block)})

@@ -112,8 +112,6 @@ const (
 	Loading InstState = iota
 	// Active: serving (possibly idle within keep-alive).
 	Active
-	// Draining: preempted; no new requests, existing ones migrating out.
-	Draining
 	// Unloading: weights being released; terminal.
 	Unloading
 )
@@ -124,8 +122,6 @@ func (s InstState) String() string {
 		return "loading"
 	case Active:
 		return "active"
-	case Draining:
-		return "draining"
 	default:
 		return "unloading"
 	}
@@ -307,7 +303,7 @@ func (i *Instance) EstimateDecode() sim.Duration {
 
 // HasWork reports whether the instance has an iteration to run.
 func (i *Instance) HasWork() bool {
-	if i.State != Active && i.State != Draining {
+	if i.State != Active {
 		return false
 	}
 	if i.ResizeInFlight {

@@ -160,18 +160,21 @@ func TestPDRolePrefillOnly(t *testing.T) {
 	}
 }
 
-func TestDrainingAcceptsNoNewWorkButRuns(t *testing.T) {
+func TestOnlyActiveInstancesHaveWork(t *testing.T) {
 	inst := newTestInstance(model.Llama2_7B, hwsim.A100)
 	r := newReq(1, 100, 5, 0)
 	inst.Admit(r)
 	inst.CompletePrefill(r, 0.1)
-	inst.State = Draining
 	if !inst.HasWork() {
-		t.Fatal("draining instance must finish running work")
+		t.Fatal("active instance must run its work")
 	}
 	inst.State = Loading
 	if inst.HasWork() {
 		t.Fatal("loading instance has no runnable work")
+	}
+	inst.State = Unloading
+	if inst.HasWork() {
+		t.Fatal("unloading instance has no runnable work")
 	}
 }
 

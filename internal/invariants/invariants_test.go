@@ -91,7 +91,7 @@ func TestConservationCatchesCorruptedLedger(t *testing.T) {
 	suite.WatchNode(nm)
 
 	// Legitimate load of 400 bytes.
-	if !nm.Demand(&memctl.Op{Kind: memctl.LoadWeights, Owner: "inst1/weights", From: 0, To: 400}) {
+	if !nm.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: "inst1/weights", From: 0, To: 400}) {
 		t.Fatal("load rejected")
 	}
 	if err := suite.Err(); err != nil {
@@ -100,7 +100,7 @@ func TestConservationCatchesCorruptedLedger(t *testing.T) {
 
 	// Corruption: unload claims the allocation holds only 300 bytes, so 100
 	// bytes silently leak from the ledger.
-	nm.Demand(&memctl.Op{Kind: memctl.UnloadWeights, Owner: "inst1/weights", From: 300, To: 0})
+	nm.Demand(memctl.Op{Kind: memctl.UnloadWeights, Owner: "inst1/weights", From: 300, To: 0})
 
 	if suite.Ok() {
 		t.Fatal("conservation checker missed a corrupted ledger")
@@ -125,8 +125,8 @@ func TestConservationCatchesConcurrentOps(t *testing.T) {
 	suite := New(s)
 	suite.WatchNode(nm)
 
-	nm.Demand(&memctl.Op{Kind: memctl.ResizeKV, Owner: "inst1/kv", From: 0, To: 200, Duration: sim.Second})
-	nm.Demand(&memctl.Op{Kind: memctl.ResizeKV, Owner: "inst1/kv", From: 200, To: 300, Duration: sim.Second})
+	nm.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: "inst1/kv", From: 0, To: 200, Duration: sim.Second})
+	nm.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: "inst1/kv", From: 200, To: 300, Duration: sim.Second})
 
 	found := false
 	for _, v := range suite.Violations() {

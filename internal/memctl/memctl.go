@@ -55,10 +55,13 @@ func (k OpKind) String() string {
 }
 
 // Op is one asynchronous memory operation against a single allocation.
+// Callers build it by value and hand it to Demand, which copies it into a
+// slot the ledger owns until the op completes.
 type Op struct {
 	Kind OpKind
 	// Owner identifies the allocation (e.g. "inst42/kv"). One allocation
-	// must have at most one in-flight op at a time; NodeMemory enforces it.
+	// must have at most one in-flight op at a time; NodeMemory does not
+	// check it, the invariant suite's ledger-conservation checker does.
 	Owner string
 	// From and To are the allocation's size before and after the op.
 	From, To int64
@@ -67,8 +70,7 @@ type Op struct {
 	// OnComplete runs when the operation finishes (physical state updated).
 	OnComplete func()
 
-	pooled bool        // owned by nm.free; recycled after completion
-	nm     *NodeMemory // set at admission; completion trampoline target
+	nm *NodeMemory // set by Demand; completion trampoline target
 }
 
 // Observer receives every ledger transition of one NodeMemory, in program
@@ -106,7 +108,7 @@ type NodeMemory struct {
 	station []*Op // reservation station: admitted scale-ups awaiting safety
 	//slinfer:resetsafe drainStation ping-pong scratch, invariantly empty between drains
 	spare []*Op // ping-pong buffer for drainStation rebuilds
-	free  []*Op // recycled pooled ops (see AcquireOp)
+	free  []*Op // op slots not in flight (see Demand)
 
 	// drainStation reentrancy: a completion cascade that frees more bytes
 	// while a drain is in progress requests another pass instead of nesting.
@@ -129,10 +131,11 @@ func New(s *sim.Simulator, name string, capacity int64) *NodeMemory {
 }
 
 // Reset returns the NodeMemory to the state of a fresh New(s, name, capacity)
-// while keeping the reservation-station storage and the pooled-Op free-list,
+// while keeping the reservation-station storage and the op-slot free-list,
 // so a long-lived worker reuses one ledger per node across runs. Any parked
 // operations are discarded without accounting rollback (the whole ledger is
-// being zeroed anyway); callers must not retain Op handles across a Reset.
+// being zeroed anyway); an Observer must not retain *Op handles across a
+// Reset.
 func (nm *NodeMemory) Reset(name string, capacity int64) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("memctl: non-positive capacity for %s", name))
@@ -149,41 +152,11 @@ func (nm *NodeMemory) Reset(name string, capacity int64) {
 	nm.opsStarted, nm.opsCompleted, nm.stationedTotal, nm.rejected = 0, 0, 0, 0
 }
 
-// AcquireOp returns a zeroed Op owned by this node's free-list. Pooled ops
-// recycle themselves when they complete, so a steady-state Demand stream
-// allocates nothing. The caller must not retain a pooled Op past its
-// completion (the slot is reused); an op whose Demand was rejected stays
-// with the caller for retry — hand it back with ReleaseOp if the retry is
-// abandoned.
-//
-//slinfer:hotpath
-func (nm *NodeMemory) AcquireOp() *Op {
-	if n := len(nm.free); n > 0 {
-		op := nm.free[n-1]
-		nm.free[n-1] = nil
-		nm.free = nm.free[:n-1]
-		*op = Op{pooled: true}
-		return op
-	}
-	return &Op{pooled: true}
-}
-
-// ReleaseOp returns a rejected (never-admitted) pooled op to the free-list.
-// Ops that were admitted recycle themselves; releasing a non-pooled op is a
-// no-op.
-func (nm *NodeMemory) ReleaseOp(op *Op) { nm.recycle(op) }
-
-// recycle returns a finished pooled op to the free-list; non-pooled ops
-// (caller-owned &Op{} literals) pass through untouched.
+// recycle returns a finished or rejected op's slot to the free-list.
 //
 //slinfer:hotpath
 func (nm *NodeMemory) recycle(op *Op) {
-	if op == nil || !op.pooled {
-		return
-	}
-	op.pooled = false // double-release keeps it a no-op
-	op.OnComplete = nil
-	op.nm = nil
+	*op = Op{} // drop the OnComplete closure and the owner string
 	nm.free = append(nm.free, op)
 }
 
@@ -226,18 +199,33 @@ func (nm *NodeMemory) CanAdmit(delta int64) bool {
 // the caller may retry with a compromised (smaller) size per §VII-D.
 // Scale-downs are always admitted.
 //
+// The op is copied into a slot from the ledger's free-list, so a warm
+// Demand stream allocates nothing, and the *Op every Observer callback
+// sees stays valid until the op completes (a rejected op's slot goes back
+// at once).
+//
 //slinfer:hotpath
-func (nm *NodeMemory) Demand(op *Op) bool {
+func (nm *NodeMemory) Demand(o Op) bool {
+	var op *Op
+	if n := len(nm.free); n > 0 {
+		op = nm.free[n-1]
+		nm.free[n-1] = nil
+		nm.free = nm.free[:n-1]
+	} else {
+		op = new(Op)
+	}
+	*op = o
+	op.nm = nm
 	delta := op.To - op.From
 	if delta > 0 && nm.optimistic+delta > nm.capacity {
 		nm.rejected++
 		if nm.Observer != nil {
 			nm.Observer.OpRejected(nm, op)
 		}
+		nm.recycle(op)
 		return false
 	}
 	nm.optimistic += delta
-	op.nm = nm
 	if nm.Observer != nil {
 		nm.Observer.OpAdmitted(nm, op)
 	}
@@ -290,8 +278,8 @@ func opComplete(a any) {
 }
 
 // complete finishes an operation: pessimistic frees at completion for
-// scale-downs, then OnComplete cascades and the station drains. Pooled ops
-// return to the free-list afterwards.
+// scale-downs, then OnComplete cascades and the station drains. The op's
+// slot returns to the free-list afterwards.
 //
 //slinfer:hotpath
 func (nm *NodeMemory) complete(op *Op) {
