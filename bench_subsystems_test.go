@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"slinfer/internal/compute"
 	"slinfer/internal/core"
 	"slinfer/internal/engine"
 	"slinfer/internal/experiments"
@@ -199,6 +200,76 @@ func BenchmarkSub_PlaceAttempt(b *testing.B) {
 			b.Fatal("placed on a saturated controller; the attempt no longer measures the failing path")
 		}
 	}
+}
+
+// BenchmarkSub_ValidatePass times passing shadow-validation dry runs
+// (Project, then Check) of a new request on live instances, on a SLINFER
+// controller driven five minutes into 64 7B models at Azure-conv rates on
+// 4 CPU + 4 GPU nodes, as azure-steady runs them. Min-headroom scheduling
+// decodes lone requests far ahead of their TPOT deadlines there, so each
+// run passes by the demand test once the new request's prefill lands: the
+// path most admissions take. One op is one dry run per such candidate on
+// a shared executor (16 of them), which keeps a -benchtime 1x op long
+// enough to time.
+func BenchmarkSub_ValidatePass(b *testing.B) {
+	models := model.Replicas(model.Llama2_7B, 64)
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	tr := workload.Generate(workload.TraceConfig{
+		ModelNames: names, Duration: 10 * sim.Minute, Seed: 7, Dataset: workload.AzureConv,
+	})
+	s := sim.New()
+	c := core.New(s, hwsim.Testbed(4, 4), models, core.SLINFER())
+	c.BeginStream(sim.Time(0).Add(tr.Duration), len(tr.Requests))
+	for _, w := range tr.Requests {
+		if w.Arrival > sim.Time(5*sim.Minute) {
+			break
+		}
+		s.RunUntil(w.Arrival)
+		c.Submit(w)
+	}
+	v := c.Validator
+	var dryRuns []func() compute.Reason
+	for _, n := range c.Cluster.Nodes {
+		for _, ex := range n.Executors {
+			if len(ex.Instances) < 2 {
+				continue
+			}
+			for _, cand := range ex.Instances {
+				req := engine.NewRequest(workload.Request{ID: -1, ModelName: cand.Model.Name,
+					Arrival: s.Now(), InputLen: 1024, OutputLen: 200})
+				busy := s.Now()
+				if ex.Busy() {
+					busy = ex.BusyUntil()
+				}
+				run := func() compute.Reason {
+					return v.Check(s.Now(), busy, v.Project(ex.Instances, nil, cand, nil, compute.ViewRequest(req)), req.Obj.TPOT)
+				}
+				if before := v.EarlyAccepts; run() == compute.OK && v.EarlyAccepts == before+1 {
+					dryRuns = append(dryRuns, run)
+				}
+			}
+		}
+	}
+	if len(dryRuns) == 0 {
+		b.Fatal("no candidate on a shared executor passes a new request by the demand test")
+	}
+	op := func() {
+		for _, run := range dryRuns {
+			if run() != compute.OK {
+				b.Fatal("a dry run no longer passes")
+			}
+		}
+	}
+	op() // untimed warm-up: -benchtime 1x measures the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(len(dryRuns)*b.N)/b.Elapsed().Seconds(), "validations/s")
 }
 
 // BenchmarkSub_ScenarioCell runs one smoke cell with the full invariant

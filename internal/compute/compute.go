@@ -7,6 +7,8 @@
 package compute
 
 import (
+	"math"
+
 	"slinfer/internal/engine"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
@@ -154,14 +156,20 @@ type Validator struct {
 	// Validations and Rejections count outcomes for the overhead study.
 	Validations int64
 	Rejections  int64
+	// EarlyAccepts counts the passing validations that the demand test
+	// settled before the step loop's end (see simulate).
+	EarlyAccepts int64
 
 	// Scratch storage for the projection, reused across dry runs (one can
 	// run per admission attempt, so fresh copies dominated the allocation
 	// profile). A Validator is therefore not safe for concurrent use; each
-	// controller owns one.
-	projScratch  []InstView
-	reqScratch   []ReqView
-	stateScratch []instState
+	// controller owns one. simulate's running state sits behind a pointer
+	// so that the Validator stays in the 112-byte allocation size class:
+	// one more word (even unused padding) moved it to the 128-byte class
+	// and slowed BenchmarkSub_FleetEpochWide/64shard by about a fifth.
+	projScratch []InstView
+	reqScratch  []ReqView
+	states      *[]instState
 }
 
 // NewValidator returns a validator with the paper's defaults.
@@ -175,10 +183,12 @@ func NewValidator() *Validator {
 // controllers must call this or ValidationCount accumulates across runs.
 func (v *Validator) Reset(overestimate float64, decodeRounds, maxSteps int) {
 	v.Overestimate, v.DecodeRounds, v.MaxSteps = overestimate, decodeRounds, maxSteps
-	v.Validations, v.Rejections = 0, 0
+	v.Validations, v.Rejections, v.EarlyAccepts = 0, 0, 0
 	v.projScratch = wipe(v.projScratch)
 	v.reqScratch = wipe(v.reqScratch)
-	v.stateScratch = wipe(v.stateScratch)
+	if v.states != nil {
+		*v.states = wipe(*v.states)
+	}
 }
 
 // wipe zeroes a scratch slice's full backing array and returns the empty
@@ -274,6 +284,9 @@ type instState struct {
 	minD       sim.Time
 	// rounds counts decode iterations after the new request's prefill.
 	rounds int
+	// wcet and period are the demand test's bound on one decode of the
+	// instance and the least TPOT among its requests.
+	wcet, period sim.Duration
 	// cur is the instance's decode-estimate cursor. It outlives the
 	// simulate call: it checks its own profile and brackets, so a slot
 	// reused for another instance stays exact.
@@ -316,21 +329,34 @@ func (v *Validator) RejectsAggregate(insts []*engine.Instance, tpotSLO sim.Durat
 }
 
 // simulate runs the virtual schedule over a projection it may mutate.
-func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO sim.Duration) Reason {
+//
+// Once the new request has prefilled, no request awaits a prefill and no
+// instance is blocked past the virtual clock, the rest of the loop only
+// decodes, and decodesFeasible can prove that no decode in the remaining
+// horizon misses its deadline: simulate then returns OK without stepping
+// there (EarlyAccepts counts it). The answer is the loop's own, only
+// found sooner; built with the slinfer_fullrun tag, simulate keeps
+// stepping after such a proof and panics unless the loop also ends in OK.
+func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO sim.Duration) (reason Reason) {
 	over := v.factor()
-	if cap(v.stateScratch) < len(proj) {
-		v.stateScratch = make([]instState, 2*len(proj))
+	if v.states == nil {
+		v.states = new([]instState)
 	}
-	st := v.stateScratch[:len(proj)]
+	if cap(*v.states) < len(proj) {
+		*v.states = make([]instState, 2*len(proj))
+	}
+	st := (*v.states)[:len(proj)]
 
 	// Case 3 (Figure 15): the aggregate decode round across all colocated
 	// instances must fit within one TPOT budget, otherwise decode tokens
 	// cannot be sustained even with perfect interleaving.
 	var round sim.Duration
+	pending := 0 // requests still awaiting their prefill
 	for i := range proj {
 		s := &st[i]
 		s.batch, s.ctx, s.minD = scanInst(proj[i].Reqs)
 		s.rounds = 0
+		pending += len(proj[i].Reqs) - s.batch
 		if s.batch == 0 {
 			continue
 		}
@@ -340,6 +366,14 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 		return AggregateDecode
 	}
 
+	early := false
+	if fullRun {
+		defer func() {
+			if early && reason != OK {
+				panic("compute: the demand test accepted a validation the full step loop rejects as " + reason.String())
+			}
+		}()
+	}
 	vclock := now
 	if busyUntil > vclock {
 		vclock = busyUntil
@@ -398,10 +432,18 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			s.batch++
 			s.ctx += r.Ctx
 			_, _, s.minD = scanInst(iv.Reqs)
+			pending--
 			if r.IsNew {
 				newPrefilled = true
 			}
 			vclock = end
+			if newPrefilled && pending == 0 && decodesFeasible(proj, st, vclock, v.MaxSteps-step-1, over) {
+				v.EarlyAccepts++
+				if !fullRun {
+					return OK
+				}
+				early = true
+			}
 			continue
 		}
 		// Decode the whole batch of this instance.
@@ -430,6 +472,74 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 	}
 	// Horizon exhausted without violation.
 	return OK
+}
+
+// earlyEps is the slack decodesFeasible demands at every breakpoint. It
+// absorbs the rounding the step loop and the test itself accumulate, which
+// decodesFeasible bounds far below it before it answers.
+const earlyEps sim.Duration = 1e-6
+
+// decodesFeasible reports whether the decode-only remainder of a dry run
+// provably meets every deadline in its remaining rem steps: every request
+// has prefilled, and no instance is blocked past vclock. It is the
+// processor-demand test for EDF on one machine (DESIGN.md "Shadow-validation
+// cost"): instance i's k-th decode from now is due no earlier than
+// minD_i + k*period_i and takes at most wcet_i, and the linear bound on the
+// work due by t must leave earlyEps of slack at each breakpoint minD_j,
+// with total utilisation at most 1.
+func decodesFeasible(proj []InstView, st []instState, vclock sim.Time, rem int, over sim.Duration) bool {
+	if rem <= 0 {
+		return false
+	}
+	var util, far, step float64
+	for i := range proj {
+		reqs := proj[i].Reqs
+		if len(reqs) == 0 {
+			continue
+		}
+		if proj[i].BlockedUntil > vclock {
+			return false
+		}
+		s := &st[i]
+		s.period = reqs[0].TPOT
+		for _, r := range reqs[1:] {
+			s.period = min(s.period, r.TPOT)
+		}
+		if s.period <= 0 {
+			return false
+		}
+		// The k-th decode from now runs at average length a+k.
+		a := s.ctx / s.batch
+		s.wcet = over * proj[i].Profile.MaxDecode(s.batch, a, a+rem-1)
+		util += float64(s.wcet / s.period)
+		far = max(far, math.Abs(float64(s.minD)))
+		step = max(step, float64(s.period+s.wcet))
+	}
+	// mag bounds every time the remaining loop and this test compute. A
+	// comparison they make sees at most rem roundings of a deadline, rem
+	// of the clock, one of a headroom and 5n+3 in this test, each off by
+	// at most mag*2^-53; the bound below counts 4*rem+8n+8 of them.
+	mag := math.Abs(float64(vclock)) + far + float64(rem)*step
+	if util > 1 || float64(4*rem+8*len(proj)+8)*0x1p-53*mag > float64(earlyEps)/2 {
+		return false
+	}
+	for j := range proj {
+		if len(proj[j].Reqs) == 0 {
+			continue
+		}
+		t := st[j].minD
+		var demand sim.Duration
+		for i := range proj {
+			if len(proj[i].Reqs) == 0 || st[i].minD > t {
+				continue
+			}
+			demand += st[i].wcet * (1 + t.Sub(st[i].minD)/st[i].period)
+		}
+		if demand > t.Sub(vclock)-earlyEps {
+			return false
+		}
+	}
+	return true
 }
 
 // scanInst computes an instance's decode batch, summed context and

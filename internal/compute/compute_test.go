@@ -3,6 +3,7 @@ package compute
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
@@ -369,5 +370,16 @@ func TestValidateWithoutMatchesValidate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ValidateWithout allocates %.0f times per call once warm", allocs)
+	}
+}
+
+// The Validator keeps the 112-byte allocation size class: one more word,
+// even unused padding, moved it to the 128-byte class and slowed
+// BenchmarkSub_FleetEpochWide/64shard by about a fifth. A new field has
+// to make room (as the instState scratch did, behind a pointer) or be
+// measured there.
+func TestValidatorFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Validator{}); size > 112 {
+		t.Fatalf("Validator is %d bytes; want at most 112", size)
 	}
 }

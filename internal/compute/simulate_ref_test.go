@@ -173,22 +173,38 @@ func refProfiles() []*perfmodel.Profile {
 // randomProjection builds a 1-5 instance projection with 0-7 requests each
 // (a mix of decoding and pending prefills, deadlines from already missed to
 // loose, some instances blocked) plus the new request on one of them.
-func randomProjection(rng *rand.Rand, now sim.Time, profs []*perfmodel.Profile) []InstView {
+//
+// With ahead set it builds the shape a work-conserving min-headroom
+// schedule leaves behind when it decodes lone requests far ahead of their
+// deadlines: instances of 2-7 decoding requests whose next deadlines lie
+// 0.3-4 s past now, TPOTs mixed across 0.1, 0.15 and 0.25 s, and only the
+// odd pending prefill or blocked instance. On it most passing validations
+// take the demand test's early path.
+func randomProjection(rng *rand.Rand, now sim.Time, profs []*perfmodel.Profile, ahead bool) []InstView {
 	n := 1 + rng.IntN(5)
 	cand := rng.IntN(n)
 	proj := make([]InstView, n)
 	for i := range proj {
 		iv := InstView{Profile: profs[rng.IntN(len(profs))]}
-		if rng.IntN(4) == 0 {
-			iv.BlockedUntil = now.Add(sim.Duration(rng.Float64() * 0.5))
+		blockOdds, blockMax, k := 4, 0.5, rng.IntN(8)
+		if ahead {
+			blockOdds, blockMax, k = 12, 2, 2+rng.IntN(6)
 		}
-		for k := rng.IntN(8); k > 0; k-- {
+		if rng.IntN(blockOdds) == 0 {
+			iv.BlockedUntil = now.Add(sim.Duration(rng.Float64() * blockMax))
+		}
+		for ; k > 0; k-- {
 			in := 1 + rng.IntN(4096)
 			rv := ReqView{
 				Deadline: now.Add(sim.Duration(rng.Float64()*2 - 0.05)),
 				TPOT:     sim.Duration(0.1 + 0.15*float64(rng.IntN(2))),
 				InputLen: in, Ctx: in + rng.IntN(600),
 				NeedsPrefill: rng.IntN(4) == 0,
+			}
+			if ahead {
+				rv.Deadline = now.Add(sim.Duration(0.3 + 3.7*rng.Float64()))
+				rv.TPOT = []sim.Duration{0.1, 0.15, slo.DefaultTPOT}[rng.IntN(3)]
+				rv.NeedsPrefill = rng.IntN(16) == 0
 			}
 			iv.Reqs = append(iv.Reqs, rv)
 		}
@@ -214,23 +230,32 @@ func cloneProjection(proj []InstView) []InstView {
 	return out
 }
 
-// simulate with per-instance running state must reach the same Reason as
-// the full-rescan step loop, and leave the projection in the same state, on
-// random projections across the validator's tunings — including horizons
-// short enough to run out.
+// simulate must reach the same Reason as the full-rescan step loop on
+// random projections across the validator's tunings, including horizons
+// short enough to run out, and both of its ways to pass must occur: the
+// demand test's early accept and the loop's own end. A run that ends in
+// the loop leaves the projection in the reference's end state; an early
+// accept stops short of it, except in the slinfer_fullrun build, where
+// simulate runs every early accept to the loop's end as well.
 func TestSimulateMatchesReference(t *testing.T) {
 	const trials = 120000
 	rng := rand.New(rand.NewPCG(1, 15))
 	profs := refProfiles()
 	seen := map[Reason]int{}
+	earlyOK, loopOK := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		v := &Validator{
 			Overestimate: []float64{1.0, 1.1, 1.25}[rng.IntN(3)],
 			DecodeRounds: 2 + rng.IntN(2),
 			MaxSteps:     600,
 		}
-		if rng.IntN(3) == 0 {
+		switch rng.IntN(8) {
+		case 0, 1:
 			v.MaxSteps = 1 + rng.IntN(12)
+		case 2:
+			// No natural end before the horizon: every decode the demand
+			// test vouches for is also stepped through.
+			v.DecodeRounds = v.MaxSteps
 		}
 		now := sim.Time(rng.Float64() * 100)
 		busyUntil := now
@@ -238,17 +263,26 @@ func TestSimulateMatchesReference(t *testing.T) {
 			busyUntil = now.Add(sim.Duration(rng.Float64() * 0.4))
 		}
 		tpot := []sim.Duration{slo.DefaultTPOT, 0.1, 1}[rng.IntN(3)]
-		proj := randomProjection(rng, now, profs)
+		proj := randomProjection(rng, now, profs, rng.IntN(3) == 0)
 		ref := cloneProjection(proj)
 		want := v.simulateRef(now, busyUntil, ref, tpot)
 		got := v.simulate(now, busyUntil, proj, tpot)
 		if got != want {
 			t.Fatalf("trial %d: simulate=%v, reference=%v", trial, got, want)
 		}
-		for i := range proj {
-			if !slices.Equal(proj[i].Reqs, ref[i].Reqs) {
-				t.Fatalf("trial %d: instance %d ended in a different state", trial, i)
+		early := v.EarlyAccepts == 1
+		if !early || fullRun {
+			for i := range proj {
+				if !slices.Equal(proj[i].Reqs, ref[i].Reqs) {
+					t.Fatalf("trial %d: instance %d ended in a different state", trial, i)
+				}
 			}
+		}
+		switch {
+		case early:
+			earlyOK++
+		case got == OK:
+			loopOK++
 		}
 		seen[got]++
 	}
@@ -257,6 +291,90 @@ func TestSimulateMatchesReference(t *testing.T) {
 			t.Errorf("no trial ended in %v; the generator no longer covers it", r)
 		}
 	}
+	t.Logf("reasons %v; %d passes early, %d through the loop", seen, earlyOK, loopOK)
+	if earlyOK == 0 || loopOK == 0 {
+		t.Errorf("%d passes took the early path and %d ran the loop; want both", earlyOK, loopOK)
+	}
+}
+
+// FuzzValidatorEarlyAccept decodes bytes into a projection and a validator
+// tuning: whenever simulate accepts early, the full step loop
+// (simulateRef) must pass the same projection, and on every input the two
+// must agree on the Reason.
+func FuzzValidatorEarlyAccept(f *testing.F) {
+	profs := refProfiles()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := byteSource(data)
+		v := &Validator{
+			Overestimate: []float64{1.0, 1.1, 1.25}[in.intN(3)],
+			DecodeRounds: 2 + in.intN(2),
+			MaxSteps:     600,
+		}
+		if in.intN(4) == 0 {
+			v.MaxSteps = 1 + in.intN(40)
+		}
+		now := sim.Time(in.frac() * 100)
+		busyUntil := now.Add(sim.Duration(in.frac() * 0.2))
+		tpot := []sim.Duration{slo.DefaultTPOT, 0.1, 1}[in.intN(3)]
+		n := 1 + in.intN(5)
+		cand := in.intN(n)
+		proj := make([]InstView, n)
+		for i := range proj {
+			iv := InstView{Profile: profs[in.intN(len(profs))]}
+			if in.intN(8) == 0 {
+				iv.BlockedUntil = now.Add(sim.Duration(in.frac() * 0.5))
+			}
+			for k := in.intN(8); k > 0; k-- {
+				l := 1 + in.intN(4096)
+				iv.Reqs = append(iv.Reqs, ReqView{
+					Deadline: now.Add(sim.Duration(4.5*in.frac() - 0.1)),
+					TPOT:     []sim.Duration{0.1, 0.15, slo.DefaultTPOT}[in.intN(3)],
+					InputLen: l, Ctx: l + in.intN(600),
+					NeedsPrefill: in.intN(8) == 0,
+				})
+			}
+			if i == cand {
+				l := 1 + in.intN(4096)
+				iv.Reqs = append(iv.Reqs, ReqView{
+					Deadline: now.Add(sim.Duration(0.2 + 8*in.frac())),
+					TPOT:     slo.DefaultTPOT, InputLen: l, Ctx: l,
+					NeedsPrefill: true, IsNew: true,
+				})
+			}
+			proj[i] = iv
+		}
+		ref := cloneProjection(proj)
+		got := v.simulate(now, busyUntil, proj, tpot)
+		want := v.simulateRef(now, busyUntil, ref, tpot)
+		if v.EarlyAccepts > 0 && want != OK {
+			t.Fatalf("early accept, but the full step loop ends in %v", want)
+		}
+		if got != want {
+			t.Fatalf("simulate=%v, reference=%v", got, want)
+		}
+	})
+}
+
+// byteSource hands out a fuzz input's bytes, then zeros once it runs out.
+type byteSource []byte
+
+func (b *byteSource) byte() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// intN returns a value in [0, n) from the next two bytes.
+func (b *byteSource) intN(n int) int {
+	return (int(b.byte())<<8 | int(b.byte())) % n
+}
+
+// frac returns a value in [0, 1) from the next two bytes.
+func (b *byteSource) frac() float64 {
+	return float64(int(b.byte())<<8|int(b.byte())) / 65536
 }
 
 // A zero-value Validator applies no overestimation, in the aggregate round

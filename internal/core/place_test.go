@@ -205,7 +205,9 @@ func TestAggregatePreCheckMatchesValidate(t *testing.T) {
 // The three dry runs (scale-up onto a live candidate, scale-out onto a
 // fresh instance, and a grower with its victim left out) must not allocate
 // once warm, on an executor whose case-3 pre-check passes so that each one
-// builds and simulates its projection.
+// builds and simulates its projection. Nor must a scale-up that passes by
+// the demand test, on the light 2+2 shape, where most passes take that
+// early path.
 func TestDryRunsDoNotAllocate(t *testing.T) {
 	c, req := saturated(t, 60)
 	m := c.lookup(req.W.ModelName).m
@@ -245,6 +247,39 @@ func TestDryRunsDoNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, run.fn); allocs != 0 {
 			t.Errorf("%s dry run allocates %.1f times once warm", run.name, allocs)
 		}
+	}
+
+	models, tr := goldenShape(16, 0)
+	lc := New(sim.New(), hwsim.Testbed(2, 2), models, SLINFER())
+	lc.BeginStream(sim.Time(0).Add(tr.Duration), len(tr.Requests))
+	for _, w := range tr.Requests {
+		if w.Arrival > 120 {
+			break
+		}
+		lc.Sim.RunUntil(w.Arrival)
+		lc.Submit(w)
+	}
+	var early func() compute.Reason
+	for _, lex := range lc.elasticExecs {
+		for _, cand := range lex.Instances {
+			if early != nil {
+				break
+			}
+			lreq := engine.NewRequest(workload.Request{ID: -1, ModelName: cand.Model.Name,
+				Arrival: lc.Sim.Now(), InputLen: 1024, OutputLen: 200})
+			run := func() compute.Reason {
+				return lc.validate(lex, cand, nil, compute.ViewRequest(lreq), lreq.Obj.TPOT, 0)
+			}
+			if before := lc.Validator.EarlyAccepts; run() == compute.OK && lc.Validator.EarlyAccepts == before+1 {
+				early = run
+			}
+		}
+	}
+	if early == nil {
+		t.Fatal("precondition: no live candidate on the light shape passes by the demand test")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { early() }); allocs != 0 {
+		t.Errorf("early-accepted dry run allocates %.1f times once warm", allocs)
 	}
 }
 

@@ -103,6 +103,21 @@ func (p *Profile) EstimateDecode(batch, avgLen int) sim.Duration {
 	return p.bilinear(bi0, bi1, bw, li0, li1, lw)
 }
 
+// MaxDecode returns the largest EstimateDecode(batch, a) over the lengths
+// lo <= a <= hi, taken at lo, at hi and at every length sample between
+// them. At a fixed batch the estimate is linear in the length between
+// samples (and beyond the last), so these points hold its maximum without
+// assuming it grows with the length, up to the rounding of interpolation.
+func (p *Profile) MaxDecode(batch, lo, hi int) sim.Duration {
+	m := max(p.EstimateDecode(batch, lo), p.EstimateDecode(batch, hi))
+	for _, l := range p.lenSamples {
+		if l > lo && l < hi {
+			m = max(m, p.EstimateDecode(batch, l))
+		}
+	}
+	return m
+}
+
 // clampDecode raises a decode query onto the grid's floor.
 func clampDecode(batch, avgLen int) (int, int) {
 	if batch < 1 {

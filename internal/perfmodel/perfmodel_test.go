@@ -256,3 +256,29 @@ func TestDecodeCursorMatchesEstimateDecode(t *testing.T) {
 		check(p, &cur, rng.IntN(maxBatch+9), rng.IntN(p.Model.MaxContext+301))
 	}
 }
+
+// MaxDecode must bound EstimateDecode at every length of its range (to
+// within interpolation rounding) and never exceed the largest value the
+// range actually takes, for ranges below, across and beyond the grid.
+func TestMaxDecodeBoundsEveryLength(t *testing.T) {
+	rng := sim.NewRNG(6, 8)
+	for _, class := range []hwsim.DeviceClass{hwsim.XeonGen4, hwsim.A100} {
+		for _, m := range model.Catalog() {
+			p := NewProfile(class, m, 1, 32)
+			for i := 0; i < 200; i++ {
+				batch := 1 + rng.IntN(40)
+				lo := rng.IntN(m.MaxContext + 200)
+				hi := lo + rng.IntN(1200)
+				got := p.MaxDecode(batch, lo, hi)
+				var scan sim.Duration
+				for l := lo; l <= hi; l++ {
+					scan = max(scan, p.EstimateDecode(batch, l))
+				}
+				if got > scan || scan > got*(1+1e-12) {
+					t.Fatalf("%v %s batch %d [%d, %d]: MaxDecode %v, scan %v",
+						class, m.Name, batch, lo, hi, got, scan)
+				}
+			}
+		}
+	}
+}
