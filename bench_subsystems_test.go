@@ -158,11 +158,14 @@ func BenchmarkSub_ReplayThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(tr.Requests)*b.N)/b.Elapsed().Seconds(), "reqs/s")
 }
 
-// BenchmarkSub_PlaceAttempt times one placement attempt — existing
+// BenchmarkSub_PlaceAttempt times placement attempts — existing
 // instances, then preemption, then scale-out — for a request that cannot
 // place, for a model with a live instance on a 1+1 SLINFER controller
-// driven a minute into 24 7B models at 6 rps. Past saturation every completion repeats this attempt for each
-// queued request, so its cost and allocs/op dominate the controller layer.
+// driven a minute into 24 7B models at 6 rps. Past saturation every
+// completion repeats this attempt for each queued request, so its cost and
+// allocs dominate the controller layer. One op is a fixed batch of 32
+// attempts after a warm-up batch, which keeps a -benchtime 1x op long
+// enough to time.
 func BenchmarkSub_PlaceAttempt(b *testing.B) {
 	models := model.Replicas(model.Llama2_7B, 24)
 	names := make([]string, len(models))
@@ -193,13 +196,21 @@ func BenchmarkSub_PlaceAttempt(b *testing.B) {
 	}
 	req := engine.NewRequest(workload.Request{ID: -1, ModelName: name,
 		Arrival: s.Now(), InputLen: 1024, OutputLen: 200})
+	const attempts = 128
+	op := func() {
+		for j := 0; j < attempts; j++ {
+			if c.TryPlace(req) {
+				b.Fatal("placed on a saturated controller; the attempt no longer measures the failing path")
+			}
+		}
+	}
+	op() // untimed warm-up: -benchtime 1x measures the steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.TryPlace(req) {
-			b.Fatal("placed on a saturated controller; the attempt no longer measures the failing path")
-		}
+		op()
 	}
+	b.ReportMetric(float64(attempts*b.N)/b.Elapsed().Seconds(), "attempts/s")
 }
 
 // BenchmarkSub_ValidatePass times passing shadow-validation dry runs

@@ -47,8 +47,9 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *slinfer.PolicyRequest, m
 				continue
 			}
 			// Same CPU feasibility gate as the stock policy: never place a
-			// request on a CPU that cannot meet its TTFT.
-			if p.ShadowValidation && !h.Profile(n.Spec.Class, m, share).CanMeet(req.W.InputLen, req.Obj) {
+			// request on a CPU that cannot meet its TTFT at the node's
+			// derated speed.
+			if p.ShadowValidation && !h.Profile(n.Spec.Class, m, share*n.SpeedFactor).CanMeet(req.W.InputLen, req.Obj) {
 				continue
 			}
 		}

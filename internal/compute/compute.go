@@ -172,11 +172,6 @@ type Validator struct {
 	states      *[]instState
 }
 
-// NewValidator returns a validator with the paper's defaults.
-func NewValidator() *Validator {
-	return &Validator{Overestimate: 1.10, DecodeRounds: 2, MaxSteps: 600}
-}
-
 // Reset rebinds a recycled validator's tuning and zeroes its outcome
 // counters for a new run, keeping the scratch capacity (but dropping the
 // stale profiles and request views its backing arrays still pin). Reused

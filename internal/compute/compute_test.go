@@ -15,7 +15,7 @@ import (
 	"slinfer/internal/workload"
 )
 
-var reg = perfmodel.NewRegistry(256)
+var reg = perfmodel.NewRegistry()
 
 func mkInst(id int, m model.Model, class hwsim.DeviceClass) *engine.Instance {
 	inst := &engine.Instance{
@@ -69,7 +69,12 @@ func TestPickFIFOPrefersPrefillInOrder(t *testing.T) {
 	}
 }
 
-func newValidatorForTest() *Validator { return NewValidator() }
+// newValidatorForTest returns the validator these tests are written
+// against: the paper's 10% overestimate and two decode rounds past the new
+// request's prefill, within a 600-step horizon.
+func newValidatorForTest() *Validator {
+	return &Validator{Overestimate: 1.10, DecodeRounds: 2, MaxSteps: 600}
+}
 
 // viewOf builds a standalone view of inst's live state.
 func viewOf(inst *engine.Instance) InstView {
@@ -332,8 +337,8 @@ func TestValidateWithoutMatchesValidate(t *testing.T) {
 					views = append(views, InstView{Profile: fresh})
 				}
 				rv := ViewRequest(tc.newReq)
-				want := NewValidator().Validate(tc.now, tc.busy, views, candIdx, rv, slo.DefaultTPOT)
-				v := NewValidator()
+				want := newValidatorForTest().Validate(tc.now, tc.busy, views, candIdx, rv, slo.DefaultTPOT)
+				v := newValidatorForTest()
 				var got Reason
 				if cand == nil {
 					got = v.Check(tc.now, tc.busy, v.Project(tc.insts, skip, nil, fresh, rv), slo.DefaultTPOT)
@@ -363,7 +368,7 @@ func TestValidateWithoutMatchesValidate(t *testing.T) {
 	}
 
 	insts := gpuMix()
-	v := NewValidator()
+	v := newValidatorForTest()
 	rv := ViewRequest(mkReq(99, 1024, 100, 1.5))
 	allocs := testing.AllocsPerRun(20, func() {
 		v.ValidateWithout(1.5, 1.5, insts, insts[2], insts[0], rv, slo.DefaultTPOT)

@@ -35,6 +35,14 @@ const (
 	Elastic = policy.Elastic
 )
 
+// DrainGrace bounds how long a run continues past its trace's end, so the
+// requests still in flight there can finish.
+const DrainGrace = 10 * sim.Minute
+
+// memSamplePeriod is the interval between memory and KV utilization
+// samples.
+const memSamplePeriod = 5 * sim.Second
+
 // Config is the full policy configuration of a run.
 //
 // A serving system is ultimately a composition of three policies —
@@ -69,7 +77,7 @@ type Config struct {
 	// CPUFirst prefers CPU placements when feasible (§V).
 	CPUFirst bool
 	// TokenLevelSched uses min-headroom iteration scheduling; false falls
-	// back to FIFO (ablation).
+	// back to FIFO (the abl-fifo ablation).
 	TokenLevelSched bool
 	// ShadowValidation gates admissions through §VI-C; false admits up to
 	// FixedLimit only (the sllm baselines).
@@ -87,20 +95,17 @@ type Config struct {
 	Overestimate float64
 	// Fluctuation is the runtime noise amplitude on iteration durations.
 	Fluctuation float64
-	// MaxBatch caps any instance's admitted load.
-	MaxBatch int
 	// FixedLimit returns the baseline per-instance concurrency limit for a
 	// model on a device class at a share; nil means no fixed limit
 	// (SLINFER's elastic admission).
 	FixedLimit func(m model.Model, class hwsim.DeviceClass, share float64) int
 	// PD enables prefill-decode disaggregation (§IX-G).
 	PD bool
-	// NEOAssist extends exclusive GPU instances with CPU-offloaded KV.
-	NEOAssist bool
-	// NEOExtraKVBytes is the per-instance offloaded KV capacity.
-	NEOExtraKVBytes int64
-	// NEODecodePenalty slows decode on NEO-assisted instances.
-	NEODecodePenalty float64
+	// NEOCores is the number of host CPU cores NEO-style assist harvests
+	// for exclusive GPU instances (Figure 29); 0 disables the assist. Each
+	// instance's KV extends into host memory at a decode penalty, both
+	// scaled by the core count (neoAssist).
+	NEOCores int
 	// SLO derives a request's objective from its input length; nil uses the
 	// paper's slo.Default. The scenario matrix sweeps SLO classes through
 	// this hook.
@@ -124,10 +129,6 @@ type Config struct {
 	// cost more than the picks they measure, and the overhead fields are
 	// excluded from canonical reports anyway.
 	MeasureOverhead bool
-	// MemSamplePeriod is the metrics sampling interval.
-	MemSamplePeriod sim.Duration
-	// DrainGrace bounds how long the run continues past the last arrival.
-	DrainGrace sim.Duration
 	// Seed drives all run-local randomness.
 	Seed uint64
 	// PrefixCache configures the tiered prefix-sharing KV store. The zero
@@ -159,15 +160,6 @@ func (c Config) withDefaults() Config {
 		// is ablated in BenchmarkAblation_Margin.
 		c.Overestimate = 1.25
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MemSamplePeriod <= 0 {
-		c.MemSamplePeriod = 5 * sim.Second
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 10 * sim.Minute
-	}
 	if c.PrefixCache.Enabled {
 		c.PrefixCache = c.PrefixCache.WithDefaults()
 	}
@@ -182,7 +174,7 @@ func (c Config) withDefaults() Config {
 //	sllm+c    BinPack{Exclusive, CPU-first}                 + NoPreemption  + FixedKeepAlive(1s)
 //	sllm+c+s  BinPack{Static 1/2, CPU-first}                + NoPreemption  + FixedKeepAlive(1s)
 //	NEO+      sllm's composition; the CPU-offloaded KV extension rides on
-//	          the NEOAssist memory knobs, not on placement.
+//	          NEOCores, not on placement.
 //
 // It runs at construction (New), after any knob mutation, so the composed
 // policies always reflect the final knob values.
@@ -279,12 +271,13 @@ func pick(cond bool, a, b int) int {
 // with no preemption, static memory, and fixed concurrency limits.
 func Sllm() Config {
 	return Config{
-		Name:        "sllm",
-		Sharing:     Exclusive,
-		UseCPU:      false,
-		KeepAlive:   sim.Second,
-		Fluctuation: 0.05,
-		FixedLimit:  PaperFixedLimits,
+		Name:            "sllm",
+		Sharing:         Exclusive,
+		UseCPU:          false,
+		TokenLevelSched: true,
+		KeepAlive:       sim.Second,
+		Fluctuation:     0.05,
+		FixedLimit:      PaperFixedLimits,
 	}.withDefaults()
 }
 
@@ -313,9 +306,14 @@ func SllmCS() Config {
 func NEOPlus(harvestedCores int) Config {
 	c := Sllm()
 	c.Name = "NEO+"
-	c.NEOAssist = true
-	frac := float64(harvestedCores) / 32
-	c.NEOExtraKVBytes = int64(frac * 64e9)
-	c.NEODecodePenalty = 0.10 * frac
+	c.NEOCores = harvestedCores
 	return c
+}
+
+// neoAssist returns the KV capacity a NEO-assisted instance offloads into
+// host memory and its decode slowdown: 64 GB and 10% at all 32 cores of a
+// host, pro rata below.
+func neoAssist(cores int) (extraKV int64, decodePenalty float64) {
+	frac := float64(cores) / 32
+	return int64(frac * 64e9), 0.10 * frac
 }

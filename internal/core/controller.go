@@ -28,9 +28,10 @@ type Controller struct {
 	Cfg Config
 
 	Cluster   *cluster.Cluster
-	Registry  *perfmodel.Registry
 	Collector *metrics.Collector
 	Validator *compute.Validator
+	//slinfer:resetsafe profiles are pure in (class, model, share), so the registry stays valid across runs
+	Registry *perfmodel.Registry
 
 	// hosted holds one record per registered model. order lists the same
 	// records in registration order, so every walk over the models (reset
@@ -73,9 +74,8 @@ type Controller struct {
 	// cursor never proves the workload drained.
 	externalArrivals bool
 
-	// samplerEv is the pending sampler tick; samplerPeriod re-arms it.
-	samplerEv     sim.Event
-	samplerPeriod sim.Duration
+	// samplerEv is the pending sampler tick.
+	samplerEv sim.Event
 
 	// Pre-bound hot-path callbacks (one closure each for the controller's
 	// lifetime, reused verbatim across arena resets); scheduled via
@@ -126,6 +126,7 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		Sim:          s,
 		Cluster:      cluster.New(s, nil),
 		Collector:    metrics.NewCollector(),
+		Registry:     perfmodel.NewRegistry(),
 		Validator:    &compute.Validator{},
 		hosted:       map[string]*hostedModel{},
 		elasticExecs: map[int]*cluster.Executor{},
@@ -161,11 +162,6 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	cfg = cfg.withDefaults().composePolicies()
 	c.Cfg = cfg
 	c.Cluster.Reset(specs)
-	if c.Registry == nil || c.Registry.MaxBatch() != cfg.MaxBatch {
-		// Profiles are pure in (class, model, share, maxBatch); a registry
-		// carried across runs stays valid unless the batch ceiling changed.
-		c.Registry = perfmodel.NewRegistry(cfg.MaxBatch)
-	}
 	c.Collector.Reset()
 	c.Validator.Reset(cfg.Overestimate, 3, 600)
 	// Retire the surviving instances, every model's estimator and the model
@@ -211,7 +207,7 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	c.retrying = false
 	c.arrivals, c.arrIdx = nil, 0
 	c.externalArrivals = false
-	c.samplerEv, c.samplerPeriod = sim.Event{}, 0
+	c.samplerEv = sim.Event{}
 	c.rng.Reseed(cfg.Seed^0xC0FFEE, cfg.Seed+13)
 	c.noiseStreams = 0
 	c.nextInstID = 1
@@ -225,10 +221,8 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		c.prefix.Reset(cfg.PrefixCache)
 	}
 	// Iteration scheduling: min-headroom unless the FIFO ablation is on.
-	// Partitioned executors host one instance each, where headroom order
-	// degenerates to FIFO anyway.
 	c.pick = compute.PickFIFO
-	if cfg.TokenLevelSched || cfg.Sharing != Elastic {
+	if cfg.TokenLevelSched {
 		c.pick = compute.PickMinHeadroom
 	}
 	if short := len(models) - len(c.spareHosted); short > 0 {
@@ -366,9 +360,9 @@ func (c *Controller) Run(tr workload.Trace) metrics.Report {
 	c.traceEnd = sim.Time(0).Add(tr.Duration)
 	c.Collector.Reserve(len(tr.Requests))
 	c.startArrivals(tr.Requests)
-	c.scheduleSampler(c.Cfg.MemSamplePeriod)
-	c.Sim.RunUntil(c.traceEnd.Add(c.Cfg.DrainGrace))
-	return c.finish(tr.Duration + c.Cfg.DrainGrace)
+	c.scheduleSampler()
+	c.Sim.RunUntil(c.traceEnd.Add(DrainGrace))
+	return c.finish(tr.Duration + DrainGrace)
 }
 
 // finish is the run tail shared by Run and EndStream: stop the sampler
@@ -582,7 +576,7 @@ func wantRole(cfg Config) engine.Role {
 // otherwise be placed; the planned scale-up is issued, and the request joins
 // the instance's prefill queue, only after all of them pass.
 func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
-	if inst.TotalLoad() >= c.Cfg.MaxBatch {
+	if inst.TotalLoad() >= perfmodel.MaxBatch {
 		return false
 	}
 	// CPU gate: SLINFER profiles CPUs in advance and falls back to GPU

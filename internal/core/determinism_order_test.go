@@ -72,9 +72,7 @@ func TestSamplerSequenceDeterministic(t *testing.T) {
 	}
 	run := func() []float64 {
 		s := sim.New()
-		cfg := SLINFER()
-		cfg.MemSamplePeriod = 1 * sim.Second
-		c := New(s, hwsim.Testbed(2, 2), models, cfg)
+		c := New(s, hwsim.Testbed(2, 2), models, SLINFER())
 		c.Run(tr)
 		// KVUtil keeps raw append order (it feeds a mean, not a CDF).
 		return append([]float64(nil), c.Collector.KVUtil...)

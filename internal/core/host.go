@@ -79,8 +79,6 @@ func (h hostView) FixedLimit(m model.Model, class hwsim.DeviceClass, share float
 	return 0, false
 }
 
-func (h hostView) MaxBatch() int { return h.c.Cfg.MaxBatch }
-
 func (h hostView) Validator() *compute.Validator { return h.c.Validator }
 
 func (h hostView) ValidateOn(ex *cluster.Executor, cand *engine.Instance, rv compute.ReqView, tpot sim.Duration, candBlock sim.Duration) bool {

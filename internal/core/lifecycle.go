@@ -11,6 +11,7 @@ import (
 	"slinfer/internal/kvcache"
 	"slinfer/internal/memctl"
 	"slinfer/internal/model"
+	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
 	"slinfer/internal/telemetry"
 )
@@ -391,8 +392,8 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	inst.Role = wantRole(c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
 	c.nextInstID++
-	if c.Cfg.NEOAssist {
-		inst.DecodePenalty = c.Cfg.NEODecodePenalty
+	if c.Cfg.NEOCores > 0 {
+		_, inst.DecodePenalty = neoAssist(c.Cfg.NEOCores)
 	}
 
 	// Per-node allocations. Static KV loads with the weights, and its cache
@@ -404,8 +405,9 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	if !dynamic {
 		loadTo += kv
 		staticKV = kv
-		if c.Cfg.NEOAssist {
-			staticKV += c.Cfg.NEOExtraKVBytes
+		if c.Cfg.NEOCores > 0 {
+			extra, _ := neoAssist(c.Cfg.NEOCores)
+			staticKV += extra
 		}
 		if staticKV <= 0 {
 			return nil
@@ -544,8 +546,9 @@ func (c *Controller) removeInstance(inst *engine.Instance) {
 	kv := inst.Cache.CapacityBytes()
 	unloadFrom := weights
 	if !dynamic {
-		if c.Cfg.NEOAssist {
-			kv = max(kv-c.Cfg.NEOExtraKVBytes, 0)
+		if c.Cfg.NEOCores > 0 {
+			extra, _ := neoAssist(c.Cfg.NEOCores)
+			kv = max(kv-extra, 0)
 		}
 		unloadFrom += kv
 	}
@@ -603,7 +606,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 			}
 			continue
 		}
-		if inst.State != engine.Active || inst.TotalLoad() >= c.Cfg.MaxBatch {
+		if inst.State != engine.Active || inst.TotalLoad() >= perfmodel.MaxBatch {
 			continue
 		}
 		if lim := c.Cfg.FixedLimit; lim != nil && inst.TotalLoad() >= lim(inst.Model, inst.Class, inst.Share) {
@@ -689,9 +692,8 @@ func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *e
 
 // ---- Metrics sampling ---------------------------------------------------------
 
-func (c *Controller) scheduleSampler(period sim.Duration) {
-	c.samplerPeriod = period
-	c.samplerEv = c.Sim.AfterFunc(period, c.fnSampler, nil)
+func (c *Controller) scheduleSampler() {
+	c.samplerEv = c.Sim.AfterFunc(memSamplePeriod, c.fnSampler, nil)
 }
 
 // samplerTick records one round of memory/KV utilization samples and
@@ -726,7 +728,7 @@ func (c *Controller) samplerTick() {
 		}
 	}
 	c.telemSample()
-	c.samplerEv = c.Sim.AfterFunc(c.samplerPeriod, c.fnSampler, nil)
+	c.samplerEv = c.Sim.AfterFunc(memSamplePeriod, c.fnSampler, nil)
 }
 
 // stopSampler cancels the pending sampler tick. Run calls it after the

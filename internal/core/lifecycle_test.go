@@ -8,7 +8,9 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
+	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
+	"slinfer/internal/slo"
 	"slinfer/internal/workload"
 )
 
@@ -106,6 +108,36 @@ func TestHarvestedNodeServesSlowly(t *testing.T) {
 	}
 }
 
+// TestHarvestedCPUGateUsesDeratedProfile holds scale-out's CPU SLO gate to
+// the derated profile an instance on a harvested node would run on: a
+// request whose TTFT only a full-speed profile meets must not cost a
+// scale-out dry run on that node.
+func TestHarvestedCPUGateUsesDeratedProfile(t *testing.T) {
+	m := model.Llama2_7B
+	spec := hwsim.NewHarvestedCPUNode("h", 8)
+	s := sim.New()
+	c := New(s, []hwsim.NodeSpec{spec}, []model.Model{m}, SLINFER())
+	full := c.Registry.Get(spec.Class, m, 1)
+	derated := c.Registry.Get(spec.Class, m, spec.SpeedFactor)
+	inputLen := 0
+	for l := 64; l <= m.MaxContext && inputLen == 0; l += 64 {
+		if full.CanMeet(l, slo.Default(l)) && !derated.CanMeet(l, slo.Default(l)) {
+			inputLen = l
+		}
+	}
+	if inputLen == 0 {
+		t.Fatal("no input length separates the full-speed and derated profiles")
+	}
+	c.Submit(workload.Request{ID: 1, ModelName: m.Name, Arrival: 0, InputLen: inputLen, OutputLen: 10})
+	s.Run()
+	if n := c.Validator.Validations; n != 0 {
+		t.Fatalf("%d scale-out dry runs on a node whose derated profile cannot meet a %d-token TTFT", n, inputLen)
+	}
+	if c.Collector.ColdStarts != 0 {
+		t.Fatalf("cold starts = %d; the request has no node that can meet its SLO", c.Collector.ColdStarts)
+	}
+}
+
 func TestTPPartnerNodeReleasedOnReclaim(t *testing.T) {
 	m := model.CodeLlama34B
 	cfg := SLINFER()
@@ -146,21 +178,27 @@ func TestQueuedRequestServedWhenCapacityFrees(t *testing.T) {
 	}
 }
 
+// TestMaxBatchCap pins perfmodel.MaxBatch as the per-instance load cap:
+// with neither shadow validation nor a fixed limit to stop admissions
+// earlier, one GPU's first instance fills to exactly the cap.
 func TestMaxBatchCap(t *testing.T) {
 	m := model.Llama32_3B
 	cfg := SLINFER()
-	cfg.MaxBatch = 4
+	cfg.ShadowValidation = false
 	cfg.UseCPU = false
 	s := sim.New()
 	c := New(s, hwsim.Testbed(0, 1), []model.Model{m}, cfg)
-	for i := 0; i < 10; i++ {
-		c.Submit(workload.Request{ID: int64(i), ModelName: m.Name, Arrival: 0, InputLen: 256, OutputLen: 400})
+	n := perfmodel.MaxBatch + 44
+	for i := 0; i < n; i++ {
+		c.Submit(workload.Request{ID: int64(i), ModelName: m.Name, Arrival: 0, InputLen: 64, OutputLen: 400})
 	}
 	s.RunUntil(3)
+	most := 0
 	for _, inst := range c.InstancesOf(m.Name) {
-		if inst.TotalLoad() > 4 {
-			t.Fatalf("instance load %d exceeds MaxBatch 4", inst.TotalLoad())
-		}
+		most = max(most, inst.TotalLoad())
+	}
+	if most != 256 {
+		t.Fatalf("largest instance load %d, want the cap of 256", most)
 	}
 	s.Run()
 }
@@ -233,11 +271,21 @@ func TestNEOPlusExtendsKVCapacityAndPenalizesDecode(t *testing.T) {
 	if neoCap <= sllmCap {
 		t.Fatalf("NEO+ cache %d should exceed sllm %d", neoCap, sllmCap)
 	}
-	if neoCap-sllmCap != NEOPlus(32).NEOExtraKVBytes {
-		t.Fatalf("extra KV = %d, want %d", neoCap-sllmCap, NEOPlus(32).NEOExtraKVBytes)
-	}
 	if sllmPen != 0 || neoPen <= 0 {
 		t.Fatalf("decode penalties wrong: sllm %v, neo %v", sllmPen, neoPen)
+	}
+	// The offloaded KV and the penalty scale with the harvested cores, to
+	// 64 GB and 10% at all 32 cores of a host (Figure 29's sweep).
+	for _, tc := range []struct {
+		cores   int
+		extraKV int64
+		penalty float64
+	}{{8, 16e9, 0.025}, {16, 32e9, 0.05}, {32, 64e9, 0.10}} {
+		neoCap, neoPen := capacityOf(NEOPlus(tc.cores))
+		if neoCap-sllmCap != tc.extraKV || neoPen != tc.penalty {
+			t.Errorf("NEOPlus(%d): extra KV %d, penalty %v; want %d, %v",
+				tc.cores, neoCap-sllmCap, neoPen, tc.extraKV, tc.penalty)
+		}
 	}
 }
 
@@ -337,20 +385,23 @@ func TestResizeChargesRemainingFractionOnly(t *testing.T) {
 	}
 }
 
+// TestDrainGraceBoundsRun pins DrainGrace: a run stops ten minutes past
+// its trace's end even with a request still decoding.
 func TestDrainGraceBoundsRun(t *testing.T) {
+	if DrainGrace != 10*sim.Minute {
+		t.Fatalf("DrainGrace = %v, want 10 minutes", DrainGrace)
+	}
 	m := model.Llama2_7B
-	cfg := SLINFER()
-	cfg.DrainGrace = 30 * sim.Second
 	s := sim.New()
-	c := New(s, hwsim.Testbed(1, 0), []model.Model{m}, cfg)
+	c := New(s, hwsim.Testbed(1, 0), []model.Model{m}, SLINFER())
 	// A pathological request that decodes far longer than the grace.
 	tr := workload.Trace{
 		Requests: []workload.Request{{ID: 1, ModelName: m.Name, Arrival: 1, InputLen: 256, OutputLen: 100000}},
 		Duration: 10 * sim.Second,
 	}
 	rep := c.Run(tr)
-	if s.Now() > 41 {
-		t.Fatalf("run did not stop at drain grace: now=%v", s.Now())
+	if end := sim.Time(0).Add(tr.Duration + DrainGrace); s.Now() > end {
+		t.Fatalf("run did not stop at drain grace: now=%v, want <= %v", s.Now(), end)
 	}
 	if rep.Completed != 0 {
 		t.Fatal("request cannot have completed")

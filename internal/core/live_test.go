@@ -58,7 +58,7 @@ func TestAppendLiveMatchesSuite(t *testing.T) {
 			var live []*engine.Request
 			var got, want []int64
 			var steps, peak, inTransit int
-			end := traceEnd.Add(c.Cfg.DrainGrace)
+			end := traceEnd.Add(core.DrainGrace)
 			for now := sim.Time(0); now <= end; now = now.Add(sim.Second / 4) {
 				s.RunUntil(now)
 				live = c.AppendLive(live[:0])

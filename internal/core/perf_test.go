@@ -102,16 +102,14 @@ func TestSamplerStopsWhenWorkloadDrains(t *testing.T) {
 		trc := tr
 		trc.Duration = window
 		s := sim.New()
-		cfg := SLINFER()
-		cfg.DrainGrace = 0
-		c := New(s, hwsim.Testbed(2, 2), models, cfg)
+		c := New(s, hwsim.Testbed(2, 2), models, SLINFER())
 		c.Run(trc)
 		return s.Fired()
 	}
 	// Same workload, two windows: all requests arrive in the first minute,
 	// so everything past the drain point differs only by empty sampler
 	// ticks. Without the early stop the hour-long window pays one tick per
-	// MemSamplePeriod (thousands of events); with it, the counts must be
+	// sampler period (hundreds of events); with it, the counts must be
 	// nearly identical.
 	short := run(2 * sim.Minute)
 	long := run(3600 * sim.Second)

@@ -43,7 +43,7 @@ type pickOracle struct {
 // watch swaps c's pick for one that checks each answer against the
 // reference. It leaves a controller that does not pick by headroom alone.
 func (o *pickOracle) watch(c *Controller) {
-	if !c.Cfg.TokenLevelSched && c.Cfg.Sharing == Elastic {
+	if !c.Cfg.TokenLevelSched {
 		return
 	}
 	c.pick = func(insts []*engine.Instance, now sim.Time) (engine.Work, bool) {

@@ -22,7 +22,7 @@ func (c *Controller) BeginStream(traceEnd sim.Time, expected int) {
 	c.traceEnd = traceEnd
 	c.externalArrivals = true
 	c.Collector.Reserve(expected)
-	c.scheduleSampler(c.Cfg.MemSamplePeriod)
+	c.scheduleSampler()
 }
 
 // EndStream finalizes an externally driven run after the caller has

@@ -422,11 +422,10 @@ func (sd *shard) recover(now, traceEnd sim.Time, expected int) {
 	sd.up, sd.healthy = true, true
 }
 
-// report ends the shard's stream at the run horizon plus its drain grace
+// report ends the shard's stream at the run horizon plus the drain grace
 // and folds any crash-finalized segments into one shard report.
 func (sd *shard) report(horizon sim.Time) metrics.Report {
-	grace := sd.ctl.Cfg.DrainGrace
-	total := sim.Duration(horizon) + grace
+	total := sim.Duration(horizon) + core.DrainGrace
 	defer sd.closeSuite()
 	switch {
 	case sd.up && len(sd.segments) == 0:
@@ -434,7 +433,7 @@ func (sd *shard) report(horizon sim.Time) metrics.Report {
 		// segment spanning the whole run.
 		return sd.ctl.EndStream(total)
 	case sd.up:
-		segs := append(sd.segments, sd.ctl.EndStream(horizon.Add(grace).Sub(sd.segStart)))
+		segs := append(sd.segments, sd.ctl.EndStream(horizon.Add(core.DrainGrace).Sub(sd.segStart)))
 		return mergeSegments(sd.ctl.Cfg.Name, total, segs)
 	default:
 		// Down at run end: the crash already finalized every segment.
@@ -708,10 +707,10 @@ func (fd *frontDoor) sampleEpoch(i int, goodput int64) {
 	})
 }
 
-// drain runs every shard through its grace window.
+// drain runs every shard through the grace window.
 func (fd *frontDoor) drain() {
 	par.Do(fd.sem, len(fd.shards), func(i int) struct{} {
-		fd.shards[i].sim.RunUntil(fd.horizon.Add(fd.shards[i].ctl.Cfg.DrainGrace))
+		fd.shards[i].sim.RunUntil(fd.horizon.Add(core.DrainGrace))
 		return struct{}{}
 	})
 }
@@ -722,12 +721,10 @@ func (fd *frontDoor) drain() {
 func (fd *frontDoor) finish() Result {
 	n := len(fd.shards)
 	res := &fd.res
-	var maxGrace sim.Duration
 	var live []*engine.Request
 	var liveEnd int64
 	res.Shards = make([]metrics.Report, n)
 	for i, sd := range fd.shards {
-		maxGrace = max(maxGrace, sd.ctl.Cfg.DrainGrace)
 		live = sd.ctl.AppendLive(live[:0])
 		liveEnd += int64(len(live))
 		res.Shards[i] = sd.report(fd.horizon)
@@ -735,7 +732,7 @@ func (fd *frontDoor) finish() Result {
 		res.ShardViolations[i] = sd.segViol
 		res.FlightDumps[i] = sd.flight
 	}
-	res.Report = metrics.MergeReports(fd.cfg.Name, sim.Duration(fd.horizon)+maxGrace, res.Shards...)
+	res.Report = metrics.MergeReports(fd.cfg.Name, sim.Duration(fd.horizon)+core.DrainGrace, res.Shards...)
 	if fd.fired > 0 {
 		res.Report.FaultEvents = fd.fired
 		res.Report.Redriven = res.Redriven

@@ -281,23 +281,22 @@ type profileKey struct {
 	share float64
 }
 
+// MaxBatch is the batch-size ceiling (the paper's Bmax ~256): registry
+// profiles cover batches up to it, and no instance's load may exceed it.
+const MaxBatch = 256
+
 // Registry caches profiles per (class, model, share). It is safe for
-// concurrent use; experiments share one registry to amortize profiling,
-// exactly as SLINFER profiles each hardware type once (§VI-B).
+// concurrent use. Each controller owns one and keeps it across runs, as
+// SLINFER profiles each hardware type once (§VI-B).
 type Registry struct {
 	mu       sync.Mutex
-	maxBatch int
 	profiles map[profileKey]*Profile
 }
 
-// NewRegistry returns a registry whose profiles cover batch sizes up to
-// maxBatch (the paper uses Bmax ~256).
-func NewRegistry(maxBatch int) *Registry {
-	return &Registry{maxBatch: maxBatch, profiles: make(map[profileKey]*Profile)}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{profiles: make(map[profileKey]*Profile)}
 }
-
-// MaxBatch returns the batch-size ceiling the registry profiles against.
-func (r *Registry) MaxBatch() int { return r.maxBatch }
 
 // Get returns (building on first use) the profile for the combination. The
 // cache is keyed by model name, and model.Model is fully comparable, so a
@@ -311,7 +310,7 @@ func (r *Registry) Get(class hwsim.DeviceClass, m model.Model, share float64) *P
 	if p, ok := r.profiles[key]; ok && p.Model == m {
 		return p
 	}
-	p := NewProfile(class, m, share, r.maxBatch)
+	p := NewProfile(class, m, share, MaxBatch)
 	r.profiles[key] = p
 	return p
 }

@@ -122,7 +122,7 @@ func TestCanMeetGatesCPUs(t *testing.T) {
 }
 
 func TestRegistryCaches(t *testing.T) {
-	r := NewRegistry(256)
+	r := NewRegistry()
 	a := r.Get(hwsim.A100, model.Llama2_7B, 1)
 	b := r.Get(hwsim.A100, model.Llama2_7B, 1)
 	if a != b {

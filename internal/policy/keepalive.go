@@ -16,10 +16,3 @@ type FixedKeepAlive struct {
 func (p FixedKeepAlive) Arm(h Host, inst *engine.Instance) {
 	h.ArmReclaim(inst, p.Idle)
 }
-
-// Pin never reclaims idle instances — models stay resident once loaded
-// (a provisioned-capacity scenario the knob-based presets cannot express).
-type Pin struct{}
-
-// Arm does nothing: no reclamation timer is ever scheduled.
-func (Pin) Arm(Host, *engine.Instance) {}

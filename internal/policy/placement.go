@@ -93,10 +93,11 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 				continue
 			}
 			// SLINFER excludes CPUs without matrix acceleration and CPUs
-			// that cannot meet this request's SLO (§V). Baselines use the
-			// fixed-limit table (0 disables a class entirely).
+			// that cannot meet this request's SLO (§V) at their derated
+			// speed, the profile the instance would run on. Baselines use
+			// the fixed-limit table (0 disables a class entirely).
 			if p.ShadowValidation {
-				prof := h.Profile(class, m, share)
+				prof := h.Profile(class, m, share*orOne(n.SpeedFactor))
 				if !prof.CanMeet(req.W.InputLen, req.Obj) {
 					continue
 				}

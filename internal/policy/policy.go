@@ -84,8 +84,6 @@ type Host interface {
 	// FixedLimit returns the baseline concurrency limit for (m, class,
 	// share); ok is false when the configuration has no fixed limit.
 	FixedLimit(m model.Model, class hwsim.DeviceClass, share float64) (limit int, ok bool)
-	// MaxBatch is the hard per-instance load cap.
-	MaxBatch() int
 
 	// Validator exposes the shadow-validation engine for dry runs the
 	// policy assembles itself.

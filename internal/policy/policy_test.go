@@ -71,7 +71,6 @@ func (h *fakeHost) Profile(hwsim.DeviceClass, model.Model, float64) *perfmodel.P
 func (h *fakeHost) FixedLimit(model.Model, hwsim.DeviceClass, float64) (int, bool) {
 	return 0, false
 }
-func (h *fakeHost) MaxBatch() int                 { return 256 }
 func (h *fakeHost) Validator() *compute.Validator { return h.validator }
 func (h *fakeHost) ValidateOn(*cluster.Executor, *engine.Instance, compute.ReqView, sim.Duration, sim.Duration) bool {
 	h.validateOns++
@@ -186,10 +185,6 @@ func TestKeepAlivePolicies(t *testing.T) {
 	if len(h.armed) != 1 || h.armed[0] != 2.5 {
 		t.Errorf("armed = %v, want [2.5]", h.armed)
 	}
-	Pin{}.Arm(h, inst)
-	if len(h.armed) != 1 {
-		t.Error("Pin must never arm a reclamation timer")
-	}
 }
 
 func TestNoPreemption(t *testing.T) {
@@ -205,7 +200,7 @@ func TestPreemptionChecksRehomingFirst(t *testing.T) {
 	h := newFakeHost()
 	n := h.cl.NodesOfKind(hwsim.GPU)[0]
 	ex := n.NewExecutor(1)
-	reg := perfmodel.NewRegistry(256)
+	reg := perfmodel.NewRegistry()
 	ms := model.Replicas(model.Llama2_7B, 2)
 	mkInst := func(id int, m model.Model, load int) *engine.Instance {
 		inst := &engine.Instance{
@@ -223,7 +218,7 @@ func TestPreemptionChecksRehomingFirst(t *testing.T) {
 	grower, victim := mkInst(1, ms[0], 4), mkInst(2, ms[1], 1)
 	h.routes = map[string][]*engine.Instance{ms[0].Name: {grower}, ms[1].Name: {victim}}
 	h.execs = map[*engine.Instance]*cluster.Executor{grower: ex, victim: ex}
-	h.validator = compute.NewValidator()
+	h.validator = &compute.Validator{Overestimate: 1.10, DecodeRounds: 2, MaxSteps: 600}
 
 	req := engine.NewRequest(workload.Request{ID: 1, ModelName: ms[0].Name, InputLen: 256, OutputLen: 64})
 	if (SLOPreserving{}).TryPreempt(h, req, ms[0]) {

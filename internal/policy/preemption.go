@@ -6,6 +6,7 @@ import (
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
+	"slinfer/internal/perfmodel"
 )
 
 // NoPreemption never preempts (the sllm-family baselines and the
@@ -109,7 +110,7 @@ func (p SLOPreserving) canRehome(h Host, r *engine.Request, victim, grower *engi
 		if inst == victim || inst == grower {
 			continue
 		}
-		if inst.TotalLoad() >= h.MaxBatch() {
+		if inst.TotalLoad() >= perfmodel.MaxBatch {
 			continue
 		}
 		if inst.Class.Kind() == hwsim.CPU && !inst.Profile.CanMeet(r.ContextTokens(), r.Obj) {
