@@ -56,6 +56,58 @@ func BenchmarkSub_SimEventLoop(b *testing.B) {
 	b.ReportMetric(float64(100*chain*b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkSub_SimLaneLoop measures the event loop the way a replay drives
+// it: 8 self-rearming lane owners, as iteration executors complete on the
+// lane, interleaved with 16 heap timer chains, so every Step chooses between
+// the lane head and the heap top. One op is 48k events on one simulator
+// reused through Reset (a few milliseconds, so -benchtime 1x measures it),
+// after an untimed warm-up round that grows the arena and the lane: the
+// steady state allocates nothing.
+func BenchmarkSub_SimLaneLoop(b *testing.B) {
+	const (
+		lanes, laneFires = 8, 4000
+		chains, chainLen = 16, 1000
+	)
+	b.ReportAllocs()
+	s := sim.New()
+	type owner struct{ left, period int }
+	var owners [lanes]owner
+	var laneStep, heapStep func(any)
+	laneStep = func(a any) {
+		o := a.(*owner)
+		if o.left--; o.left > 0 {
+			s.LaneAtFunc(s.Now().Add(sim.Duration(o.period)*sim.Millisecond/8), laneStep, o)
+		}
+	}
+	chainLeft := 0
+	heapStep = func(any) {
+		if chainLeft--; chainLeft >= chains {
+			s.AfterFunc(sim.Duration(1+chainLeft%5)*sim.Millisecond, heapStep, nil)
+		}
+	}
+	round := func() {
+		s.Reset()
+		for k := range owners {
+			owners[k] = owner{left: laneFires, period: 3 + k}
+			s.LaneAtFunc(sim.Time(k)*sim.Time(sim.Millisecond)/8, laneStep, &owners[k])
+		}
+		chainLeft = chains * chainLen
+		for c := 0; c < chains; c++ {
+			s.AfterFunc(sim.Duration(c)*sim.Millisecond, heapStep, nil)
+		}
+		s.Run()
+		if s.Fired() != lanes*laneFires+chains*chainLen {
+			b.Fatalf("fired %d events, want %d", s.Fired(), lanes*laneFires+chains*chainLen)
+		}
+	}
+	round()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64((lanes*laneFires+chains*chainLen)*b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkSub_MemctlLedger measures ledger op throughput: ops go to Demand
 // by value, which copies each into a slot from the ledger's free-list, and
 // each round reuses the simulator and ledger through their Reset lifecycles

@@ -107,7 +107,9 @@ func (e *Executor) Kick() {
 	e.busyUntil = e.sim.Now().Add(dur)
 	e.inflight, e.inflightDur = w, dur
 	w.Inst.Iterations++
-	e.sim.AfterFunc(dur, execDone, e)
+	// An executor has at most one completion pending and never cancels it,
+	// so the completion rides the simulator's lane instead of the heap.
+	e.sim.LaneAtFunc(e.busyUntil, execDone, e)
 }
 
 // execDone is the iteration-completion trampoline: a plain function value,

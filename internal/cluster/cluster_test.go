@@ -151,3 +151,42 @@ func TestNodeOccupiedAndKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An executor removed from its node while an iteration is in flight still
+// completes that iteration: its completion rides the simulator's lane and
+// cannot be cancelled, and OnDone decides what happens next.
+func TestRemovedExecutorCompletesInFlightIteration(t *testing.T) {
+	s := sim.New()
+	c := New(s, hwsim.Testbed(0, 1))
+	node := c.Nodes[0]
+	ex := node.NewExecutor(1)
+	inst := testInstance(1, hwsim.A100, 1)
+	ex.AddInstance(inst)
+	r := engine.NewRequest(workload.Request{ID: 1, InputLen: 512, OutputLen: 4})
+	inst.Admit(r)
+	ex.Pick = func(e *Executor) (engine.Work, bool) {
+		w, _, ok := inst.NextWork(s.Now())
+		return w, ok
+	}
+	var done []engine.WorkKind
+	ex.OnDone = func(e *Executor, w engine.Work, dur sim.Duration) {
+		done = append(done, w.Kind)
+		inst.CompletePrefill(w.Req, s.Now())
+		e.Pick = nil // retired: park after this iteration
+	}
+	ex.Kick()
+	if !ex.Busy() || s.Pending() != 1 {
+		t.Fatalf("busy=%v pending=%d after Kick, want an iteration in flight", ex.Busy(), s.Pending())
+	}
+	if !node.RemoveExecutor(ex) {
+		t.Fatal("RemoveExecutor failed")
+	}
+	s.Run()
+	if len(done) != 1 || done[0] != engine.PrefillWork || ex.Iterations() != 1 || ex.Busy() {
+		t.Fatalf("after removal: completions %v, iterations %d, busy %v; want the prefill to complete",
+			done, ex.Iterations(), ex.Busy())
+	}
+	if r.Generated != 1 {
+		t.Fatalf("generated %d tokens, want the prefill's 1", r.Generated)
+	}
+}

@@ -21,7 +21,9 @@ import (
 // An instance's least headroom is MinDeadline().Sub(now) bit for bit
 // (rounding is monotone), so instances compare on their cached earliest
 // deadline with NextWork's first-strict-minimum rule, and only the winner
-// is scanned for its work.
+// is scanned for its work. A winner with no prefill waiting is not scanned
+// at all: its driving request can only be in the batch, so NextWork's
+// answer is the batch's decode.
 //
 //slinfer:hotpath
 func PickMinHeadroom(insts []*engine.Instance, now sim.Time) (engine.Work, bool) {
@@ -37,6 +39,9 @@ func PickMinHeadroom(insts []*engine.Instance, now sim.Time) (engine.Work, bool)
 	}
 	if best == nil {
 		return engine.Work{}, false
+	}
+	if len(best.WaitingPrefill) == 0 {
+		return engine.Work{Inst: best, Kind: engine.DecodeWork}, true
 	}
 	w, _, _ := best.NextWork(now)
 	return w, true

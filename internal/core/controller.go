@@ -617,7 +617,7 @@ func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance, 
 	if inst.State == engine.Loading {
 		// The request will receive a cold-start grace window (§IX-A);
 		// validate against the graced deadline.
-		rv.Deadline = rv.Deadline.Add(c.specOf(inst).LoadTime(inst.Model))
+		rv.Deadline = rv.Deadline.Add(c.loadTime(inst))
 	}
 	return c.validate(ex, inst, nil, rv, req.Obj.TPOT, resizeBlock) == compute.OK
 }
@@ -652,7 +652,7 @@ func (c *Controller) validate(ex *cluster.Executor, cand *engine.Instance, fresh
 					proj[i].BlockedUntil = inst.ResizeDoneAt
 				}
 				if inst.State == engine.Loading {
-					if eta := inst.CreatedAt.Add(c.specOf(inst).LoadTime(inst.Model)); eta > proj[i].BlockedUntil {
+					if eta := inst.CreatedAt.Add(c.loadTime(inst)); eta > proj[i].BlockedUntil {
 						proj[i].BlockedUntil = eta // cold start still in progress
 					}
 				}
@@ -688,7 +688,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 		// Cold-start grace equal to the load duration (§IX-A). It moves
 		// the request's deadlines, so it lands before Admit, which resets
 		// the instance's cached earliest deadline.
-		req.Tracker.AddGrace(c.specOf(inst).LoadTime(inst.Model))
+		req.Tracker.AddGrace(c.loadTime(inst))
 	}
 	inst.Admit(req)
 	c.emit(telemetry.KindPlace, req, inst, 0, 0)
@@ -759,8 +759,11 @@ func (c *Controller) retryPending() {
 	}
 }
 
-func (c *Controller) specOf(inst *engine.Instance) hwsim.NodeSpec {
-	return c.Cluster.Nodes[inst.NodeIdxs[0]].Spec
+// loadTime is inst's cold-start duration on its first host node, read
+// through the node and the instance in place: validation asks it for every
+// loading candidate, and a by-value spec and model cost two struct copies.
+func (c *Controller) loadTime(inst *engine.Instance) sim.Duration {
+	return c.Cluster.Nodes[inst.NodeIdxs[0]].Spec.LoadTime(&inst.Model)
 }
 
 // InstancesOf returns a copy of the live instances of the model named name

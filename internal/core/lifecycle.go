@@ -420,7 +420,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		}
 	}
 
-	loadDur := nodes[0].Spec.LoadTime(m)
+	loadDur := nodes[0].Spec.LoadTime(&m)
 	remaining := len(nodes)
 	onLoaded := func() {
 		remaining--
@@ -555,7 +555,7 @@ func (c *Controller) removeInstance(inst *engine.Instance) {
 	// Per node, the KV release goes first, then the weights unload.
 	for _, idx := range inst.NodeIdxs {
 		node := c.Cluster.Nodes[idx]
-		dur := node.Spec.UnloadTime(inst.Model)
+		dur := node.Spec.UnloadTime(&inst.Model)
 		if dynamic && kv > 0 && !node.Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: inst.KVOwner(),
 			From: kv, Duration: dur}) {
 			panic("core: KV release rejected")
@@ -581,7 +581,7 @@ func (c *Controller) removeInstance(inst *engine.Instance) {
 // startPDTransfer ships a prefilled request's KV to a decode instance.
 func (c *Controller) startPDTransfer(req *engine.Request, from *engine.Instance) {
 	kvBytes := int64(req.ContextTokens()) * from.Model.KVBytesPerToken()
-	dur := c.specOf(from).KVTransferTime(kvBytes)
+	dur := c.Cluster.Nodes[from.NodeIdxs[0]].Spec.KVTransferTime(kvBytes)
 	if from.Idle() && from.State == engine.Active {
 		c.scheduleKeepAlive(from)
 	}
@@ -599,7 +599,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 	// window (§IX-A) and is joined once up.
 	for _, inst := range c.decodeCandidates(m) {
 		if inst.State == engine.Loading {
-			if eta := inst.CreatedAt.Add(c.specOf(inst).LoadTime(inst.Model)); eta > c.Sim.Now() {
+			if eta := inst.CreatedAt.Add(c.loadTime(inst)); eta > c.Sim.Now() {
 				req.Tracker.ExtendGrace(eta.Sub(c.Sim.Now()))
 				c.Sim.AfterFunc(eta.Sub(c.Sim.Now())+0.02, c.fnPD, req)
 				return
@@ -683,7 +683,7 @@ func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *e
 		// Re-enter the transfer path once the instance is up, in case a
 		// request is already waiting on its KV handoff.
 		if req.State == engine.Transferring {
-			c.Sim.AfterFunc(n.Spec.LoadTime(m)+0.05, c.fnPD, req)
+			c.Sim.AfterFunc(n.Spec.LoadTime(&m)+0.05, c.fnPD, req)
 		}
 		return inst
 	}

@@ -452,7 +452,7 @@ func TestAdmitDecidesMemoryBeforeValidating(t *testing.T) {
 	first := mkReq(1, 256)
 	inst := c.createInstance(m, c.Cluster.Nodes, 1, first)
 	c.place(first, inst)
-	s.RunUntil(s.Now().Add(spec.LoadTime(m) + sim.Second))
+	s.RunUntil(s.Now().Add(spec.LoadTime(&m) + sim.Second))
 	if inst.State != engine.Active || inst.ResizeInFlight {
 		t.Fatalf("precondition: want a loaded instance with no resize in flight, got state %v", inst.State)
 	}

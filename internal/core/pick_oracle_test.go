@@ -16,7 +16,9 @@ import (
 
 // pickMinHeadroomRef is compute.PickMinHeadroom as it was before instances
 // cached their earliest deadline: every pick asks every instance for its
-// most urgent work, which rescans all of its requests.
+// most urgent work, which rescans all of its requests. It checks both the
+// cached deadlines (including the one CompleteDecode folds in) and the
+// pick's direct decode for a winner with no prefill waiting.
 func pickMinHeadroomRef(insts []*engine.Instance, now sim.Time) (best engine.Work, ok bool) {
 	var bestH sim.Duration
 	for _, inst := range insts {

@@ -66,7 +66,7 @@ type loadProbe struct {
 }
 
 func (p *loadProbe) InstanceCreated(inst *engine.Instance) {
-	p.eta[inst.ID] = p.c.Sim.Now().Add(p.c.Cluster.Nodes[inst.NodeIdxs[0]].Spec.LoadTime(inst.Model))
+	p.eta[inst.ID] = p.c.Sim.Now().Add(p.c.Cluster.Nodes[inst.NodeIdxs[0]].Spec.LoadTime(&inst.Model))
 }
 
 // refViews is the controller's view builder before the one projection, kept
@@ -302,7 +302,7 @@ func TestGrowerDryRunIgnoresResizeInFlight(t *testing.T) {
 		c.place(r, inst)
 		insts = append(insts, inst)
 	}
-	s.RunUntil(s.Now().Add(c.Cluster.Nodes[0].Spec.LoadTime(models[0]) + sim.Second))
+	s.RunUntil(s.Now().Add(c.Cluster.Nodes[0].Spec.LoadTime(&models[0]) + sim.Second))
 	grower, victim := insts[0], insts[1]
 	ex := c.instExec[grower.ID]
 	if ex == nil || c.instExec[victim.ID] != ex || grower.State != engine.Active || victim.TotalLoad() == 0 {

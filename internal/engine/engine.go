@@ -479,7 +479,8 @@ func (i *Instance) JoinDecode(r *Request) bool {
 // CompleteDecode advances every running request one token at time now and
 // returns the requests that finished (already removed from the batch, KV
 // released). It reports underestimation when the batch's new tokens do not
-// fit the cache (§VII-D); in that case no tokens are produced.
+// fit the cache (§VII-D); in that case no tokens are produced. Either way
+// MinDeadline stays current without a rescan.
 //
 // The returned slice is scratch storage reused by the next CompleteDecode
 // call on this instance; callers must finish with it before the instance
@@ -496,7 +497,15 @@ func (i *Instance) CompleteDecode(now sim.Time) (finished []*Request, underestim
 	finished = i.finishedScratch[:0]
 	keep := i.Running[:0]
 	i.ctxSum += len(i.Running)
-	i.minDOK, i.decodeOK = false, false
+	i.decodeOK = false
+	// The loop visits every member of the batch anyway, so it folds the new
+	// earliest deadline as it goes and leaves MinDeadline current: the
+	// same min over the same deadlines as MinDeadline's own scan, and min
+	// is exact in any order.
+	d := sim.Time(math.Inf(1))
+	for _, r := range i.WaitingPrefill {
+		d = min(d, r.Tracker.NextDeadline())
+	}
 	for _, r := range i.Running {
 		r.Generated++
 		r.Tracker.RecordToken(now)
@@ -508,8 +517,10 @@ func (i *Instance) CompleteDecode(now sim.Time) (finished []*Request, underestim
 			finished = append(finished, r)
 		} else {
 			keep = append(keep, r)
+			d = min(d, r.Tracker.NextDeadline())
 		}
 	}
+	i.minD, i.minDOK = d, true
 	// Compact in place (this runs once per decode iteration — a fresh copy
 	// here was a top allocation site); nil the tail so the dropped requests
 	// are not pinned by the backing array.

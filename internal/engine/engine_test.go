@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
@@ -260,5 +263,80 @@ func TestTotalLoadAndAverages(t *testing.T) {
 	inst.Admit(newReq(9, 500, 10, 0))
 	if inst.TotalLoad() != 4 || inst.BatchSize() != 3 {
 		t.Fatalf("load=%d bs=%d", inst.TotalLoad(), inst.BatchSize())
+	}
+}
+
+// freshMinDeadline is MinDeadline's definition, scanned from scratch.
+func freshMinDeadline(i *Instance) sim.Time {
+	d := sim.Time(math.Inf(1))
+	for _, r := range i.WaitingPrefill {
+		d = min(d, r.Tracker.NextDeadline())
+	}
+	for _, r := range i.Running {
+		d = min(d, r.Tracker.NextDeadline())
+	}
+	return d
+}
+
+// TestCompleteDecodeLeavesMinDeadlineCurrent is the oracle for the earliest
+// deadline CompleteDecode folds into its loop: over random admissions,
+// prefills, removals and decodes, some finishing requests and some failing
+// on a full cache, the deadline cached after every CompleteDecode is the
+// one a fresh scan of WaitingPrefill and Running finds.
+func TestCompleteDecodeLeavesMinDeadlineCurrent(t *testing.T) {
+	var decodes, finishing, under int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		inst := newTestInstance(model.Llama2_7B, hwsim.A100)
+		now := sim.Time(0)
+		id := int64(0)
+		for step := 0; step < 400; step++ {
+			now = now.Add(sim.Duration(rng.Intn(40)) * sim.Millisecond)
+			switch op := rng.Intn(10); {
+			case op < 3:
+				id++
+				inst.Admit(newReq(id, 16+rng.Intn(2000), 1+rng.Intn(12), now))
+			case op < 5 && len(inst.WaitingPrefill) > 0:
+				inst.CompletePrefill(inst.WaitingPrefill[rng.Intn(len(inst.WaitingPrefill))], now)
+			case op == 5 && len(inst.WaitingPrefill) > 0:
+				inst.RemoveWaiting(inst.WaitingPrefill[rng.Intn(len(inst.WaitingPrefill))])
+			case op == 6 && len(inst.Running) > 0:
+				inst.RemoveRunning(inst.Running[rng.Intn(len(inst.Running))])
+			default:
+				full := rng.Intn(8) == 0
+				if full {
+					inst.Cache.SetCapacity(inst.Cache.UsedBytes())
+				}
+				fin, uf := inst.CompleteDecode(now)
+				if full {
+					inst.Cache.SetCapacity(64 * model.GiB)
+				}
+				decodes++
+				finishing += len(fin)
+				if uf {
+					under++
+				}
+				if len(inst.Running) > 0 && !uf && !inst.minDOK {
+					t.Fatalf("seed %d step %d: CompleteDecode left the deadline cache stale", seed, step)
+				}
+				if got, want := inst.MinDeadline(), freshMinDeadline(inst); got != want {
+					t.Fatalf("seed %d step %d: cached MinDeadline %v, fresh scan %v", seed, step, got, want)
+				}
+			}
+		}
+	}
+	if decodes == 0 || finishing == 0 || under == 0 {
+		t.Fatalf("oracle saw %d decodes, %d finished requests, %d underestimations; want each > 0",
+			decodes, finishing, under)
+	}
+}
+
+// An Instance is exactly 384 bytes, an allocation size class of its own:
+// one more word moves every instance to the 416-byte class. The deadline
+// and decode-estimate caches sit in existing padding for this reason. A
+// new field has to make room or be measured.
+func TestInstanceFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Instance{}); size != 384 {
+		t.Fatalf("Instance is %d bytes; want 384", size)
 	}
 }

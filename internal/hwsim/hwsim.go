@@ -277,19 +277,20 @@ type NodeSpec struct {
 // Kind returns the node's role.
 func (n NodeSpec) Kind() Kind { return n.Class.Kind() }
 
-// LoadTime returns the cold-start weight-load duration for a model.
-func (n NodeSpec) LoadTime(m model.Model) sim.Duration {
+// LoadTime returns the cold-start weight-load duration for a model. Spec
+// and model are read through pointers: placement asks on every dry run.
+func (n *NodeSpec) LoadTime(m *model.Model) sim.Duration {
 	return sim.Duration(float64(m.WeightBytes()) / float64(m.TPDegree) / n.LoadBW)
 }
 
 // UnloadTime returns the weight-unload duration for a model.
-func (n NodeSpec) UnloadTime(m model.Model) sim.Duration {
+func (n *NodeSpec) UnloadTime(m *model.Model) sim.Duration {
 	return sim.Duration(float64(m.WeightBytes()) / float64(m.TPDegree) / n.UnloadBW)
 }
 
 // KVTransferTime returns the time to ship kvBytes of KV-cache across the
 // interconnect (PD disaggregation).
-func (n NodeSpec) KVTransferTime(kvBytes int64) sim.Duration {
+func (n *NodeSpec) KVTransferTime(kvBytes int64) sim.Duration {
 	if n.InterconnectBW <= 0 {
 		return 0
 	}

@@ -223,16 +223,16 @@ func TestTightSLOLimits(t *testing.T) {
 
 func TestLoadTimes(t *testing.T) {
 	g := NewGPUNode("g")
-	lt := g.LoadTime(model.Llama2_7B).Seconds()
+	lt := g.LoadTime(&model.Llama2_7B).Seconds()
 	// §IX-A: ~1 second to load a 7B model.
 	if lt < 0.7 || lt > 1.3 {
 		t.Errorf("7B load = %.2f s, want ~1", lt)
 	}
-	if g.UnloadTime(model.Llama2_7B) >= g.LoadTime(model.Llama2_7B) {
+	if g.UnloadTime(&model.Llama2_7B) >= g.LoadTime(&model.Llama2_7B) {
 		t.Error("unload should be faster than load")
 	}
 	// TP=2 halves the per-node weight volume.
-	if g.LoadTime(model.CodeLlama34B) >= g.LoadTime(model.CodeLlama34B)*2 {
+	if g.LoadTime(&model.CodeLlama34B) >= g.LoadTime(&model.CodeLlama34B)*2 {
 		t.Error("sanity")
 	}
 	// 100 Gbps interconnect: 1 GB KV transfers in ~80 ms.

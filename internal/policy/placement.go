@@ -61,7 +61,7 @@ func (p *BinPack) AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share fl
 	}
 	ex := h.SharedExecutor(n.Idx)
 	prof := h.Profile(n.Spec.Class, m, share*orOne(n.SpeedFactor))
-	return h.ValidateScaleOut(ex, prof, req, n.Spec.LoadTime(m))
+	return h.ValidateScaleOut(ex, prof, req, n.Spec.LoadTime(&m))
 }
 
 // placeCands is how many scale-out candidates PlaceNew keeps on the stack;
@@ -81,37 +81,32 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	// Nodes whose free memory cannot hold the instance are dropped before
 	// the sort: SortPlace is stable and totally ordered, so the survivors
 	// keep the order they would have had.
+	//
+	// The SLO gate, the fixed limit and the creation size depend on a node
+	// only through its shape, so they are worked out once per shape and
+	// reused for every node of that shape; the slot and the free memory are
+	// read per node.
 	nodes := h.Nodes()
 	var buf [placeCands]consolidator.NodeScore
 	cands := buf[:0]
+	var memo shapeMemo
 	for _, n := range nodes {
-		class := n.Spec.Class
-		share := p.Share(m, class)
 		kindCPU := n.Kind() == hwsim.CPU
-		if kindCPU {
-			if !p.UseCPU {
-				continue
-			}
-			// SLINFER excludes CPUs without matrix acceleration and CPUs
-			// that cannot meet this request's SLO (§V) at their derated
-			// speed, the profile the instance would run on. Baselines use
-			// the fixed-limit table (0 disables a class entirely).
-			if p.ShadowValidation {
-				prof := h.Profile(class, m, share*orOne(n.SpeedFactor))
-				if !prof.CanMeet(req.W.InputLen, req.Obj) {
-					continue
-				}
-			}
-		}
-		if lim, ok := h.FixedLimit(m, class, share); ok && lim <= 0 {
+		if kindCPU && !p.UseCPU {
 			continue
 		}
-		if !p.HasSlot(h, n, share) {
+		sv := memo.lookup(n, p.Share(m, n.Spec.Class))
+		if !sv.gated {
+			sv.gated, sv.barred = true, p.barred(h, n, m, sv.share, req)
+		}
+		if sv.barred || !p.HasSlot(h, n, sv.share) {
 			continue
 		}
-		need := h.CreationBytes(m, n, share, req)
+		if !sv.sized {
+			sv.sized, sv.need = true, h.CreationBytes(m, n, sv.share, req)
+		}
 		free := n.Mem.OptimisticFree()
-		if need < 0 || free < need {
+		if sv.need < 0 || free < sv.need {
 			continue
 		}
 		cands = append(cands, consolidator.NodeScore{
@@ -130,6 +125,62 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 		}
 	}
 	return false
+}
+
+// barred reports whether a node of n's shape may never host the new
+// instance of m for req. SLINFER excludes CPUs without matrix acceleration
+// and CPUs that cannot meet this request's SLO (§V) at their derated speed,
+// the profile the instance would run on. Baselines use the fixed-limit
+// table (0 disables a class entirely).
+func (p *BinPack) barred(h Host, n *cluster.Node, m model.Model, share float64, req *engine.Request) bool {
+	class := n.Spec.Class
+	if p.ShadowValidation && class.Kind() == hwsim.CPU {
+		prof := h.Profile(class, m, share*orOne(n.SpeedFactor))
+		if !prof.CanMeet(req.W.InputLen, req.Obj) {
+			return true
+		}
+	}
+	lim, ok := h.FixedLimit(m, class, share)
+	return ok && lim <= 0
+}
+
+// shapeVerdict is what PlaceNew has worked out for one node shape: the
+// device class, serving memory and speed factor, and the share an instance
+// gets there. gated and sized mark barred and need as computed.
+type shapeVerdict struct {
+	class         hwsim.DeviceClass
+	mem           int64
+	speed, share  float64
+	gated, barred bool
+	sized         bool
+	need          int64
+}
+
+// shapeMemo holds the verdicts of one PlaceNew call, on the stack. Paper
+// clusters have one or two shapes; a node whose shape finds the memo full
+// gets a fresh verdict of its own.
+type shapeMemo struct {
+	n      int
+	shapes [4]shapeVerdict
+	spill  shapeVerdict
+}
+
+// lookup returns the verdict for n's shape at share, empty on first sight.
+func (sm *shapeMemo) lookup(n *cluster.Node, share float64) *shapeVerdict {
+	key := shapeVerdict{class: n.Spec.Class, mem: n.Spec.MemBytes, speed: n.SpeedFactor, share: share}
+	for i := range sm.shapes[:sm.n] {
+		sv := &sm.shapes[i]
+		if sv.class == key.class && sv.mem == key.mem && sv.speed == key.speed && sv.share == key.share {
+			return sv
+		}
+	}
+	sv := &sm.spill
+	if sm.n < len(sm.shapes) {
+		sv = &sm.shapes[sm.n]
+		sm.n++
+	}
+	*sv = key
+	return sv
 }
 
 // placeNewTP places a tensor-parallel model across free GPU nodes (§IX-E).

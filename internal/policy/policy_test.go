@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -35,6 +36,9 @@ type fakeHost struct {
 	need      func(n *cluster.Node) int64
 	needCalls map[int]int
 	spawns    []int
+	// profiles, when set, serves Profile; profileCalls counts the calls.
+	profiles     *perfmodel.Registry
+	profileCalls int
 }
 
 func newFakeHost() *fakeHost {
@@ -65,8 +69,12 @@ func (h *fakeHost) WireExecutor(*cluster.Executor)                     { h.wired
 func (h *fakeHost) Model(name string) model.Model {
 	return model.Model{Name: name}
 }
-func (h *fakeHost) Profile(hwsim.DeviceClass, model.Model, float64) *perfmodel.Profile {
-	panic("unused")
+func (h *fakeHost) Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile {
+	if h.profiles == nil {
+		panic("unused")
+	}
+	h.profileCalls++
+	return h.profiles.Get(class, m, share)
 }
 func (h *fakeHost) FixedLimit(model.Model, hwsim.DeviceClass, float64) (int, bool) {
 	return 0, false
@@ -267,6 +275,46 @@ func TestPlaceNewSizesEachNodeOnce(t *testing.T) {
 		if !slices.Equal(h.spawns, tc.spawns) {
 			t.Errorf("%s: spawn attempts on nodes %v, want %v", tc.name, h.spawns, tc.spawns)
 		}
+	}
+}
+
+// PlaceNew works out the CPU SLO gate and the creation size once per node
+// shape — class, memory, speed factor and share — while slots and free
+// memory stay per node: five nodes of three shapes, one of them out of
+// slots, cost two profile lookups and at most three sizings.
+func TestPlaceNewSizesEachShapeOnce(t *testing.T) {
+	h := newFakeHost()
+	// cpu-slow differs from cpu-0 and cpu-1 in its speed factor alone.
+	slow := hwsim.NewCPUNode("cpu-slow")
+	slow.SpeedFactor = 0.5
+	h.cl = cluster.New(sim.New(), []hwsim.NodeSpec{
+		hwsim.NewCPUNode("cpu-0"), slow, hwsim.NewCPUNode("cpu-1"),
+		hwsim.NewGPUNode("gpu-0"), hwsim.NewGPUNode("gpu-1"),
+	})
+	h.profiles = perfmodel.NewRegistry()
+	h.need, h.needCalls = func(*cluster.Node) int64 { return model.GiB }, map[int]int{}
+	h.slots[3] = 1 // gpu-0 has no slot left
+	p := &BinPack{Mode: Exclusive, UseCPU: true, CPUFirst: true, ShadowValidation: true}
+	m := model.Llama2_7B
+	req := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, InputLen: 512, OutputLen: 8})
+	slowOK := h.profiles.Get(slow.Class, m, slow.SpeedFactor).CanMeet(req.W.InputLen, req.Obj)
+	if p.PlaceNew(h, req, m) {
+		t.Fatal("placed although every spawn fails")
+	}
+	if h.profileCalls != 2 {
+		t.Errorf("Profile called %d times, want 2 (full-speed and derated CPU)", h.profileCalls)
+	}
+	wantNeed := map[int]int{0: 1, 4: 1} // cpu-1 and gpu-0 reuse their shape's size
+	wantSpawns := []int{0, 2, 4}
+	if slowOK {
+		wantNeed[1] = 1
+		wantSpawns = []int{0, 1, 2, 4}
+	}
+	if !maps.Equal(h.needCalls, wantNeed) {
+		t.Errorf("CreationBytes calls per node %v, want %v", h.needCalls, wantNeed)
+	}
+	if !slices.Equal(h.spawns, wantSpawns) {
+		t.Errorf("spawn attempts on nodes %v, want %v", h.spawns, wantSpawns)
 	}
 }
 

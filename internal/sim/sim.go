@@ -16,6 +16,11 @@
 //   - The pending queue is a hand-specialized 4-ary index heap over the
 //     concrete event type (see heap.go) — no interface boxing per push/pop,
 //     and half the depth of a binary heap on large queues.
+//   - Iteration completions bypass the heap. An owner that has at most one
+//     event pending at a time, and never cancels it, schedules through the
+//     lane (lane.go): a short sorted array beside the heap. Lane events take
+//     their seq from the same counter, and Step fires the lesser (at, seq)
+//     of the two heads, so the firing order is exactly an all-heap run's.
 //
 // Events are scheduled with AtFunc/AfterFunc: a callback plus the argument
 // it is passed, so a hot caller binds the callback once and schedules
@@ -148,6 +153,11 @@ type Simulator struct {
 	pool  []int32     // free-list of recycled arena slots
 	fired uint64
 
+	// lane holds the uncancellable events' keys, sorted ascending (lane.go);
+	// lane[laneHead] is the earliest, and lane[:laneHead] has fired.
+	lane     []heapEntry
+	laneHead int
+
 	// OnEvent, if set, observes every fired event just before its callback
 	// runs (after the clock has advanced to the event's timestamp). The
 	// invariant suite hooks the event clock here; observers must not mutate
@@ -166,9 +176,10 @@ func (s *Simulator) Now() Time { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still scheduled. Cancelled events
-// leave the queue immediately, so this is a plain length read.
-func (s *Simulator) Pending() int { return len(s.queue) }
+// Pending returns the number of events still scheduled, on the heap and on
+// the lane. Cancelled events leave the queue immediately, so this is a
+// plain length read.
+func (s *Simulator) Pending() int { return len(s.queue) + len(s.lane) - s.laneHead }
 
 // alloc takes an arena slot from the free-list (bumping its generation so
 // stale handles die) or extends the arena.
@@ -197,6 +208,16 @@ func (s *Simulator) alloc() int32 {
 //
 //slinfer:hotpath
 func (s *Simulator) AtFunc(t Time, fn func(arg any), arg any) Event {
+	sl := s.schedule(t, fn, arg)
+	s.push(sl)
+	return Event{s: s, gen: s.slots[sl].gen, slot: sl}
+}
+
+// schedule checks t, takes an arena slot and fills it with the event and the
+// next seq; the caller queues the slot on the heap or on the lane.
+//
+//slinfer:hotpath
+func (s *Simulator) schedule(t Time, fn func(arg any), arg any) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -207,8 +228,7 @@ func (s *Simulator) AtFunc(t Time, fn func(arg any), arg any) Event {
 	e := &s.slots[sl]
 	e.at, e.seq, e.fn, e.arg = t, s.seq, fn, arg
 	s.seq++
-	s.push(sl)
-	return Event{s: s, gen: e.gen, slot: sl}
+	return sl
 }
 
 // AfterFunc schedules fn(arg) to run d after the current time; see AtFunc.
@@ -232,7 +252,17 @@ func (s *Simulator) AfterFunc(d Duration, fn func(arg any), arg any) Event {
 // recycled with a bumped generation, so handles issued before Reset turn
 // stale and degrade to no-ops exactly like handles to fired events.
 func (s *Simulator) Reset() {
-	for _, he := range s.queue {
+	s.discard(s.queue)
+	s.discard(s.lane[s.laneHead:])
+	s.queue, s.lane, s.laneHead = s.queue[:0], s.lane[:0], 0
+	s.now, s.seq, s.fired = 0, 0, 0
+	s.OnEvent = nil
+}
+
+// discard returns the slots of unfired events to the free-list with a bumped
+// generation (Reset).
+func (s *Simulator) discard(q []heapEntry) {
+	for _, he := range q {
 		e := &s.slots[he.slot]
 		e.gen++ // invalidate outstanding handles immediately
 		e.index = -1
@@ -240,21 +270,51 @@ func (s *Simulator) Reset() {
 		e.fn, e.arg = nil, nil
 		s.pool = append(s.pool, he.slot)
 	}
-	s.queue = s.queue[:0]
-	s.now, s.seq, s.fired = 0, 0, 0
-	s.OnEvent = nil
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It returns false when no events remain. Cancelled events
-// were already removed by Cancel, so whatever is popped is live.
+// next returns the arena slot of the earliest pending event — the lesser
+// of the lane head and the heap top — and whether it is on the lane. The
+// slot is -1 when nothing is pending.
+//
+//slinfer:hotpath
+func (s *Simulator) next() (slot int32, onLane bool) {
+	if h := s.laneHead; h < len(s.lane) {
+		if len(s.queue) == 0 || entryLess(s.lane[h], s.queue[0]) {
+			return s.lane[h].slot, true
+		}
+		return s.queue[0].slot, false
+	}
+	if len(s.queue) > 0 {
+		return s.queue[0].slot, false
+	}
+	return -1, false
+}
+
+// Step executes the single earliest pending event — the lesser of the heap
+// top and the lane head — advancing the clock to its timestamp. It returns
+// false when no events remain. Cancelled events were already removed by
+// Cancel, so whatever is popped is live.
 //
 //slinfer:hotpath
 func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+	sl, onLane := s.next()
+	if sl < 0 {
 		return false
 	}
-	sl := s.pop()
+	s.fire(sl, onLane)
+	return true
+}
+
+// fire dequeues the event in arena slot sl, the head of its queue, and
+// runs it.
+//
+//slinfer:hotpath
+func (s *Simulator) fire(sl int32, onLane bool) {
+	if onLane {
+		s.popLane()
+	} else {
+		s.pop()
+	}
 	e := &s.slots[sl]
 	at, fn, arg := e.at, e.fn, e.arg
 	// Recycle before running the callback (and drop the arena pointer — the
@@ -268,7 +328,6 @@ func (s *Simulator) Step() bool {
 		s.OnEvent(at)
 	}
 	fn(arg)
-	return true
 }
 
 // Run executes events until the queue drains.
@@ -280,8 +339,12 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline. Events scheduled beyond the deadline remain pending.
 func (s *Simulator) RunUntil(deadline Time) {
-	for len(s.queue) > 0 && s.slots[s.queue[0].slot].at <= deadline {
-		s.Step()
+	for {
+		sl, onLane := s.next()
+		if sl < 0 || s.slots[sl].at > deadline {
+			break
+		}
+		s.fire(sl, onLane)
 	}
 	if s.now < deadline {
 		s.now = deadline
