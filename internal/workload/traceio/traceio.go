@@ -9,7 +9,8 @@
 //	line 1:  header — version tag, duration, request count, and provenance
 //	         (dataset, seed, generator, base model) plus the per-model mean
 //	         RPM map
-//	line 2+: one request per line: {"id":..,"model":..,"at":..,"in":..,"out":..}
+//	line 2+: one request per line:
+//	         {"id":..,"model":..,"at":..,"in":..,"out":..[,"prefix":..]}
 //
 // The encoding is canonical — struct-driven field order, Go's shortest
 // round-tripping float representation, sorted map keys — so Save∘Load is
@@ -18,6 +19,20 @@
 // Reader.Next never materializes more than one request, so multi-hour,
 // million-request traces can be scanned, filtered, or replayed without
 // holding the whole file in memory.
+//
+// The bytes are encoding/json's, but request lines do not go through its
+// reflection when they need not (line.go). Reader.Next parses the exact
+// layout Save writes by hand — JSON integers in range of their Go type,
+// JSON numbers parsed by strconv.ParseFloat as encoding/json parses them,
+// strings without escapes or control bytes that are valid UTF-8 — and
+// hands any other line to json.Unmarshal, which returns the same value or
+// error text as ever. Model names declared in the header's rpm keys are
+// interned, so such a request allocates no string. Save renders each
+// request into one reused buffer by encoding/json's number and string
+// rules and falls back to json.Marshal for a record whose strings it would
+// escape or whose arrival is NaN or infinite. The header line is
+// encoding/json both ways. FuzzDecodeRecord and FuzzEncodeRecord hold the
+// hand-written path to encoding/json's results on arbitrary input.
 package traceio
 
 import (
@@ -91,28 +106,27 @@ func Save(w io.Writer, tr workload.Trace, meta Meta) error {
 		BaseModel: meta.BaseModel,
 		RPM:       tr.RPM,
 	}
-	if err := writeLine(bw, hdr); err != nil {
+	// The header goes through encoding/json; each request line is rendered
+	// by appendRecord into one reused buffer.
+	line, err := json.Marshal(hdr)
+	if err != nil {
+		return err
+	}
+	if _, err := bw.Write(append(line, '\n')); err != nil {
 		return err
 	}
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
-		rec := record{ID: r.ID, Model: r.ModelName, At: float64(r.Arrival), In: r.InputLen, Out: r.OutputLen, Prefix: r.PrefixKey}
-		if err := writeLine(bw, rec); err != nil {
+		line, err = appendRecord(line[:0], record{ID: r.ID, Model: r.ModelName, At: float64(r.Arrival), In: r.InputLen, Out: r.OutputLen, Prefix: r.PrefixKey})
+		if err != nil {
+			return err
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-func writeLine(bw *bufio.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := bw.Write(b); err != nil {
-		return err
-	}
-	return bw.WriteByte('\n')
 }
 
 // SaveFile writes the trace to path, creating or truncating it.
@@ -134,6 +148,9 @@ type Reader struct {
 	sc   *bufio.Scanner
 	hdr  header
 	read int
+	// names interns model names: every key of the header's RPM map, mapped
+	// to itself.
+	names map[string]string
 }
 
 // NewReader parses the header line and prepares streaming decode.
@@ -161,9 +178,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr.Requests < 0 {
 		return nil, fmt.Errorf("traceio: negative request count %d", hdr.Requests)
 	}
+	names := make(map[string]string, len(hdr.RPM))
+	for name := range hdr.RPM {
+		names[name] = name
+	}
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 64*1024), maxLine)
-	return &Reader{sc: sc, hdr: hdr}, nil
+	return &Reader{sc: sc, hdr: hdr, names: names}, nil
 }
 
 // Meta returns the provenance recorded in the header.
@@ -193,8 +214,8 @@ func (r *Reader) Next() (req workload.Request, ok bool, err error) {
 		}
 		return workload.Request{}, false, nil
 	}
-	var rec record
-	if err := json.Unmarshal(r.sc.Bytes(), &rec); err != nil {
+	rec, err := decodeRecord(r.sc.Bytes(), r.names)
+	if err != nil {
 		return workload.Request{}, false, fmt.Errorf("traceio: request %d: %w", r.read, err)
 	}
 	r.read++

@@ -132,20 +132,33 @@ func Partition(tr workload.Trace, n int, assign func(workload.Request) int) []wo
 	if n < 1 {
 		panic("traceio: Partition: n must be >= 1")
 	}
-	out := make([]workload.Trace, n)
-	for i := range out {
-		out[i].Duration = tr.Duration
-	}
-	for _, r := range tr.Requests {
+	// assign runs exactly once per request, in index order (a fleet replays
+	// its placements through a position cursor); its answers are kept so
+	// each slice is allocated once at its exact size.
+	slot := make([]int, len(tr.Requests))
+	count := make([]int, n)
+	for i, r := range tr.Requests {
 		s := assign(r)
-		if s < 0 {
-			continue
-		}
 		if s >= n {
 			panic(fmt.Sprintf("traceio: Partition: assign(%d) = %d, out of range [0, %d)", r.ID, s, n))
 		}
-		r.ID = int64(len(out[s].Requests))
-		out[s].Requests = append(out[s].Requests, r)
+		if s >= 0 {
+			count[s]++
+		}
+		slot[i] = s
+	}
+	out := make([]workload.Trace, n)
+	for i := range out {
+		out[i].Duration = tr.Duration
+		if count[i] > 0 {
+			out[i].Requests = make([]workload.Request, 0, count[i])
+		}
+	}
+	for i, r := range tr.Requests {
+		if s := slot[i]; s >= 0 {
+			r.ID = int64(len(out[s].Requests))
+			out[s].Requests = append(out[s].Requests, r)
+		}
 	}
 	for i := range out {
 		out[i].RPM = empiricalRPM(out[i])
