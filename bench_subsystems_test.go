@@ -259,7 +259,7 @@ func BenchmarkSub_ReplayThroughput(b *testing.B) {
 // place, for a model with a live instance on a 1+1 SLINFER controller
 // driven a minute into 24 7B models at 6 rps. Past saturation every
 // completion repeats this attempt for each queued request, so its cost and
-// allocs dominate the controller layer. One op is a fixed batch of 32
+// allocs dominate the controller layer. One op is a fixed batch of 128
 // attempts after a warm-up batch, which keeps a -benchtime 1x op long
 // enough to time.
 func BenchmarkSub_PlaceAttempt(b *testing.B) {

@@ -367,7 +367,7 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 	}
 
 	early := false
-	if fullRun {
+	if FullRun {
 		defer func() {
 			if early && reason != OK {
 				panic("compute: the demand test accepted a validation the full step loop rejects as " + reason.String())
@@ -439,7 +439,7 @@ func (v *Validator) simulate(now, busyUntil sim.Time, proj []InstView, tpotSLO s
 			vclock = end
 			if newPrefilled && pending == 0 && decodesFeasible(proj, st, vclock, v.MaxSteps-step-1, over) {
 				v.EarlyAccepts++
-				if !fullRun {
+				if !FullRun {
 					return OK
 				}
 				early = true

@@ -2,6 +2,7 @@
 
 package compute
 
-// fullRun is false in every normal build: simulate returns OK as soon as
-// the demand test proves the rest of the schedule feasible.
-const fullRun = false
+// FullRun is false in every normal build: simulate returns OK as soon as
+// the demand test proves the rest of the schedule feasible, and PlaceNew
+// drops a node on its prefilter without re-checking it.
+const FullRun = false

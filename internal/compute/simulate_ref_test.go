@@ -271,7 +271,7 @@ func TestSimulateMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: simulate=%v, reference=%v", trial, got, want)
 		}
 		early := v.EarlyAccepts == 1
-		if !early || fullRun {
+		if !early || FullRun {
 			for i := range proj {
 				if !slices.Equal(proj[i].Reqs, ref[i].Reqs) {
 					t.Fatalf("trial %d: instance %d ended in a different state", trial, i)

@@ -8,6 +8,7 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/testutil"
 	"slinfer/internal/workload"
@@ -89,5 +90,40 @@ func TestGoldenPresetReports(t *testing.T) {
 				testutil.GoldenString(t, path, got)
 			})
 		}
+	}
+}
+
+// TestGoldenElasticPlacementWiresOnDemand pins a custom elastic,
+// shadow-validated BinPack on sllm+c, whose Exclusive sharing wires no
+// shared executor at construction: each node's executor is wired when
+// scale-out first validates on it, and the wiring order names every
+// executor's noise stream. Without CPU-first, best fit tries the (smaller)
+// GPUs before the CPUs listed ahead of them, so that order is not the node
+// order. The goldens were recorded before PlaceNew dropped nodes on its
+// prefilter, so a prefilter that wired an executor early (or dropped a
+// node the full order would try) diverges here.
+func TestGoldenElasticPlacementWiresOnDemand(t *testing.T) {
+	cfg := SllmC()
+	cfg.Name = "sllm+c/elastic-placement"
+	cfg.Placement = &policy.BinPack{Mode: policy.Elastic, UseCPU: true, ShadowValidation: true}
+	for _, sh := range []struct {
+		name         string
+		cpu, gpu     int
+		replicas     int
+		aggregateRPM float64
+	}{
+		{name: "light", cpu: 2, gpu: 2, replicas: 16},
+		{name: "saturated", cpu: 1, gpu: 1, replicas: 24, aggregateRPM: 360},
+	} {
+		models, tr := goldenShape(sh.replicas, sh.aggregateRPM)
+		t.Run(sh.name, func(t *testing.T) {
+			c := New(sim.New(), hwsim.Testbed(sh.cpu, sh.gpu), models, cfg)
+			if len(c.elasticExecs) != 0 {
+				t.Fatal("precondition: Exclusive sharing must wire no executor at construction")
+			}
+			got := c.Run(tr).Canonical()
+			path := filepath.Join("testdata", "golden", "elastic_placement", sh.name+".golden")
+			testutil.GoldenString(t, path, got)
+		})
 	}
 }

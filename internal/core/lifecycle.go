@@ -365,7 +365,10 @@ func (c *Controller) footprint(m model.Model, n *cluster.Node, nodes int, share 
 
 // creationBytes returns the per-node memory a new instance needs at
 // creation on n: its footprint's weights and initial KV. Negative means the
-// node can never host it (a static share too small for the prompt).
+// node can never host it (a static share too small for the weights and the
+// prompt). Otherwise it is at least the weights, the Host.CreationBytes
+// floor: dynamic KV is a watermark recommendation, never negative, and
+// static KV here holds at least the prompt.
 func (c *Controller) creationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {
 	weights, kv, dynamic := c.footprint(m, n, 1, share, req.W.InputLen)
 	if !dynamic && kv < int64(req.W.InputLen+1024)*m.KVBytesPerToken() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -54,6 +55,51 @@ func TestScaleOutProbeDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a failed scale-out probe allocates %.1f times", allocs)
+	}
+}
+
+// Every non-negative creation size covers the model's weights and the
+// activation reserve: the Host.CreationBytes floor that PlaceNew drops
+// nodes on before asking. It holds for every preset (static shares and
+// NEO's static KV included), every node shape of the testbed and the
+// paper's clusters (gen-3 and harvested CPUs), every single-node catalog
+// model and every input length up to its context.
+func TestCreationBytesFloor(t *testing.T) {
+	specs := []hwsim.NodeSpec{hwsim.NewCPUNode("cpu"), hwsim.NewGPUNode("gpu"), hwsim.NewGen3CPUNode("gen3")}
+	for _, cores := range []int{8, 16, 32} {
+		specs = append(specs, hwsim.NewHarvestedCPUNode(fmt.Sprintf("harvest-%d", cores), cores))
+	}
+	var models []model.Model
+	for _, m := range model.Catalog() {
+		if m.TPDegree == 1 {
+			models = append(models, m)
+		}
+	}
+	var sized, never int
+	for _, cfg := range []Config{SLINFER(), Sllm(), SllmC(), SllmCS(), NEOPlus(16)} {
+		c := New(sim.New(), specs, models, cfg)
+		for _, m := range models {
+			floor := m.WeightBytes() + hwsim.ActivationReserve
+			req := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, OutputLen: 1})
+			for _, n := range c.Cluster.Nodes {
+				share := c.Cfg.Placement.Share(m, n.Spec.Class)
+				for in := 1; in <= m.MaxContext; in++ {
+					req.W.InputLen = in
+					switch need := c.host.CreationBytes(m, n, share, req); {
+					case need < 0:
+						never++
+					case need < floor:
+						t.Fatalf("%s: %s on %s at %d input tokens needs %d B, below the %d B floor",
+							cfg.Name, m.Name, n.Spec.Name, in, need, floor)
+					default:
+						sized++
+					}
+				}
+			}
+		}
+	}
+	if sized == 0 || never == 0 {
+		t.Fatalf("%d sized and %d never-hostable answers: want both", sized, never)
 	}
 }
 

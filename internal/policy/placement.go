@@ -2,6 +2,7 @@ package policy
 
 import (
 	"slinfer/internal/cluster"
+	"slinfer/internal/compute"
 	"slinfer/internal/consolidator"
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
@@ -78,21 +79,35 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	// their node via h.Nodes() — no side table needed. PlaceNew must stay
 	// stateless (one BinPack is shared across concurrently advancing fleet
 	// shards), so the candidate list is a local array, not policy scratch.
-	// Nodes whose free memory cannot hold the instance are dropped before
-	// the sort: SortPlace is stable and totally ordered, so the survivors
-	// keep the order they would have had.
+	// Every node that cannot become a candidate is dropped before the sort:
+	// SortPlace is stable and totally ordered, so the survivors keep the
+	// order they would have had.
 	//
-	// The SLO gate, the fixed limit and the creation size depend on a node
-	// only through its shape, so they are worked out once per shape and
-	// reused for every node of that shape; the slot and the free memory are
-	// read per node.
+	// A node is dropped first on two checks that need no per-request work:
+	// its free memory cannot hold the model's weights, which every
+	// non-negative creation size includes (the Host.CreationBytes floor),
+	// or its shared executor already fails the case-3 aggregate check that
+	// AdmitScaleOut's validation runs first. Only the survivors pay for the
+	// SLO gate, the slot and the creation size. The gate, the fixed limit
+	// and the creation size depend on a node only through its shape, so
+	// they are worked out once per shape and reused for every node of that
+	// shape; the slot and the free memory are read per node.
 	nodes := h.Nodes()
+	floor := m.WeightBytes() + hwsim.ActivationReserve
+	validated := p.Mode == Elastic && p.ShadowValidation
 	var buf [placeCands]consolidator.NodeScore
 	cands := buf[:0]
 	var memo shapeMemo
 	for _, n := range nodes {
 		kindCPU := n.Kind() == hwsim.CPU
 		if kindCPU && !p.UseCPU {
+			continue
+		}
+		free := n.Mem.OptimisticFree()
+		if free < floor || validated && overBudget(h, n, req) {
+			if compute.FullRun {
+				p.checkDropped(h, n, m, req, floor)
+			}
 			continue
 		}
 		sv := memo.lookup(n, p.Share(m, n.Spec.Class))
@@ -105,7 +120,6 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 		if !sv.sized {
 			sv.sized, sv.need = true, h.CreationBytes(m, n, sv.share, req)
 		}
-		free := n.Mem.OptimisticFree()
 		if sv.need < 0 || free < sv.need {
 			continue
 		}
@@ -125,6 +139,50 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 		}
 	}
 	return false
+}
+
+// overBudget reports whether n's shared executor already fails the case-3
+// aggregate-decode check at req's TPOT: ValidateScaleOut would reject the
+// node on that check before anything else, and nothing PlaceNew does
+// before reaching the node changes the executor (a failed Spawn returns
+// before carving one). It reads only an executor already wired, because
+// Host.SharedExecutor wires one on demand and a wiring renames every later
+// executor's noise stream; an unwired executor holds no instances to reject
+// on. Under Elastic sharing CarveExecutor carves nothing but the shared
+// executor, so a wired one is the node's only executor.
+func overBudget(h Host, n *cluster.Node, req *engine.Request) bool {
+	if len(n.Executors) != 1 {
+		return false
+	}
+	return h.Validator().RejectsAggregate(n.Executors[0].Instances, req.Obj.TPOT)
+}
+
+// checkDropped is the slinfer_fullrun oracle for PlaceNew's prefilter. It
+// runs a dropped node through the order the prefilter skips (the SLO gate,
+// the slot, the creation size against free memory, then AdmitScaleOut) and
+// panics unless that order rejects the node too. A node below the weight
+// floor must already fail at memory, since validating it could wire its
+// executor. The validator's counters are restored, so the oracle moves no
+// output.
+func (p *BinPack) checkDropped(h Host, n *cluster.Node, m model.Model, req *engine.Request, floor int64) {
+	share := p.Share(m, n.Spec.Class)
+	if p.barred(h, n, m, share, req) || !p.HasSlot(h, n, share) {
+		return
+	}
+	free := n.Mem.OptimisticFree()
+	if need := h.CreationBytes(m, n, share, req); need < 0 || free < need {
+		return
+	}
+	if free < floor {
+		panic("policy: a creation size below the weight floor fits a node PlaceNew dropped")
+	}
+	v := h.Validator()
+	vals, rejs, early := v.Validations, v.Rejections, v.EarlyAccepts
+	admitted := p.AdmitScaleOut(h, n, m, share, req)
+	v.Validations, v.Rejections, v.EarlyAccepts = vals, rejs, early
+	if admitted {
+		panic("policy: PlaceNew dropped a node whose scale-out validation passes")
+	}
 }
 
 // barred reports whether a node of n's shape may never host the new

@@ -97,9 +97,12 @@ type Host interface {
 	ValidateScaleOut(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool
 
 	// CreationBytes returns the per-node memory a new instance of m needs
-	// at creation for req; negative means the node can never host it. It
-	// may read n only through its shape (Spec.Class, Spec.MemBytes,
-	// SpeedFactor): BinPack.PlaceNew asks once per shape.
+	// at creation for req; negative means the node can never host it. A
+	// non-negative answer is at least m.WeightBytes() +
+	// hwsim.ActivationReserve, so BinPack.PlaceNew drops a node whose free
+	// memory is below that floor without asking. It may read n only
+	// through its shape (Spec.Class, Spec.MemBytes, SpeedFactor):
+	// BinPack.PlaceNew asks once per shape.
 	CreationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64
 
 	// Spawn creates an instance of m on nodes at share and places req on

@@ -9,9 +9,11 @@ import (
 	"slinfer/internal/compute"
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
+	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
+	"slinfer/internal/slo"
 	"slinfer/internal/workload"
 )
 
@@ -36,15 +38,22 @@ type fakeHost struct {
 	need      func(n *cluster.Node) int64
 	needCalls map[int]int
 	spawns    []int
-	// profiles, when set, serves Profile; profileCalls counts the calls.
-	profiles     *perfmodel.Registry
-	profileCalls int
+	// profiles, when set, serves Profile; profileShares lists the share
+	// each call asked for.
+	profiles      *perfmodel.Registry
+	profileShares []float64
+	// sharedCalls and scaleOuts count SharedExecutor and ValidateScaleOut
+	// calls per node index, when no single shared executor is set.
+	sharedCalls map[int]int
+	scaleOuts   map[int]int
 }
 
 func newFakeHost() *fakeHost {
 	return &fakeHost{
-		cl:    cluster.New(sim.New(), hwsim.Testbed(1, 1)),
-		slots: map[int]float64{},
+		cl:          cluster.New(sim.New(), hwsim.Testbed(1, 1)),
+		slots:       map[int]float64{},
+		sharedCalls: map[int]int{},
+		scaleOuts:   map[int]int{},
 	}
 }
 
@@ -64,8 +73,23 @@ func (h *fakeHost) RouteCandidates(m model.Model) []*engine.Instance {
 	return append([]*engine.Instance(nil), h.routes[m.Name]...)
 }
 func (h *fakeHost) ExecutorOf(inst *engine.Instance) *cluster.Executor { return h.execs[inst] }
-func (h *fakeHost) SharedExecutor(int) *cluster.Executor               { return h.shared }
-func (h *fakeHost) WireExecutor(*cluster.Executor)                     { h.wired++ }
+
+// SharedExecutor returns the one shared executor when set. Otherwise, like
+// the controller, it returns the node's executor, wiring one on first
+// demand.
+func (h *fakeHost) SharedExecutor(idx int) *cluster.Executor {
+	if h.shared != nil {
+		return h.shared
+	}
+	h.sharedCalls[idx]++
+	n := h.cl.Nodes[idx]
+	if len(n.Executors) == 0 {
+		n.NewExecutor(1)
+		h.wired++
+	}
+	return n.Executors[0]
+}
+func (h *fakeHost) WireExecutor(*cluster.Executor) { h.wired++ }
 func (h *fakeHost) Model(name string) model.Model {
 	return model.Model{Name: name}
 }
@@ -73,7 +97,7 @@ func (h *fakeHost) Profile(class hwsim.DeviceClass, m model.Model, share float64
 	if h.profiles == nil {
 		panic("unused")
 	}
-	h.profileCalls++
+	h.profileShares = append(h.profileShares, share)
 	return h.profiles.Get(class, m, share)
 }
 func (h *fakeHost) FixedLimit(model.Model, hwsim.DeviceClass, float64) (int, bool) {
@@ -84,8 +108,15 @@ func (h *fakeHost) ValidateOn(*cluster.Executor, *engine.Instance, compute.ReqVi
 	h.validateOns++
 	return true
 }
-func (h *fakeHost) ValidateScaleOut(*cluster.Executor, *perfmodel.Profile, *engine.Request, sim.Duration) bool {
-	panic("unused")
+
+// ValidateScaleOut rejects exactly on the case-3 aggregate check the
+// controller runs first, and passes otherwise.
+func (h *fakeHost) ValidateScaleOut(ex *cluster.Executor, _ *perfmodel.Profile, req *engine.Request, _ sim.Duration) bool {
+	if h.validator == nil {
+		panic("unused")
+	}
+	h.scaleOuts[ex.Node.Idx]++
+	return !h.validator.RejectsAggregate(ex.Instances, req.Obj.TPOT)
 }
 func (h *fakeHost) CreationBytes(_ model.Model, n *cluster.Node, _ float64, _ *engine.Request) int64 {
 	if h.need == nil {
@@ -241,23 +272,24 @@ func TestPreemptionChecksRehomingFirst(t *testing.T) {
 // PlaceNew asks each node's creation size once, drops the nodes that
 // cannot hold it before ordering, and tries the rest best-fit, CPU first.
 func TestPlaceNewSizesEachNodeOnce(t *testing.T) {
+	fits := weightFloor(model.Llama2_7B) + model.GiB
 	for _, tc := range []struct {
 		name   string
 		need   func(n *cluster.Node) int64
 		spawns []int
 	}{
-		{"both fit", func(*cluster.Node) int64 { return model.GiB }, []int{0, 1}},
+		{"both fit", func(*cluster.Node) int64 { return fits }, []int{0, 1}},
 		{"gpu fits", func(n *cluster.Node) int64 {
 			if n.Kind() == hwsim.CPU {
 				return n.Mem.OptimisticFree() + 1
 			}
-			return model.GiB
+			return fits
 		}, []int{1}},
 		{"cpu can never host", func(n *cluster.Node) int64 {
 			if n.Kind() == hwsim.CPU {
 				return -1
 			}
-			return model.GiB
+			return fits
 		}, []int{1}},
 	} {
 		h := newFakeHost()
@@ -292,17 +324,18 @@ func TestPlaceNewSizesEachShapeOnce(t *testing.T) {
 		hwsim.NewGPUNode("gpu-0"), hwsim.NewGPUNode("gpu-1"),
 	})
 	h.profiles = perfmodel.NewRegistry()
-	h.need, h.needCalls = func(*cluster.Node) int64 { return model.GiB }, map[int]int{}
+	m := model.Llama2_7B
+	fits := weightFloor(m) + model.GiB
+	h.need, h.needCalls = func(*cluster.Node) int64 { return fits }, map[int]int{}
 	h.slots[3] = 1 // gpu-0 has no slot left
 	p := &BinPack{Mode: Exclusive, UseCPU: true, CPUFirst: true, ShadowValidation: true}
-	m := model.Llama2_7B
 	req := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, InputLen: 512, OutputLen: 8})
 	slowOK := h.profiles.Get(slow.Class, m, slow.SpeedFactor).CanMeet(req.W.InputLen, req.Obj)
 	if p.PlaceNew(h, req, m) {
 		t.Fatal("placed although every spawn fails")
 	}
-	if h.profileCalls != 2 {
-		t.Errorf("Profile called %d times, want 2 (full-speed and derated CPU)", h.profileCalls)
+	if len(h.profileShares) != 2 {
+		t.Errorf("Profile called %d times, want 2 (full-speed and derated CPU)", len(h.profileShares))
 	}
 	wantNeed := map[int]int{0: 1, 4: 1} // cpu-1 and gpu-0 reuse their shape's size
 	wantSpawns := []int{0, 2, 4}
@@ -315,6 +348,114 @@ func TestPlaceNewSizesEachShapeOnce(t *testing.T) {
 	}
 	if !slices.Equal(h.spawns, wantSpawns) {
 		t.Errorf("spawn attempts on nodes %v, want %v", h.spawns, wantSpawns)
+	}
+}
+
+// weightFloor is the least non-negative answer Host.CreationBytes may give
+// for m: its weights and the activation reserve.
+func weightFloor(m model.Model) int64 { return m.WeightBytes() + hwsim.ActivationReserve }
+
+// PlaceNew drops a node on two facts before any per-request work: free
+// memory below the model's weights, and, when scale-out is validated, a
+// shared executor that already fails the case-3 aggregate check at the
+// request's TPOT. Such a node never reaches the SLO gate's Profile,
+// CreationBytes, SharedExecutor, ValidateScaleOut or Spawn, and the other
+// nodes are tried in the order they would have been. Every node has its
+// own speed factor, so the share of a Profile call names its node.
+func TestPlaceNewDropsBeforePerRequestWork(t *testing.T) {
+	m := model.Llama2_7B
+	floor := weightFloor(m)
+	node := func(spec hwsim.NodeSpec, mem int64, speed float64) hwsim.NodeSpec {
+		spec.SpeedFactor = speed
+		if mem > 0 {
+			spec.MemBytes = mem
+		}
+		return spec
+	}
+	specs := []hwsim.NodeSpec{
+		node(hwsim.NewCPUNode("cpu-small"), floor-1, 0.95), // no room for the weights
+		node(hwsim.NewCPUNode("cpu-edge"), floor, 0.9),     // room for the weights alone
+		node(hwsim.NewCPUNode("cpu-busy"), 0, 0.85),        // executor over budget
+		node(hwsim.NewCPUNode("cpu-idle"), 0, 0.8),         // wired, empty executor
+		node(hwsim.NewGPUNode("gpu-mid"), 0, 0.75),         // under this TPOT, over the default
+		node(hwsim.NewGPUNode("gpu-fresh"), 0, 0.7),        // executor not wired yet
+		node(hwsim.NewGPUNode("gpu-busy"), 0, 0.65),        // executor over budget
+	}
+	const small, cpuBusy, idle, mid, gpuBusy = 0, 2, 3, 4, 6
+	dropped := []int{small, cpuBusy, gpuBusy}
+
+	// Every loaded executor holds one or two instances with the same
+	// decode estimate e; the validator's factor makes one of them 0.5 s of
+	// a round, so a busy executor's round is 1 s. The request's TPOT of
+	// 0.75 s lies between, and the default TPOT below both.
+	reg := perfmodel.NewRegistry()
+	load := func(ex *cluster.Executor, id int) sim.Duration {
+		inst := &engine.Instance{ID: id, Model: m, Class: hwsim.A100, Share: 1,
+			Profile: reg.Get(hwsim.A100, m, 1), Cache: kvcache.NewCache(m, 1), State: engine.Active}
+		inst.Cache.SetCapacity(60 * model.GiB)
+		for i := 0; i < 4; i++ {
+			r := engine.NewRequest(workload.Request{ID: int64(10*id + i), ModelName: m.Name, InputLen: 512, OutputLen: 64})
+			inst.Admit(r)
+			inst.CompletePrefill(r, 0)
+		}
+		ex.AddInstance(inst)
+		return inst.EstimateDecode()
+	}
+	obj := slo.Default(128)
+	obj.TPOT = 0.75
+	req := engine.NewRequestWith(workload.Request{ID: 1, ModelName: m.Name, InputLen: 128, OutputLen: 8}, obj)
+	if obj.TPOT <= slo.DefaultTPOT {
+		t.Fatal("precondition: the request's TPOT must be looser than the default")
+	}
+
+	for _, tc := range []struct {
+		name      string
+		validated bool
+		spawns    []int
+	}{
+		{"validated", true, []int{1, 3, 4, 5}},
+		{"unvalidated", false, []int{1, 2, 3, 4, 5, 6}},
+	} {
+		h := newFakeHost()
+		h.cl = cluster.New(sim.New(), specs)
+		h.profiles = reg
+		h.need, h.needCalls = func(*cluster.Node) int64 { return floor }, map[int]int{}
+		var e sim.Duration
+		for idx, insts := range map[int]int{cpuBusy: 2, idle: 0, mid: 1, gpuBusy: 2} {
+			ex := h.cl.Nodes[idx].NewExecutor(1)
+			for i := 0; i < insts; i++ {
+				e = load(ex, 100*idx+i)
+			}
+		}
+		h.validator = &compute.Validator{Overestimate: float64(0.5 / e)}
+		p := &BinPack{Mode: Elastic, UseCPU: true, CPUFirst: true, ShadowValidation: tc.validated}
+		if p.PlaceNew(h, req, m) {
+			t.Fatalf("%s: placed although every spawn fails", tc.name)
+		}
+		if !slices.Equal(h.spawns, tc.spawns) {
+			t.Errorf("%s: spawn attempts on nodes %v, want %v", tc.name, h.spawns, tc.spawns)
+		}
+		if compute.FullRun {
+			continue // the oracle re-runs every dropped node through the full order
+		}
+		drops := dropped[:1]
+		if tc.validated {
+			drops = dropped
+		}
+		for _, idx := range drops {
+			speed := specs[idx].SpeedFactor
+			if h.needCalls[idx] != 0 || h.sharedCalls[idx] != 0 || h.scaleOuts[idx] != 0 || slices.Contains(h.profileShares, speed) {
+				t.Errorf("%s: dropped node %d reached per-request work: %d sizings, %d executor reads, %d validations, profile shares %v",
+					tc.name, idx, h.needCalls[idx], h.sharedCalls[idx], h.scaleOuts[idx], h.profileShares)
+			}
+		}
+		if tc.validated {
+			want := map[int]int{1: 1, 3: 1, 4: 1, 5: 1}
+			if !maps.Equal(h.sharedCalls, want) || !maps.Equal(h.scaleOuts, want) || h.wired != 2 {
+				t.Errorf("%s: executor reads %v, validations %v, %d wired; want %v, %v and 2 (cpu-edge, gpu-fresh)",
+					tc.name, h.sharedCalls, h.scaleOuts, h.wired, want, want)
+			}
+		}
 	}
 }
 
