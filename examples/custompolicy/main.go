@@ -20,7 +20,7 @@ import (
 
 // WidestFit inverts the paper's placement: candidates are ordered by free
 // memory descending with GPUs ahead of CPUs. Sharing-mode mechanics
-// (share sizing, slot accounting, executor carving, elastic scale-out
+// (the per-node Feasible filter, executor carving, elastic scale-out
 // validation) are inherited from the embedded BinPackPlacement — a custom
 // policy only overrides the decision it cares about.
 type WidestFit struct {
@@ -35,32 +35,21 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *slinfer.PolicyRequest, m
 		return p.BinPackPlacement.PlaceNew(h, req, m)
 	}
 	type cand struct {
-		idx  int // index into nodes
-		free int64
+		idx   int // index into nodes
+		free  int64
+		share float64
 	}
 	nodes := h.Nodes()
 	var gpus, cpus []cand
 	for i, n := range nodes {
-		share := p.Share(m, n.Spec.Class)
-		if n.Kind() == slinfer.CPU {
-			if !p.UseCPU {
-				continue
-			}
-			// Same CPU feasibility gate as the stock policy: never place a
-			// request on a CPU that cannot meet its TTFT at the node's
-			// derated speed.
-			if p.ShadowValidation && !h.Profile(n.Spec.Class, m, share*n.SpeedFactor).CanMeet(req.W.InputLen, req.Obj) {
-				continue
-			}
-		}
-		if !p.HasSlot(h, n, share) {
+		// The stock per-node filter decides which nodes may host the
+		// instance at all (CPU use, the derated CPU SLO gate, fixed
+		// limits, slots, memory); only the order among them is ours.
+		share, ok := p.Feasible(h, n, m, req)
+		if !ok {
 			continue
 		}
-		need := h.CreationBytes(m, n, share, req)
-		if need < 0 || n.Mem.OptimisticFree() < need {
-			continue
-		}
-		c := cand{i, n.Mem.OptimisticFree()}
+		c := cand{i, n.Mem.OptimisticFree(), share}
 		if n.Kind() == slinfer.GPU {
 			gpus = append(gpus, c)
 		} else {
@@ -74,11 +63,10 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *slinfer.PolicyRequest, m
 	widest(cpus)
 	for _, c := range append(gpus, cpus...) {
 		n := nodes[c.idx]
-		share := p.Share(m, n.Spec.Class)
-		if !p.AdmitScaleOut(h, n, m, share, req) {
+		if !p.AdmitScaleOut(h, n, m, c.share, req) {
 			continue
 		}
-		if h.Spawn(m, nodes[c.idx:c.idx+1], share, req) {
+		if h.Spawn(m, nodes[c.idx:c.idx+1], c.share, req) {
 			return true
 		}
 	}

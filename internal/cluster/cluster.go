@@ -142,7 +142,8 @@ type Node struct {
 	// Executors currently carved from this node.
 	Executors []*Executor
 	// SpeedFactor derates all executors on this node (harvested-core
-	// pseudo-nodes run at cores/32 of a full CPU node, §IX-I3).
+	// pseudo-nodes run at cores/32 of a full CPU node, §IX-I3). New and
+	// Reset set it from the spec, 1 when the spec leaves it unset.
 	SpeedFactor float64
 	// Slow is a transient straggler multiplier on iteration durations
 	// (fault injection). 0 means none; values > 1 stretch every iteration
@@ -165,9 +166,7 @@ type Node struct {
 // NewExecutor carves an executor with the given share from the node,
 // reusing a recycled shell when one is available.
 func (n *Node) NewExecutor(share float64) *Executor {
-	if n.SpeedFactor > 0 {
-		share *= n.SpeedFactor
-	}
+	share *= n.SpeedFactor
 	var e *Executor
 	if k := len(n.spare); k > 0 {
 		e = n.spare[k-1]
@@ -284,17 +283,6 @@ func clearInstances(insts []*engine.Instance) []*engine.Instance {
 		insts[k] = nil
 	}
 	return insts[:0]
-}
-
-// NodesOfKind returns the cluster's nodes of one device kind.
-func (c *Cluster) NodesOfKind(k hwsim.Kind) []*Node {
-	var out []*Node
-	for _, n := range c.Nodes {
-		if n.Kind() == k {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // SetSlow applies a straggler multiplier to every node (0 clears it).

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"slinfer/internal/engine"
@@ -92,6 +93,35 @@ func TestSpeedFactorDerating(t *testing.T) {
 	}
 }
 
+// New and Reset are the only writers of a node's speed factor: 1 for a
+// spec that leaves it unset, cores/32 for a harvested node. NewExecutor
+// multiplies by it unguarded.
+func TestSpeedFactorDefaults(t *testing.T) {
+	specs := []hwsim.NodeSpec{
+		hwsim.NewCPUNode("cpu"), hwsim.NewGPUNode("gpu"), hwsim.NewHarvestedCPUNode("harvest", 8),
+	}
+	want := []float64{1, 1, 8.0 / 32}
+	check := func(stage string, c *Cluster) {
+		t.Helper()
+		for i, n := range c.Nodes {
+			if n.SpeedFactor != want[i] {
+				t.Errorf("%s: %s speed factor %v, want %v", stage, n.Spec.Name, n.SpeedFactor, want[i])
+			}
+			if ex := n.NewExecutor(1); ex.Share != want[i] {
+				t.Errorf("%s: %s executor share %v, want %v", stage, n.Spec.Name, ex.Share, want[i])
+			}
+		}
+	}
+	c := New(sim.New(), specs)
+	check("New", c)
+	// Reset over the reversed specs puts the harvested shape on node 0,
+	// whose factor was 1, and a full one on node 2, whose factor was not.
+	slices.Reverse(specs)
+	slices.Reverse(want)
+	c.Reset(specs)
+	check("Reset", c)
+}
+
 func TestNoiseAppliedToDuration(t *testing.T) {
 	s := sim.New()
 	c := New(s, hwsim.Testbed(0, 1))
@@ -122,7 +152,11 @@ func TestNoiseAppliedToDuration(t *testing.T) {
 func TestNodeOccupiedAndKinds(t *testing.T) {
 	s := sim.New()
 	c := New(s, hwsim.Testbed(2, 3))
-	if len(c.NodesOfKind(hwsim.CPU)) != 2 || len(c.NodesOfKind(hwsim.GPU)) != 3 {
+	var kinds [2]int
+	for _, n := range c.Nodes {
+		kinds[n.Kind()]++
+	}
+	if kinds[hwsim.CPU] != 2 || kinds[hwsim.GPU] != 3 {
 		t.Fatal("kind partition wrong")
 	}
 	n := c.Nodes[0]

@@ -9,6 +9,7 @@ package consolidator
 
 import (
 	"slinfer/internal/engine"
+	"slinfer/internal/hwsim"
 )
 
 // insertionSort keeps the package's orderings allocation-free: the candidate
@@ -61,12 +62,27 @@ func PreemptionVictims(grower *engine.Instance, neighbours []*engine.Instance) [
 // instance with the largest batch, so large instances grow (and gain
 // preemption priority) while small fragments drain and get reclaimed.
 func SortRoute(instances []*engine.Instance) {
+	insertionSort(instances, routeLess)
+}
+
+// SortRouteByKind orders a model's instances in place for routing: CPU
+// instances first when cpuFirst (§V), GPU instances first otherwise, then
+// SortRoute's order within each kind.
+func SortRouteByKind(instances []*engine.Instance, cpuFirst bool) {
 	insertionSort(instances, func(a, b *engine.Instance) bool {
-		if a.TotalLoad() != b.TotalLoad() {
-			return a.TotalLoad() > b.TotalLoad()
+		if aCPU, bCPU := a.Class.Kind() == hwsim.CPU, b.Class.Kind() == hwsim.CPU; aCPU != bCPU {
+			return aCPU == cpuFirst
 		}
-		return a.ID < b.ID
+		return routeLess(a, b)
 	})
+}
+
+// routeLess is the §VIII-B order: larger load first, then lower ID.
+func routeLess(a, b *engine.Instance) bool {
+	if a.TotalLoad() != b.TotalLoad() {
+		return a.TotalLoad() > b.TotalLoad()
+	}
+	return a.ID < b.ID
 }
 
 // NodeScore is a candidate placement for a new instance.

@@ -100,8 +100,6 @@ type Controller struct {
 	// a copy via hostView.RouteCandidates because preemption routes
 	// recursively while iterating.
 	routeScratch []*engine.Instance
-	routeCPU     []*engine.Instance
-	routeGPU     []*engine.Instance
 
 	// Arena recycling (reset): instance, estimator and model-record shells
 	// retired by the previous run on this controller. Instances are
@@ -197,9 +195,7 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	c.pending = c.pending[:0]
 	c.transferring = clearScratch(c.transferring)
 	clear(c.routeScratch)
-	clear(c.routeCPU)
-	clear(c.routeGPU)
-	c.routeScratch, c.routeCPU, c.routeGPU = c.routeScratch[:0], c.routeCPU[:0], c.routeGPU[:0]
+	c.routeScratch = c.routeScratch[:0]
 	// The admission scratch buffers rest at length 0 but their backing
 	// arrays still pin last run's profiles and requests; wipe to capacity.
 	c.kvStateScratch = clearScratch(c.kvStateScratch)
@@ -535,29 +531,14 @@ func (c *Controller) tryExisting(req *engine.Request, hm *hostedModel, avoid *en
 // The result is backed by the controller's route scratch — valid until the
 // next routeCandidates call, so iterate it, don't keep it.
 func (c *Controller) routeCandidates(hm *hostedModel, role engine.Role) []*engine.Instance {
-	cpu, gpu := c.routeCPU[:0], c.routeGPU[:0]
-	for _, inst := range hm.insts {
-		if inst.Role != role {
-			continue
-		}
-		if inst.State != engine.Active && inst.State != engine.Loading {
-			continue
-		}
-		if inst.Class.Kind() == hwsim.CPU {
-			cpu = append(cpu, inst)
-		} else {
-			gpu = append(gpu, inst)
-		}
-	}
-	consolidator.SortRoute(cpu)
-	consolidator.SortRoute(gpu)
 	out := c.routeScratch[:0]
-	if c.Cfg.CPUFirst {
-		out = append(append(out, cpu...), gpu...)
-	} else {
-		out = append(append(out, gpu...), cpu...)
+	for _, inst := range hm.insts {
+		if inst.Role == role && (inst.State == engine.Active || inst.State == engine.Loading) {
+			out = append(out, inst)
+		}
 	}
-	c.routeCPU, c.routeGPU, c.routeScratch = cpu, gpu, out
+	consolidator.SortRouteByKind(out, c.Cfg.CPUFirst)
+	c.routeScratch = out
 	return out
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"slinfer/internal/consolidator"
+	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
@@ -232,6 +235,70 @@ func TestSmallTraceAllSystems(t *testing.T) {
 	}
 }
 
+// routeCandidates sorts one buffer once: the preferred kind first, then
+// load descending, then ID. On a mixed CPU/GPU model, with ties in load
+// across and within kinds and instances it must skip (wrong role, not
+// live), that is the order the former split-then-concatenate built: each
+// kind filtered and sorted by SortRoute, then the preferred kind's list
+// ahead of the other's.
+func TestRouteCandidatesMatchSplitOrder(t *testing.T) {
+	m := model.Llama2_7B
+	c := New(sim.New(), hwsim.Testbed(2, 2), []model.Model{m}, SLINFER())
+	hm := c.lookup(m.Name)
+	for id, spec := range []struct {
+		class hwsim.DeviceClass
+		load  int
+		state engine.InstState
+		role  engine.Role
+	}{
+		{hwsim.A100, 3, engine.Active, engine.Mixed},
+		{hwsim.XeonGen4, 1, engine.Active, engine.Mixed},
+		{hwsim.XeonGen4, 3, engine.Loading, engine.Mixed},
+		{hwsim.A100, 5, engine.Active, engine.Mixed},
+		{hwsim.XeonGen4, 3, engine.Active, engine.Mixed},
+		{hwsim.A100, 3, engine.Active, engine.Mixed},
+		{hwsim.XeonGen4, 4, engine.Unloading, engine.Mixed},
+		{hwsim.A100, 9, engine.Active, engine.DecodeOnly},
+		{hwsim.XeonGen4, 0, engine.Active, engine.Mixed},
+		{hwsim.A100, 0, engine.Loading, engine.Mixed},
+	} {
+		inst := &engine.Instance{ID: 10 - id, Model: m, Class: spec.class, State: spec.state, Role: spec.role}
+		for r := 0; r < spec.load; r++ {
+			inst.Admit(engine.NewRequest(workload.Request{ID: int64(100*id + r), ModelName: m.Name, InputLen: 64, OutputLen: 8}))
+		}
+		hm.insts = append(hm.insts, inst)
+	}
+	for _, cpuFirst := range []bool{true, false} {
+		var cpu, gpu []*engine.Instance
+		for _, inst := range hm.insts {
+			if inst.Role != engine.Mixed || inst.State != engine.Active && inst.State != engine.Loading {
+				continue
+			}
+			if inst.Class.Kind() == hwsim.CPU {
+				cpu = append(cpu, inst)
+			} else {
+				gpu = append(gpu, inst)
+			}
+		}
+		consolidator.SortRoute(cpu)
+		consolidator.SortRoute(gpu)
+		want := append(slices.Clone(gpu), cpu...)
+		if cpuFirst {
+			want = append(slices.Clone(cpu), gpu...)
+		}
+		c.Cfg.CPUFirst = cpuFirst
+		if got := c.routeCandidates(hm, engine.Mixed); !slices.Equal(got, want) {
+			ids := func(insts []*engine.Instance) (out []int) {
+				for _, inst := range insts {
+					out = append(out, inst.ID)
+				}
+				return out
+			}
+			t.Errorf("CPUFirst=%v: route order %v, want %v", cpuFirst, ids(got), ids(want))
+		}
+	}
+}
+
 func TestPDDisaggregation(t *testing.T) {
 	m := model.Llama2_7B
 	cfg := SLINFER()
@@ -241,6 +308,61 @@ func TestPDDisaggregation(t *testing.T) {
 	total, met, _ := stats()
 	if total != 1 || met != 1 {
 		t.Fatalf("PD request should complete and meet SLO, met=%d", met)
+	}
+}
+
+// decodeProbe keeps every instance a run creates; the controller recycles
+// instance shells only at reset, so they still hold their final role and
+// class once Run returns.
+type decodeProbe struct {
+	recordingProbe
+	insts []*engine.Instance
+}
+
+func (p *decodeProbe) InstanceCreated(inst *engine.Instance) { p.insts = append(p.insts, inst) }
+
+// PD decode placement goes through the placement's Feasible, so the
+// fixed-limit bar keeps decode instances off a class whose limit is 0: no
+// request could ever join one there, since finishPDTransfer skips an
+// instance at TotalLoad() >= limit. The shape is sllm+c with PD on and a
+// limit of 0 on CPUs, 2 CPU + 2 GPU, 2x7B, a 2-minute Azure trace; the
+// former decode filter skipped the bar and created 15 decode instances on
+// the CPUs here.
+func TestPDDecodeHonoursFixedLimitBar(t *testing.T) {
+	models := model.Replicas(model.Llama2_7B, 2)
+	tr := workload.Generate(workload.TraceConfig{
+		ModelNames: []string{models[0].Name, models[1].Name},
+		Duration:   2 * sim.Minute,
+		Dataset:    workload.AzureConv,
+		Seed:       1,
+		MaxInput:   models[0].MaxContext,
+	})
+	cfg := SllmC()
+	cfg.PD = true
+	cfg.FixedLimit = func(m model.Model, class hwsim.DeviceClass, share float64) int {
+		if class.Kind() == hwsim.CPU {
+			return 0
+		}
+		return PaperFixedLimits(m, class, share)
+	}
+	probe := &decodeProbe{}
+	cfg.Probe = probe
+	runTrace(t, hwsim.Testbed(2, 2), models, cfg, tr)
+	var decode, onCPU int
+	for _, inst := range probe.insts {
+		if inst.Role != engine.DecodeOnly {
+			continue
+		}
+		decode++
+		if inst.Class.Kind() == hwsim.CPU {
+			onCPU++
+		}
+	}
+	if onCPU != 0 {
+		t.Errorf("%d of %d decode instances on CPU nodes whose fixed limit is 0", onCPU, decode)
+	}
+	if decode == 0 {
+		t.Error("no decode instance created: the trace never exercised PD decode placement")
 	}
 }
 

@@ -19,8 +19,6 @@ func (h hostView) Now() sim.Time { return h.c.Sim.Now() }
 
 func (h hostView) Nodes() []*cluster.Node { return h.c.Cluster.Nodes }
 
-func (h hostView) NodesOfKind(k hwsim.Kind) []*cluster.Node { return h.c.Cluster.NodesOfKind(k) }
-
 func (h hostView) SlotUsed(nodeIdx int) float64 { return h.c.slotUsed[nodeIdx] }
 
 func (h hostView) AddSlot(nodeIdx int, delta float64) {
@@ -60,13 +58,6 @@ func (h hostView) SharedExecutor(nodeIdx int) *cluster.Executor {
 }
 
 func (h hostView) WireExecutor(ex *cluster.Executor) { h.c.wireExecutor(ex) }
-
-func (h hostView) Model(name string) model.Model {
-	if hm := h.c.lookup(name); hm != nil {
-		return hm.m
-	}
-	return model.Model{}
-}
 
 func (h hostView) Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile {
 	return h.c.profile(class, &m, share)

@@ -390,7 +390,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		inst.Cache.Reset(m, len(nodes))
 	}
 	inst.ID, inst.Model, inst.Class, inst.Share = c.nextInstID, m, nodes[0].Spec.Class, share
-	inst.Profile = c.profile(nodes[0].Spec.Class, &m, share*orOne(nodes[0].SpeedFactor))
+	inst.Profile = c.profile(nodes[0].Spec.Class, &m, share*nodes[0].SpeedFactor)
 	inst.State = engine.Loading
 	inst.Role = wantRole(c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
@@ -458,13 +458,6 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		c.issueResize(inst, kv)
 	}
 	return inst
-}
-
-func orOne(v float64) float64 {
-	if v <= 0 {
-		return 1
-	}
-	return v
 }
 
 // finishLoad activates a loaded instance. staticKV is nonzero for
@@ -651,26 +644,13 @@ func (c *Controller) decodeCandidates(m model.Model) []*engine.Instance {
 	return out
 }
 
-// createDecodeInstance spawns a DecodeOnly instance for PD mode.
+// createDecodeInstance spawns a DecodeOnly instance for PD mode on the
+// first node, in node order, that the placement's Feasible and
+// AdmitScaleOut accept.
 func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *engine.Instance {
 	for _, n := range c.Cluster.Nodes {
-		if n.Kind() == hwsim.CPU {
-			if !c.Cfg.UseCPU {
-				continue
-			}
-			if c.Cfg.ShadowValidation {
-				prof := c.profile(n.Spec.Class, &m,
-					c.Cfg.Placement.Share(m, n.Spec.Class)*orOne(n.SpeedFactor))
-				if !prof.CanMeet(req.W.InputLen, req.Obj) {
-					continue
-				}
-			}
-		}
-		share := c.Cfg.Placement.Share(m, n.Spec.Class)
-		if !c.Cfg.Placement.HasSlot(c.host, n, share) {
-			continue
-		}
-		if b := c.creationBytes(m, n, share, req); b < 0 || n.Mem.OptimisticFree() < b {
+		share, ok := c.Cfg.Placement.Feasible(c.host, n, m, req)
+		if !ok {
 			continue
 		}
 		// Decode instances share nodes too: the same §VI-C scale-out

@@ -11,6 +11,7 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 )
@@ -82,7 +83,7 @@ func TestCreationBytesFloor(t *testing.T) {
 			floor := m.WeightBytes() + hwsim.ActivationReserve
 			req := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, OutputLen: 1})
 			for _, n := range c.Cluster.Nodes {
-				share := c.Cfg.Placement.Share(m, n.Spec.Class)
+				share := c.Cfg.Placement.(*policy.BinPack).Share(m, n.Spec.Class)
 				for in := 1; in <= m.MaxContext; in++ {
 					req.W.InputLen = in
 					switch need := c.host.CreationBytes(m, n, share, req); {

@@ -61,8 +61,43 @@ func (p *BinPack) AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share fl
 		return true
 	}
 	ex := h.SharedExecutor(n.Idx)
-	prof := h.Profile(n.Spec.Class, m, share*orOne(n.SpeedFactor))
+	prof := h.Profile(n.Spec.Class, m, share*n.SpeedFactor)
 	return h.ValidateScaleOut(ex, prof, req, n.Spec.LoadTime(&m))
+}
+
+// Feasible is the one per-node scale-out filter (§V): PlaceNew's candidate
+// loop and the controller's PD decode placement both call it before
+// AdmitScaleOut. A node passes when it is a GPU or CPUs are in use, clears
+// the request-independent prefilter, is not barred (the derated CPU SLO
+// gate and the fixed-limit bar), has a slot, and has the free memory for
+// the creation size.
+//
+// The prefilter drops a node on two facts that need no per-request work:
+// its free memory cannot hold the model's weights, which every
+// non-negative creation size includes (the Host.CreationBytes floor), or
+// its shared executor already fails the case-3 aggregate check that
+// AdmitScaleOut's validation runs first. Only the survivors pay for the
+// SLO gate, the slot and the creation size.
+func (p *BinPack) Feasible(h Host, n *cluster.Node, m model.Model, req *engine.Request) (share float64, ok bool) {
+	if n.Kind() == hwsim.CPU && !p.UseCPU {
+		return 0, false
+	}
+	free := n.Mem.OptimisticFree()
+	if floor := m.WeightBytes() + hwsim.ActivationReserve; free < floor ||
+		p.Mode == Elastic && p.ShadowValidation && overBudget(h, n, req) {
+		if compute.FullRun {
+			p.checkDropped(h, n, m, req, floor)
+		}
+		return 0, false
+	}
+	share = p.Share(m, n.Spec.Class)
+	if p.barred(h, n, m, share, req) || !p.HasSlot(h, n, share) {
+		return 0, false
+	}
+	if need := h.CreationBytes(m, n, share, req); need < 0 || free < need {
+		return 0, false
+	}
+	return share, true
 }
 
 // placeCands is how many scale-out candidates PlaceNew keeps on the stack;
@@ -70,7 +105,7 @@ func (p *BinPack) AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share fl
 const placeCands = 16
 
 // PlaceNew scales out: places a fresh instance for the request via
-// best-fit bin-packing, CPU first (§V).
+// best-fit bin-packing over the Feasible nodes, CPU first (§V).
 func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	if m.TPDegree > 1 {
 		return p.placeNewTP(h, req, m)
@@ -82,50 +117,15 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	// Every node that cannot become a candidate is dropped before the sort:
 	// SortPlace is stable and totally ordered, so the survivors keep the
 	// order they would have had.
-	//
-	// A node is dropped first on two checks that need no per-request work:
-	// its free memory cannot hold the model's weights, which every
-	// non-negative creation size includes (the Host.CreationBytes floor),
-	// or its shared executor already fails the case-3 aggregate check that
-	// AdmitScaleOut's validation runs first. Only the survivors pay for the
-	// SLO gate, the slot and the creation size. The gate, the fixed limit
-	// and the creation size depend on a node only through its shape, so
-	// they are worked out once per shape and reused for every node of that
-	// shape; the slot and the free memory are read per node.
 	nodes := h.Nodes()
-	floor := m.WeightBytes() + hwsim.ActivationReserve
-	validated := p.Mode == Elastic && p.ShadowValidation
 	var buf [placeCands]consolidator.NodeScore
 	cands := buf[:0]
-	var memo shapeMemo
 	for _, n := range nodes {
-		kindCPU := n.Kind() == hwsim.CPU
-		if kindCPU && !p.UseCPU {
-			continue
+		if _, ok := p.Feasible(h, n, m, req); ok {
+			cands = append(cands, consolidator.NodeScore{
+				NodeIdx: n.Idx, FreeBytes: n.Mem.OptimisticFree(), IsCPU: n.Kind() == hwsim.CPU,
+			})
 		}
-		free := n.Mem.OptimisticFree()
-		if free < floor || validated && overBudget(h, n, req) {
-			if compute.FullRun {
-				p.checkDropped(h, n, m, req, floor)
-			}
-			continue
-		}
-		sv := memo.lookup(n, p.Share(m, n.Spec.Class))
-		if !sv.gated {
-			sv.gated, sv.barred = true, p.barred(h, n, m, sv.share, req)
-		}
-		if sv.barred || !p.HasSlot(h, n, sv.share) {
-			continue
-		}
-		if !sv.sized {
-			sv.sized, sv.need = true, h.CreationBytes(m, n, sv.share, req)
-		}
-		if sv.need < 0 || free < sv.need {
-			continue
-		}
-		cands = append(cands, consolidator.NodeScore{
-			NodeIdx: n.Idx, FreeBytes: free, IsCPU: kindCPU,
-		})
 	}
 	consolidator.SortPlace(cands, p.CPUFirst)
 	for _, cand := range cands {
@@ -143,13 +143,14 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 
 // overBudget reports whether n's shared executor already fails the case-3
 // aggregate-decode check at req's TPOT: ValidateScaleOut would reject the
-// node on that check before anything else, and nothing PlaceNew does
-// before reaching the node changes the executor (a failed Spawn returns
-// before carving one). It reads only an executor already wired, because
-// Host.SharedExecutor wires one on demand and a wiring renames every later
-// executor's noise stream; an unwired executor holds no instances to reject
-// on. Under Elastic sharing CarveExecutor carves nothing but the shared
-// executor, so a wired one is the node's only executor.
+// node on that check before anything else, and nothing a scale-out path
+// does between Feasible and AdmitScaleOut changes the executor (a failed
+// Spawn returns before carving one). It reads only an executor already
+// wired, because Host.SharedExecutor wires one on demand and a wiring
+// renames every later executor's noise stream; an unwired executor holds
+// no instances to reject on. Under Elastic sharing CarveExecutor carves
+// nothing but the shared executor, so a wired one is the node's only
+// executor.
 func overBudget(h Host, n *cluster.Node, req *engine.Request) bool {
 	if len(n.Executors) != 1 {
 		return false
@@ -157,7 +158,7 @@ func overBudget(h Host, n *cluster.Node, req *engine.Request) bool {
 	return h.Validator().RejectsAggregate(n.Executors[0].Instances, req.Obj.TPOT)
 }
 
-// checkDropped is the slinfer_fullrun oracle for PlaceNew's prefilter. It
+// checkDropped is the slinfer_fullrun oracle for Feasible's prefilter. It
 // runs a dropped node through the order the prefilter skips (the SLO gate,
 // the slot, the creation size against free memory, then AdmitScaleOut) and
 // panics unless that order rejects the node too. A node below the weight
@@ -174,26 +175,26 @@ func (p *BinPack) checkDropped(h Host, n *cluster.Node, m model.Model, req *engi
 		return
 	}
 	if free < floor {
-		panic("policy: a creation size below the weight floor fits a node PlaceNew dropped")
+		panic("policy: a creation size below the weight floor fits a node Feasible dropped")
 	}
 	v := h.Validator()
 	vals, rejs, early := v.Validations, v.Rejections, v.EarlyAccepts
 	admitted := p.AdmitScaleOut(h, n, m, share, req)
 	v.Validations, v.Rejections, v.EarlyAccepts = vals, rejs, early
 	if admitted {
-		panic("policy: PlaceNew dropped a node whose scale-out validation passes")
+		panic("policy: Feasible dropped a node whose scale-out validation passes")
 	}
 }
 
-// barred reports whether a node of n's shape may never host the new
-// instance of m for req. SLINFER excludes CPUs without matrix acceleration
-// and CPUs that cannot meet this request's SLO (§V) at their derated speed,
-// the profile the instance would run on. Baselines use the fixed-limit
-// table (0 disables a class entirely).
+// barred reports whether n may never host the new instance of m for req.
+// SLINFER excludes CPUs without matrix acceleration and CPUs that cannot
+// meet this request's SLO (§V) at their derated speed, the profile the
+// instance would run on. Baselines use the fixed-limit table (0 disables a
+// class entirely).
 func (p *BinPack) barred(h Host, n *cluster.Node, m model.Model, share float64, req *engine.Request) bool {
 	class := n.Spec.Class
 	if p.ShadowValidation && class.Kind() == hwsim.CPU {
-		prof := h.Profile(class, m, share*orOne(n.SpeedFactor))
+		prof := h.Profile(class, m, share*n.SpeedFactor)
 		if !prof.CanMeet(req.W.InputLen, req.Obj) {
 			return true
 		}
@@ -202,51 +203,12 @@ func (p *BinPack) barred(h Host, n *cluster.Node, m model.Model, share float64, 
 	return ok && lim <= 0
 }
 
-// shapeVerdict is what PlaceNew has worked out for one node shape: the
-// device class, serving memory and speed factor, and the share an instance
-// gets there. gated and sized mark barred and need as computed.
-type shapeVerdict struct {
-	class         hwsim.DeviceClass
-	mem           int64
-	speed, share  float64
-	gated, barred bool
-	sized         bool
-	need          int64
-}
-
-// shapeMemo holds the verdicts of one PlaceNew call, on the stack. Paper
-// clusters have one or two shapes; a node whose shape finds the memo full
-// gets a fresh verdict of its own.
-type shapeMemo struct {
-	n      int
-	shapes [4]shapeVerdict
-	spill  shapeVerdict
-}
-
-// lookup returns the verdict for n's shape at share, empty on first sight.
-func (sm *shapeMemo) lookup(n *cluster.Node, share float64) *shapeVerdict {
-	key := shapeVerdict{class: n.Spec.Class, mem: n.Spec.MemBytes, speed: n.SpeedFactor, share: share}
-	for i := range sm.shapes[:sm.n] {
-		sv := &sm.shapes[i]
-		if sv.class == key.class && sv.mem == key.mem && sv.speed == key.speed && sv.share == key.share {
-			return sv
-		}
-	}
-	sv := &sm.spill
-	if sm.n < len(sm.shapes) {
-		sv = &sm.shapes[sm.n]
-		sm.n++
-	}
-	*sv = key
-	return sv
-}
-
 // placeNewTP places a tensor-parallel model across free GPU nodes (§IX-E).
 // Large models fall back to exclusive allocation (§X).
 func (p *BinPack) placeNewTP(h Host, req *engine.Request, m model.Model) bool {
 	var free []*cluster.Node
-	for _, n := range h.NodesOfKind(hwsim.GPU) {
-		if !n.Occupied() && p.HasSlot(h, n, 1) {
+	for _, n := range h.Nodes() {
+		if n.Kind() == hwsim.GPU && !n.Occupied() && p.HasSlot(h, n, 1) {
 			free = append(free, n)
 		}
 	}

@@ -55,8 +55,6 @@ type Host interface {
 
 	// Nodes returns every cluster node in index order.
 	Nodes() []*cluster.Node
-	// NodesOfKind returns the nodes of one device kind in index order.
-	NodesOfKind(k hwsim.Kind) []*cluster.Node
 	// SlotUsed returns the compute share carved out of a node so far
 	// (Exclusive/Static sharing).
 	SlotUsed(nodeIdx int) float64
@@ -76,8 +74,6 @@ type Host interface {
 	// freshly carved executor.
 	WireExecutor(ex *cluster.Executor)
 
-	// Model resolves a hosted model by name.
-	Model(name string) model.Model
 	// Profile returns the interpolated performance profile for a model on
 	// a device class at an (speed-adjusted) share.
 	Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile
@@ -99,10 +95,8 @@ type Host interface {
 	// CreationBytes returns the per-node memory a new instance of m needs
 	// at creation for req; negative means the node can never host it. A
 	// non-negative answer is at least m.WeightBytes() +
-	// hwsim.ActivationReserve, so BinPack.PlaceNew drops a node whose free
-	// memory is below that floor without asking. It may read n only
-	// through its shape (Spec.Class, Spec.MemBytes, SpeedFactor):
-	// BinPack.PlaceNew asks once per shape.
+	// hwsim.ActivationReserve, so BinPack.Feasible drops a node whose free
+	// memory is below that floor without asking.
 	CreationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64
 
 	// Spawn creates an instance of m on nodes at share and places req on
@@ -125,11 +119,11 @@ type Host interface {
 // PlacementPolicy decides where new instances are created and how node
 // compute is carved for them.
 type PlacementPolicy interface {
-	// Share returns the compute share a new instance of m receives on a
-	// device class.
-	Share(m model.Model, class hwsim.DeviceClass) float64
-	// HasSlot reports whether node n can host another instance at share.
-	HasSlot(h Host, n *cluster.Node, share float64) bool
+	// Feasible reports whether node n may host a fresh instance of m for
+	// req, and the compute share the instance gets there. BinPack.PlaceNew
+	// and the controller's PD decode placement filter nodes through it
+	// before AdmitScaleOut.
+	Feasible(h Host, n *cluster.Node, m model.Model, req *engine.Request) (share float64, ok bool)
 	// AdmitScaleOut reports whether spawning a fresh instance of m for req
 	// on node n passes the mode's colocation validation.
 	AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share float64, req *engine.Request) bool
@@ -161,12 +155,4 @@ type PreemptionPolicy interface {
 // invoked every time an instance goes idle.
 type KeepAlivePolicy interface {
 	Arm(h Host, inst *engine.Instance)
-}
-
-// orOne returns v, or 1 when v is unset (speed-factor convention).
-func orOne(v float64) float64 {
-	if v <= 0 {
-		return 1
-	}
-	return v
 }

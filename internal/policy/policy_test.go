@@ -57,11 +57,8 @@ func newFakeHost() *fakeHost {
 	}
 }
 
-func (h *fakeHost) Now() sim.Time          { return 0 }
-func (h *fakeHost) Nodes() []*cluster.Node { return h.cl.Nodes }
-func (h *fakeHost) NodesOfKind(k hwsim.Kind) []*cluster.Node {
-	return h.cl.NodesOfKind(k)
-}
+func (h *fakeHost) Now() sim.Time            { return 0 }
+func (h *fakeHost) Nodes() []*cluster.Node   { return h.cl.Nodes }
 func (h *fakeHost) SlotUsed(idx int) float64 { return h.slots[idx] }
 func (h *fakeHost) AddSlot(idx int, d float64) {
 	h.slots[idx] += d
@@ -90,9 +87,6 @@ func (h *fakeHost) SharedExecutor(idx int) *cluster.Executor {
 	return n.Executors[0]
 }
 func (h *fakeHost) WireExecutor(*cluster.Executor) { h.wired++ }
-func (h *fakeHost) Model(name string) model.Model {
-	return model.Model{Name: name}
-}
 func (h *fakeHost) Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile {
 	if h.profiles == nil {
 		panic("unused")
@@ -237,7 +231,7 @@ func TestNoPreemption(t *testing.T) {
 // preemption before any shadow validation of the grower runs.
 func TestPreemptionChecksRehomingFirst(t *testing.T) {
 	h := newFakeHost()
-	n := h.cl.NodesOfKind(hwsim.GPU)[0]
+	n := h.cl.Nodes[1] // Testbed(1, 1): the GPU
 	ex := n.NewExecutor(1)
 	reg := perfmodel.NewRegistry()
 	ms := model.Replicas(model.Llama2_7B, 2)
@@ -271,83 +265,52 @@ func TestPreemptionChecksRehomingFirst(t *testing.T) {
 
 // PlaceNew asks each node's creation size once, drops the nodes that
 // cannot hold it before ordering, and tries the rest best-fit, CPU first.
+// A node out of slots is dropped before it is sized.
 func TestPlaceNewSizesEachNodeOnce(t *testing.T) {
 	fits := weightFloor(model.Llama2_7B) + model.GiB
 	for _, tc := range []struct {
 		name   string
 		need   func(n *cluster.Node) int64
+		noSlot int // index of a node whose slot is used up, or -1
 		spawns []int
 	}{
-		{"both fit", func(*cluster.Node) int64 { return fits }, []int{0, 1}},
+		{"both fit", func(*cluster.Node) int64 { return fits }, -1, []int{0, 1}},
 		{"gpu fits", func(n *cluster.Node) int64 {
 			if n.Kind() == hwsim.CPU {
 				return n.Mem.OptimisticFree() + 1
 			}
 			return fits
-		}, []int{1}},
+		}, -1, []int{1}},
 		{"cpu can never host", func(n *cluster.Node) int64 {
 			if n.Kind() == hwsim.CPU {
 				return -1
 			}
 			return fits
-		}, []int{1}},
+		}, -1, []int{1}},
+		{"gpu has no slot", func(*cluster.Node) int64 { return fits }, 1, []int{0}},
 	} {
 		h := newFakeHost()
 		h.need, h.needCalls = tc.need, map[int]int{}
+		if tc.noSlot >= 0 {
+			h.slots[tc.noSlot] = 1
+		}
 		p := &BinPack{Mode: Exclusive, UseCPU: true, CPUFirst: true}
 		req := engine.NewRequest(workload.Request{ID: 1, ModelName: "m", InputLen: 512, OutputLen: 8})
 		if p.PlaceNew(h, req, model.Llama2_7B) {
 			t.Fatalf("%s: placed although every spawn fails", tc.name)
 		}
 		for _, n := range h.cl.Nodes {
-			if got := h.needCalls[n.Idx]; got != 1 {
-				t.Errorf("%s: CreationBytes called %d times for node %d, want 1", tc.name, got, n.Idx)
+			want := 1
+			if n.Idx == tc.noSlot {
+				want = 0
+			}
+			if got := h.needCalls[n.Idx]; got != want {
+				t.Errorf("%s: CreationBytes called %d times for node %d, want %d", tc.name, got, n.Idx, want)
 			}
 		}
 		if !slices.Equal(h.spawns, tc.spawns) {
 			t.Errorf("%s: spawn attempts on nodes %v, want %v", tc.name, h.spawns, tc.spawns)
 		}
-	}
-}
-
-// PlaceNew works out the CPU SLO gate and the creation size once per node
-// shape — class, memory, speed factor and share — while slots and free
-// memory stay per node: five nodes of three shapes, one of them out of
-// slots, cost two profile lookups and at most three sizings.
-func TestPlaceNewSizesEachShapeOnce(t *testing.T) {
-	h := newFakeHost()
-	// cpu-slow differs from cpu-0 and cpu-1 in its speed factor alone.
-	slow := hwsim.NewCPUNode("cpu-slow")
-	slow.SpeedFactor = 0.5
-	h.cl = cluster.New(sim.New(), []hwsim.NodeSpec{
-		hwsim.NewCPUNode("cpu-0"), slow, hwsim.NewCPUNode("cpu-1"),
-		hwsim.NewGPUNode("gpu-0"), hwsim.NewGPUNode("gpu-1"),
-	})
-	h.profiles = perfmodel.NewRegistry()
-	m := model.Llama2_7B
-	fits := weightFloor(m) + model.GiB
-	h.need, h.needCalls = func(*cluster.Node) int64 { return fits }, map[int]int{}
-	h.slots[3] = 1 // gpu-0 has no slot left
-	p := &BinPack{Mode: Exclusive, UseCPU: true, CPUFirst: true, ShadowValidation: true}
-	req := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, InputLen: 512, OutputLen: 8})
-	slowOK := h.profiles.Get(slow.Class, m, slow.SpeedFactor).CanMeet(req.W.InputLen, req.Obj)
-	if p.PlaceNew(h, req, m) {
-		t.Fatal("placed although every spawn fails")
-	}
-	if len(h.profileShares) != 2 {
-		t.Errorf("Profile called %d times, want 2 (full-speed and derated CPU)", len(h.profileShares))
-	}
-	wantNeed := map[int]int{0: 1, 4: 1} // cpu-1 and gpu-0 reuse their shape's size
-	wantSpawns := []int{0, 2, 4}
-	if slowOK {
-		wantNeed[1] = 1
-		wantSpawns = []int{0, 1, 2, 4}
-	}
-	if !maps.Equal(h.needCalls, wantNeed) {
-		t.Errorf("CreationBytes calls per node %v, want %v", h.needCalls, wantNeed)
-	}
-	if !slices.Equal(h.spawns, wantSpawns) {
-		t.Errorf("spawn attempts on nodes %v, want %v", h.spawns, wantSpawns)
 	}
 }
 

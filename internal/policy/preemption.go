@@ -104,9 +104,8 @@ func (p SLOPreserving) preemptAndAdmit(h Host, req *engine.Request, grower, vict
 // rehoming a victim to a new replica would merely relocate the fragment the
 // preemption was supposed to eliminate.
 func (p SLOPreserving) canRehome(h Host, r *engine.Request, victim, grower *engine.Instance) bool {
-	m := h.Model(r.W.ModelName)
 	rv := compute.ViewRequest(r)
-	for _, inst := range h.RouteCandidates(m) {
+	for _, inst := range h.RouteCandidates(victim.Model) {
 		if inst == victim || inst == grower {
 			continue
 		}

@@ -88,8 +88,10 @@ type (
 // the thin controller. Set them on Config (Placement, Preemption,
 // KeepAlivePolicy) to build schemes beyond the paper's presets; nil fields
 // compose the preset behavior from the scalar knobs. A custom placement
-// typically embeds BinPackPlacement and overrides PlaceNew. See DESIGN.md
-// and examples/custompolicy.
+// typically embeds BinPackPlacement and overrides PlaceNew, keeping the
+// embedded Feasible as its per-node filter: the controller's PD decode
+// placement filters through the same method. See DESIGN.md and
+// examples/custompolicy.
 type (
 	// PolicyHost is the controller surface custom policies program
 	// against.
