@@ -83,7 +83,7 @@ func BenchmarkExp_Fig31(b *testing.B) {
 }
 func BenchmarkExp_Fig32(b *testing.B) { benchExp(b, "fig32", cell(1, 2, "slinfer_met_1n")) }
 func BenchmarkExp_Fig33(b *testing.B) {
-	benchExp(b, "fig33", cell(-1, 1, "validation_ms"), cell(-1, 2, "pick_us"))
+	benchExp(b, "fig33", cell(-1, 1, "validation_us"), cell(-1, 2, "pick_us"))
 }
 func BenchmarkExp_Fig35(b *testing.B) { benchExp(b, "fig35", cell(1, 3, "slinfer_gpu_nodes")) }
 func BenchmarkExp_Quant(b *testing.B) {

@@ -24,19 +24,20 @@ func insertionSort[T any](s []T, less func(a, b T) bool) {
 	}
 }
 
-// PreemptionVictims returns the neighbours of grower (instances colocated on
-// the same executor) that may be preempted to make room, per §VIII-A:
-// only instances with strictly smaller batch size than the grower, smallest
-// first — so small fragments are sacrificed for large batches, never the
-// other way around. Preemption pays a re-prefill for every victim request,
-// so it is only worthwhile when the grower is meaningfully larger: the
-// grower must hold at least twice the victim's load and at least two
-// requests, which filters out the 1-for-1 ping-pong that degrades SLOs.
-func PreemptionVictims(grower *engine.Instance, neighbours []*engine.Instance) []*engine.Instance {
+// AppendPreemptionVictims appends to dst the neighbours of grower
+// (instances colocated on the same executor) that may be preempted to make
+// room, per §VIII-A: only instances with strictly smaller batch size than
+// the grower, smallest first — so small fragments are sacrificed for large
+// batches, never the other way around. Preemption pays a re-prefill for
+// every victim request, so it is only worthwhile when the grower is
+// meaningfully larger: the grower must hold at least twice the victim's
+// load and at least two requests, which filters out the 1-for-1 ping-pong
+// that degrades SLOs.
+func AppendPreemptionVictims(dst []*engine.Instance, grower *engine.Instance, neighbours []*engine.Instance) []*engine.Instance {
 	if grower.TotalLoad() < 2 {
-		return nil
+		return dst
 	}
-	var out []*engine.Instance
+	start := len(dst)
 	for _, n := range neighbours {
 		if n == grower || n.Model.Name == grower.Model.Name {
 			continue
@@ -45,16 +46,16 @@ func PreemptionVictims(grower *engine.Instance, neighbours []*engine.Instance) [
 			continue
 		}
 		if n.Idle() || n.TotalLoad()*2 <= grower.TotalLoad() {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	}
-	insertionSort(out, func(a, b *engine.Instance) bool {
+	insertionSort(dst[start:], func(a, b *engine.Instance) bool {
 		if a.TotalLoad() != b.TotalLoad() {
 			return a.TotalLoad() < b.TotalLoad()
 		}
 		return a.ID < b.ID
 	})
-	return out
+	return dst
 }
 
 // SortRoute sorts same-model instances in place for reactive bin-packing

@@ -34,12 +34,17 @@ func TestPreemptionVictimsOnlySmallerBatches(t *testing.T) {
 	n2 := inst(3, "C", 6) // larger: protected
 	n3 := inst(4, "D", 1) // smallest: first victim
 	n4 := inst(5, "A", 1) // same model: never a victim
-	victims := PreemptionVictims(grower, []*engine.Instance{n1, n2, n3, n4, grower})
+	victims := AppendPreemptionVictims(nil, grower, []*engine.Instance{n1, n2, n3, n4, grower})
 	if len(victims) != 2 {
 		t.Fatalf("victims = %d, want 2", len(victims))
 	}
 	if victims[0] != n3 || victims[1] != n1 {
 		t.Fatalf("victim order wrong: got IDs %d, %d", victims[0].ID, victims[1].ID)
+	}
+	// Appending keeps dst's prefix in place and sorts only the victims.
+	dst := AppendPreemptionVictims([]*engine.Instance{n2}, grower, []*engine.Instance{n1, n2, n3, n4, grower})
+	if len(dst) != 3 || dst[0] != n2 || dst[1] != n3 || dst[2] != n1 {
+		t.Fatalf("appended victims = %v, want [n2 n3 n1]", dst)
 	}
 }
 
@@ -47,7 +52,7 @@ func TestPreemptionSkipsNonActive(t *testing.T) {
 	grower := inst(1, "A", 4)
 	v := inst(2, "B", 1)
 	v.State = engine.Loading
-	if got := PreemptionVictims(grower, []*engine.Instance{v}); len(got) != 0 {
+	if got := AppendPreemptionVictims(nil, grower, []*engine.Instance{v}); len(got) != 0 {
 		t.Fatal("a loading neighbour must not be preempted")
 	}
 }

@@ -26,27 +26,46 @@ import (
 //
 // Reports built on an arena remain valid after Release: the collector
 // disowns every buffer that escapes into a Report instead of truncating it
-// (see metrics.Collector.Reset). Controllers, instances, and invariant
-// suites do NOT remain valid — extract what you need (violations, counts)
-// before releasing.
+// (see metrics.Collector.Reset). Controllers, requests, instances, and
+// invariant suites do NOT remain valid — extract what you need (violations,
+// counts, request IDs) before releasing.
 type Arena struct {
 	sim *sim.Simulator
 	ctl *Controller
 }
 
-// arenaPool recycles arenas across workers. sync.Pool (rather than one
-// arena pinned per worker goroutine) keeps the pool sized to the actual
-// concurrency level with zero bookkeeping: idle arenas are reclaimable by
-// the GC, and a worker always gets an arena no other goroutine holds.
-var arenaPool = sync.Pool{New: func() any { return &Arena{sim: sim.New()} }}
+// arenaPool keeps every released arena for the next AcquireArena, most
+// recently released first. Unlike a sync.Pool, a garbage collection does
+// not empty it, so whether a run gets a warm arena depends on the acquire
+// and release order alone, never on GC timing. It holds at most as many
+// arenas as were ever held at once, each sized by its largest run.
+var arenaPool struct {
+	mu   sync.Mutex
+	free []*Arena
+}
 
 // AcquireArena returns an arena for exclusive use by the calling goroutine.
 // Pair with Release.
-func AcquireArena() *Arena { return arenaPool.Get().(*Arena) }
+func AcquireArena() *Arena {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	n := len(arenaPool.free)
+	if n == 0 {
+		return &Arena{sim: sim.New()}
+	}
+	a := arenaPool.free[n-1]
+	arenaPool.free[n-1] = nil
+	arenaPool.free = arenaPool.free[:n-1]
+	return a
+}
 
 // Release returns the arena to the pool. The caller must not touch the
 // arena, its simulator, or its controller afterwards.
-func (a *Arena) Release() { arenaPool.Put(a) }
+func (a *Arena) Release() {
+	arenaPool.mu.Lock()
+	arenaPool.free = append(arenaPool.free, a)
+	arenaPool.mu.Unlock()
+}
 
 // Sim returns the arena's simulator (shared by every controller the arena
 // ever builds).

@@ -18,6 +18,13 @@ func freshCanonical(models []model.Model, tr workload.Trace, cfg Config) string 
 	return New(s, hwsim.Testbed(2, 2), models, cfg).Run(tr).Canonical()
 }
 
+// arenaCell is one run of a reuse test: a config and the trace it replays.
+type arenaCell struct {
+	cfg    Config
+	models []model.Model
+	tr     workload.Trace
+}
+
 // TestArenaReuseByteIdentical pins the tentpole correctness contract: the
 // same cell run twice through ONE reused arena is byte-identical to a fresh
 // build, for every system preset — including presets with different policy
@@ -46,6 +53,31 @@ func TestArenaReuseByteIdentical(t *testing.T) {
 		if again != fresh {
 			t.Errorf("%s: reused arena run diverged from fresh build:\n--- arena ---\n%s--- fresh ---\n%s",
 				cfg.Name, again, fresh)
+		}
+	}
+
+	// Recycled requests and instances must carry nothing across runs. A
+	// prefix hit (CachedPrefixTokens, PrefixXfer) and a PD hand-off
+	// (Transferring, decode-only instances) set state that a keyless SLINFER
+	// run never does, so each runs back to back with one, in both orders,
+	// every run checked against a fresh build.
+	prefix := SLINFER()
+	prefix.Name += "+prefix"
+	prefix.PrefixCache = goldenPrefixTiers
+	pd := SLINFER()
+	pd.Name += "+pd"
+	pd.PD = true
+	chatModels, chat := goldenChat(8)
+	keyless := arenaCell{SLINFER(), models, tr}
+	for _, special := range []arenaCell{{prefix, chatModels, chat}, {pd, models, tr}} {
+		for _, pair := range [][2]arenaCell{{special, keyless}, {keyless, special}} {
+			for _, cell := range pair {
+				got := a.NewController(hwsim.Testbed(2, 2), cell.models, cell.cfg).Run(cell.tr).Canonical()
+				if fresh := freshCanonical(cell.models, cell.tr, cell.cfg); got != fresh {
+					t.Errorf("%s in %s then %s: arena run diverged from fresh build:\n--- arena ---\n%s--- fresh ---\n%s",
+						cell.cfg.Name, pair[0].cfg.Name, pair[1].cfg.Name, got, fresh)
+				}
+			}
 		}
 	}
 }

@@ -125,7 +125,7 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 	// MeasureOverhead samples host wall-clock time around every scheduling
 	// pick and shadow validation to feed the Figure 33 overhead study
-	// (Report.ValidationMS / ScheduleUS). Off by default: the clock reads
+	// (Report.ValidationUS / ScheduleUS). Off by default: the clock reads
 	// cost more than the picks they measure, and the overhead fields are
 	// excluded from canonical reports anyway.
 	MeasureOverhead bool

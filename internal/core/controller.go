@@ -15,6 +15,7 @@ import (
 	"slinfer/internal/metrics"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/slo"
 	"slinfer/internal/telemetry"
@@ -96,16 +97,32 @@ type Controller struct {
 	retryScratch   []*engine.Request
 	// routeCandidates scratch: the returned ordering lives in routeScratch
 	// until the next routeCandidates call. tryExisting iterates it
-	// immediately and admit never routes, so they cannot nest; policies get
-	// a copy via hostView.RouteCandidates because preemption routes
-	// recursively while iterating.
+	// immediately and admit never routes, so they cannot nest.
 	routeScratch []*engine.Instance
+	// policyScratch[d] is what hostView.Scratch hands a policy method
+	// running at scratchDepth d. scratchDepth counts the host actions
+	// (Spawn, Admit, Migrate, Reclaim) in progress, so a policy's buffers
+	// survive the placement attempts its own actions nest: preemption
+	// migrates victim requests while it still iterates its growers and
+	// victims.
+	//slinfer:resetsafe reset clears every buffer in place; the buffers persist across runs
+	policyScratch []*policy.Scratch
+	scratchDepth  int
 
-	// Arena recycling (reset): instance, estimator and model-record shells
-	// retired by the previous run on this controller. Instances are
-	// recycled ONLY at reset — a mid-run removal may still be referenced by
-	// in-flight events.
-	spareInsts  []*engine.Instance
+	// Arena recycling. reqPool[:reqsUsed] are the requests Submit handed
+	// out this run and instPool[:instsUsed] the instances createInstance
+	// built, live or retired, in creation order; the rest are shells an
+	// earlier run on this controller left, taken next in pool order.
+	// Nothing returns to a pool mid-run, since a finished request or a
+	// retired instance may still be named by a scheduled event: reset
+	// recycles them all once the simulator has dropped every event.
+	//slinfer:resetsafe reset strips every request in place; the pool persists across runs
+	reqPool  []*engine.Request
+	reqsUsed int
+	//slinfer:resetsafe reset recycles every instance in place; the pool persists across runs
+	instPool  []*engine.Instance
+	instsUsed int
+	// Estimator and model-record shells of the previous run.
 	spareEsts   []*kvcache.Estimator
 	spareHosted []*hostedModel
 
@@ -150,10 +167,10 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 
 // reset binds the controller to a run over (possibly different) specs,
 // models, and config, reusing the cluster, ledgers, collector, validator,
-// profile registry, pre-bound callbacks, scratch buffers, and retired
-// instance shells. New calls it on an empty shell, so a fresh and a
-// recycled controller share this one setup path; any per-run field added
-// to Controller must be re-zeroed here. A caller rebinding a used
+// profile registry, pre-bound callbacks, scratch buffers, and the request
+// and instance shells of earlier runs. New calls it on an empty shell, so
+// a fresh and a recycled controller share this one setup path; any
+// per-run field added to Controller must be re-zeroed here. A caller rebinding a used
 // controller (Arena.NewController) must Reset the shared simulator first
 // so no event from the previous run survives into this one.
 func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Config) {
@@ -162,16 +179,21 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	c.Cluster.Reset(specs)
 	c.Collector.Reset()
 	c.Validator.Reset(cfg.Overestimate, 3, 600)
-	// Retire the surviving instances, every model's estimator and the model
-	// records themselves into the spare pools before clearing the tables,
-	// walking models in registration order so the spare pools refill
-	// deterministically and the next run's recycled shells come back in a
-	// reproducible order.
+	// Every request and instance of the last run goes back to its pool in
+	// creation order, stripped of what it pinned (trace strings, instances,
+	// queues); the simulator reset has dropped every event that named one.
+	for _, req := range c.reqPool[:c.reqsUsed] {
+		*req = engine.Request{}
+	}
+	c.reqsUsed = 0
+	for _, inst := range c.instPool[:c.instsUsed] {
+		inst.Recycle()
+	}
+	c.instsUsed = 0
+	// Retire every model's estimator and the model records themselves into
+	// the spare pools before clearing the tables, walking models in
+	// registration order so the spare pools refill deterministically.
 	for _, hm := range c.order {
-		for _, inst := range hm.insts {
-			inst.Recycle()
-			c.spareInsts = append(c.spareInsts, inst)
-		}
 		c.spareEsts = append(c.spareEsts, hm.est)
 		*hm = hostedModel{insts: clearScratch(hm.insts)}
 		c.spareHosted = append(c.spareHosted, hm)
@@ -194,8 +216,14 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	}
 	c.pending = c.pending[:0]
 	c.transferring = clearScratch(c.transferring)
-	clear(c.routeScratch)
-	c.routeScratch = c.routeScratch[:0]
+	c.routeScratch = clearScratch(c.routeScratch)
+	for _, s := range c.policyScratch {
+		s.Growers = clearScratch(s.Growers)
+		s.Victims = clearScratch(s.Victims)
+		s.Rehome = clearScratch(s.Rehome)
+		s.Moved = clearScratch(s.Moved)
+	}
+	c.scratchDepth = 0
 	// The admission scratch buffers rest at length 0 but their backing
 	// arrays still pin last run's profiles and requests; wipe to capacity.
 	c.kvStateScratch = clearScratch(c.kvStateScratch)
@@ -253,15 +281,27 @@ func (c *Controller) newEstimator(m model.Model) *kvcache.Estimator {
 	return kvcache.NewEstimator(m.MaxContext, 256)
 }
 
-// takeInstance returns an empty instance shell, recycled when available.
+// takeInstance returns an empty instance shell, recycled when an earlier
+// run left one.
 func (c *Controller) takeInstance() *engine.Instance {
-	if n := len(c.spareInsts); n > 0 {
-		inst := c.spareInsts[n-1]
-		c.spareInsts[n-1] = nil
-		c.spareInsts = c.spareInsts[:n-1]
-		return inst
+	if c.instsUsed == len(c.instPool) {
+		c.instPool = append(c.instPool, &engine.Instance{})
 	}
-	return &engine.Instance{}
+	inst := c.instPool[c.instsUsed]
+	c.instsUsed++
+	return inst
+}
+
+// newRequest returns the runtime state of arrival w under obj, on a
+// request recycled when an earlier run left one.
+func (c *Controller) newRequest(w workload.Request, obj slo.Objective) *engine.Request {
+	if c.reqsUsed == len(c.reqPool) {
+		c.reqPool = append(c.reqPool, new(engine.Request))
+	}
+	req := c.reqPool[c.reqsUsed]
+	c.reqsUsed++
+	req.Reset(w, obj)
+	return req
 }
 
 // RegisterModel adds a hosted model (at construction via reset, or after
@@ -444,7 +484,7 @@ func (c *Controller) Submit(w workload.Request) {
 	if c.Cfg.SLO != nil {
 		obj = c.Cfg.SLO(w.InputLen)
 	}
-	req := engine.NewRequestWith(w, obj)
+	req := c.newRequest(w, obj)
 	if c.prefix != nil && w.PrefixKey != "" {
 		// Prefix-cache lookup happens once at admission: the cached leading
 		// span shortens the prefill, the transfer cost (CPU-tier promotion)
@@ -527,19 +567,25 @@ func (c *Controller) tryExisting(req *engine.Request, hm *hostedModel, avoid *en
 }
 
 // routeCandidates returns live instances of a hosted model in routing
-// order: CPU before GPU (when CPUFirst), then §VIII-B largest-batch-first.
-// The result is backed by the controller's route scratch — valid until the
-// next routeCandidates call, so iterate it, don't keep it.
+// order. The result is backed by the controller's route scratch — valid
+// until the next routeCandidates call, so iterate it, don't keep it.
 func (c *Controller) routeCandidates(hm *hostedModel, role engine.Role) []*engine.Instance {
-	out := c.routeScratch[:0]
+	c.routeScratch = c.appendRoute(c.routeScratch[:0], hm, role)
+	return c.routeScratch
+}
+
+// appendRoute appends the live instances of a hosted model with the given
+// role to dst in routing order: CPU before GPU (when CPUFirst), then
+// §VIII-B largest-batch-first.
+func (c *Controller) appendRoute(dst []*engine.Instance, hm *hostedModel, role engine.Role) []*engine.Instance {
+	start := len(dst)
 	for _, inst := range hm.insts {
 		if inst.Role == role && (inst.State == engine.Active || inst.State == engine.Loading) {
-			out = append(out, inst)
+			dst = append(dst, inst)
 		}
 	}
-	consolidator.SortRouteByKind(out, c.Cfg.CPUFirst)
-	c.routeScratch = out
-	return out
+	consolidator.SortRouteByKind(dst[start:], c.Cfg.CPUFirst)
+	return dst
 }
 
 // wantRole returns the instance role requests are admitted to.

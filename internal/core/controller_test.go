@@ -4,10 +4,12 @@ import (
 	"slices"
 	"testing"
 
+	"slinfer/internal/cluster"
 	"slinfer/internal/consolidator"
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 )
@@ -482,4 +484,47 @@ func TestNEOPlusExtendsKV(t *testing.T) {
 		t.Fatal("NEO+ should serve the request")
 	}
 	_ = c
+}
+
+// scratchPlacement checks that a policy call nested inside a host action
+// gets its own Scratch: CarveExecutor runs inside Spawn, which PlaceNew
+// calls while it may still hold its own buffers.
+type scratchPlacement struct {
+	policy.PlacementPolicy
+	outer   *policy.Scratch
+	carves  int
+	clashes int
+}
+
+func (p *scratchPlacement) PlaceNew(h policy.Host, req *engine.Request, m model.Model) bool {
+	prev := p.outer
+	p.outer = h.Scratch()
+	ok := p.PlacementPolicy.PlaceNew(h, req, m)
+	p.outer = prev
+	return ok
+}
+
+func (p *scratchPlacement) CarveExecutor(h policy.Host, nodes []*cluster.Node, share float64) *cluster.Executor {
+	p.carves++
+	if h.Scratch() == p.outer {
+		p.clashes++
+	}
+	return p.PlacementPolicy.CarveExecutor(h, nodes, share)
+}
+
+func TestHostScratchPerActionDepth(t *testing.T) {
+	models, tr := perfTrace(1)
+	cfg := SLINFER().withDefaults().composePolicies()
+	p := &scratchPlacement{PlacementPolicy: cfg.Placement}
+	cfg.Placement = p
+	c, _ := runTrace(t, hwsim.Testbed(2, 2), models, cfg, tr)
+	if p.carves == 0 {
+		t.Fatal("precondition: no instance was spawned")
+	}
+	if p.clashes > 0 {
+		t.Fatalf("%d of %d CarveExecutor calls inside Spawn got the Scratch of the PlaceNew that spawned", p.clashes, p.carves)
+	}
+	if c.scratchDepth != 0 {
+		t.Fatalf("scratch depth %d after the run, want 0", c.scratchDepth)
+	}
 }

@@ -1,43 +1,57 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
-	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
-	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
+	"slinfer/internal/slo"
 	"slinfer/internal/workload"
 )
 
-// TestResetRetiresInRegistrationOrder pins the reset retirement walk to
-// model registration order. This path used to range the instances map, so
-// the spare-pool refill order — and therefore which shell a recycled run's
-// first instance reuses — was randomized per process.
-func TestResetRetiresInRegistrationOrder(t *testing.T) {
-	models := []model.Model{model.Llama2_7B, model.Llama32_3B, model.Llama2_13B}
+// TestResetRecyclesInCreationOrder pins the arena's request and instance
+// recycling: reset strips every request Submit handed out and every
+// instance the run built — including those reclaimed mid-run — and the
+// next run takes the same shells back in creation order, so which shell a
+// recycled run reuses depends on nothing but the previous run. Model
+// records still retire in registration order.
+func TestResetRecyclesInCreationOrder(t *testing.T) {
+	models, tr := perfTrace(2)
 	specs := hwsim.Testbed(2, 2)
-	s := sim.New()
-	c := New(s, specs, models, SLINFER())
-
-	// Install instance shells out of registration order; reset must retire
-	// them model-by-model in the order the models were registered. Recycle
-	// zeroes most fields but keeps the Cache pointer, so distinct caches
-	// identify the shells afterwards.
-	caches := []*kvcache.Cache{new(kvcache.Cache), new(kvcache.Cache), new(kvcache.Cache)}
-	for i, name := range []string{model.Llama2_13B.Name, model.Llama32_3B.Name, model.Llama2_7B.Name} {
-		c.hosted[name].insts = []*engine.Instance{{ID: 100 + i, Cache: caches[i]}}
+	c := New(sim.New(), specs, models, SLINFER())
+	c.Run(tr)
+	reqs := slices.Clone(c.reqPool[:c.reqsUsed])
+	insts := slices.Clone(c.instPool[:c.instsUsed])
+	if len(reqs) != len(tr.Requests) {
+		t.Fatalf("run handed out %d requests, want %d", len(reqs), len(tr.Requests))
 	}
+	if c.InstanceCount() >= len(insts) {
+		t.Fatalf("precondition: %d instances built, %d still live; the run must reclaim some mid-run", len(insts), c.InstanceCount())
+	}
+
+	c.Sim.Reset()
 	c.reset(specs, models, SLINFER())
-
-	wantCaches := []*kvcache.Cache{caches[2], caches[1], caches[0]} // 7B first, then 3.2-3B, then 13B
-	if len(c.spareInsts) != len(wantCaches) {
-		t.Fatalf("spareInsts has %d shells, want %d", len(c.spareInsts), len(wantCaches))
+	for i, req := range reqs {
+		if !reflect.ValueOf(*req).IsZero() {
+			t.Fatalf("request %d still holds state after reset: %+v", i, *req)
+		}
 	}
-	for i, want := range wantCaches {
-		if got := c.spareInsts[i].Cache; got != want {
-			t.Fatalf("spareInsts[%d] is the wrong shell (retirement must follow registration order)", i)
+	for i, inst := range insts {
+		if inst.ID != 0 || inst.Model.Name != "" || len(inst.NodeIdxs) != 0 || inst.TotalLoad() != 0 {
+			t.Fatalf("instance %d still holds state after reset", i)
+		}
+	}
+	for i, want := range insts {
+		if got := c.takeInstance(); got != want {
+			t.Fatalf("takeInstance #%d returned a shell out of creation order", i)
+		}
+	}
+	for i, want := range reqs {
+		if got := c.newRequest(tr.Requests[i], slo.Default(1)); got != want {
+			t.Fatalf("newRequest #%d returned a request out of creation order", i)
 		}
 	}
 	if len(c.order) != len(models) {

@@ -7,6 +7,7 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 )
 
@@ -28,15 +29,20 @@ func (h hostView) AddSlot(nodeIdx int, delta float64) {
 	}
 }
 
-func (h hostView) RouteCandidates(m model.Model) []*engine.Instance {
-	// Copy out of the controller's route scratch: policies route recursively
-	// (preemption dry-runs rehoming candidates while iterating growers), so
-	// they cannot share the scratch the internal admission path reuses.
+func (h hostView) AppendRouteCandidates(dst []*engine.Instance, m model.Model) []*engine.Instance {
 	hm := h.c.lookup(m.Name)
 	if hm == nil {
-		return nil
+		return dst
 	}
-	return append([]*engine.Instance(nil), h.c.routeCandidates(hm, wantRole(h.c.Cfg))...)
+	return h.c.appendRoute(dst, hm, wantRole(h.c.Cfg))
+}
+
+func (h hostView) Scratch() *policy.Scratch {
+	c := h.c
+	for len(c.policyScratch) <= c.scratchDepth {
+		c.policyScratch = append(c.policyScratch, new(policy.Scratch))
+	}
+	return c.policyScratch[c.scratchDepth]
 }
 
 func (h hostView) ExecutorOf(inst *engine.Instance) *cluster.Executor {
@@ -86,22 +92,37 @@ func (h hostView) CreationBytes(m model.Model, n *cluster.Node, share float64, r
 	return h.c.creationBytes(m, n, share, req)
 }
 
+// The actions below run one scratch depth deeper than the policy method
+// calling them, so a policy call they nest gets a Scratch of its own.
+
 func (h hostView) Spawn(m model.Model, nodes []*cluster.Node, share float64, req *engine.Request) bool {
+	h.c.scratchDepth++
 	inst := h.c.createInstance(m, nodes, share, req)
-	if inst == nil {
-		return false
+	if inst != nil {
+		h.c.place(req, inst)
 	}
-	h.c.place(req, inst)
-	return true
+	h.c.scratchDepth--
+	return inst != nil
 }
 
 func (h hostView) Admit(req *engine.Request, inst *engine.Instance) bool {
-	return h.c.admit(req, inst)
+	h.c.scratchDepth++
+	ok := h.c.admit(req, inst)
+	h.c.scratchDepth--
+	return ok
 }
 
-func (h hostView) Migrate(req *engine.Request, from *engine.Instance) { h.c.migrate(req, from) }
+func (h hostView) Migrate(req *engine.Request, from *engine.Instance) {
+	h.c.scratchDepth++
+	h.c.migrate(req, from)
+	h.c.scratchDepth--
+}
 
-func (h hostView) Reclaim(inst *engine.Instance) { h.c.reclaim(inst) }
+func (h hostView) Reclaim(inst *engine.Instance) {
+	h.c.scratchDepth++
+	h.c.reclaim(inst)
+	h.c.scratchDepth--
+}
 
 func (h hostView) ArmReclaim(inst *engine.Instance, idle sim.Duration) {
 	c := h.c

@@ -88,7 +88,17 @@ func NewRequest(w workload.Request) *Request {
 // NewRequestWith wraps a trace record with an explicit SLO. The scenario
 // matrix uses it to sweep SLO classes; Config.SLO routes through here.
 func NewRequestWith(w workload.Request, obj slo.Objective) *Request {
-	return &Request{
+	r := new(Request)
+	r.Reset(w, obj)
+	return r
+}
+
+// Reset rebinds r to a new arrival of trace record w under obj, exactly as
+// NewRequestWith builds one. It assigns the whole request, so a recycled
+// request keeps nothing from its previous run: no hosting instance, prefix
+// hit, migration count or tracker grace.
+func (r *Request) Reset(w workload.Request, obj slo.Objective) {
+	*r = Request{
 		W: w, Obj: obj,
 		Tracker: slo.MakeTracker(obj, w.Arrival),
 		State:   Queued,

@@ -225,7 +225,7 @@ func runFig32(s Scale) Result {
 func runFig33(s Scale) Result {
 	res := Result{
 		ID: "fig33", Title: "scheduling overhead (wall clock)",
-		Header: []string{"nodes", "validation_ms", "token_pick_us"},
+		Header: []string{"nodes", "validation_us", "token_pick_us"},
 	}
 	models, tr := paperTrace(model.Llama2_7B, 64, s, 33)
 	ks := []int{1, 2, 4}
@@ -240,7 +240,7 @@ func runFig33(s Scale) Result {
 		cfg.MeasureOverhead = true
 		rep := runSystem(cfg, hwsim.Testbed(k, k), models, tr)
 		return []string{
-			fmt.Sprintf("%dC+%dG", k, k), f3(rep.ValidationMS), f2(rep.ScheduleUS),
+			fmt.Sprintf("%dC+%dG", k, k), f2(rep.ValidationUS), f2(rep.ScheduleUS),
 		}
 	})
 	return res

@@ -204,8 +204,8 @@ func (fd *frontDoor) apply(a faultAction) bool {
 	ts := sd.ctl.PrefixStore()
 	switch {
 	case a.op == opCrash && sd.up:
-		for _, req := range sd.crash(fd.start, fd.ck) {
-			fd.pulled = append(fd.pulled, retryEntry{idx: fd.arrivalIndex(req.W.ID), from: a.shard})
+		for _, id := range sd.crash(fd.start, fd.ck) {
+			fd.pulled = append(fd.pulled, retryEntry{idx: fd.arrivalIndex(id), from: a.shard})
 		}
 		snap.Healthy, snap.SlowFactor = false, 1
 	case a.op == opRecover && !(sd.up && sd.healthy):

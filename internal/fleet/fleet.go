@@ -365,14 +365,15 @@ func (sd *shard) closeSuite() {
 	sd.suite = nil
 }
 
-// crash tears the shard down at an epoch top: the controller's live
-// requests are pulled, sorted by (arrival as last submitted, ID), for the
-// caller to re-drive; the current stream segment is finalized into
+// crash tears the shard down at an epoch top: the IDs of the controller's
+// live requests are returned, sorted by (arrival as last submitted, ID),
+// for the caller to re-drive; the current stream segment is finalized into
 // sd.segments; and the controller is rebuilt from its original
 // construction parameters — the simulator reset drops every pending
 // event, and the rebuild loses all warm state (queues, instances, KV,
-// prefix tiers), which is exactly the crash semantics.
-func (sd *shard) crash(now sim.Time, ck *checker) []*engine.Request {
+// prefix tiers), which is exactly the crash semantics. The rebuild also
+// recycles the pulled requests, so only their IDs leave the shard.
+func (sd *shard) crash(now sim.Time, ck *checker) []int64 {
 	col := sd.ctl.Collector
 	pulled := sd.ctl.AppendLive(make([]*engine.Request, 0, max(col.Total-col.Completed-col.Dropped, 0)))
 	sort.Slice(pulled, func(i, j int) bool {
@@ -382,18 +383,19 @@ func (sd *shard) crash(now sim.Time, ck *checker) []*engine.Request {
 		}
 		return a.ID < b.ID
 	})
+	ids := make([]int64, len(pulled))
+	for i, r := range pulled {
+		ids[i] = r.W.ID
+	}
 	if sd.suite != nil {
 		// Cross-check the controller's live set against the invariant
 		// suite's independently tracked one before pulling.
-		ids := make([]int64, len(pulled))
-		for i, r := range pulled {
-			ids[i] = r.W.ID
-		}
-		slices.Sort(ids)
-		if want := sd.suite.AppendLiveIDs(make([]int64, 0, len(ids))); !slices.Equal(ids, want) {
+		sorted := slices.Clone(ids)
+		slices.Sort(sorted)
+		if want := sd.suite.AppendLiveIDs(make([]int64, 0, len(ids))); !slices.Equal(sorted, want) {
 			ck.report("fleet-conservation", now,
 				"crash on %s: controller holds live requests %v, invariant suite tracks %v",
-				sd.ctl.Cfg.Name, ids, want)
+				sd.ctl.Cfg.Name, sorted, want)
 		}
 	}
 	sd.segments = append(sd.segments, sd.ctl.EndStream(now.Sub(sd.segStart)))
@@ -404,7 +406,7 @@ func (sd *shard) crash(now sim.Time, ck *checker) []*engine.Request {
 	sd.ctl = sd.arena.NewController(sd.specs, sd.models, sd.sys)
 	sd.up, sd.healthy = false, false
 	sd.slow, sd.gpuFull = 0, 0
-	return pulled
+	return ids
 }
 
 // recover brings a crashed shard back cold (or just reopens a drained

@@ -22,7 +22,7 @@ import (
 // totals every report carries: AvgBatch weights by DecodeIters, MeanKVUtil
 // by KVSamples, ScalingOverhead recomputes from summed
 // ScalingBusy/InstanceLifetime, and the prefix-cache hit rate from summed
-// hit/miss bytes (all pinned by TestMergeReportsExactTotals). Wall-clock overheads (ValidationMS,
+// hit/miss bytes (all pinned by TestMergeReportsExactTotals). Wall-clock overheads (ValidationUS,
 // ScheduleUS) measure host time and are not merged, matching their
 // exclusion from Canonical.
 func MergeReports(system string, duration sim.Duration, reports ...Report) Report {

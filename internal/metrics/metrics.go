@@ -280,8 +280,8 @@ type Report struct {
 	GoodputDip     float64
 	RecoverEpochs  int64
 
-	// Wall-clock overheads in milliseconds per operation (Figure 33).
-	ValidationMS float64
+	// Wall-clock overheads in microseconds per operation (Figure 33).
+	ValidationUS float64
 	ScheduleUS   float64
 }
 
@@ -366,7 +366,7 @@ func (c *Collector) BuildReport(system string, duration sim.Duration) Report {
 		r.PrefixHitRate = float64(c.PrefixHitBytes) / float64(tot)
 	}
 	if c.ValidationCount > 0 {
-		r.ValidationMS = float64(c.ValidationNs) / float64(c.ValidationCount) / 1e6
+		r.ValidationUS = float64(c.ValidationNs) / float64(c.ValidationCount) / 1e3
 	}
 	if c.ScheduleCount > 0 {
 		r.ScheduleUS = float64(c.ScheduleNs) / float64(c.ScheduleCount) / 1e3
@@ -430,7 +430,7 @@ func mean(xs []float64) float64 {
 // Canonical renders every deterministic Report field in a stable order:
 // identical simulations produce byte-identical canonical reports, which is
 // what the golden tests and the trace-replay determinism checks diff.
-// Wall-clock overheads (ValidationMS, ScheduleUS) are excluded: they
+// Wall-clock overheads (ValidationUS, ScheduleUS) are excluded: they
 // measure host time, not virtual time. Large CDFs are folded to a hash so
 // any divergence still flips the output without bloating the text.
 func (r Report) Canonical() string {

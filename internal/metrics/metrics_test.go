@@ -147,8 +147,8 @@ func TestWallClockOverheads(t *testing.T) {
 	c.ScheduleNs = 30_000
 	c.ScheduleCount = 10
 	r := c.BuildReport("x", 1)
-	if r.ValidationMS != 0.4 {
-		t.Fatalf("ValidationMS = %v", r.ValidationMS)
+	if r.ValidationUS != 400 {
+		t.Fatalf("ValidationUS = %v", r.ValidationUS)
 	}
 	if r.ScheduleUS != 3 {
 		t.Fatalf("ScheduleUS = %v", r.ScheduleUS)

@@ -61,9 +61,14 @@ type Host interface {
 	// AddSlot adjusts a node's carved share by delta, clamping at zero.
 	AddSlot(nodeIdx int, delta float64)
 
-	// RouteCandidates returns the live instances of m in routing order
-	// (CPU-first when configured, then largest-batch-first).
-	RouteCandidates(m model.Model) []*engine.Instance
+	// AppendRouteCandidates appends the live instances of m to dst in
+	// routing order (CPU-first when configured, then largest-batch-first)
+	// and returns the extended slice.
+	AppendRouteCandidates(dst []*engine.Instance, m model.Model) []*engine.Instance
+	// Scratch returns working buffers for the calling policy method. They
+	// stay the caller's until it returns: the host actions below run one
+	// depth deeper, so a policy call they nest gets a Scratch of its own.
+	Scratch() *Scratch
 	// ExecutorOf returns the executor an instance runs on, or nil.
 	ExecutorOf(inst *engine.Instance) *cluster.Executor
 	// SharedExecutor returns a node's whole-node shared executor. Elastic
@@ -114,6 +119,19 @@ type Host interface {
 	ArmReclaim(inst *engine.Instance, idle sim.Duration)
 	// RecordPreemption counts one executed preemption in the run metrics.
 	RecordPreemption()
+}
+
+// Scratch holds the slices one policy call refills instead of
+// allocating, named for the preemption walk that needs several at once.
+// Values are shared across concurrently advancing fleet shards and must
+// hold no state, so the buffers live on the host, never on a policy.
+type Scratch struct {
+	// Growers, Victims and Rehome are instance lists: the request's
+	// route, the grower's preemption victims, and a victim's rehoming
+	// route.
+	Growers, Victims, Rehome []*engine.Instance
+	// Moved holds the requests a preemption migrates.
+	Moved []*engine.Request
 }
 
 // PlacementPolicy decides where new instances are created and how node

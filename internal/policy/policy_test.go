@@ -32,6 +32,7 @@ type fakeHost struct {
 	execs       map[*engine.Instance]*cluster.Executor
 	validator   *compute.Validator
 	validateOns int
+	scratch     Scratch
 
 	// Scale-out surface: the memory a new instance needs on each node
 	// (calls counted per node index) and the spawn attempts made.
@@ -66,9 +67,10 @@ func (h *fakeHost) AddSlot(idx int, d float64) {
 		h.slots[idx] = 0
 	}
 }
-func (h *fakeHost) RouteCandidates(m model.Model) []*engine.Instance {
-	return append([]*engine.Instance(nil), h.routes[m.Name]...)
+func (h *fakeHost) AppendRouteCandidates(dst []*engine.Instance, m model.Model) []*engine.Instance {
+	return append(dst, h.routes[m.Name]...)
 }
+func (h *fakeHost) Scratch() *Scratch                                  { return &h.scratch }
 func (h *fakeHost) ExecutorOf(inst *engine.Instance) *cluster.Executor { return h.execs[inst] }
 
 // SharedExecutor returns the one shared executor when set. Otherwise, like

@@ -26,7 +26,9 @@ type SLOPreserving struct{}
 // TryPreempt looks for a grower/victim pair, validates the move, and
 // executes it.
 func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, m model.Model) bool {
-	for _, grower := range h.RouteCandidates(m) {
+	s := h.Scratch()
+	s.Growers = h.AppendRouteCandidates(s.Growers[:0], m)
+	for _, grower := range s.Growers {
 		if grower.State != engine.Active {
 			continue
 		}
@@ -41,12 +43,11 @@ func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, m model.Model) bo
 		if ex == nil || len(ex.Instances) < 2 {
 			continue
 		}
-		victims := consolidator.PreemptionVictims(grower, ex.Instances)
-		for _, victim := range victims {
-			if !p.preemptAndAdmit(h, req, grower, victim) {
-				continue
+		s.Victims = consolidator.AppendPreemptionVictims(s.Victims[:0], grower, ex.Instances)
+		for _, victim := range s.Victims {
+			if p.preemptAndAdmit(h, s, req, grower, victim) {
+				return true
 			}
-			return true
 		}
 	}
 	return false
@@ -61,15 +62,17 @@ func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, m model.Model) bo
 // preempted requests still meet their SLOs after rescheduling; rehoming
 // does not depend on req and usually fails outright (no other live
 // instance), so every victim request is dry-run before the grower's
-// whole-executor projection.
-func (p SLOPreserving) preemptAndAdmit(h Host, req *engine.Request, grower, victim *engine.Instance) bool {
+// whole-executor projection. The dry runs change nothing the route
+// depends on, so the victim's model is routed once for all of them.
+func (p SLOPreserving) preemptAndAdmit(h Host, s *Scratch, req *engine.Request, grower, victim *engine.Instance) bool {
+	s.Rehome = h.AppendRouteCandidates(s.Rehome[:0], victim.Model)
 	for _, r := range victim.Running {
-		if !p.canRehome(h, r, victim, grower) {
+		if !p.canRehome(h, s.Rehome, r, victim, grower) {
 			return false
 		}
 	}
 	for _, r := range victim.WaitingPrefill {
-		if !p.canRehome(h, r, victim, grower) {
+		if !p.canRehome(h, s.Rehome, r, victim, grower) {
 			return false
 		}
 	}
@@ -85,9 +88,9 @@ func (p SLOPreserving) preemptAndAdmit(h Host, req *engine.Request, grower, vict
 		return false
 	}
 	// Execute: migrate the victim's requests away, then reclaim it.
-	moved := append(append([]*engine.Request(nil), victim.Running...), victim.WaitingPrefill...)
+	s.Moved = append(append(s.Moved[:0], victim.Running...), victim.WaitingPrefill...)
 	h.RecordPreemption()
-	for _, r := range moved {
+	for _, r := range s.Moved {
 		h.Migrate(r, victim)
 	}
 	// Reclaim handles idle/resize guards; a victim with a resize in flight
@@ -99,13 +102,14 @@ func (p SLOPreserving) preemptAndAdmit(h Host, req *engine.Request, grower, vict
 }
 
 // canRehome dry-runs whether a victim's request could be re-placed on
-// another *existing* instance of its model and still meet its SLO
-// (re-prefilling its context). Fresh instances are deliberately excluded:
-// rehoming a victim to a new replica would merely relocate the fragment the
-// preemption was supposed to eliminate.
-func (p SLOPreserving) canRehome(h Host, r *engine.Request, victim, grower *engine.Instance) bool {
+// another *existing* instance of its model, walking route (the victim
+// model's route candidates), and still meet its SLO (re-prefilling its
+// context). Fresh instances are deliberately excluded: rehoming a victim
+// to a new replica would merely relocate the fragment the preemption was
+// supposed to eliminate.
+func (p SLOPreserving) canRehome(h Host, route []*engine.Instance, r *engine.Request, victim, grower *engine.Instance) bool {
 	rv := compute.ViewRequest(r)
-	for _, inst := range h.RouteCandidates(victim.Model) {
+	for _, inst := range route {
 		if inst == victim || inst == grower {
 			continue
 		}

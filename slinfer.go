@@ -97,7 +97,9 @@ type (
 	// against.
 	PolicyHost = policy.Host
 	// PolicyRequest is the in-flight request a placement decision is made
-	// for.
+	// for. Controllers recycle requests and instances when they reset for
+	// the next run on the same arena, so a request or instance is valid
+	// only until its controller's next reset: keep its ID, not the pointer.
 	PolicyRequest = engine.Request
 	// BinPackPlacement is the paper's best-fit bin-packing placement,
 	// parameterized by sharing mode.
