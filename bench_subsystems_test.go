@@ -129,7 +129,7 @@ func BenchmarkSub_MemctlLedger(b *testing.B) {
 	const ops = 256
 	s := sim.New()
 	nm := memctl.New(s, "bench", 64<<30)
-	demand := func(owner string, from, to int64) {
+	demand := func(owner memctl.Owner, from, to int64) {
 		nm.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: owner,
 			From: from, To: to, Duration: sim.Millisecond})
 	}
@@ -137,10 +137,7 @@ func BenchmarkSub_MemctlLedger(b *testing.B) {
 		s.Reset()
 		nm.Reset("bench", 64<<30)
 		for j := 0; j < ops; j++ {
-			owner := "a/kv"
-			if j%2 == 1 {
-				owner = "b/kv"
-			}
+			owner := memctl.Owner{Inst: 1 + j%2, KV: true}
 			grow := int64(40 << 30)
 			demand(owner, 0, grow)
 			s.RunUntil(s.Now().Add(2 * sim.Millisecond))

@@ -312,8 +312,8 @@ func NEOPlus(harvestedCores int) Config {
 
 // neoAssist returns the KV capacity a NEO-assisted instance offloads into
 // host memory and its decode slowdown: 64 GB and 10% at all 32 cores of a
-// host, pro rata below.
+// host, pro rata below, and nothing without NEO.
 func neoAssist(cores int) (extraKV int64, decodePenalty float64) {
-	frac := float64(cores) / 32
+	frac := float64(max(cores, 0)) / 32
 	return int64(frac * 64e9), 0.10 * frac
 }

@@ -12,6 +12,7 @@ import (
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
+	"slinfer/internal/memctl"
 	"slinfer/internal/metrics"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
@@ -84,6 +85,9 @@ type Controller struct {
 	// from the hot path.
 	//slinfer:resetsafe pre-bound for the controller lifetime; reset reuses them unchanged
 	fnArrival, fnDrop, fnReclaim, fnPD, fnSampler, fnKeepAlive func(any)
+	// fnMemDone is every memory op's Done (memOpDone).
+	//slinfer:resetsafe pre-bound for the controller lifetime; reset reuses it unchanged
+	fnMemDone func(*memctl.Op)
 
 	rng          *sim.RNG
 	noiseStreams int
@@ -161,6 +165,7 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		delete(c.keepAlive, inst.ID)
 		c.reclaim(inst)
 	}
+	c.fnMemDone = c.memOpDone
 	c.reset(specs, models, cfg)
 	return c
 }

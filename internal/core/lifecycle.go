@@ -203,8 +203,10 @@ func (c *Controller) resizeFits(inst *engine.Instance, target int64) (int64, boo
 	return target, true
 }
 
-// issueResize submits one KV resize through the hazard-aware orchestrator.
-// Returns false when the optimistic budget rejects it.
+// issueResize submits one KV resize through the hazard-aware orchestrator,
+// one op per host node. Returns false when the optimistic budget rejects it.
+//
+//slinfer:hotpath
 func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
 	target, ok := c.resizeFits(inst, target)
 	if !ok {
@@ -218,17 +220,10 @@ func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
 	inst.ResizeInFlight = true
 	inst.KVTarget = target
 	inst.ResizeDoneAt = c.Sim.Now().Add(dur)
-	remaining := len(inst.NodeIdxs)
-	onComplete := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		c.finishResize(inst, target, dur)
-	}
+	inst.ResizesLeft = uint8(len(inst.NodeIdxs))
 	for _, idx := range inst.NodeIdxs {
-		if !c.Cluster.Nodes[idx].Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: inst.KVOwner(),
-			From: cur, To: target, Duration: dur, OnComplete: onComplete}) {
+		if !c.Cluster.Nodes[idx].Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: memctl.Owner{Inst: inst.ID, KV: true},
+			From: cur, To: target, Duration: dur, Done: c.fnMemDone, Arg: inst}) {
 			// First node admitted is impossible here: resizeFits pre-checked
 			// and nothing ran in between (single-threaded simulation).
 			panic("core: resize demand rejected after CanAdmit")
@@ -237,12 +232,45 @@ func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
 	return true
 }
 
-func (c *Controller) finishResize(inst *engine.Instance, target int64, dur sim.Duration) {
-	inst.Cache.SetCapacity(target)
+// memOpDone is every memory op's completion (fnMemDone). A load or resize
+// finishes its instance once the last node's op lands; a weights unload
+// releases its node.
+//
+//slinfer:hotpath
+func (c *Controller) memOpDone(op *memctl.Op) {
+	switch op.Kind {
+	case memctl.LoadWeights:
+		inst := op.Arg.(*engine.Instance)
+		if inst.LoadsLeft--; inst.LoadsLeft == 0 {
+			c.finishLoad(inst, op.To)
+		}
+	case memctl.ResizeKV:
+		inst := op.Arg.(*engine.Instance)
+		if inst.ResizesLeft--; inst.ResizesLeft == 0 {
+			c.finishResize(inst, op)
+		}
+	case memctl.UnloadWeights:
+		node := op.Arg.(*cluster.Node)
+		if node.ReservedBy == op.Owner.Inst {
+			node.ReservedBy = 0
+		}
+		if !node.Occupied() {
+			c.Collector.NodeInactive(node.Idx, c.Sim.Now())
+		}
+		c.retryPending()
+	}
+}
+
+// finishResize lands the KV resize op: the cache takes op.To and the
+// instance is charged op.Duration of stall.
+//
+//slinfer:hotpath
+func (c *Controller) finishResize(inst *engine.Instance, op *memctl.Op) {
+	inst.Cache.SetCapacity(op.To)
 	inst.ResizeInFlight = false
 	inst.ResizeDoneAt = 0
-	inst.ScalingBusy += dur
-	c.Collector.ScalingBusy += dur
+	inst.ScalingBusy += op.Duration
+	c.Collector.ScalingBusy += op.Duration
 	c.Collector.KVResizes++
 	if inst.State == engine.Unloading {
 		return
@@ -395,24 +423,17 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	inst.Role = wantRole(c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
 	c.nextInstID++
-	if c.Cfg.NEOCores > 0 {
-		_, inst.DecodePenalty = neoAssist(c.Cfg.NEOCores)
-	}
+	_, inst.DecodePenalty = neoAssist(c.Cfg.NEOCores)
 
 	// Per-node allocations. Static KV loads with the weights, and its cache
 	// also holds NEO's offloaded KV, which lives in host DRAM rather than
 	// node memory; dynamic KV is a separate resize op so later admissions
 	// see a truthful ledger.
 	weights, kv, dynamic := c.footprint(m, nodes[0], len(nodes), share, first.W.InputLen)
-	loadTo, staticKV := weights, int64(0)
+	loadTo := weights
 	if !dynamic {
 		loadTo += kv
-		staticKV = kv
-		if c.Cfg.NEOCores > 0 {
-			extra, _ := neoAssist(c.Cfg.NEOCores)
-			staticKV += extra
-		}
-		if staticKV <= 0 {
+		if extra, _ := neoAssist(c.Cfg.NEOCores); kv+extra <= 0 {
 			return nil
 		}
 	}
@@ -424,17 +445,10 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	}
 
 	loadDur := nodes[0].Spec.LoadTime(&m)
-	remaining := len(nodes)
-	onLoaded := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		c.finishLoad(inst, staticKV)
-	}
+	inst.LoadsLeft = uint8(len(nodes))
 	for _, n := range nodes {
-		if !n.Mem.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: inst.WeightsOwner(),
-			To: loadTo, Duration: loadDur, OnComplete: onLoaded}) {
+		if !n.Mem.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: memctl.Owner{Inst: inst.ID},
+			To: loadTo, Duration: loadDur, Done: c.fnMemDone, Arg: inst}) {
 			panic("core: load demand rejected after CanAdmit")
 		}
 	}
@@ -460,17 +474,19 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	return inst
 }
 
-// finishLoad activates a loaded instance. staticKV is nonzero for
-// whole-allocation (static-memory) instances; dynamic instances receive
-// their capacity from the creation resize op instead.
-func (c *Controller) finishLoad(inst *engine.Instance, staticKV int64) {
+// finishLoad activates a loaded instance whose load charged loadTo bytes
+// per node. A static cache takes the KV loaded with the weights plus NEO's
+// offloaded KV; a dynamic one is sized by the creation resize op.
+func (c *Controller) finishLoad(inst *engine.Instance, loadTo int64) {
 	if inst.State != engine.Loading {
 		return
 	}
 	inst.State = engine.Active
-	if staticKV > 0 {
-		inst.Cache.SetCapacity(staticKV)
-		inst.KVTarget = staticKV
+	if c.isStaticInstance(len(inst.NodeIdxs)) {
+		weights, _, _ := c.footprint(inst.Model, c.Cluster.Nodes[inst.NodeIdxs[0]], len(inst.NodeIdxs), inst.Share, 0)
+		extra, _ := neoAssist(c.Cfg.NEOCores)
+		inst.KVTarget = loadTo - weights + extra
+		inst.Cache.SetCapacity(inst.KVTarget)
 	}
 	if ex := c.instExec[inst.ID]; ex != nil {
 		ex.Kick()
@@ -542,30 +558,19 @@ func (c *Controller) removeInstance(inst *engine.Instance) {
 	kv := inst.Cache.CapacityBytes()
 	unloadFrom := weights
 	if !dynamic {
-		if c.Cfg.NEOCores > 0 {
-			extra, _ := neoAssist(c.Cfg.NEOCores)
-			kv = max(kv-extra, 0)
-		}
-		unloadFrom += kv
+		extra, _ := neoAssist(c.Cfg.NEOCores)
+		unloadFrom += max(kv-extra, 0)
 	}
 	// Per node, the KV release goes first, then the weights unload.
 	for _, idx := range inst.NodeIdxs {
 		node := c.Cluster.Nodes[idx]
 		dur := node.Spec.UnloadTime(&inst.Model)
-		if dynamic && kv > 0 && !node.Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: inst.KVOwner(),
+		if dynamic && kv > 0 && !node.Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: memctl.Owner{Inst: inst.ID, KV: true},
 			From: kv, Duration: dur}) {
 			panic("core: KV release rejected")
 		}
-		if !node.Mem.Demand(memctl.Op{Kind: memctl.UnloadWeights, Owner: inst.WeightsOwner(),
-			From: unloadFrom, Duration: dur, OnComplete: func() {
-				if node.ReservedBy == inst.ID {
-					node.ReservedBy = 0
-				}
-				if !node.Occupied() {
-					c.Collector.NodeInactive(node.Idx, c.Sim.Now())
-				}
-				c.retryPending()
-			}}) {
+		if !node.Mem.Demand(memctl.Op{Kind: memctl.UnloadWeights, Owner: memctl.Owner{Inst: inst.ID},
+			From: unloadFrom, Duration: dur, Done: c.fnMemDone, Arg: node}) {
 			panic("core: weights unload rejected")
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
+	"slinfer/internal/memctl"
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
@@ -476,5 +477,121 @@ func TestAdmitDecidesMemoryBeforeValidating(t *testing.T) {
 	}
 	if inst.ResizeInFlight || inst.TotalLoad() != 2 {
 		t.Fatal("a rejected admission left state behind")
+	}
+}
+
+// holdPessimistic makes an allocation foreign to the controller hold bytes
+// of nm's pessimistic bound for d while freeing them from its optimistic
+// budget at once: an admitted scale-up that needs those bytes parks in the
+// reservation station until d has passed.
+func holdPessimistic(t *testing.T, nm *memctl.NodeMemory, bytes int64, d sim.Duration) {
+	t.Helper()
+	foreign := memctl.Owner{Inst: 1 << 20}
+	if !nm.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: foreign, To: bytes}) ||
+		!nm.Demand(memctl.Op{Kind: memctl.UnloadWeights, Owner: foreign, From: bytes, Duration: d}) {
+		t.Fatal("foreign allocation rejected")
+	}
+}
+
+// A multi-node (TP) instance loads and resizes once per node and finishes
+// only when the last node's op lands: an instance whose second load waits
+// in the reservation station stays Loading until that load completes, and
+// a resize whose second op waits lands once, after it.
+func TestTPCompletionWaitsForLastNode(t *testing.T) {
+	m := model.Llama2_7B
+	cfg := SLINFER()
+	cfg.UseCPU = false
+	cfg.KeepAlive = 60 * sim.Minute
+	s := sim.New()
+	c := New(s, hwsim.Testbed(0, 2), []model.Model{m}, cfg)
+	n0, n1 := c.Cluster.Nodes[0], c.Cluster.Nodes[1]
+	capacity := n1.Mem.Capacity()
+	loadDur := n0.Spec.LoadTime(&m)
+
+	// Each node's load takes half the node; n1's parks behind 3/4 of the
+	// node held until the first load has long landed.
+	held := 4 * loadDur
+	holdPessimistic(t, n1.Mem, capacity*3/4, held)
+	first := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, InputLen: 256, OutputLen: 8})
+	inst := c.createInstance(m, c.Cluster.Nodes, 0.5, first)
+	if inst == nil || n1.Mem.StationDepth() != 1 {
+		t.Fatalf("precondition: want the second node's load parked, got instance %v, station %d", inst != nil, n1.Mem.StationDepth())
+	}
+	s.RunUntil(sim.Time(0).Add(2 * loadDur))
+	if inst.State != engine.Loading {
+		t.Fatalf("instance is %v once the first node's load landed; want loading until the second lands", inst.State)
+	}
+	s.RunUntil(sim.Time(0).Add(held + loadDur + sim.Second))
+	if inst.State != engine.Active {
+		t.Fatalf("instance is %v after both loads landed; want active", inst.State)
+	}
+	kv := inst.Cache.CapacityBytes()
+
+	// A quarter-node KV growth: n0's op starts at once, n1's parks behind
+	// half the node held past the first op's landing.
+	grow := capacity / 4
+	dur := kvcache.ScaleTime(kv, kv+grow)
+	start := s.Now()
+	holdPessimistic(t, n1.Mem, capacity/2, 2*dur)
+	resizes := c.Collector.KVResizes
+	if !c.issueResize(inst, kv+grow) || n1.Mem.StationDepth() != 1 {
+		t.Fatalf("precondition: want the second node's resize parked, station %d", n1.Mem.StationDepth())
+	}
+	s.RunUntil(start.Add(dur + dur/2))
+	if !inst.ResizeInFlight || inst.Cache.CapacityBytes() != kv || c.Collector.KVResizes != resizes {
+		t.Fatalf("resize finished once the first node's op landed: in flight %v, capacity %d (was %d), %d resizes (was %d)",
+			inst.ResizeInFlight, inst.Cache.CapacityBytes(), kv, c.Collector.KVResizes, resizes)
+	}
+	s.RunUntil(start.Add(3*dur + sim.Second))
+	if inst.ResizeInFlight || inst.Cache.CapacityBytes() != kv+grow {
+		t.Fatalf("resize not finished after both ops landed: in flight %v, capacity %d, want %d",
+			inst.ResizeInFlight, inst.Cache.CapacityBytes(), kv+grow)
+	}
+	if got := c.Collector.KVResizes - resizes; got != 1 {
+		t.Fatalf("a 2-node resize finished %d times, want once", got)
+	}
+	if inst.LoadsLeft != 0 || inst.ResizesLeft != 0 {
+		t.Fatalf("counters not back to zero: %d loads, %d resizes left", inst.LoadsLeft, inst.ResizesLeft)
+	}
+}
+
+// A warm KV resize round trip, issueResize through the ledger to
+// finishResize, allocates nothing: every op carries the controller's one
+// pre-bound completion and its instance.
+func TestResizeRoundTripDoesNotAllocate(t *testing.T) {
+	m := model.Llama2_7B
+	cfg := SLINFER()
+	cfg.UseCPU = false
+	cfg.DynamicMemory = false // static: finishResize's recheck issues nothing
+	cfg.KeepAlive = 60 * sim.Minute
+	s := sim.New()
+	c := New(s, hwsim.Testbed(0, 1), []model.Model{m}, cfg)
+	first := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, InputLen: 256, OutputLen: 8})
+	inst := c.createInstance(m, c.Cluster.Nodes, 0.5, first)
+	s.RunUntil(s.Now().Add(c.Cluster.Nodes[0].Spec.LoadTime(&m) + sim.Second))
+	if inst == nil || inst.State != engine.Active {
+		t.Fatal("precondition: want a loaded static instance")
+	}
+	kv := inst.Cache.CapacityBytes()
+	step := func(target int64) {
+		if !c.issueResize(inst, target) {
+			t.Fatal("resize rejected")
+		}
+		s.RunUntil(inst.ResizeDoneAt.Add(sim.Millisecond))
+		if inst.ResizeInFlight || inst.Cache.CapacityBytes() != target {
+			t.Fatalf("resize to %d did not land", target)
+		}
+	}
+	roundTrip := func() {
+		step(kv + model.GiB)
+		step(kv)
+	}
+	roundTrip()
+	resizes := c.Collector.KVResizes
+	if allocs := testing.AllocsPerRun(20, roundTrip); allocs != 0 {
+		t.Errorf("issueResize → finishResize round trip allocates %.1f times once warm", allocs)
+	}
+	if got := c.Collector.KVResizes - resizes; got != 2*21 {
+		t.Fatalf("%d resizes finished, want %d", got, 2*21)
 	}
 }

@@ -6,7 +6,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 
 	"slinfer/internal/hwsim"
@@ -183,9 +182,12 @@ type Instance struct {
 	// until it completes (this is the scaling overhead of §IX-I5).
 	ResizeInFlight bool
 	// minDOK and decodeOK mark minD and decodeEst current. They sit in the
-	// padding after ResizeInFlight, which keeps an Instance in the same
-	// 384-byte allocation size class as before the cached facts.
+	// padding after ResizeInFlight, as do the two counters below.
 	minDOK, decodeOK bool
+	// LoadsLeft and ResizesLeft count the per-node weight-load and KV-resize
+	// ops of the instance still in flight: a multi-node (TP) instance loads
+	// or resizes once per node and finishes when the last node's op lands.
+	LoadsLeft, ResizesLeft uint8
 	// KVTarget is the allocation size the latest admitted resize moves to.
 	KVTarget int64
 	// ResizeDoneAt is when the in-flight resize lands. Scale-out validation
@@ -206,8 +208,6 @@ type Instance struct {
 	// decode caches the (Class, Model) decode polynomial; built lazily so
 	// hand-constructed test instances need no extra setup.
 	decode hwsim.DecodeCoeffs
-	// kvOwner/weightsOwner cache the ledger owner names (derived from ID).
-	kvOwner, weightsOwner string
 	// finishedScratch backs CompleteDecode's result across iterations.
 	finishedScratch []*Request
 
@@ -248,22 +248,6 @@ func clearRequests(rs []*Request) []*Request {
 		rs[k] = nil
 	}
 	return rs[:0]
-}
-
-// KVOwner returns the memctl allocation name for this instance's KV cache.
-func (i *Instance) KVOwner() string {
-	if i.kvOwner == "" {
-		i.kvOwner = fmt.Sprintf("inst%d/kv", i.ID)
-	}
-	return i.kvOwner
-}
-
-// WeightsOwner returns the memctl allocation name for the weights.
-func (i *Instance) WeightsOwner() string {
-	if i.weightsOwner == "" {
-		i.weightsOwner = fmt.Sprintf("inst%d/weights", i.ID)
-	}
-	return i.weightsOwner
 }
 
 // BatchSize returns the current decode batch size.

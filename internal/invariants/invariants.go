@@ -237,10 +237,10 @@ type ledger struct {
 	nm    *memctl.NodeMemory
 
 	// sizes tracks each allocation's physical size (post-completion).
-	sizes map[string]int64
+	sizes map[memctl.Owner]int64
 	// admitted tracks the in-flight (admitted, not yet completed) op per
 	// allocation.
-	admitted map[string]*memctl.Op
+	admitted map[memctl.Owner]*memctl.Op
 
 	shadowOpt  int64
 	shadowPess int64
@@ -255,8 +255,8 @@ func (s *Suite) WatchNode(nm *memctl.NodeMemory) {
 	nm.Observer = &ledger{
 		suite:    s,
 		nm:       nm,
-		sizes:    map[string]int64{},
-		admitted: map[string]*memctl.Op{},
+		sizes:    map[memctl.Owner]int64{},
+		admitted: map[memctl.Owner]*memctl.Op{},
 	}
 }
 

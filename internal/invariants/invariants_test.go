@@ -83,7 +83,7 @@ func TestAttachedRunIsByteIdentical(t *testing.T) {
 // TestConservationCatchesCorruptedLedger deliberately corrupts the memory
 // ledger — an unload claiming fewer bytes than the allocation physically
 // holds, the double-free/leak class of bug — and requires the conservation
-// checker to flag it.
+// checker to flag it under the allocation's name.
 func TestConservationCatchesCorruptedLedger(t *testing.T) {
 	s := sim.New()
 	nm := memctl.New(s, "node0", 1000)
@@ -91,7 +91,8 @@ func TestConservationCatchesCorruptedLedger(t *testing.T) {
 	suite.WatchNode(nm)
 
 	// Legitimate load of 400 bytes.
-	if !nm.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: "inst1/weights", From: 0, To: 400}) {
+	weights := memctl.Owner{Inst: 1}
+	if !nm.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: weights, From: 0, To: 400}) {
 		t.Fatal("load rejected")
 	}
 	if err := suite.Err(); err != nil {
@@ -100,14 +101,14 @@ func TestConservationCatchesCorruptedLedger(t *testing.T) {
 
 	// Corruption: unload claims the allocation holds only 300 bytes, so 100
 	// bytes silently leak from the ledger.
-	nm.Demand(memctl.Op{Kind: memctl.UnloadWeights, Owner: "inst1/weights", From: 300, To: 0})
+	nm.Demand(memctl.Op{Kind: memctl.UnloadWeights, Owner: weights, From: 300, To: 0})
 
 	if suite.Ok() {
 		t.Fatal("conservation checker missed a corrupted ledger")
 	}
 	found := false
 	for _, v := range suite.Violations() {
-		if v.Check == "ledger-conservation" && strings.Contains(v.Detail, "From=300") {
+		if v.Check == "ledger-conservation" && strings.Contains(v.Detail, "inst1/weights claims From=300") {
 			found = true
 		}
 	}
@@ -118,19 +119,20 @@ func TestConservationCatchesCorruptedLedger(t *testing.T) {
 }
 
 // TestConservationCatchesConcurrentOps flags two in-flight operations on
-// one allocation (memctl's contract is at most one).
+// one allocation (memctl's contract is at most one), naming the allocation.
 func TestConservationCatchesConcurrentOps(t *testing.T) {
 	s := sim.New()
 	nm := memctl.New(s, "node0", 1000)
 	suite := New(s)
 	suite.WatchNode(nm)
 
-	nm.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: "inst1/kv", From: 0, To: 200, Duration: sim.Second})
-	nm.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: "inst1/kv", From: 200, To: 300, Duration: sim.Second})
+	kv := memctl.Owner{Inst: 1, KV: true}
+	nm.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: kv, From: 0, To: 200, Duration: sim.Second})
+	nm.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: kv, From: 200, To: 300, Duration: sim.Second})
 
 	found := false
 	for _, v := range suite.Violations() {
-		if v.Check == "ledger-conservation" && strings.Contains(v.Detail, "in flight on the same allocation") {
+		if v.Check == "ledger-conservation" && strings.Contains(v.Detail, "inst1/kv admitted while resize-kv->200 in flight on the same allocation") {
 			found = true
 		}
 	}

@@ -54,21 +54,39 @@ func (k OpKind) String() string {
 	}
 }
 
+// Owner identifies one allocation, an instance's weights or its KV cache.
+// It is comparable, so the invariant ledger keys its maps by it.
+type Owner struct {
+	Inst int
+	KV   bool
+}
+
+// String renders the owner as "inst<ID>/weights" or "inst<ID>/kv".
+func (o Owner) String() string {
+	if o.KV {
+		return fmt.Sprintf("inst%d/kv", o.Inst)
+	}
+	return fmt.Sprintf("inst%d/weights", o.Inst)
+}
+
 // Op is one asynchronous memory operation against a single allocation.
 // Callers build it by value and hand it to Demand, which copies it into a
 // slot the ledger owns until the op completes.
 type Op struct {
 	Kind OpKind
-	// Owner identifies the allocation (e.g. "inst42/kv"). One allocation
-	// must have at most one in-flight op at a time; NodeMemory does not
-	// check it, the invariant suite's ledger-conservation checker does.
-	Owner string
+	// Owner identifies the allocation. One allocation must have at most
+	// one in-flight op at a time; NodeMemory does not check it, the
+	// invariant suite's ledger-conservation checker does.
+	Owner Owner
 	// From and To are the allocation's size before and after the op.
 	From, To int64
 	// Duration is how long the operation takes once it starts executing.
 	Duration sim.Duration
-	// OnComplete runs when the operation finishes (physical state updated).
-	OnComplete func()
+	// Done, if set, runs with the op when it finishes. Like sim.AfterFunc's
+	// fn it is bound once, not built per op: per-op state rides in Arg,
+	// pointer-shaped so it allocates nothing. The slot is zeroed after Done.
+	Done func(*Op)
+	Arg  any
 
 	nm *NodeMemory // set by Demand; completion trampoline target
 }
@@ -85,7 +103,7 @@ type Observer interface {
 	OpAdmitted(nm *NodeMemory, op *Op)
 	// OpStarted fires when an operation begins executing.
 	OpStarted(nm *NodeMemory, op *Op)
-	// OpCompleted fires when an operation finishes, before its OnComplete
+	// OpCompleted fires when an operation finishes, before its Done
 	// callback cascades.
 	OpCompleted(nm *NodeMemory, op *Op)
 	// OpRejected fires when the optimistic budget refuses a scale-up.
@@ -114,20 +132,13 @@ type NodeMemory struct {
 	// while a drain is in progress requests another pass instead of nesting.
 	draining bool
 	redrain  bool
-
-	// Stats.
-	opsStarted     int64
-	opsCompleted   int64
-	stationedTotal int64
-	rejected       int64
 }
 
 // New returns a NodeMemory with the given capacity.
 func New(s *sim.Simulator, name string, capacity int64) *NodeMemory {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("memctl: non-positive capacity for %s", name))
-	}
-	return &NodeMemory{sim: s, name: name, capacity: capacity}
+	nm := &NodeMemory{sim: s}
+	nm.Reset(name, capacity)
+	return nm
 }
 
 // Reset returns the NodeMemory to the state of a fresh New(s, name, capacity)
@@ -149,14 +160,13 @@ func (nm *NodeMemory) Reset(name string, capacity int64) {
 	clear(nm.station)
 	nm.station = nm.station[:0]
 	nm.draining, nm.redrain = false, false
-	nm.opsStarted, nm.opsCompleted, nm.stationedTotal, nm.rejected = 0, 0, 0, 0
 }
 
 // recycle returns a finished or rejected op's slot to the free-list.
 //
 //slinfer:hotpath
 func (nm *NodeMemory) recycle(op *Op) {
-	*op = Op{} // drop the OnComplete closure and the owner string
+	*op = Op{} // drop Arg, so a reused slot pins nothing of a past run
 	nm.free = append(nm.free, op)
 }
 
@@ -179,11 +189,6 @@ func (nm *NodeMemory) PessimisticUsed() int64 { return nm.pessimistic }
 // StationDepth returns the number of operations waiting in the reservation
 // station.
 func (nm *NodeMemory) StationDepth() int { return len(nm.station) }
-
-// Stats returns (started, completed, ever-stationed, rejected) counters.
-func (nm *NodeMemory) Stats() (started, completed, stationed, rejected int64) {
-	return nm.opsStarted, nm.opsCompleted, nm.stationedTotal, nm.rejected
-}
 
 // CanAdmit reports whether a demand growing an allocation by delta bytes
 // would pass the optimistic budget check.
@@ -218,7 +223,6 @@ func (nm *NodeMemory) Demand(o Op) bool {
 	op.nm = nm
 	delta := op.To - op.From
 	if delta > 0 && nm.optimistic+delta > nm.capacity {
-		nm.rejected++
 		if nm.Observer != nil {
 			nm.Observer.OpRejected(nm, op)
 		}
@@ -240,7 +244,6 @@ func (nm *NodeMemory) Demand(o Op) bool {
 		nm.execute(op)
 	} else {
 		nm.station = append(nm.station, op)
-		nm.stationedTotal++
 	}
 	return true
 }
@@ -250,7 +253,6 @@ func (nm *NodeMemory) Demand(o Op) bool {
 //
 //slinfer:hotpath
 func (nm *NodeMemory) execute(op *Op) {
-	nm.opsStarted++
 	delta := op.To - op.From
 	if delta > 0 {
 		// Assume the new bytes are touched as soon as the op starts.
@@ -278,21 +280,20 @@ func opComplete(a any) {
 }
 
 // complete finishes an operation: pessimistic frees at completion for
-// scale-downs, then OnComplete cascades and the station drains. The op's
+// scale-downs, then Done cascades and the station drains. The op's
 // slot returns to the free-list afterwards.
 //
 //slinfer:hotpath
 func (nm *NodeMemory) complete(op *Op) {
 	delta := op.To - op.From
-	nm.opsCompleted++
 	if delta < 0 {
 		nm.pessimistic += delta // frees only now
 	}
 	if nm.Observer != nil {
 		nm.Observer.OpCompleted(nm, op)
 	}
-	if op.OnComplete != nil {
-		op.OnComplete()
+	if op.Done != nil {
+		op.Done(op)
 	}
 	if delta < 0 {
 		nm.drainStation()
@@ -303,9 +304,9 @@ func (nm *NodeMemory) complete(op *Op) {
 // drainStation re-evaluates parked scale-ups, launching — out of order —
 // every operation that is now pessimistically safe.
 //
-// Launching a zero-duration op completes it inline, and its OnComplete
-// cascade may re-enter this method (another scale-down completed) or park new
-// ops via Demand. Both are handled without allocation: the station is swapped
+// Launching a zero-duration op completes it inline, and its Done cascade
+// may re-enter this method (another scale-down completed) or park new ops
+// via Demand. Both are handled without allocation: the station is swapped
 // into a scratch buffer before scanning, so reentrant Demand calls append to
 // the live (rebuilding) station and are preserved, and a reentrant drain
 // request just schedules another pass on the outer call instead of nesting.

@@ -11,8 +11,8 @@ func TestScaleUpImmediateWhenSafe(t *testing.T) {
 	s := sim.New()
 	nm := New(s, "n", 100)
 	done := false
-	ok := nm.Demand(Op{Kind: ResizeKV, Owner: "a/kv", From: 0, To: 40,
-		Duration: 1, OnComplete: func() { done = true }})
+	ok := nm.Demand(Op{Kind: ResizeKV, Owner: Owner{Inst: 1, KV: true}, From: 0, To: 40,
+		Duration: 1, Done: func(*Op) { done = true }})
 	if !ok {
 		t.Fatal("demand rejected")
 	}
@@ -21,7 +21,7 @@ func TestScaleUpImmediateWhenSafe(t *testing.T) {
 	}
 	s.Run()
 	if !done {
-		t.Fatal("OnComplete not called")
+		t.Fatal("Done not called")
 	}
 	if err := nm.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -31,16 +31,17 @@ func TestScaleUpImmediateWhenSafe(t *testing.T) {
 func TestOptimisticRejection(t *testing.T) {
 	s := sim.New()
 	nm := New(s, "n", 100)
-	nm.Demand(Op{Owner: "a", From: 0, To: 80, Duration: 1})
-	if nm.Demand(Op{Owner: "b", From: 0, To: 30, Duration: 1}) {
+	obs := &countingObserver{}
+	nm.Observer = obs
+	nm.Demand(Op{Owner: Owner{Inst: 1}, From: 0, To: 80, Duration: 1})
+	if nm.Demand(Op{Owner: Owner{Inst: 2}, From: 0, To: 30, Duration: 1}) {
 		t.Fatal("over-budget scale-up must be rejected")
 	}
-	started, _, _, rejected := nm.Stats()
-	if started != 1 || rejected != 1 {
-		t.Fatalf("started=%d rejected=%d", started, rejected)
+	if obs.started != 1 || obs.rejected != 1 {
+		t.Fatalf("started=%d rejected=%d", obs.started, obs.rejected)
 	}
 	// A fitting demand is still admitted.
-	if !nm.Demand(Op{Owner: "c", From: 0, To: 20, Duration: 1}) {
+	if !nm.Demand(Op{Owner: Owner{Inst: 3}, From: 0, To: 20, Duration: 1}) {
 		t.Fatal("fitting scale-up rejected")
 	}
 }
@@ -62,47 +63,47 @@ func TestDemandDoesNotAllocate(t *testing.T) {
 	nm := New(s, "n", 100)
 	obs := &countingObserver{}
 	nm.Observer = obs
-	demand := func(owner string, from, to int64, dur sim.Duration) bool {
-		return nm.Demand(Op{Kind: ResizeKV, Owner: owner, From: from, To: to, Duration: dur})
+	demand := func(owner int, from, to int64, dur sim.Duration) bool {
+		return nm.Demand(Op{Kind: ResizeKV, Owner: Owner{Inst: owner, KV: true}, From: from, To: to, Duration: dur})
 	}
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
 		{"admitted scale-up", func() {
-			if !demand("a", 0, 40, 1) || nm.StationDepth() != 0 {
+			if !demand(1, 0, 40, 1) || nm.StationDepth() != 0 {
 				t.Fatal("scale-up with room should start at once")
 			}
 			s.Run()
-			demand("a", 40, 0, 0)
+			demand(1, 40, 0, 0)
 		}},
 		{"stationed scale-up", func() {
-			demand("h", 0, 90, 0)
-			demand("h", 90, 30, 1) // frees 60 only when it completes
-			if !demand("b", 0, 50, 1) || nm.StationDepth() != 1 {
+			demand(4, 0, 90, 0)
+			demand(4, 90, 30, 1) // frees 60 only when it completes
+			if !demand(2, 0, 50, 1) || nm.StationDepth() != 1 {
 				t.Fatal("scale-up over the pessimistic bound should park")
 			}
 			s.Run()
-			demand("b", 50, 0, 0)
-			demand("h", 30, 0, 0)
+			demand(2, 50, 0, 0)
+			demand(4, 30, 0, 0)
 		}},
 		{"scale-down", func() {
-			demand("a", 0, 40, 0)
-			if !demand("a", 40, 0, 1) {
+			demand(1, 0, 40, 0)
+			if !demand(1, 40, 0, 1) {
 				t.Fatal("scale-down rejected")
 			}
 			s.Run()
 		}},
 		{"rejected scale-up", func() {
-			demand("h", 0, 90, 0)
+			demand(4, 0, 90, 0)
 			free := len(nm.free)
-			if demand("b", 0, 50, 1) {
+			if demand(2, 0, 50, 1) {
 				t.Fatal("over-budget scale-up admitted")
 			}
 			if len(nm.free) != free {
 				t.Fatalf("rejection moved the free-list from %d to %d slots", free, len(nm.free))
 			}
-			demand("h", 90, 0, 0)
+			demand(4, 90, 0, 0)
 		}},
 	} {
 		if allocs := testing.AllocsPerRun(20, tc.fn); allocs != 0 {
@@ -118,20 +119,72 @@ func TestDemandDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// tally is the per-op state a test completion reaches through Op.Arg.
+type tally struct{ done int }
+
+// countDone is a pre-bound completion: it captures nothing and finds its
+// state in the op.
+func countDone(op *Op) { op.Arg.(*tally).done++ }
+
+// A warm Demand → complete round trip with Done and Arg set allocates
+// nothing, and every slot that goes back to the free-list — after its
+// completion, or parked in the station at a Reset — holds no Done or Arg,
+// so a reused slot cannot reach a past run's state.
+func TestCompletionRoundTripDoesNotAllocate(t *testing.T) {
+	s := sim.New()
+	nm := New(s, "n", 100)
+	arg := &tally{}
+	demand := func(from, to int64) {
+		if !nm.Demand(Op{Kind: ResizeKV, Owner: Owner{Inst: 1, KV: true}, From: from, To: to,
+			Duration: 1, Done: countDone, Arg: arg}) {
+			t.Fatal("demand rejected")
+		}
+	}
+	roundTrip := func() {
+		demand(0, 40)
+		s.Run()
+		demand(40, 0)
+		s.Run()
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(20, roundTrip); allocs != 0 {
+		t.Errorf("Demand → complete round trip allocates %.1f times once warm", allocs)
+	}
+	if want := 2 * 22; arg.done != want {
+		t.Fatalf("Done ran %d times, want %d", arg.done, want)
+	}
+	clean := func(when string) {
+		for _, op := range nm.free {
+			if op.Done != nil || op.Arg != nil || op.nm != nil {
+				t.Fatalf("%s: a free slot still holds Done, Arg or its ledger: %+v", when, *op)
+			}
+		}
+	}
+	clean("after completion")
+	nm.Demand(Op{Owner: Owner{Inst: 2}, To: 90})
+	nm.Demand(Op{Owner: Owner{Inst: 2}, From: 90, To: 30, Duration: 1})
+	demand(0, 50) // parks: the 90 bytes are resident until t+1
+	if nm.StationDepth() != 1 {
+		t.Fatalf("StationDepth = %d, want 1", nm.StationDepth())
+	}
+	nm.Reset("n", 100)
+	clean("after Reset")
+}
+
 // The Figure 18 hazard: a scale-up issued right after a scale-down must not
 // execute until the scale-down's bytes are actually free.
 func TestScaleUpWaitsForScaleDown(t *testing.T) {
 	s := sim.New()
 	nm := New(s, "n", 100)
 	// Allocation a holds 90 bytes.
-	nm.Demand(Op{Owner: "a", From: 0, To: 90, Duration: 0})
+	nm.Demand(Op{Owner: Owner{Inst: 1}, From: 0, To: 90, Duration: 0})
 	if nm.PessimisticUsed() != 90 {
 		t.Fatalf("pess=%d", nm.PessimisticUsed())
 	}
 	// a shrinks to 30 over 2s; budget frees immediately.
 	var downDone sim.Time
-	nm.Demand(Op{Owner: "a", From: 90, To: 30, Duration: 2,
-		OnComplete: func() { downDone = s.Now() }})
+	nm.Demand(Op{Owner: Owner{Inst: 1}, From: 90, To: 30, Duration: 2,
+		Done: func(*Op) { downDone = s.Now() }})
 	if nm.OptimisticUsed() != 30 {
 		t.Fatalf("optimistic=%d, want 30", nm.OptimisticUsed())
 	}
@@ -139,8 +192,8 @@ func TestScaleUpWaitsForScaleDown(t *testing.T) {
 	// old 90 bytes are still resident, so it must park in the station.
 	var upStart, upDone sim.Time
 	upStarted := false
-	ok := nm.Demand(Op{Owner: "b", From: 0, To: 50, Duration: 1,
-		OnComplete: func() { upDone = s.Now(); upStarted = true }})
+	ok := nm.Demand(Op{Owner: Owner{Inst: 2}, From: 0, To: 50, Duration: 1,
+		Done: func(*Op) { upDone = s.Now(); upStarted = true }})
 	if !ok {
 		t.Fatal("optimistically-safe demand rejected")
 	}
@@ -166,14 +219,14 @@ func TestScaleUpWaitsForScaleDown(t *testing.T) {
 func TestOutOfOrderStationDrain(t *testing.T) {
 	s := sim.New()
 	nm := New(s, "n", 100)
-	nm.Demand(Op{Owner: "a", From: 0, To: 95, Duration: 0})
-	nm.Demand(Op{Owner: "a", From: 95, To: 10, Duration: 5}) // frees 85 at t=5
+	nm.Demand(Op{Owner: Owner{Inst: 1}, From: 0, To: 95, Duration: 0})
+	nm.Demand(Op{Owner: Owner{Inst: 1}, From: 95, To: 10, Duration: 5}) // frees 85 at t=5
 	// Two parked scale-ups: big (60) then small (20). After the down
 	// completes pessimistic = 10; both fit (10+60+20=90): both should run,
 	// demonstrating parallel drain.
 	ranBig, ranSmall := false, false
-	nm.Demand(Op{Owner: "b", From: 0, To: 60, Duration: 1, OnComplete: func() { ranBig = true }})
-	nm.Demand(Op{Owner: "c", From: 0, To: 20, Duration: 1, OnComplete: func() { ranSmall = true }})
+	nm.Demand(Op{Owner: Owner{Inst: 2}, From: 0, To: 60, Duration: 1, Done: func(*Op) { ranBig = true }})
+	nm.Demand(Op{Owner: Owner{Inst: 3}, From: 0, To: 20, Duration: 1, Done: func(*Op) { ranSmall = true }})
 	if nm.StationDepth() != 2 {
 		t.Fatalf("StationDepth = %d, want 2", nm.StationDepth())
 	}
@@ -189,16 +242,16 @@ func TestOutOfOrderStationDrain(t *testing.T) {
 func TestOutOfOrderSkipsBlockedHead(t *testing.T) {
 	s := sim.New()
 	nm := New(s, "n", 100)
-	nm.Demand(Op{Owner: "a", From: 0, To: 90, Duration: 0})
-	nm.Demand(Op{Owner: "a", From: 90, To: 60, Duration: 1}) // frees 30 at t=1
+	nm.Demand(Op{Owner: Owner{Inst: 1}, From: 0, To: 90, Duration: 0})
+	nm.Demand(Op{Owner: Owner{Inst: 1}, From: 90, To: 60, Duration: 1}) // frees 30 at t=1
 	// Park a big op (50, cannot fit after the down: 60+50>100) and a small
 	// one (30, fits: 60+30<=100... wait optimistic: 60+50 admitted first).
 	// Optimistic: 60 + 50 = 110 > 100 -> big is REJECTED optimistically.
-	if nm.Demand(Op{Owner: "b", From: 0, To: 50, Duration: 1}) {
+	if nm.Demand(Op{Owner: Owner{Inst: 2}, From: 0, To: 50, Duration: 1}) {
 		t.Fatal("big op should be rejected optimistically")
 	}
 	small := false
-	if !nm.Demand(Op{Owner: "c", From: 0, To: 30, Duration: 1, OnComplete: func() { small = true }}) {
+	if !nm.Demand(Op{Owner: Owner{Inst: 3}, From: 0, To: 30, Duration: 1, Done: func(*Op) { small = true }}) {
 		t.Fatal("small op should be admitted")
 	}
 	s.Run()
@@ -227,7 +280,7 @@ func TestNoOOMProperty(t *testing.T) {
 			target := int64((raw / 8) % 400)
 			dur := sim.Duration(raw%7) * 0.1
 			cur := sizes[id]
-			op := Op{Owner: "x", From: cur, To: target, Duration: dur, OnComplete: check}
+			op := Op{Owner: Owner{Inst: 5}, From: cur, To: target, Duration: dur, Done: func(*Op) { check() }}
 			if nm.Demand(op) {
 				sizes[id] = target
 			}
@@ -255,7 +308,7 @@ func TestLedgerConsistencyProperty(t *testing.T) {
 		for _, raw := range ops {
 			id := int(raw % 4)
 			target := int64((raw / 4) % 500)
-			op := Op{Owner: "x", From: sizes[id], To: target, Duration: sim.Duration(raw%5) * 0.1}
+			op := Op{Owner: Owner{Inst: 5}, From: sizes[id], To: target, Duration: sim.Duration(raw%5) * 0.1}
 			if nm.Demand(op) {
 				sizes[id] = target
 			}
