@@ -312,8 +312,9 @@ func BenchmarkSub_PlaceAttempt(b *testing.B) {
 // 4 CPU + 4 GPU nodes, as azure-steady runs them. Min-headroom scheduling
 // decodes lone requests far ahead of their TPOT deadlines there, so each
 // run passes by the demand test once the new request's prefill lands: the
-// path most admissions take. One op is one dry run per such candidate on
-// a shared executor (16 of them), which keeps a -benchtime 1x op long
+// path most admissions take. One op repeats one dry run per such candidate
+// on a shared executor (16 of them) until at least 128 have run, as
+// Sub_PlaceAttempt times 128 attempts, which keeps a -benchtime 1x op long
 // enough to time.
 func BenchmarkSub_ValidatePass(b *testing.B) {
 	models := model.Replicas(model.Llama2_7B, 64)
@@ -360,10 +361,14 @@ func BenchmarkSub_ValidatePass(b *testing.B) {
 	if len(dryRuns) == 0 {
 		b.Fatal("no candidate on a shared executor passes a new request by the demand test")
 	}
+	const minRuns = 128
+	rounds := (minRuns + len(dryRuns) - 1) / len(dryRuns)
 	op := func() {
-		for _, run := range dryRuns {
-			if run() != compute.OK {
-				b.Fatal("a dry run no longer passes")
+		for range rounds {
+			for _, run := range dryRuns {
+				if run() != compute.OK {
+					b.Fatal("a dry run no longer passes")
+				}
 			}
 		}
 	}
@@ -373,7 +378,7 @@ func BenchmarkSub_ValidatePass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		op()
 	}
-	b.ReportMetric(float64(len(dryRuns)*b.N)/b.Elapsed().Seconds(), "validations/s")
+	b.ReportMetric(float64(rounds*len(dryRuns)*b.N)/b.Elapsed().Seconds(), "validations/s")
 }
 
 // BenchmarkSub_ScenarioCell runs one smoke cell with the full invariant

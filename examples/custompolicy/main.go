@@ -45,7 +45,7 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *slinfer.PolicyRequest, m
 		// The stock per-node filter decides which nodes may host the
 		// instance at all (CPU use, the derated CPU SLO gate, fixed
 		// limits, slots, memory); only the order among them is ours.
-		share, ok := p.Feasible(h, n, m, req)
+		share, ok := p.Feasible(h, n, &m, req)
 		if !ok {
 			continue
 		}
@@ -63,10 +63,10 @@ func (p *WidestFit) PlaceNew(h slinfer.PolicyHost, req *slinfer.PolicyRequest, m
 	widest(cpus)
 	for _, c := range append(gpus, cpus...) {
 		n := nodes[c.idx]
-		if !p.AdmitScaleOut(h, n, m, c.share, req) {
+		if !p.AdmitScaleOut(h, n, &m, c.share, req) {
 			continue
 		}
-		if h.Spawn(m, nodes[c.idx:c.idx+1], c.share, req) {
+		if h.Spawn(nodes[c.idx:c.idx+1], c.share, req) {
 			return true
 		}
 	}

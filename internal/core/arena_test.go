@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -97,6 +98,45 @@ func TestArenaReuseAcrossTopologies(t *testing.T) {
 		if got != want {
 			t.Fatalf("%dc%dg: arena run diverged from fresh build:\n--- arena ---\n%s--- fresh ---\n%s",
 				shape.cpu, shape.gpu, got, want)
+		}
+	}
+}
+
+// TestArenaReuseAcrossRosters: a request's model binding is an index into
+// its controller's records, so runs on one arena that change the roster
+// (24 models, then 8 of them registered in reverse order, then the 24
+// again) must each match a fresh build. Five minutes at 6 rps on the 1+1
+// testbed keep the queue long, so every run retries placement, preempts and
+// migrates bound requests.
+// Submit rebinds every request it hands out, so a binding a reset kept would
+// not move a report; the test checks the reset itself: every recycled
+// request must come out of it unbound.
+func TestArenaReuseAcrossRosters(t *testing.T) {
+	wide := model.Replicas(model.Llama2_7B, 24)
+	narrow := slices.Clone(wide[:8])
+	slices.Reverse(narrow)
+	specs := hwsim.Testbed(1, 1)
+	a := AcquireArena()
+	defer a.Release()
+	for _, models := range [][]model.Model{wide, narrow, wide} {
+		names := make([]string, len(models))
+		for i, m := range models {
+			names[i] = m.Name
+		}
+		tr := workload.Generate(workload.TraceConfig{
+			ModelNames: names, Duration: 5 * sim.Minute, Seed: 29,
+			Dataset: workload.AzureConv, AggregateRPM: 360,
+		})
+		c := a.NewController(specs, models, SLINFER())
+		for i, req := range c.reqPool {
+			if req.Rec != 0 {
+				t.Fatalf("%d models: reset left recycled request %d bound to record %d", len(models), i, req.Rec)
+			}
+		}
+		got := c.Run(tr).Canonical()
+		if want := New(sim.New(), specs, models, SLINFER()).Run(tr).Canonical(); got != want {
+			t.Fatalf("%d models: arena run diverged from fresh build:\n--- arena ---\n%s--- fresh ---\n%s",
+				len(models), got, want)
 		}
 	}
 }

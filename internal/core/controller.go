@@ -35,15 +35,14 @@ type Controller struct {
 	//slinfer:resetsafe profiles are pure in (class, model, share), so the registry stays valid across runs
 	Registry *perfmodel.Registry
 
-	// hosted holds one record per registered model. order lists the same
-	// records in registration order, so every walk over the models (reset
-	// retirement, sampler ticks, AppendLive) is deterministic; ranging the
-	// map would randomize recycling and sample order.
-	hosted map[string]*hostedModel
+	// order holds one record per registered model, in registration order,
+	// so every walk over the models (reset retirement, sampler ticks,
+	// AppendLive) is deterministic. hosted maps a model name to one plus
+	// its record's index in order: the binding (engine.Request.Rec) Submit
+	// gives each request, so the placement path reaches the record with an
+	// index read and looks a name up only for an instance or a caller.
+	hosted map[string]int
 	order  []*hostedModel
-	// lastHosted memoizes lookup: one placement attempt resolves the same
-	// model in routing, memory planning and every policy callback.
-	lastHosted *hostedModel
 	// prefix is the tiered prefix-sharing KV store (nil when the feature is
 	// disabled); shared by every instance of this controller, keyed by
 	// (model, token-block chain).
@@ -147,7 +146,7 @@ func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Con
 		Collector:    metrics.NewCollector(),
 		Registry:     perfmodel.NewRegistry(),
 		Validator:    &compute.Validator{},
-		hosted:       map[string]*hostedModel{},
+		hosted:       map[string]int{},
 		elasticExecs: map[int]*cluster.Executor{},
 		instExec:     map[int]*cluster.Executor{},
 		dropEvents:   map[*engine.Request]sim.Event{},
@@ -205,7 +204,6 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	}
 	c.order = clearScratch(c.order)
 	clear(c.hosted)
-	c.lastHosted = nil
 	clear(c.elasticExecs)
 	clear(c.instExec)
 	clear(c.dropEvents)
@@ -314,8 +312,9 @@ func (c *Controller) newRequest(w workload.Request, obj slo.Objective) *engine.R
 // re-registration keeps the original slot and live instances, and starts a
 // fresh estimator and profile cache.
 func (c *Controller) RegisterModel(m model.Model) {
-	hm := c.hosted[m.Name]
-	if hm == nil {
+	rec := c.hosted[m.Name]
+	if rec == 0 {
+		var hm *hostedModel
 		if n := len(c.spareHosted); n > 0 {
 			hm = c.spareHosted[n-1]
 			c.spareHosted[n-1] = nil
@@ -323,9 +322,11 @@ func (c *Controller) RegisterModel(m model.Model) {
 		} else {
 			hm = &hostedModel{}
 		}
-		c.hosted[m.Name] = hm
 		c.order = append(c.order, hm)
+		rec = len(c.order)
+		c.hosted[m.Name] = rec
 	}
+	hm := c.order[rec-1]
 	hm.m, hm.est = m, c.newEstimator(m)
 	hm.profiles, hm.nprofiles = [len(hm.profiles)]hostedProfile{}, 0
 }
@@ -354,26 +355,35 @@ type hostedProfile struct {
 }
 
 // lookup returns the record of the model named name, or nil when no such
-// model is registered. Consecutive lookups of one name hash it once.
+// model is registered. It hashes the name: requests reach their record
+// through record instead, and only instance-keyed and outside callers come
+// here.
 func (c *Controller) lookup(name string) *hostedModel {
-	if hm := c.lastHosted; hm != nil && hm.m.Name == name {
-		return hm
+	if rec := c.hosted[name]; rec > 0 {
+		return c.order[rec-1]
 	}
-	hm := c.hosted[name]
-	if hm != nil {
-		c.lastHosted = hm
-	}
-	return hm
+	return nil
 }
 
-// profile returns Registry.Get(class, *m, share), served from m's record
-// when m is registered under its name as is. m is a pointer only to spare
-// the copy.
-func (c *Controller) profile(class hwsim.DeviceClass, m *model.Model, share float64) *perfmodel.Profile {
-	hm := c.lookup(m.Name)
-	if hm == nil || hm.m != *m {
-		return c.Registry.Get(class, *m, share)
+// record returns the record of req's model. Submit binds every request it
+// makes; a request built elsewhere (a TryPlace caller's) is bound by name on
+// first use, so an unbound request never reads record 0.
+func (c *Controller) record(req *engine.Request) *hostedModel {
+	if req.Rec == 0 {
+		c.bind(req)
 	}
+	return c.order[req.Rec-1]
+}
+
+// bind binds req to the record of the model it names.
+func (c *Controller) bind(req *engine.Request) {
+	if req.Rec = c.hosted[req.W.ModelName]; req.Rec == 0 {
+		panic(fmt.Sprintf("core: unknown model %q", req.W.ModelName))
+	}
+}
+
+// profile returns Registry.Get(class, hm.m, share), served from hm's cache.
+func (c *Controller) profile(class hwsim.DeviceClass, hm *hostedModel, share float64) *perfmodel.Profile {
 	for i := range hm.profiles[:hm.nprofiles] {
 		if hp := &hm.profiles[i]; hp.class == class && hp.share == share {
 			return hp.p
@@ -475,13 +485,13 @@ func (c *Controller) injectArrival() {
 // trace.
 func (c *Controller) arrivalsExhausted() bool { return c.arrIdx >= len(c.arrivals) }
 
-// Submit admits one request into the system.
+// Submit admits one request into the system, bound to its model's record.
 func (c *Controller) Submit(w workload.Request) {
-	hm := c.lookup(w.ModelName)
-	if hm == nil {
+	rec := c.hosted[w.ModelName]
+	if rec == 0 {
 		panic(fmt.Sprintf("core: unknown model %q", w.ModelName))
 	}
-	m := hm.m
+	m := &c.order[rec-1].m
 	if w.InputLen > m.MaxContext {
 		w.InputLen = m.MaxContext
 	}
@@ -490,6 +500,7 @@ func (c *Controller) Submit(w workload.Request) {
 		obj = c.Cfg.SLO(w.InputLen)
 	}
 	req := c.newRequest(w, obj)
+	req.Rec = rec
 	if c.prefix != nil && w.PrefixKey != "" {
 		// Prefix-cache lookup happens once at admission: the cached leading
 		// span shortens the prefill, the transfer cost (CPU-tier promotion)
@@ -519,14 +530,15 @@ func (c *Controller) Submit(w workload.Request) {
 // TryPlace runs one §V placement attempt for req — the attempt a queued
 // request repeats on every completion — and reports whether req was placed.
 // A request that does not place is left as it was, not queued, so the
-// attempt can be repeated (and measured) on unchanged controller state.
+// attempt can be repeated (and measured) on unchanged controller state. A
+// request built outside Submit is bound to its model by name on its first
+// attempt.
 func (c *Controller) TryPlace(req *engine.Request) bool { return c.tryPlace(req) }
 
 // tryPlace attempts the full §V placement pipeline. It returns false when
 // the request must queue.
 func (c *Controller) tryPlace(req *engine.Request) bool {
-	hm := c.lookup(req.W.ModelName)
-	m := hm.m
+	hm := c.record(req)
 	placed := false
 	switch {
 	// 1. Existing instances, CPU first, largest batch first (§VIII-B).
@@ -534,36 +546,37 @@ func (c *Controller) tryPlace(req *engine.Request) bool {
 		placed = true
 	// 2. Proactive consolidation: preempt smaller neighbours so an existing
 	//    instance can scale up in place (§VIII-A).
-	case c.Cfg.Preemption.TryPreempt(c.host, req, m):
+	case c.Cfg.Preemption.TryPreempt(c.host, req, hm.m):
 		placed = true
 	// 3. Scale out: a new instance via the placement policy.
-	case c.Cfg.Placement.PlaceNew(c.host, req, m):
+	case c.Cfg.Placement.PlaceNew(c.host, req, hm.m):
 		placed = true
 	}
 	if placed && c.Cfg.PD {
 		// PD disaggregation launches dedicated instances per stage (§IX-G);
 		// warm the decode instance while the prefill runs so the handoff
 		// does not pay a cold start.
-		c.ensureDecodeInstance(m, req)
+		c.ensureDecodeInstance(hm, req)
 	}
 	return placed
 }
 
-// ensureDecodeInstance guarantees a DecodeOnly instance exists for a model.
-func (c *Controller) ensureDecodeInstance(m model.Model, req *engine.Request) {
-	for _, inst := range c.lookup(m.Name).insts {
+// ensureDecodeInstance guarantees a DecodeOnly instance exists for req's
+// model, whose record is hm.
+func (c *Controller) ensureDecodeInstance(hm *hostedModel, req *engine.Request) {
+	for _, inst := range hm.insts {
 		if inst.Role == engine.DecodeOnly &&
 			(inst.State == engine.Active || inst.State == engine.Loading) {
 			return
 		}
 	}
-	c.createDecodeInstance(m, req)
+	c.createDecodeInstance(hm, req)
 }
 
 // tryExisting routes to a live instance other than avoid per the reactive
 // bin-packing order.
 func (c *Controller) tryExisting(req *engine.Request, hm *hostedModel, avoid *engine.Instance) bool {
-	for _, inst := range c.routeCandidates(hm, wantRole(c.Cfg)) {
+	for _, inst := range c.routeCandidates(hm, wantRole(&c.Cfg)) {
 		if inst != avoid && c.admit(req, inst) {
 			return true
 		}
@@ -593,8 +606,10 @@ func (c *Controller) appendRoute(dst []*engine.Instance, hm *hostedModel, role e
 	return dst
 }
 
-// wantRole returns the instance role requests are admitted to.
-func wantRole(cfg Config) engine.Role {
+// wantRole returns the instance role requests are admitted to. It reads
+// cfg in place, since routing runs on every placement attempt and a Config
+// is too large to copy there.
+func wantRole(cfg *Config) engine.Role {
 	if cfg.PD {
 		return engine.PrefillOnly
 	}

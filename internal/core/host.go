@@ -5,7 +5,6 @@ import (
 	"slinfer/internal/compute"
 	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
-	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/policy"
 	"slinfer/internal/sim"
@@ -29,12 +28,8 @@ func (h hostView) AddSlot(nodeIdx int, delta float64) {
 	}
 }
 
-func (h hostView) AppendRouteCandidates(dst []*engine.Instance, m model.Model) []*engine.Instance {
-	hm := h.c.lookup(m.Name)
-	if hm == nil {
-		return dst
-	}
-	return h.c.appendRoute(dst, hm, wantRole(h.c.Cfg))
+func (h hostView) AppendRouteCandidates(dst []*engine.Instance, req *engine.Request) []*engine.Instance {
+	return h.c.appendRoute(dst, h.c.record(req), wantRole(&h.c.Cfg))
 }
 
 func (h hostView) Scratch() *policy.Scratch {
@@ -65,13 +60,13 @@ func (h hostView) SharedExecutor(nodeIdx int) *cluster.Executor {
 
 func (h hostView) WireExecutor(ex *cluster.Executor) { h.c.wireExecutor(ex) }
 
-func (h hostView) Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile {
-	return h.c.profile(class, &m, share)
+func (h hostView) Profile(class hwsim.DeviceClass, req *engine.Request, share float64) *perfmodel.Profile {
+	return h.c.profile(class, h.c.record(req), share)
 }
 
-func (h hostView) FixedLimit(m model.Model, class hwsim.DeviceClass, share float64) (int, bool) {
+func (h hostView) FixedLimit(req *engine.Request, class hwsim.DeviceClass, share float64) (int, bool) {
 	if lim := h.c.Cfg.FixedLimit; lim != nil {
-		return lim(m, class, share), true
+		return lim(h.c.record(req).m, class, share), true
 	}
 	return 0, false
 }
@@ -88,16 +83,16 @@ func (h hostView) ValidateScaleOut(ex *cluster.Executor, prof *perfmodel.Profile
 	return h.c.validate(ex, nil, prof, rv, req.Obj.TPOT, loadDur) == compute.OK
 }
 
-func (h hostView) CreationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {
-	return h.c.creationBytes(m, n, share, req)
+func (h hostView) CreationBytes(n *cluster.Node, share float64, req *engine.Request) int64 {
+	return h.c.creationBytes(n, share, req)
 }
 
 // The actions below run one scratch depth deeper than the policy method
 // calling them, so a policy call they nest gets a Scratch of its own.
 
-func (h hostView) Spawn(m model.Model, nodes []*cluster.Node, share float64, req *engine.Request) bool {
+func (h hostView) Spawn(nodes []*cluster.Node, share float64, req *engine.Request) bool {
 	h.c.scratchDepth++
-	inst := h.c.createInstance(m, nodes, share, req)
+	inst := h.c.createInstance(h.c.record(req), nodes, share, req)
 	if inst != nil {
 		h.c.place(req, inst)
 	}

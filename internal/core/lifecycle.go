@@ -93,7 +93,8 @@ func (c *Controller) onIterationDone(ex *cluster.Executor, w engine.Work, dur si
 //
 //slinfer:hotpath
 func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance) {
-	c.lookup(req.W.ModelName).est.Observe(req.W.OutputLen)
+	hm := c.record(req)
+	hm.est.Observe(req.W.OutputLen)
 	if c.prefix != nil && req.W.PrefixKey != "" {
 		// A completion demotes its context into the tiered store instead of
 		// dropping it: the full prompt+response becomes the shareable prefix
@@ -106,7 +107,7 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 	ttft, haveTTFT := req.Tracker.TTFT()
 	c.Collector.RecordCompletion(req.Tracker.Met(), ttft, haveTTFT)
 	c.emit(telemetry.KindComplete, req, inst, int64(req.Generated), 0)
-	c.recheckKV(inst)
+	c.recheckKV(inst, hm)
 	if inst.Idle() && inst.State == engine.Active {
 		c.scheduleKeepAlive(inst)
 	}
@@ -130,18 +131,18 @@ type memPlan struct {
 // watermark recommendation, else the §VII-D compromise of just Mrequire.
 // Static-memory instances just check residual KV capacity. It changes no
 // state, so admission runs it before shadow validation and applyMemory
-// issues the plan only once every check has passed.
+// issues the plan only once every check has passed. inst serves req's
+// model.
 func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance) (memPlan, bool) {
 	needTokens := int64(req.W.InputLen) + 1
 	if c.isStaticInstance(len(inst.NodeIdxs)) {
 		return memPlan{}, inst.Cache.FitsTokens(needTokens)
 	}
-	est := c.lookup(inst.Model.Name).est
 	states := append(inst.AppendKVReqStates(c.kvStateScratch[:0]),
 		kvcache.ReqState{InputLen: req.W.InputLen})
 	c.kvStateScratch = states[:0]
 	div := len(inst.NodeIdxs)
-	require := est.RequireBytes(inst.Model, states, div)
+	require := c.record(req).est.RequireBytes(&inst.Model, states, div)
 	cur := inst.Cache.CapacityBytes()
 	if !c.Cfg.Watermark.NeedScaleUp(require, cur) {
 		return memPlan{}, true
@@ -276,7 +277,7 @@ func (c *Controller) finishResize(inst *engine.Instance, op *memctl.Op) {
 		return
 	}
 	// Demands may have shifted while the resize ran.
-	c.recheckKV(inst)
+	c.recheckKV(inst, c.lookup(inst.Model.Name))
 	if ex := c.instExec[inst.ID]; ex != nil {
 		ex.Kick()
 	}
@@ -284,18 +285,18 @@ func (c *Controller) finishResize(inst *engine.Instance, op *memctl.Op) {
 }
 
 // recheckKV applies the watermark policy against current demand: early
-// scale-up when short, lazy scale-down when far over (§VII-B).
-func (c *Controller) recheckKV(inst *engine.Instance) {
+// scale-up when short, lazy scale-down when far over (§VII-B). hm is the
+// record of inst's model.
+func (c *Controller) recheckKV(inst *engine.Instance, hm *hostedModel) {
 	if c.isStaticInstance(len(inst.NodeIdxs)) || inst.ResizeInFlight {
 		return
 	}
 	if inst.State != engine.Active {
 		return
 	}
-	est := c.lookup(inst.Model.Name).est
 	states := inst.AppendKVReqStates(c.kvStateScratch[:0])
 	c.kvStateScratch = states[:0]
-	require := est.RequireBytes(inst.Model, states, len(inst.NodeIdxs))
+	require := hm.est.RequireBytes(&inst.Model, states, len(inst.NodeIdxs))
 	cur := inst.Cache.CapacityBytes()
 	switch {
 	case c.Cfg.Watermark.NeedScaleUp(require, cur):
@@ -359,7 +360,7 @@ func (c *Controller) migrate(req *engine.Request, from *engine.Instance) {
 	c.emit(telemetry.KindPreempt, req, from, int64(req.Migrations), 0)
 	// tryPlace minus the originating instance and minus recursion into
 	// preemption (avoids ping-pong).
-	hm := c.lookup(req.W.ModelName)
+	hm := c.record(req)
 	if !c.tryExisting(req, hm, from) && !c.Cfg.Placement.PlaceNew(c.host, req, hm.m) {
 		c.enqueue(req)
 	}
@@ -374,53 +375,60 @@ func (c *Controller) isStaticInstance(nodes int) bool {
 	return !c.Cfg.DynamicMemory || nodes > 1
 }
 
-// footprint returns the per-node memory of a new instance of m on nodes
-// host nodes like n at the given share: its weights plus activation
+// nodeWeights is the per-node memory of m's weights on nodes host nodes,
+// plus the activation reserve: the part of a footprint teardown reads.
+func nodeWeights(m *model.Model, nodes int) int64 {
+	return m.WeightBytes()/int64(nodes) + hwsim.ActivationReserve
+}
+
+// footprint returns the per-node memory of a new instance of hm's model on
+// nodes host nodes like n at the given share: its weights plus activation
 // reserve, its initial node-resident KV, and whether that KV is dynamic.
 // Dynamic KV is the watermark recommendation for a first prompt of
 // inputLen tokens, issued as its own resize once the load is submitted;
 // static KV is the rest of the node's memory share, loaded with the
-// weights. Teardown reads only the weights.
-func (c *Controller) footprint(m model.Model, n *cluster.Node, nodes int, share float64, inputLen int) (weights, kv int64, dynamic bool) {
-	weights = m.WeightBytes()/int64(nodes) + hwsim.ActivationReserve
+// weights.
+func (c *Controller) footprint(hm *hostedModel, n *cluster.Node, nodes int, share float64, inputLen int) (weights, kv int64, dynamic bool) {
+	weights = nodeWeights(&hm.m, nodes)
 	if c.isStaticInstance(nodes) {
 		return weights, int64(float64(n.Spec.MemBytes)*share) - weights, false
 	}
 	states := append(c.kvStateScratch[:0], kvcache.ReqState{InputLen: inputLen})
 	c.kvStateScratch = states[:0]
-	return weights, c.Cfg.Watermark.Recommend(c.lookup(m.Name).est.RequireBytes(m, states, 1)), true
+	return weights, c.Cfg.Watermark.Recommend(hm.est.RequireBytes(&hm.m, states, 1)), true
 }
 
-// creationBytes returns the per-node memory a new instance needs at
-// creation on n: its footprint's weights and initial KV. Negative means the
-// node can never host it (a static share too small for the weights and the
-// prompt). Otherwise it is at least the weights, the Host.CreationBytes
-// floor: dynamic KV is a watermark recommendation, never negative, and
-// static KV here holds at least the prompt.
-func (c *Controller) creationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64 {
-	weights, kv, dynamic := c.footprint(m, n, 1, share, req.W.InputLen)
-	if !dynamic && kv < int64(req.W.InputLen+1024)*m.KVBytesPerToken() {
+// creationBytes returns the per-node memory a new instance of req's model
+// needs at creation on n: its footprint's weights and initial KV. Negative
+// means the node can never host it (a static share too small for the
+// weights and the prompt). Otherwise it is at least the weights, the
+// Host.CreationBytes floor: dynamic KV is a watermark recommendation, never
+// negative, and static KV here holds at least the prompt.
+func (c *Controller) creationBytes(n *cluster.Node, share float64, req *engine.Request) int64 {
+	hm := c.record(req)
+	weights, kv, dynamic := c.footprint(hm, n, 1, share, req.W.InputLen)
+	if !dynamic && kv < int64(req.W.InputLen+1024)*hm.m.KVBytesPerToken() {
 		return -1
 	}
 	return weights + kv
 }
 
-// createInstance builds the instance, carves its executor, and issues the
-// cold-start load. Returns nil when memory admission fails.
-func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share float64, first *engine.Request) *engine.Instance {
+// createInstance builds an instance of hm's model, carves its executor, and
+// issues the cold-start load. Returns nil when memory admission fails.
+func (c *Controller) createInstance(hm *hostedModel, nodes []*cluster.Node, share float64, first *engine.Request) *engine.Instance {
 	inst := c.takeInstance()
 	for _, n := range nodes {
 		inst.NodeIdxs = append(inst.NodeIdxs, n.Idx)
 	}
 	if inst.Cache == nil {
-		inst.Cache = kvcache.NewCache(m, len(nodes))
+		inst.Cache = kvcache.NewCache(hm.m, len(nodes))
 	} else {
-		inst.Cache.Reset(m, len(nodes))
+		inst.Cache.Reset(hm.m, len(nodes))
 	}
-	inst.ID, inst.Model, inst.Class, inst.Share = c.nextInstID, m, nodes[0].Spec.Class, share
-	inst.Profile = c.profile(nodes[0].Spec.Class, &m, share*nodes[0].SpeedFactor)
+	inst.ID, inst.Model, inst.Class, inst.Share = c.nextInstID, hm.m, nodes[0].Spec.Class, share
+	inst.Profile = c.profile(nodes[0].Spec.Class, hm, share*nodes[0].SpeedFactor)
 	inst.State = engine.Loading
-	inst.Role = wantRole(c.Cfg)
+	inst.Role = wantRole(&c.Cfg)
 	inst.CreatedAt = c.Sim.Now()
 	c.nextInstID++
 	_, inst.DecodePenalty = neoAssist(c.Cfg.NEOCores)
@@ -429,7 +437,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 	// also holds NEO's offloaded KV, which lives in host DRAM rather than
 	// node memory; dynamic KV is a separate resize op so later admissions
 	// see a truthful ledger.
-	weights, kv, dynamic := c.footprint(m, nodes[0], len(nodes), share, first.W.InputLen)
+	weights, kv, dynamic := c.footprint(hm, nodes[0], len(nodes), share, first.W.InputLen)
 	loadTo := weights
 	if !dynamic {
 		loadTo += kv
@@ -444,7 +452,7 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		}
 	}
 
-	loadDur := nodes[0].Spec.LoadTime(&m)
+	loadDur := nodes[0].Spec.LoadTime(&hm.m)
 	inst.LoadsLeft = uint8(len(nodes))
 	for _, n := range nodes {
 		if !n.Mem.Demand(memctl.Op{Kind: memctl.LoadWeights, Owner: memctl.Owner{Inst: inst.ID},
@@ -464,7 +472,6 @@ func (c *Controller) createInstance(m model.Model, nodes []*cluster.Node, share 
 		}
 		c.Collector.NodeActive(n.Idx, n.Kind(), c.Sim.Now())
 	}
-	hm := c.lookup(m.Name)
 	hm.insts = append(hm.insts, inst)
 	c.Collector.ColdStarts++
 	c.emit(telemetry.KindInstanceUp, nil, inst, 0, 0)
@@ -483,9 +490,8 @@ func (c *Controller) finishLoad(inst *engine.Instance, loadTo int64) {
 	}
 	inst.State = engine.Active
 	if c.isStaticInstance(len(inst.NodeIdxs)) {
-		weights, _, _ := c.footprint(inst.Model, c.Cluster.Nodes[inst.NodeIdxs[0]], len(inst.NodeIdxs), inst.Share, 0)
 		extra, _ := neoAssist(c.Cfg.NEOCores)
-		inst.KVTarget = loadTo - weights + extra
+		inst.KVTarget = loadTo - nodeWeights(&inst.Model, len(inst.NodeIdxs)) + extra
 		inst.Cache.SetCapacity(inst.KVTarget)
 	}
 	if ex := c.instExec[inst.ID]; ex != nil {
@@ -554,9 +560,9 @@ func (c *Controller) removeInstance(inst *engine.Instance) {
 	// loaded under it), which the invariant suite checks. Both releases
 	// ride the same unload window, so the node's byte timeline is
 	// unchanged.
-	weights, _, dynamic := c.footprint(inst.Model, c.Cluster.Nodes[inst.NodeIdxs[0]], len(inst.NodeIdxs), inst.Share, 0)
 	kv := inst.Cache.CapacityBytes()
-	unloadFrom := weights
+	unloadFrom := nodeWeights(&inst.Model, len(inst.NodeIdxs))
+	dynamic := !c.isStaticInstance(len(inst.NodeIdxs))
 	if !dynamic {
 		extra, _ := neoAssist(c.Cfg.NEOCores)
 		unloadFrom += max(kv-extra, 0)
@@ -594,11 +600,11 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 	if req.State != engine.Transferring {
 		return
 	}
-	m := c.lookup(req.W.ModelName).m
+	hm := c.record(req)
 	// Join the largest decode instance that fits; else create one. A
 	// decode instance still loading grants the request a cold-start grace
 	// window (§IX-A) and is joined once up.
-	for _, inst := range c.decodeCandidates(m) {
+	for _, inst := range c.decodeCandidates(hm) {
 		if inst.State == engine.Loading {
 			if eta := inst.CreatedAt.Add(c.loadTime(inst)); eta > c.Sim.Now() {
 				req.Tracker.ExtendGrace(eta.Sub(c.Sim.Now()))
@@ -630,7 +636,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 		c.Sim.AfterFunc(0.25, c.fnPD, req)
 		return
 	}
-	if inst := c.createDecodeInstance(m, req); inst != nil {
+	if inst := c.createDecodeInstance(hm, req); inst != nil {
 		return
 	}
 	// Nowhere to decode: the request stalls until capacity appears; its
@@ -638,9 +644,9 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 	c.Sim.AfterFunc(0.5, c.fnPD, req)
 }
 
-func (c *Controller) decodeCandidates(m model.Model) []*engine.Instance {
+func (c *Controller) decodeCandidates(hm *hostedModel) []*engine.Instance {
 	var out []*engine.Instance
-	for _, inst := range c.lookup(m.Name).insts {
+	for _, inst := range hm.insts {
 		if inst.Role == engine.DecodeOnly {
 			out = append(out, inst)
 		}
@@ -649,21 +655,21 @@ func (c *Controller) decodeCandidates(m model.Model) []*engine.Instance {
 	return out
 }
 
-// createDecodeInstance spawns a DecodeOnly instance for PD mode on the
-// first node, in node order, that the placement's Feasible and
-// AdmitScaleOut accept.
-func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *engine.Instance {
+// createDecodeInstance spawns a DecodeOnly instance of req's model, whose
+// record is hm, for PD mode on the first node, in node order, that the
+// placement's Feasible and AdmitScaleOut accept.
+func (c *Controller) createDecodeInstance(hm *hostedModel, req *engine.Request) *engine.Instance {
 	for _, n := range c.Cluster.Nodes {
-		share, ok := c.Cfg.Placement.Feasible(c.host, n, m, req)
+		share, ok := c.Cfg.Placement.Feasible(c.host, n, &hm.m, req)
 		if !ok {
 			continue
 		}
 		// Decode instances share nodes too: the same §VI-C scale-out
 		// validation applies or colocated decode rounds overrun the SLO.
-		if !c.Cfg.Placement.AdmitScaleOut(c.host, n, m, share, req) {
+		if !c.Cfg.Placement.AdmitScaleOut(c.host, n, &hm.m, share, req) {
 			continue
 		}
-		inst := c.createInstance(m, []*cluster.Node{n}, share, req)
+		inst := c.createInstance(hm, []*cluster.Node{n}, share, req)
 		if inst == nil {
 			continue
 		}
@@ -671,7 +677,7 @@ func (c *Controller) createDecodeInstance(m model.Model, req *engine.Request) *e
 		// Re-enter the transfer path once the instance is up, in case a
 		// request is already waiting on its KV handoff.
 		if req.State == engine.Transferring {
-			c.Sim.AfterFunc(n.Spec.LoadTime(&m)+0.05, c.fnPD, req)
+			c.Sim.AfterFunc(n.Spec.LoadTime(&hm.m)+0.05, c.fnPD, req)
 		}
 		return inst
 	}

@@ -451,7 +451,7 @@ func TestAdmitDecidesMemoryBeforeValidating(t *testing.T) {
 		return engine.NewRequest(workload.Request{ID: id, ModelName: m.Name, Arrival: s.Now(), InputLen: in, OutputLen: 1000})
 	}
 	first := mkReq(1, 256)
-	inst := c.createInstance(m, c.Cluster.Nodes, 1, first)
+	inst := c.createInstance(c.lookup(m.Name), c.Cluster.Nodes, 1, first)
 	c.place(first, inst)
 	s.RunUntil(s.Now().Add(spec.LoadTime(&m) + sim.Second))
 	if inst.State != engine.Active || inst.ResizeInFlight {
@@ -513,7 +513,7 @@ func TestTPCompletionWaitsForLastNode(t *testing.T) {
 	held := 4 * loadDur
 	holdPessimistic(t, n1.Mem, capacity*3/4, held)
 	first := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, InputLen: 256, OutputLen: 8})
-	inst := c.createInstance(m, c.Cluster.Nodes, 0.5, first)
+	inst := c.createInstance(c.lookup(m.Name), c.Cluster.Nodes, 0.5, first)
 	if inst == nil || n1.Mem.StationDepth() != 1 {
 		t.Fatalf("precondition: want the second node's load parked, got instance %v, station %d", inst != nil, n1.Mem.StationDepth())
 	}
@@ -567,7 +567,7 @@ func TestResizeRoundTripDoesNotAllocate(t *testing.T) {
 	s := sim.New()
 	c := New(s, hwsim.Testbed(0, 1), []model.Model{m}, cfg)
 	first := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, InputLen: 256, OutputLen: 8})
-	inst := c.createInstance(m, c.Cluster.Nodes, 0.5, first)
+	inst := c.createInstance(c.lookup(m.Name), c.Cluster.Nodes, 0.5, first)
 	s.RunUntil(s.Now().Add(c.Cluster.Nodes[0].Spec.LoadTime(&m) + sim.Second))
 	if inst == nil || inst.State != engine.Active {
 		t.Fatal("precondition: want a loaded static instance")

@@ -40,6 +40,34 @@ func saturated(t *testing.T, until sim.Time) (*Controller, *engine.Request) {
 	return c, req
 }
 
+// A request built outside Submit starts unbound, and TryPlace binds it by
+// its model's name: registered after two other models, it lands on an
+// instance of its own model, never on the first record's.
+func TestTryPlaceBindsUnboundRequest(t *testing.T) {
+	models := model.Replicas(model.Llama2_7B, 3)
+	target := models[2]
+	c := New(sim.New(), hwsim.Testbed(1, 1), models, SLINFER())
+	req := engine.NewRequest(workload.Request{ID: 1, ModelName: target.Name, InputLen: 256, OutputLen: 8})
+	if req.Rec != 0 {
+		t.Fatalf("a new request is bound to record %d", req.Rec)
+	}
+	if !c.TryPlace(req) {
+		t.Fatal("an idle controller did not place the request")
+	}
+	if req.Inst == nil || req.Inst.Model.Name != target.Name {
+		t.Fatalf("request for %s placed on %v", target.Name, req.Inst)
+	}
+	for _, m := range models {
+		want := 0
+		if m.Name == target.Name {
+			want = 1
+		}
+		if got := len(c.InstancesOf(m.Name)); got != want {
+			t.Errorf("%s has %d instances, want %d", m.Name, got, want)
+		}
+	}
+}
+
 // The scale-out probe a queued request repeats on every completion must not
 // allocate when it finds no node: the candidate list stays on the stack and
 // the shadow validation it runs reuses the validator's scratch.
@@ -83,10 +111,10 @@ func TestCreationBytesFloor(t *testing.T) {
 			floor := m.WeightBytes() + hwsim.ActivationReserve
 			req := engine.NewRequest(workload.Request{ID: 1, ModelName: m.Name, OutputLen: 1})
 			for _, n := range c.Cluster.Nodes {
-				share := c.Cfg.Placement.(*policy.BinPack).Share(m, n.Spec.Class)
+				share := c.Cfg.Placement.(*policy.BinPack).Share(&m, n.Spec.Class)
 				for in := 1; in <= m.MaxContext; in++ {
 					req.W.InputLen = in
-					switch need := c.host.CreationBytes(m, n, share, req); {
+					switch need := c.host.CreationBytes(n, share, req); {
 					case need < 0:
 						never++
 					case need < floor:
@@ -345,7 +373,7 @@ func TestGrowerDryRunIgnoresResizeInFlight(t *testing.T) {
 		out := []int{1, 1000}[i]
 		r := engine.NewRequest(workload.Request{ID: int64(i), ModelName: m.Name,
 			Arrival: s.Now(), InputLen: 256, OutputLen: out})
-		inst := c.createInstance(m, c.Cluster.Nodes, 1, r)
+		inst := c.createInstance(c.lookup(m.Name), c.Cluster.Nodes, 1, r)
 		c.place(r, inst)
 		insts = append(insts, inst)
 	}

@@ -68,6 +68,12 @@ type Request struct {
 	Generated int
 	// Inst is the hosting instance (nil while queued).
 	Inst *Instance
+	// Rec binds the request to its model's record in the controller that
+	// serves it: one plus the record's index, 0 while unbound. The
+	// controller sets it in Submit, or on the first placement attempt
+	// (TryPlace) of a request built elsewhere; like the request itself, it
+	// is valid until that controller's next reset.
+	Rec int
 	// Migrations counts §VII-D evictions/reschedules of this request.
 	Migrations int
 	// CachedPrefixTokens is the leading span of the prompt served from the
@@ -94,8 +100,8 @@ func NewRequestWith(w workload.Request, obj slo.Objective) *Request {
 
 // Reset rebinds r to a new arrival of trace record w under obj, exactly as
 // NewRequestWith builds one. It assigns the whole request, so a recycled
-// request keeps nothing from its previous run: no hosting instance, prefix
-// hit, migration count or tracker grace.
+// request keeps nothing from its previous run: no hosting instance, model
+// binding, prefix hit, migration count or tracker grace.
 func (r *Request) Reset(w workload.Request, obj slo.Objective) {
 	*r = Request{
 		W: w, Obj: obj,

@@ -11,6 +11,7 @@ import (
 	"slinfer/internal/model"
 	"slinfer/internal/perfmodel"
 	"slinfer/internal/sim"
+	"slinfer/internal/slo"
 	"slinfer/internal/workload"
 )
 
@@ -338,5 +339,30 @@ func TestCompleteDecodeLeavesMinDeadlineCurrent(t *testing.T) {
 func TestInstanceFitsItsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Instance{}); size != 352 {
 		t.Fatalf("Instance is %d bytes; want 352", size)
+	}
+}
+
+// A Request is exactly 192 bytes, an allocation size class of its own: one
+// more word moves every request to the 208-byte class. The model binding
+// fits because the tracker keeps its two flags in one word. A new field has
+// to make room or be measured.
+func TestRequestFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size != 192 {
+		t.Fatalf("Request is %d bytes; want 192", size)
+	}
+	if size := unsafe.Sizeof(slo.Tracker{}); size != 56 {
+		t.Fatalf("slo.Tracker is %d bytes; want 56", size)
+	}
+}
+
+// Reset unbinds a recycled request: a binding names a record of the run
+// that bound it, so a request reset for a new run must start unbound.
+func TestRequestResetUnbinds(t *testing.T) {
+	w := workload.Request{ID: 1, ModelName: "m", InputLen: 8, OutputLen: 2}
+	r := NewRequest(w)
+	r.Rec = 3
+	r.Reset(w, slo.Default(w.InputLen))
+	if r.Rec != 0 {
+		t.Fatalf("Reset kept binding %d", r.Rec)
 	}
 }

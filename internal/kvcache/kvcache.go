@@ -107,7 +107,7 @@ func (e *Estimator) RequireTokens(reqs []ReqState) int64 {
 // RequireBytes converts the Eq.-2 token budget into bytes for a model,
 // accounting for tensor-parallel sharding on GPU nodes via perNodeDivisor
 // (1 on CPUs or TP=1 models).
-func (e *Estimator) RequireBytes(m model.Model, reqs []ReqState, perNodeDivisor int) int64 {
+func (e *Estimator) RequireBytes(m *model.Model, reqs []ReqState, perNodeDivisor int) int64 {
 	if perNodeDivisor < 1 {
 		perNodeDivisor = 1
 	}

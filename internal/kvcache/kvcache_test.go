@@ -53,8 +53,8 @@ func TestEstimatorEq2(t *testing.T) {
 func TestRequireBytesTPSharding(t *testing.T) {
 	e := NewEstimator(0, 100)
 	reqs := []ReqState{{InputLen: 1000, Generated: 200}}
-	full := e.RequireBytes(model.CodeLlama34B, reqs, 1)
-	half := e.RequireBytes(model.CodeLlama34B, reqs, 2)
+	full := e.RequireBytes(&model.CodeLlama34B, reqs, 1)
+	half := e.RequireBytes(&model.CodeLlama34B, reqs, 2)
 	if half != full/2 {
 		t.Errorf("TP=2 bytes = %d, want half of %d", half, full)
 	}

@@ -65,7 +65,11 @@ type Model struct {
 }
 
 // WeightBytes returns the memory footprint of the model weights.
-func (m Model) WeightBytes() int64 {
+//
+// WeightBytes, KVBytesPerToken and SizeBillions read m in place: placement
+// calls them through a *Model on every attempt, and a value receiver would
+// copy the whole 80-byte Model at each call.
+func (m *Model) WeightBytes() int64 {
 	return int64(m.Params * m.Precision.BytesPerParam())
 }
 
@@ -73,7 +77,7 @@ func (m Model) WeightBytes() int64 {
 // 2 tensors (K and V) x layers x kvHeads x headDim x 2 bytes. The KV cache
 // stays FP16 even for INT4 weights, matching AWQ-style weight-only
 // quantization.
-func (m Model) KVBytesPerToken() int64 {
+func (m *Model) KVBytesPerToken() int64 {
 	return int64(2 * m.Layers * m.KVHeads * m.HeadDim * 2)
 }
 
@@ -94,7 +98,7 @@ func (m Model) SizeClass() string {
 
 // SizeBillions is the size bucket SizeClass labels: the parameter count
 // rounded to whole billions.
-func (m Model) SizeBillions() int { return int(m.Params/1e9 + 0.5) }
+func (m *Model) SizeBillions() int { return int(m.Params/1e9 + 0.5) }
 
 func (m Model) String() string { return m.Name }
 

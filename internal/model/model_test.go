@@ -124,8 +124,8 @@ func TestModelFootprintProperties(t *testing.T) {
 		if m.WeightBytes() <= 0 || m.KVBytesPerToken() <= 0 {
 			return false
 		}
-		return m.Quantized(INT4).KVBytesPerToken() == m.KVBytesPerToken() &&
-			m.Quantized(INT4).WeightBytes() < m.WeightBytes()
+		q := m.Quantized(INT4)
+		return q.KVBytesPerToken() == m.KVBytesPerToken() && q.WeightBytes() < m.WeightBytes()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

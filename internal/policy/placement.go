@@ -30,7 +30,7 @@ type BinPack struct {
 }
 
 // Share returns the compute share a new instance of m receives.
-func (p *BinPack) Share(m model.Model, class hwsim.DeviceClass) float64 {
+func (p *BinPack) Share(m *model.Model, class hwsim.DeviceClass) float64 {
 	switch p.Mode {
 	case Static:
 		// §IX-A: every instance gets half a node, except 13B on CPU.
@@ -56,13 +56,13 @@ func (p *BinPack) HasSlot(h Host, n *cluster.Node, share float64) bool {
 // AdmitScaleOut applies the mode's colocation gate for a fresh instance:
 // elastic scale-out shares the node with whoever is already there, so it
 // must pass the same shadow validation as a scale-up (§VI-C).
-func (p *BinPack) AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share float64, req *engine.Request) bool {
+func (p *BinPack) AdmitScaleOut(h Host, n *cluster.Node, m *model.Model, share float64, req *engine.Request) bool {
 	if p.Mode != Elastic || !p.ShadowValidation {
 		return true
 	}
 	ex := h.SharedExecutor(n.Idx)
-	prof := h.Profile(n.Spec.Class, m, share*n.SpeedFactor)
-	return h.ValidateScaleOut(ex, prof, req, n.Spec.LoadTime(&m))
+	prof := h.Profile(n.Spec.Class, req, share*n.SpeedFactor)
+	return h.ValidateScaleOut(ex, prof, req, n.Spec.LoadTime(m))
 }
 
 // Feasible is the one per-node scale-out filter (§V): PlaceNew's candidate
@@ -78,7 +78,7 @@ func (p *BinPack) AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share fl
 // its shared executor already fails the case-3 aggregate check that
 // AdmitScaleOut's validation runs first. Only the survivors pay for the
 // SLO gate, the slot and the creation size.
-func (p *BinPack) Feasible(h Host, n *cluster.Node, m model.Model, req *engine.Request) (share float64, ok bool) {
+func (p *BinPack) Feasible(h Host, n *cluster.Node, m *model.Model, req *engine.Request) (share float64, ok bool) {
 	if n.Kind() == hwsim.CPU && !p.UseCPU {
 		return 0, false
 	}
@@ -91,10 +91,10 @@ func (p *BinPack) Feasible(h Host, n *cluster.Node, m model.Model, req *engine.R
 		return 0, false
 	}
 	share = p.Share(m, n.Spec.Class)
-	if p.barred(h, n, m, share, req) || !p.HasSlot(h, n, share) {
+	if p.barred(h, n, share, req) || !p.HasSlot(h, n, share) {
 		return 0, false
 	}
-	if need := h.CreationBytes(m, n, share, req); need < 0 || free < need {
+	if need := h.CreationBytes(n, share, req); need < 0 || free < need {
 		return 0, false
 	}
 	return share, true
@@ -108,7 +108,7 @@ const placeCands = 16
 // best-fit bin-packing over the Feasible nodes, CPU first (§V).
 func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	if m.TPDegree > 1 {
-		return p.placeNewTP(h, req, m)
+		return p.placeNewTP(h, req, m.TPDegree)
 	}
 	// NodeScore.NodeIdx is the cluster index, so candidates map back to
 	// their node via h.Nodes() — no side table needed. PlaceNew must stay
@@ -121,7 +121,7 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	var buf [placeCands]consolidator.NodeScore
 	cands := buf[:0]
 	for _, n := range nodes {
-		if _, ok := p.Feasible(h, n, m, req); ok {
+		if _, ok := p.Feasible(h, n, &m, req); ok {
 			cands = append(cands, consolidator.NodeScore{
 				NodeIdx: n.Idx, FreeBytes: n.Mem.OptimisticFree(), IsCPU: n.Kind() == hwsim.CPU,
 			})
@@ -130,11 +130,11 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 	consolidator.SortPlace(cands, p.CPUFirst)
 	for _, cand := range cands {
 		n := nodes[cand.NodeIdx]
-		share := p.Share(m, n.Spec.Class)
-		if !p.AdmitScaleOut(h, n, m, share, req) {
+		share := p.Share(&m, n.Spec.Class)
+		if !p.AdmitScaleOut(h, n, &m, share, req) {
 			continue
 		}
-		if h.Spawn(m, []*cluster.Node{n}, share, req) {
+		if h.Spawn([]*cluster.Node{n}, share, req) {
 			return true
 		}
 	}
@@ -165,13 +165,13 @@ func overBudget(h Host, n *cluster.Node, req *engine.Request) bool {
 // floor must already fail at memory, since validating it could wire its
 // executor. The validator's counters are restored, so the oracle moves no
 // output.
-func (p *BinPack) checkDropped(h Host, n *cluster.Node, m model.Model, req *engine.Request, floor int64) {
+func (p *BinPack) checkDropped(h Host, n *cluster.Node, m *model.Model, req *engine.Request, floor int64) {
 	share := p.Share(m, n.Spec.Class)
-	if p.barred(h, n, m, share, req) || !p.HasSlot(h, n, share) {
+	if p.barred(h, n, share, req) || !p.HasSlot(h, n, share) {
 		return
 	}
 	free := n.Mem.OptimisticFree()
-	if need := h.CreationBytes(m, n, share, req); need < 0 || free < need {
+	if need := h.CreationBytes(n, share, req); need < 0 || free < need {
 		return
 	}
 	if free < floor {
@@ -186,36 +186,36 @@ func (p *BinPack) checkDropped(h Host, n *cluster.Node, m model.Model, req *engi
 	}
 }
 
-// barred reports whether n may never host the new instance of m for req.
+// barred reports whether n may never host the new instance of req's model.
 // SLINFER excludes CPUs without matrix acceleration and CPUs that cannot
 // meet this request's SLO (§V) at their derated speed, the profile the
 // instance would run on. Baselines use the fixed-limit table (0 disables a
 // class entirely).
-func (p *BinPack) barred(h Host, n *cluster.Node, m model.Model, share float64, req *engine.Request) bool {
+func (p *BinPack) barred(h Host, n *cluster.Node, share float64, req *engine.Request) bool {
 	class := n.Spec.Class
 	if p.ShadowValidation && class.Kind() == hwsim.CPU {
-		prof := h.Profile(class, m, share*n.SpeedFactor)
+		prof := h.Profile(class, req, share*n.SpeedFactor)
 		if !prof.CanMeet(req.W.InputLen, req.Obj) {
 			return true
 		}
 	}
-	lim, ok := h.FixedLimit(m, class, share)
+	lim, ok := h.FixedLimit(req, class, share)
 	return ok && lim <= 0
 }
 
-// placeNewTP places a tensor-parallel model across free GPU nodes (§IX-E).
-// Large models fall back to exclusive allocation (§X).
-func (p *BinPack) placeNewTP(h Host, req *engine.Request, m model.Model) bool {
+// placeNewTP places req's tensor-parallel model across degree free GPU
+// nodes (§IX-E). Large models fall back to exclusive allocation (§X).
+func (p *BinPack) placeNewTP(h Host, req *engine.Request, degree int) bool {
 	var free []*cluster.Node
 	for _, n := range h.Nodes() {
 		if n.Kind() == hwsim.GPU && !n.Occupied() && p.HasSlot(h, n, 1) {
 			free = append(free, n)
 		}
 	}
-	if len(free) < m.TPDegree {
+	if len(free) < degree {
 		return false
 	}
-	return h.Spawn(m, free[:m.TPDegree], 1, req)
+	return h.Spawn(free[:degree], 1, req)
 }
 
 // CarveExecutor returns the node's shared executor under Elastic sharing;

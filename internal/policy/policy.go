@@ -49,6 +49,10 @@ func (m SharingMode) String() string {
 // Host is the controller surface policies call back into. It deliberately
 // exposes primitives (topology, validation, admission actions) rather than
 // decisions: the decisions are the policies' job.
+//
+// A method that needs the model of the request being placed names it by
+// the request: the controller reaches a request's model record through the
+// binding it made at Submit, with no name lookup and no model copy.
 type Host interface {
 	// Now returns the current virtual time.
 	Now() sim.Time
@@ -61,10 +65,10 @@ type Host interface {
 	// AddSlot adjusts a node's carved share by delta, clamping at zero.
 	AddSlot(nodeIdx int, delta float64)
 
-	// AppendRouteCandidates appends the live instances of m to dst in
-	// routing order (CPU-first when configured, then largest-batch-first)
-	// and returns the extended slice.
-	AppendRouteCandidates(dst []*engine.Instance, m model.Model) []*engine.Instance
+	// AppendRouteCandidates appends the live instances of req's model to
+	// dst in routing order (CPU-first when configured, then
+	// largest-batch-first) and returns the extended slice.
+	AppendRouteCandidates(dst []*engine.Instance, req *engine.Request) []*engine.Instance
 	// Scratch returns working buffers for the calling policy method. They
 	// stay the caller's until it returns: the host actions below run one
 	// depth deeper, so a policy call they nest gets a Scratch of its own.
@@ -79,12 +83,13 @@ type Host interface {
 	// freshly carved executor.
 	WireExecutor(ex *cluster.Executor)
 
-	// Profile returns the interpolated performance profile for a model on
-	// a device class at an (speed-adjusted) share.
-	Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile
-	// FixedLimit returns the baseline concurrency limit for (m, class,
-	// share); ok is false when the configuration has no fixed limit.
-	FixedLimit(m model.Model, class hwsim.DeviceClass, share float64) (limit int, ok bool)
+	// Profile returns the interpolated performance profile of req's model
+	// on a device class at an (speed-adjusted) share.
+	Profile(class hwsim.DeviceClass, req *engine.Request, share float64) *perfmodel.Profile
+	// FixedLimit returns the baseline concurrency limit of req's model on
+	// (class, share); ok is false when the configuration has no fixed
+	// limit.
+	FixedLimit(req *engine.Request, class hwsim.DeviceClass, share float64) (limit int, ok bool)
 
 	// Validator exposes the shadow-validation engine for dry runs the
 	// policy assembles itself.
@@ -97,16 +102,16 @@ type Host interface {
 	// prof, cold-start loadDur) for req on ex keeps colocated SLOs.
 	ValidateScaleOut(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool
 
-	// CreationBytes returns the per-node memory a new instance of m needs
-	// at creation for req; negative means the node can never host it. A
-	// non-negative answer is at least m.WeightBytes() +
+	// CreationBytes returns the per-node memory a new instance of req's
+	// model m needs at creation on n for req; negative means the node can
+	// never host it. A non-negative answer is at least m.WeightBytes() +
 	// hwsim.ActivationReserve, so BinPack.Feasible drops a node whose free
 	// memory is below that floor without asking.
-	CreationBytes(m model.Model, n *cluster.Node, share float64, req *engine.Request) int64
+	CreationBytes(n *cluster.Node, share float64, req *engine.Request) int64
 
-	// Spawn creates an instance of m on nodes at share and places req on
-	// it; false when memory admission fails.
-	Spawn(m model.Model, nodes []*cluster.Node, share float64, req *engine.Request) bool
+	// Spawn creates an instance of req's model on nodes at share and
+	// places req on it; false when memory admission fails.
+	Spawn(nodes []*cluster.Node, share float64, req *engine.Request) bool
 	// Admit runs the full admission pipeline for req on an existing
 	// instance.
 	Admit(req *engine.Request, inst *engine.Instance) bool
@@ -130,22 +135,25 @@ type Scratch struct {
 	// route, the grower's preemption victims, and a victim's rehoming
 	// route.
 	Growers, Victims, Rehome []*engine.Instance
-	// Moved holds the requests a preemption migrates.
+	// Moved holds a victim's requests, which a preemption dry-runs and
+	// then migrates.
 	Moved []*engine.Request
 }
 
 // PlacementPolicy decides where new instances are created and how node
-// compute is carved for them.
+// compute is carved for them. In every method, m is req's model.
 type PlacementPolicy interface {
 	// Feasible reports whether node n may host a fresh instance of m for
 	// req, and the compute share the instance gets there. BinPack.PlaceNew
 	// and the controller's PD decode placement filter nodes through it
 	// before AdmitScaleOut.
-	Feasible(h Host, n *cluster.Node, m model.Model, req *engine.Request) (share float64, ok bool)
+	Feasible(h Host, n *cluster.Node, m *model.Model, req *engine.Request) (share float64, ok bool)
 	// AdmitScaleOut reports whether spawning a fresh instance of m for req
 	// on node n passes the mode's colocation validation.
-	AdmitScaleOut(h Host, n *cluster.Node, m model.Model, share float64, req *engine.Request) bool
-	// PlaceNew scales out a fresh instance for req; reports success.
+	AdmitScaleOut(h Host, n *cluster.Node, m *model.Model, share float64, req *engine.Request) bool
+	// PlaceNew scales out a fresh instance for req; reports success. It
+	// takes m by value, as TryPreempt does, because the benchmark's policy
+	// spies (bench/tracing.go) implement both signatures.
 	PlaceNew(h Host, req *engine.Request, m model.Model) bool
 	// CarveExecutor returns the executor a new instance on nodes runs on,
 	// carving and wiring a dedicated one when the mode partitions compute.

@@ -39,9 +39,10 @@ type fakeHost struct {
 	need      func(n *cluster.Node) int64
 	needCalls map[int]int
 	spawns    []int
-	// profiles, when set, serves Profile; profileShares lists the share
-	// each call asked for.
+	// profiles, when set, serves Profile for model; profileShares lists
+	// the share each call asked for.
 	profiles      *perfmodel.Registry
+	model         model.Model
 	profileShares []float64
 	// sharedCalls and scaleOuts count SharedExecutor and ValidateScaleOut
 	// calls per node index, when no single shared executor is set.
@@ -67,8 +68,8 @@ func (h *fakeHost) AddSlot(idx int, d float64) {
 		h.slots[idx] = 0
 	}
 }
-func (h *fakeHost) AppendRouteCandidates(dst []*engine.Instance, m model.Model) []*engine.Instance {
-	return append(dst, h.routes[m.Name]...)
+func (h *fakeHost) AppendRouteCandidates(dst []*engine.Instance, req *engine.Request) []*engine.Instance {
+	return append(dst, h.routes[req.W.ModelName]...)
 }
 func (h *fakeHost) Scratch() *Scratch                                  { return &h.scratch }
 func (h *fakeHost) ExecutorOf(inst *engine.Instance) *cluster.Executor { return h.execs[inst] }
@@ -89,14 +90,14 @@ func (h *fakeHost) SharedExecutor(idx int) *cluster.Executor {
 	return n.Executors[0]
 }
 func (h *fakeHost) WireExecutor(*cluster.Executor) { h.wired++ }
-func (h *fakeHost) Profile(class hwsim.DeviceClass, m model.Model, share float64) *perfmodel.Profile {
+func (h *fakeHost) Profile(class hwsim.DeviceClass, _ *engine.Request, share float64) *perfmodel.Profile {
 	if h.profiles == nil {
 		panic("unused")
 	}
 	h.profileShares = append(h.profileShares, share)
-	return h.profiles.Get(class, m, share)
+	return h.profiles.Get(class, h.model, share)
 }
-func (h *fakeHost) FixedLimit(model.Model, hwsim.DeviceClass, float64) (int, bool) {
+func (h *fakeHost) FixedLimit(*engine.Request, hwsim.DeviceClass, float64) (int, bool) {
 	return 0, false
 }
 func (h *fakeHost) Validator() *compute.Validator { return h.validator }
@@ -114,7 +115,7 @@ func (h *fakeHost) ValidateScaleOut(ex *cluster.Executor, _ *perfmodel.Profile, 
 	h.scaleOuts[ex.Node.Idx]++
 	return !h.validator.RejectsAggregate(ex.Instances, req.Obj.TPOT)
 }
-func (h *fakeHost) CreationBytes(_ model.Model, n *cluster.Node, _ float64, _ *engine.Request) int64 {
+func (h *fakeHost) CreationBytes(n *cluster.Node, _ float64, _ *engine.Request) int64 {
 	if h.need == nil {
 		panic("unused")
 	}
@@ -123,7 +124,7 @@ func (h *fakeHost) CreationBytes(_ model.Model, n *cluster.Node, _ float64, _ *e
 }
 
 // Spawn records the attempt and fails, so PlaceNew walks every candidate.
-func (h *fakeHost) Spawn(_ model.Model, nodes []*cluster.Node, _ float64, _ *engine.Request) bool {
+func (h *fakeHost) Spawn(nodes []*cluster.Node, _ float64, _ *engine.Request) bool {
 	if h.need == nil {
 		panic("unused")
 	}
@@ -140,16 +141,16 @@ func (h *fakeHost) RecordPreemption() { panic("unused") }
 
 func TestBinPackShare(t *testing.T) {
 	p := &BinPack{Mode: Static, StaticShare: 0.5}
-	if got := p.Share(model.Llama2_7B, hwsim.A100); got != 0.5 {
+	if got := p.Share(&model.Llama2_7B, hwsim.A100); got != 0.5 {
 		t.Errorf("static GPU share = %v, want 0.5", got)
 	}
 	// §IX-A exception: 13B on CPU keeps the whole node even under static
 	// partitioning.
-	if got := p.Share(model.Llama2_13B, hwsim.XeonGen4); got != 1 {
+	if got := p.Share(&model.Llama2_13B, hwsim.XeonGen4); got != 1 {
 		t.Errorf("static 13B CPU share = %v, want 1", got)
 	}
 	elastic := &BinPack{Mode: Elastic}
-	if got := elastic.Share(model.Llama2_13B, hwsim.XeonGen4); got != 1 {
+	if got := elastic.Share(&model.Llama2_13B, hwsim.XeonGen4); got != 1 {
 		t.Errorf("elastic share = %v, want 1", got)
 	}
 }
@@ -383,7 +384,7 @@ func TestPlaceNewDropsBeforePerRequestWork(t *testing.T) {
 	} {
 		h := newFakeHost()
 		h.cl = cluster.New(sim.New(), specs)
-		h.profiles = reg
+		h.profiles, h.model = reg, m
 		h.need, h.needCalls = func(*cluster.Node) int64 { return floor }, map[int]int{}
 		var e sim.Duration
 		for idx, insts := range map[int]int{cpuBusy: 2, idle: 0, mid: 1, gpuBusy: 2} {

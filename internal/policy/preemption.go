@@ -24,10 +24,11 @@ func (NoPreemption) TryPreempt(Host, *engine.Request, model.Model) bool { return
 type SLOPreserving struct{}
 
 // TryPreempt looks for a grower/victim pair, validates the move, and
-// executes it.
-func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, m model.Model) bool {
+// executes it. The growers are the live instances of req's model, so m goes
+// unread.
+func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, _ model.Model) bool {
 	s := h.Scratch()
-	s.Growers = h.AppendRouteCandidates(s.Growers[:0], m)
+	s.Growers = h.AppendRouteCandidates(s.Growers[:0], req)
 	for _, grower := range s.Growers {
 		if grower.State != engine.Active {
 			continue
@@ -63,15 +64,14 @@ func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, m model.Model) bo
 // does not depend on req and usually fails outright (no other live
 // instance), so every victim request is dry-run before the grower's
 // whole-executor projection. The dry runs change nothing the route
-// depends on, so the victim's model is routed once for all of them.
+// depends on, and the victim's requests share its model, so the first one
+// routes them all.
 func (p SLOPreserving) preemptAndAdmit(h Host, s *Scratch, req *engine.Request, grower, victim *engine.Instance) bool {
-	s.Rehome = h.AppendRouteCandidates(s.Rehome[:0], victim.Model)
-	for _, r := range victim.Running {
-		if !p.canRehome(h, s.Rehome, r, victim, grower) {
-			return false
-		}
+	s.Moved = append(append(s.Moved[:0], victim.Running...), victim.WaitingPrefill...)
+	if len(s.Moved) > 0 {
+		s.Rehome = h.AppendRouteCandidates(s.Rehome[:0], s.Moved[0])
 	}
-	for _, r := range victim.WaitingPrefill {
+	for _, r := range s.Moved {
 		if !p.canRehome(h, s.Rehome, r, victim, grower) {
 			return false
 		}
@@ -88,7 +88,6 @@ func (p SLOPreserving) preemptAndAdmit(h Host, s *Scratch, req *engine.Request, 
 		return false
 	}
 	// Execute: migrate the victim's requests away, then reclaim it.
-	s.Moved = append(append(s.Moved[:0], victim.Running...), victim.WaitingPrefill...)
 	h.RecordPreemption()
 	for _, r := range s.Moved {
 		h.Migrate(r, victim)

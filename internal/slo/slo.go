@@ -58,14 +58,17 @@ func (o Objective) Deadline(start sim.Time, generated int) sim.Time {
 // Tracker accumulates per-request attainment for one request.
 // A request meets its SLO iff every output token (including the first) is
 // emitted by its Eq.-1 deadline.
+//
+// The two flags sit side by side, in one word: a request embeds its
+// tracker, and engine.Request fits its size class only at this size.
 type Tracker struct {
 	obj       Objective
 	start     sim.Time
 	grace     sim.Duration
 	generated int
 	violated  bool
-	firstTok  sim.Time
 	haveFirst bool
+	firstTok  sim.Time
 }
 
 // NewTracker starts SLO accounting for a request that arrived at start.

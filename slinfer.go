@@ -100,6 +100,9 @@ type (
 	// for. Controllers recycle requests and instances when they reset for
 	// the next run on the same arena, so a request or instance is valid
 	// only until its controller's next reset: keep its ID, not the pointer.
+	// The same holds for its model binding (Rec), which the controller
+	// sets at Submit and PolicyHost methods read to find the request's
+	// model.
 	PolicyRequest = engine.Request
 	// BinPackPlacement is the paper's best-fit bin-packing placement,
 	// parameterized by sharing mode.
