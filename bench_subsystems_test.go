@@ -456,9 +456,12 @@ func BenchmarkSub_PrefixLookup(b *testing.B) {
 // BenchmarkSub_TelemetrySpans measures the telemetry layer on an
 // end-to-end replay. The "enabled" case arms all three pillars and reports
 // recording throughput in spans/s; "disabled" is the identical run with no
-// recorder wired — its delta against BenchmarkSub_ReplayThroughput is the
-// cost of merely having the hooks in the controller, which the layer's
-// contract caps at one nil check per hook (≤2%, zero extra allocs).
+// recorder wired — its per-replay delta against
+// BenchmarkSub_ReplayThroughput is the cost of merely having the hooks in
+// the controller, which the layer's contract caps at one nil check per hook
+// (≤2%, zero extra allocs). One op is telemetryReplays replays, which keeps
+// a -benchtime 1x op long enough to time: a single replay of a few
+// milliseconds swung by several times from run to run.
 func BenchmarkSub_TelemetrySpans(b *testing.B) {
 	_, tr := benchTrace()
 	for _, bc := range []struct {
@@ -499,7 +502,9 @@ func BenchmarkSub_TelemetrySpans(b *testing.B) {
 			var spans int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				spans += run()
+				for k := 0; k < telemetryReplays; k++ {
+					spans += run()
+				}
 			}
 			if bc.on {
 				b.ReportMetric(float64(spans)/b.Elapsed().Seconds(), "spans/s")
@@ -507,6 +512,9 @@ func BenchmarkSub_TelemetrySpans(b *testing.B) {
 		})
 	}
 }
+
+// telemetryReplays is how many replays one Sub_TelemetrySpans op runs.
+const telemetryReplays = 8
 
 // BenchmarkSub_FleetEpoch measures epoch-synchronized co-simulation
 // throughput: total DES events executed across all shards per wall-clock

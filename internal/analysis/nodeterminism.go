@@ -41,6 +41,9 @@ var semanticPackages = map[string]bool{
 	"slinfer/internal/kvcache":  true,
 	"slinfer/internal/fleet":    true,
 	"slinfer/internal/scenario": true,
+	// metrics turns a run's observations into its report: an unordered
+	// walk that sums floats moves the report's bits.
+	"slinfer/internal/metrics": true,
 	// telemetry records on the simulation hot path and its exports must be
 	// byte-identical across runs: wall clock, global rand, and unordered
 	// map walks are all export-order hazards.

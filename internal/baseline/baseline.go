@@ -7,6 +7,7 @@ package baseline
 import (
 	"slinfer/internal/core"
 	"slinfer/internal/kvcache"
+	"slinfer/internal/policy"
 )
 
 // Systems returns the four systems of the end-to-end comparison, in the
@@ -67,7 +68,7 @@ func Ablations() map[string]core.Config {
 
 	noSharing := core.SLINFER()
 	noSharing.Name = "w/o Sharing"
-	noSharing.Sharing = core.Exclusive
+	noSharing.Sharing = policy.Exclusive
 	noSharing.Consolidation = false
 	noSharing.FixedLimit = core.PaperFixedLimits
 

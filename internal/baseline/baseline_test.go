@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slinfer/internal/core"
+	"slinfer/internal/policy"
 )
 
 func TestSystemsOrderAndNames(t *testing.T) {
@@ -33,7 +34,7 @@ func TestByName(t *testing.T) {
 
 func TestBaselinePolicyShapes(t *testing.T) {
 	sllm, _ := ByName("sllm")
-	if sllm.UseCPU || sllm.Sharing != core.Exclusive || sllm.DynamicMemory {
+	if sllm.UseCPU || sllm.Sharing != policy.Exclusive || sllm.DynamicMemory {
 		t.Error("sllm must be GPU-only, exclusive, static memory")
 	}
 	if sllm.FixedLimit == nil {
@@ -44,11 +45,11 @@ func TestBaselinePolicyShapes(t *testing.T) {
 		t.Error("sllm+c must prefer CPUs")
 	}
 	scs, _ := ByName("sllm+c+s")
-	if scs.Sharing != core.Static || scs.StaticShare != 0.5 {
+	if scs.Sharing != policy.Static || scs.StaticShare != 0.5 {
 		t.Error("sllm+c+s must halve nodes")
 	}
 	sl, _ := ByName("SLINFER")
-	if sl.Sharing != core.Elastic || !sl.ShadowValidation || !sl.Consolidation || !sl.DynamicMemory {
+	if sl.Sharing != policy.Elastic || !sl.ShadowValidation || !sl.Consolidation || !sl.DynamicMemory {
 		t.Error("SLINFER must enable all subsystems")
 	}
 }
@@ -71,7 +72,7 @@ func TestAblationsDisableOneComponentEach(t *testing.T) {
 	if ab["w/o Consolidation"].Consolidation {
 		t.Error("w/o Consolidation still consolidates")
 	}
-	if ab["w/o Sharing"].Sharing == core.Elastic {
+	if ab["w/o Sharing"].Sharing == policy.Elastic {
 		t.Error("w/o Sharing still shares")
 	}
 	if !ab["SLINFER-Full"].Consolidation || !ab["SLINFER-Full"].UseCPU {

@@ -153,6 +153,13 @@ type Node struct {
 	// ReservedBy marks the node as the TP partner of an instance (its ID);
 	// 0 means unreserved.
 	ReservedBy int
+	// Carved is the compute share dedicated executors hold on this node
+	// (Exclusive and Static sharing, §V): the node has a slot for a share
+	// while Carved+share stays within 1.
+	Carved float64
+	// Shared is the node's whole-node shared executor (Elastic sharing),
+	// nil until one is wired.
+	Shared *Executor
 
 	//slinfer:resetsafe bound to the shared simulator for the node's lifetime
 	sim *sim.Simulator
@@ -275,6 +282,8 @@ func (n *Node) reset(i int, spec hwsim.NodeSpec) {
 	}
 	n.Slow = 0
 	n.ReservedBy = 0
+	n.Carved = 0
+	n.Shared = nil
 }
 
 // clearInstances nils an instance slice and returns its empty prefix.

@@ -60,8 +60,8 @@ func TestExecutorRunsIterationsSerially(t *testing.T) {
 	if iterations[0] != engine.PrefillWork {
 		t.Fatal("first iteration must be the prefill")
 	}
-	if r.State != engine.Done || !r.Tracker.Met() {
-		t.Fatalf("state=%v met=%v", r.State, r.Tracker.Met())
+	if r.State != engine.Done || !r.Met() {
+		t.Fatalf("state=%v met=%v", r.State, r.Met())
 	}
 	if ex.Iterations() != 3 {
 		t.Fatalf("iters=%d", ex.Iterations())
@@ -120,6 +120,24 @@ func TestSpeedFactorDefaults(t *testing.T) {
 	slices.Reverse(want)
 	c.Reset(specs)
 	check("Reset", c)
+}
+
+// Reset clears the compute bookkeeping a node carries: its carved share
+// and its shared executor, which goes back to the spare shells with the
+// node's other executors.
+func TestResetClearsCarvedShareAndSharedExecutor(t *testing.T) {
+	c := New(sim.New(), hwsim.Testbed(1, 1))
+	for _, n := range c.Nodes {
+		n.Shared = n.NewExecutor(1)
+		n.Carved = 0.5
+	}
+	c.Reset(hwsim.Testbed(1, 1))
+	for _, n := range c.Nodes {
+		if n.Carved != 0 || n.Shared != nil || len(n.Executors) != 0 {
+			t.Fatalf("%s after Reset: carved %v, shared %v, %d executors",
+				n.Spec.Name, n.Carved, n.Shared, len(n.Executors))
+		}
+	}
 }
 
 func TestNoiseAppliedToDuration(t *testing.T) {

@@ -124,14 +124,14 @@ type InstView struct {
 func appendViews(buf []ReqView, inst *engine.Instance) []ReqView {
 	for _, r := range inst.Running {
 		buf = append(buf, ReqView{
-			Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
+			Deadline: r.NextDeadline(), TPOT: r.Obj.TPOT,
 			InputLen: r.W.InputLen, Ctx: r.ContextTokens(),
 		})
 	}
 	for _, r := range inst.WaitingPrefill {
 		// A migrated request re-prefills its whole context.
 		buf = append(buf, ReqView{
-			Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
+			Deadline: r.NextDeadline(), TPOT: r.Obj.TPOT,
 			InputLen: r.ContextTokens(), Ctx: r.ContextTokens(), NeedsPrefill: true,
 		})
 	}
@@ -142,7 +142,7 @@ func appendViews(buf []ReqView, inst *engine.Instance) []ReqView {
 // prefill cost covers the full context.
 func ViewRequest(r *engine.Request) ReqView {
 	return ReqView{
-		Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
+		Deadline: r.NextDeadline(), TPOT: r.Obj.TPOT,
 		InputLen: r.ContextTokens(), Ctx: r.ContextTokens(),
 		NeedsPrefill: true, IsNew: true,
 	}

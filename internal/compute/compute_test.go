@@ -227,11 +227,11 @@ func TestValidateDoesNotMutateLiveState(t *testing.T) {
 	inst.Admit(old)
 	inst.CompletePrefill(old, 0.5)
 	gen := old.Generated
-	deadline := old.Tracker.NextDeadline()
+	deadline := old.NextDeadline()
 	v := newValidatorForTest()
 	views := []InstView{viewOf(inst)}
 	v.Validate(0.6, 0.6, views, 0, ViewRequest(mkReq(2, 512, 10, 0.6)), slo.DefaultTPOT)
-	if old.Generated != gen || old.Tracker.NextDeadline() != deadline {
+	if old.Generated != gen || old.NextDeadline() != deadline {
 		t.Fatal("validation mutated live request state")
 	}
 	if len(inst.Running) != 1 || len(views[0].Reqs) != 1 {

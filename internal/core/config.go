@@ -21,20 +21,6 @@ import (
 	"slinfer/internal/telemetry"
 )
 
-// SharingMode selects how node compute is divided among instances. It
-// lives in the policy package; the alias keeps the historical core API.
-type SharingMode = policy.SharingMode
-
-const (
-	// Exclusive gives each instance a whole node (ServerlessLLM-style).
-	Exclusive = policy.Exclusive
-	// Static carves fixed partitions (sllm+c+s: half-node instances).
-	Static = policy.Static
-	// Elastic shares the full node across instances at token granularity
-	// (SLINFER).
-	Elastic = policy.Elastic
-)
-
 // DrainGrace bounds how long a run continues past its trace's end, so the
 // requests still in flight there can finish.
 const DrainGrace = 10 * sim.Minute
@@ -58,7 +44,7 @@ type Config struct {
 	// Name labels reports.
 	Name string
 	// Sharing is the compute-sharing mode.
-	Sharing SharingMode
+	Sharing policy.SharingMode
 	// Placement decides where new instances land and how node compute is
 	// carved for them. nil composes policy.BinPack from
 	// Sharing/StaticShare/UseCPU/CPUFirst/ShadowValidation.
@@ -207,7 +193,7 @@ func (c Config) composePolicies() Config {
 func SLINFER() Config {
 	return Config{
 		Name:             "SLINFER",
-		Sharing:          Elastic,
+		Sharing:          policy.Elastic,
 		UseCPU:           true,
 		CPUFirst:         true,
 		TokenLevelSched:  true,
@@ -272,7 +258,7 @@ func pick(cond bool, a, b int) int {
 func Sllm() Config {
 	return Config{
 		Name:            "sllm",
-		Sharing:         Exclusive,
+		Sharing:         policy.Exclusive,
 		UseCPU:          false,
 		TokenLevelSched: true,
 		KeepAlive:       sim.Second,
@@ -295,7 +281,7 @@ func SllmC() Config {
 func SllmCS() Config {
 	c := SllmC()
 	c.Name = "sllm+c+s"
-	c.Sharing = Static
+	c.Sharing = policy.Static
 	c.StaticShare = 0.5
 	return c
 }

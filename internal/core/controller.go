@@ -48,10 +48,6 @@ type Controller struct {
 	// (model, token-block chain).
 	prefix *kvcache.TieredStore
 
-	// elasticExecs maps node index to its shared executor (Elastic mode).
-	elasticExecs map[int]*cluster.Executor
-	// slotUsed tracks carved compute share per node (Exclusive/Static).
-	slotUsed []float64
 	// instExec maps instance ID to its executor.
 	instExec map[int]*cluster.Executor
 
@@ -141,17 +137,16 @@ type Controller struct {
 // rebinds a recycled controller between runs.
 func New(s *sim.Simulator, specs []hwsim.NodeSpec, models []model.Model, cfg Config) *Controller {
 	c := &Controller{
-		Sim:          s,
-		Cluster:      cluster.New(s, nil),
-		Collector:    metrics.NewCollector(),
-		Registry:     perfmodel.NewRegistry(),
-		Validator:    &compute.Validator{},
-		hosted:       map[string]int{},
-		elasticExecs: map[int]*cluster.Executor{},
-		instExec:     map[int]*cluster.Executor{},
-		dropEvents:   map[*engine.Request]sim.Event{},
-		keepAlive:    map[int]sim.Event{},
-		rng:          sim.NewRNG(0, 0), // reseeded from cfg by reset
+		Sim:        s,
+		Cluster:    cluster.New(s, nil),
+		Collector:  metrics.NewCollector(),
+		Registry:   perfmodel.NewRegistry(),
+		Validator:  &compute.Validator{},
+		hosted:     map[string]int{},
+		instExec:   map[int]*cluster.Executor{},
+		dropEvents: map[*engine.Request]sim.Event{},
+		keepAlive:  map[int]sim.Event{},
+		rng:        sim.NewRNG(0, 0), // reseeded from cfg by reset
 	}
 	c.host = hostView{c}
 	c.fnArrival = func(any) { c.injectArrival() }
@@ -204,16 +199,9 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	}
 	c.order = clearScratch(c.order)
 	clear(c.hosted)
-	clear(c.elasticExecs)
 	clear(c.instExec)
 	clear(c.dropEvents)
 	clear(c.keepAlive)
-	if cap(c.slotUsed) < len(specs) {
-		c.slotUsed = make([]float64, len(specs))
-	} else {
-		c.slotUsed = c.slotUsed[:len(specs)]
-		clear(c.slotUsed)
-	}
 	for i := range c.pending {
 		c.pending[i] = nil
 	}
@@ -263,13 +251,24 @@ func (c *Controller) reset(specs []hwsim.NodeSpec, models []model.Model, cfg Con
 	for _, m := range models {
 		c.RegisterModel(m)
 	}
-	if cfg.Sharing == Elastic {
+	if cfg.Sharing == policy.Elastic {
 		for _, n := range c.Cluster.Nodes {
-			ex := n.NewExecutor(1)
-			c.wireExecutor(ex)
-			c.elasticExecs[n.Idx] = ex
+			c.sharedExecutor(n)
 		}
 	}
+}
+
+// sharedExecutor returns n's whole-node shared executor, carving and wiring
+// it on first demand: Elastic sharing wires every node's in reset, in node
+// order, and a custom elastic placement on a Config whose Sharing knob is
+// not Elastic gets a live executor rather than a nil dereference. A wiring
+// draws the next noise stream, so the wiring order names the streams.
+func (c *Controller) sharedExecutor(n *cluster.Node) *cluster.Executor {
+	if n.Shared == nil {
+		n.Shared = n.NewExecutor(1)
+		c.wireExecutor(n.Shared)
+	}
+	return n.Shared
 }
 
 // newEstimator builds (or recycles) a per-model KV-demand estimator.
@@ -295,15 +294,16 @@ func (c *Controller) takeInstance() *engine.Instance {
 	return inst
 }
 
-// newRequest returns the runtime state of arrival w under obj, on a
-// request recycled when an earlier run left one.
-func (c *Controller) newRequest(w workload.Request, obj slo.Objective) *engine.Request {
+// newRequest returns the runtime state of arrival w, on a request recycled
+// when an earlier run left one. Its objective is left zero: Submit sets it
+// once the model has bounded the prompt.
+func (c *Controller) newRequest(w workload.Request) *engine.Request {
 	if c.reqsUsed == len(c.reqPool) {
 		c.reqPool = append(c.reqPool, new(engine.Request))
 	}
 	req := c.reqPool[c.reqsUsed]
 	c.reqsUsed++
-	req.Reset(w, obj)
+	req.Reset(w, slo.Objective{})
 	return req
 }
 
@@ -486,21 +486,17 @@ func (c *Controller) injectArrival() {
 func (c *Controller) arrivalsExhausted() bool { return c.arrIdx >= len(c.arrivals) }
 
 // Submit admits one request into the system, bound to its model's record.
-func (c *Controller) Submit(w workload.Request) {
-	rec := c.hosted[w.ModelName]
-	if rec == 0 {
-		panic(fmt.Sprintf("core: unknown model %q", w.ModelName))
-	}
-	m := &c.order[rec-1].m
+func (c *Controller) Submit(arrival workload.Request) {
+	req := c.newRequest(arrival)
+	c.bind(req)
+	w, m := &req.W, &c.order[req.Rec-1].m
 	if w.InputLen > m.MaxContext {
 		w.InputLen = m.MaxContext
 	}
-	obj := slo.Default(w.InputLen)
+	req.Obj = slo.Default(w.InputLen)
 	if c.Cfg.SLO != nil {
-		obj = c.Cfg.SLO(w.InputLen)
+		req.Obj = c.Cfg.SLO(w.InputLen)
 	}
-	req := c.newRequest(w, obj)
-	req.Rec = rec
 	if c.prefix != nil && w.PrefixKey != "" {
 		// Prefix-cache lookup happens once at admission: the cached leading
 		// span shortens the prefill, the transfer cost (CPU-tier promotion)
@@ -735,7 +731,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 		// Cold-start grace equal to the load duration (§IX-A). It moves
 		// the request's deadlines, so it lands before Admit, which resets
 		// the instance's cached earliest deadline.
-		req.Tracker.AddGrace(c.loadTime(inst))
+		req.AddGrace(c.loadTime(inst))
 	}
 	inst.Admit(req)
 	c.emit(telemetry.KindPlace, req, inst, 0, 0)
@@ -752,7 +748,7 @@ func (c *Controller) place(req *engine.Request, inst *engine.Instance) {
 func (c *Controller) enqueue(req *engine.Request) {
 	c.pending = append(c.pending, req)
 	c.emit(telemetry.KindEnqueue, req, nil, 0, 0)
-	deadline := req.Tracker.NextDeadline()
+	deadline := req.NextDeadline()
 	if deadline <= c.Sim.Now() {
 		c.drop(req)
 		return
@@ -765,7 +761,7 @@ func (c *Controller) drop(req *engine.Request) {
 		return
 	}
 	req.State = engine.Dropped
-	req.Tracker.MarkDropped()
+	req.MarkDropped()
 	delete(c.dropEvents, req)
 	c.pending = removeRequest(c.pending, req)
 	c.Collector.RecordDrop()

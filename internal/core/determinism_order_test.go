@@ -8,7 +8,6 @@ import (
 	"slinfer/internal/hwsim"
 	"slinfer/internal/model"
 	"slinfer/internal/sim"
-	"slinfer/internal/slo"
 	"slinfer/internal/workload"
 )
 
@@ -50,7 +49,7 @@ func TestResetRecyclesInCreationOrder(t *testing.T) {
 		}
 	}
 	for i, want := range reqs {
-		if got := c.newRequest(tr.Requests[i], slo.Default(1)); got != want {
+		if got := c.newRequest(tr.Requests[i]); got != want {
 			t.Fatalf("newRequest #%d returned a request out of creation order", i)
 		}
 	}

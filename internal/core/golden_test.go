@@ -118,8 +118,10 @@ func TestGoldenElasticPlacementWiresOnDemand(t *testing.T) {
 		models, tr := goldenShape(sh.replicas, sh.aggregateRPM)
 		t.Run(sh.name, func(t *testing.T) {
 			c := New(sim.New(), hwsim.Testbed(sh.cpu, sh.gpu), models, cfg)
-			if len(c.elasticExecs) != 0 {
-				t.Fatal("precondition: Exclusive sharing must wire no executor at construction")
+			for _, n := range c.Cluster.Nodes {
+				if n.Shared != nil {
+					t.Fatal("precondition: Exclusive sharing must wire no executor at construction")
+				}
 			}
 			got := c.Run(tr).Canonical()
 			path := filepath.Join("testdata", "golden", "elastic_placement", sh.name+".golden")

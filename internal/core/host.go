@@ -19,15 +19,6 @@ func (h hostView) Now() sim.Time { return h.c.Sim.Now() }
 
 func (h hostView) Nodes() []*cluster.Node { return h.c.Cluster.Nodes }
 
-func (h hostView) SlotUsed(nodeIdx int) float64 { return h.c.slotUsed[nodeIdx] }
-
-func (h hostView) AddSlot(nodeIdx int, delta float64) {
-	h.c.slotUsed[nodeIdx] += delta
-	if h.c.slotUsed[nodeIdx] < 0 {
-		h.c.slotUsed[nodeIdx] = 0
-	}
-}
-
 func (h hostView) AppendRouteCandidates(dst []*engine.Instance, req *engine.Request) []*engine.Instance {
 	return h.c.appendRoute(dst, h.c.record(req), wantRole(&h.c.Cfg))
 }
@@ -45,17 +36,7 @@ func (h hostView) ExecutorOf(inst *engine.Instance) *cluster.Executor {
 }
 
 func (h hostView) SharedExecutor(nodeIdx int) *cluster.Executor {
-	c := h.c
-	if ex := c.elasticExecs[nodeIdx]; ex != nil {
-		return ex
-	}
-	// Wired on demand: a custom elastic placement installed on a Config
-	// whose Sharing knob is not Elastic must still get a live executor
-	// rather than a nil dereference.
-	ex := c.Cluster.Nodes[nodeIdx].NewExecutor(1)
-	c.wireExecutor(ex)
-	c.elasticExecs[nodeIdx] = ex
-	return ex
+	return h.c.sharedExecutor(h.c.Cluster.Nodes[nodeIdx])
 }
 
 func (h hostView) WireExecutor(ex *cluster.Executor) { h.c.wireExecutor(ex) }

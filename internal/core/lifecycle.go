@@ -104,8 +104,8 @@ func (c *Controller) completeRequest(req *engine.Request, inst *engine.Instance)
 			inst.Model.KVBytesPerToken())
 		c.emitTierMoves(&before)
 	}
-	ttft, haveTTFT := req.Tracker.TTFT()
-	c.Collector.RecordCompletion(req.Tracker.Met(), ttft, haveTTFT)
+	ttft, haveTTFT := req.TTFT()
+	c.Collector.RecordCompletion(req.Met(), ttft, haveTTFT)
 	c.emit(telemetry.KindComplete, req, inst, int64(req.Generated), 0)
 	c.recheckKV(inst, hm)
 	if inst.Idle() && inst.State == engine.Active {
@@ -607,7 +607,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 	for _, inst := range c.decodeCandidates(hm) {
 		if inst.State == engine.Loading {
 			if eta := inst.CreatedAt.Add(c.loadTime(inst)); eta > c.Sim.Now() {
-				req.Tracker.ExtendGrace(eta.Sub(c.Sim.Now()))
+				req.ExtendGrace(eta.Sub(c.Sim.Now()))
 				c.Sim.AfterFunc(eta.Sub(c.Sim.Now())+0.02, c.fnPD, req)
 				return
 			}
@@ -640,7 +640,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 		return
 	}
 	// Nowhere to decode: the request stalls until capacity appears; its
-	// tracker keeps ticking and will record the violation at completion.
+	// deadlines keep passing and RecordToken records the violation.
 	c.Sim.AfterFunc(0.5, c.fnPD, req)
 }
 

@@ -158,13 +158,13 @@ func refViews(c *Controller, loadETA map[int]sim.Time, ex *cluster.Executor, can
 		v := compute.InstView{Profile: other.Profile}
 		for _, r := range other.Running {
 			v.Reqs = append(v.Reqs, compute.ReqView{
-				Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
+				Deadline: r.NextDeadline(), TPOT: r.Obj.TPOT,
 				InputLen: r.W.InputLen, Ctx: r.ContextTokens(),
 			})
 		}
 		for _, r := range other.WaitingPrefill {
 			v.Reqs = append(v.Reqs, compute.ReqView{
-				Deadline: r.Tracker.NextDeadline(), TPOT: r.Obj.TPOT,
+				Deadline: r.NextDeadline(), TPOT: r.Obj.TPOT,
 				InputLen: r.ContextTokens(), Ctx: r.ContextTokens(), NeedsPrefill: true,
 			})
 		}
@@ -256,7 +256,8 @@ func TestAggregatePreCheckMatchesValidate(t *testing.T) {
 		s.RunUntil(until)
 		req := engine.NewRequest(workload.Request{ID: -1, ModelName: m.Name,
 			Arrival: s.Now(), InputLen: 1024, OutputLen: 200})
-		for _, ex := range c.elasticExecs {
+		for _, n := range c.Cluster.Nodes {
+			ex := n.Shared
 			prof := c.Registry.Get(ex.Node.Spec.Class, m, 1)
 			for _, slack := range []sim.Duration{0, 4} {
 				rv := compute.ViewRequest(req)
@@ -291,7 +292,8 @@ func TestDryRunsDoNotAllocate(t *testing.T) {
 	var ex *cluster.Executor
 	for until := sim.Time(60); ex == nil && until <= 120; until += 5 {
 		c.Sim.RunUntil(until)
-		for _, nodeEx := range c.elasticExecs {
+		for _, n := range c.Cluster.Nodes {
+			nodeEx := n.Shared
 			pre := &compute.Validator{Overestimate: c.Validator.Overestimate}
 			if len(nodeEx.Instances) >= 2 && !pre.RejectsAggregate(nodeEx.Instances, tpot) {
 				ex = nodeEx
@@ -335,7 +337,8 @@ func TestDryRunsDoNotAllocate(t *testing.T) {
 		lc.Submit(w)
 	}
 	var early func() compute.Reason
-	for _, lex := range lc.elasticExecs {
+	for _, n := range lc.Cluster.Nodes {
+		lex := n.Shared
 		for _, cand := range lex.Instances {
 			if early != nil {
 				break

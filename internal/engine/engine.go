@@ -52,19 +52,20 @@ func (s ReqState) String() string {
 	}
 }
 
-// Request is the runtime state of one invocation.
+// Request is the runtime state of one invocation. It is its own SLO
+// tracker: the Eq.-1 deadline of its next token (§VI-A) is a function of
+// its arrival, objective and token count, which it stores once each, plus
+// the cold-start grace it has been granted.
 type Request struct {
-	// W is the arrival record from the trace.
+	// W is the arrival record from the trace; W.Arrival starts the SLO
+	// clock.
 	W workload.Request
 	// Obj is the request's SLO.
 	Obj slo.Objective
-	// Tracker accumulates attainment. Embedded by value (its methods take
-	// pointer receivers and requests are always handled as *Request): one
-	// request costs one allocation, not two.
-	Tracker slo.Tracker
 	// State is the lifecycle state.
 	State ReqState
-	// Generated is the number of output tokens produced.
+	// Generated is the number of output tokens produced. Only RecordToken
+	// advances it.
 	Generated int
 	// Inst is the hosting instance (nil while queued).
 	Inst *Instance
@@ -83,9 +84,18 @@ type Request struct {
 	// PrefixXfer is the tier-transfer cost (CPU->GPU promotion) the hit
 	// incurred; it is added to the prefill duration.
 	PrefixXfer sim.Duration
+
+	// grace shifts every deadline (AddGrace, ExtendGrace).
+	grace sim.Duration
+	// firstTok is when the first output token was emitted (valid once
+	// haveFirst is set).
+	firstTok sim.Time
+	// violated records a missed deadline or a drop. The two flags share
+	// one word: the request fits its size class only at this size.
+	violated, haveFirst bool
 }
 
-// NewRequest wraps a trace record with the paper's default SLO and tracker.
+// NewRequest wraps a trace record with the paper's default SLO.
 func NewRequest(w workload.Request) *Request {
 	return NewRequestWith(w, slo.Default(w.InputLen))
 }
@@ -101,13 +111,9 @@ func NewRequestWith(w workload.Request, obj slo.Objective) *Request {
 // Reset rebinds r to a new arrival of trace record w under obj, exactly as
 // NewRequestWith builds one. It assigns the whole request, so a recycled
 // request keeps nothing from its previous run: no hosting instance, model
-// binding, prefix hit, migration count or tracker grace.
+// binding, prefix hit, migration count, token or grace.
 func (r *Request) Reset(w workload.Request, obj slo.Objective) {
-	*r = Request{
-		W: w, Obj: obj,
-		Tracker: slo.MakeTracker(obj, w.Arrival),
-		State:   Queued,
-	}
+	*r = Request{W: w, Obj: obj, State: Queued}
 }
 
 // ContextTokens is the KV footprint of the request in tokens.
@@ -116,8 +122,71 @@ func (r *Request) ContextTokens() int { return r.W.InputLen + r.Generated }
 // Finished reports whether all output tokens have been generated.
 func (r *Request) Finished() bool { return r.Generated >= r.W.OutputLen }
 
-// Headroom returns the Eq.-1 headroom at now.
-func (r *Request) Headroom(now sim.Time) sim.Duration { return r.Tracker.Headroom(now) }
+// Headroom returns the Eq.-1 headroom at now, including grace.
+func (r *Request) Headroom(now sim.Time) sim.Duration {
+	return r.Obj.Headroom(r.W.Arrival.Add(r.grace), r.Generated, now)
+}
+
+// NextDeadline returns the absolute deadline of the next token.
+func (r *Request) NextDeadline() sim.Time {
+	return r.Obj.Deadline(r.W.Arrival.Add(r.grace), r.Generated)
+}
+
+// RecordToken registers the emission of one output token at the given time
+// and returns whether that token met its deadline, tested at the count
+// before this token. A request meets its SLO iff every output token
+// (including the first) is emitted by its Eq.-1 deadline. It is the one
+// place Generated advances; an instance's members reach it through
+// CompletePrefill and CompleteDecode, which keep the instance's caches
+// current.
+func (r *Request) RecordToken(at sim.Time) bool {
+	ok := at <= r.NextDeadline()
+	if !ok {
+		r.violated = true
+	}
+	if !r.haveFirst {
+		r.haveFirst = true
+		r.firstTok = at
+	}
+	r.Generated++
+	return ok
+}
+
+// AddGrace extends the TTFT budget by d: the paper allows a grace window
+// equal to the cold-start duration for cold-started requests (§IX-A). It
+// has no effect once the first token has been produced.
+func (r *Request) AddGrace(d sim.Duration) {
+	if !r.haveFirst && d > 0 {
+		r.grace += d
+	}
+}
+
+// ExtendGrace shifts all future deadlines by d regardless of progress. It
+// covers cold-start windows a request experiences mid-stream, e.g. the
+// decode-instance load in PD disaggregation (§IX-A's fairness rule applied
+// to §IX-G).
+func (r *Request) ExtendGrace(d sim.Duration) {
+	if d > 0 {
+		r.grace += d
+	}
+}
+
+// MarkDropped records that the request was abandoned (queue wait exceeded
+// the TTFT SLO); dropped requests never meet their SLO.
+func (r *Request) MarkDropped() { r.violated = true }
+
+// Met reports whether the request met its SLO so far: no token missed its
+// deadline and it was not dropped.
+func (r *Request) Met() bool { return !r.violated }
+
+// TTFT returns the observed time-to-first-token and whether a first token
+// was produced at all.
+func (r *Request) TTFT() (sim.Duration, bool) {
+	if !r.haveFirst {
+		return 0, false
+	}
+	return r.firstTok.Sub(r.W.Arrival), true
+}
 
 // InstState is an instance's lifecycle state.
 type InstState int
@@ -222,7 +291,7 @@ type Instance struct {
 	ctxSum int
 	// minD caches the earliest next-token deadline over WaitingPrefill and
 	// Running; every mutator that touches either queue or a member's
-	// tracker clears minDOK (MinDeadline).
+	// deadline clears minDOK (MinDeadline).
 	minD sim.Time
 	// decodeEst caches EstimateDecode; every mutator that changes ctxSum
 	// or the batch size clears decodeOK.
@@ -278,10 +347,10 @@ func (i *Instance) MinDeadline() sim.Time {
 	if !i.minDOK {
 		d := sim.Time(math.Inf(1))
 		for _, r := range i.WaitingPrefill {
-			d = min(d, r.Tracker.NextDeadline())
+			d = min(d, r.NextDeadline())
 		}
 		for _, r := range i.Running {
-			d = min(d, r.Tracker.NextDeadline())
+			d = min(d, r.NextDeadline())
 		}
 		i.minD, i.minDOK = d, true
 	}
@@ -440,8 +509,7 @@ func (i *Instance) CompletePrefill(r *Request, now sim.Time) bool {
 		return false
 	}
 	i.RemoveWaiting(r)
-	r.Generated++
-	r.Tracker.RecordToken(now)
+	r.RecordToken(now)
 	i.minDOK = false
 	if r.Finished() || i.Role == PrefillOnly {
 		// Single-token outputs complete at prefill; PD prefill instances
@@ -504,11 +572,10 @@ func (i *Instance) CompleteDecode(now sim.Time) (finished []*Request, underestim
 	// is exact in any order.
 	d := sim.Time(math.Inf(1))
 	for _, r := range i.WaitingPrefill {
-		d = min(d, r.Tracker.NextDeadline())
+		d = min(d, r.NextDeadline())
 	}
 	for _, r := range i.Running {
-		r.Generated++
-		r.Tracker.RecordToken(now)
+		r.RecordToken(now)
 		if r.Finished() {
 			r.State = Done
 			r.Inst = nil
@@ -517,7 +584,7 @@ func (i *Instance) CompleteDecode(now sim.Time) (finished []*Request, underestim
 			finished = append(finished, r)
 		} else {
 			keep = append(keep, r)
-			d = min(d, r.Tracker.NextDeadline())
+			d = min(d, r.NextDeadline())
 		}
 	}
 	i.minD, i.minDOK = d, true

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 	"unsafe"
 
 	"slinfer/internal/hwsim"
@@ -68,7 +69,7 @@ func TestPrefillToDecodeLifecycle(t *testing.T) {
 	if !inst.Idle() {
 		t.Fatal("instance should be idle")
 	}
-	if !r.Tracker.Met() {
+	if !r.Met() {
 		t.Fatal("SLO should be met")
 	}
 }
@@ -102,7 +103,7 @@ func TestNextWorkPicksMostUrgent(t *testing.T) {
 	// At a time where fresh is late and old has banked headroom, prefill
 	// should win: advance old's token record far ahead.
 	for k := 0; k < 19; k++ {
-		old.Tracker.RecordToken(1.0) // deadline now 1 + 20*0.25 = 6
+		old.RecordToken(1.0) // deadline now 1 + 20*0.25 = 6
 	}
 	w, _, _ = inst.NextWork(1.6)
 	if w.Kind != PrefillWork || w.Req != fresh {
@@ -271,10 +272,10 @@ func TestTotalLoadAndAverages(t *testing.T) {
 func freshMinDeadline(i *Instance) sim.Time {
 	d := sim.Time(math.Inf(1))
 	for _, r := range i.WaitingPrefill {
-		d = min(d, r.Tracker.NextDeadline())
+		d = min(d, r.NextDeadline())
 	}
 	for _, r := range i.Running {
-		d = min(d, r.Tracker.NextDeadline())
+		d = min(d, r.NextDeadline())
 	}
 	return d
 }
@@ -342,16 +343,14 @@ func TestInstanceFitsItsSizeClass(t *testing.T) {
 	}
 }
 
-// A Request is exactly 192 bytes, an allocation size class of its own: one
-// more word moves every request to the 208-byte class. The model binding
-// fits because the tracker keeps its two flags in one word. A new field has
-// to make room or be measured.
+// A Request is exactly 160 bytes, an allocation size class of its own: one
+// more word moves every request to the 176-byte class. The request is its
+// own SLO tracker, storing its arrival, objective and token count once
+// each, and its two SLO flags share one word. A new field has to make room
+// or be measured.
 func TestRequestFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Request{}); size != 192 {
-		t.Fatalf("Request is %d bytes; want 192", size)
-	}
-	if size := unsafe.Sizeof(slo.Tracker{}); size != 56 {
-		t.Fatalf("slo.Tracker is %d bytes; want 56", size)
+	if size := unsafe.Sizeof(Request{}); size != 160 {
+		t.Fatalf("Request is %d bytes; want 160", size)
 	}
 }
 
@@ -364,5 +363,119 @@ func TestRequestResetUnbinds(t *testing.T) {
 	r.Reset(w, slo.Default(w.InputLen))
 	if r.Rec != 0 {
 		t.Fatalf("Reset kept binding %d", r.Rec)
+	}
+}
+
+// sloReq is a request arriving at arrival under obj with room for 100
+// output tokens.
+func sloReq(obj slo.Objective, arrival sim.Time) *Request {
+	return NewRequestWith(workload.Request{ID: 1, ModelName: "m", Arrival: arrival, InputLen: 64, OutputLen: 100}, obj)
+}
+
+func approx(d sim.Duration, want float64) bool {
+	diff := d.Seconds() - want
+	return diff < 1e-9 && diff > -1e-9
+}
+
+func TestRequestAttainment(t *testing.T) {
+	r := sloReq(slo.Objective{TTFT: 1, TPOT: 0.25}, 0)
+	if !r.RecordToken(0.9) { // first token within 1s
+		t.Fatal("first token at 0.9 should meet 1s TTFT")
+	}
+	if !r.RecordToken(1.2) { // deadline 1.25
+		t.Fatal("second token at 1.2 should meet 1.25 deadline")
+	}
+	if !r.Met() {
+		t.Fatal("request should report met")
+	}
+	if r.RecordToken(2.0) { // deadline 1.5
+		t.Fatal("third token at 2.0 should violate")
+	}
+	if r.Met() {
+		t.Fatal("violation must stick")
+	}
+	if r.Generated != 3 {
+		t.Fatalf("Generated = %d, want 3", r.Generated)
+	}
+	ttft, ok := r.TTFT()
+	if !ok || !approx(ttft, 0.9) {
+		t.Fatalf("TTFT = %v, %v", ttft, ok)
+	}
+}
+
+func TestRequestBanking(t *testing.T) {
+	// Eq.-1 deadlines are cumulative: an early first token banks budget
+	// for later tokens.
+	r := sloReq(slo.Objective{TTFT: 2, TPOT: 0.25}, 0)
+	r.RecordToken(0.1) // 1.9s of banked headroom
+	// Token 2 deadline is 2.25 even though the gap is huge.
+	if !r.RecordToken(2.2) {
+		t.Fatal("banked headroom should allow a 2.1s gap")
+	}
+	if !r.Met() {
+		t.Fatal("should still be met")
+	}
+}
+
+func TestRequestColdStartGrace(t *testing.T) {
+	r := sloReq(slo.Objective{TTFT: 0.5, TPOT: 0.25}, 0)
+	r.AddGrace(1.0) // 1s cold start
+	if !r.RecordToken(1.4) {
+		t.Fatal("grace window should extend TTFT deadline to 1.5")
+	}
+	// Grace after first token is ignored.
+	r.AddGrace(10)
+	if r.NextDeadline() != sim.Time(1.5).Add(0.25) {
+		t.Fatalf("NextDeadline = %v, want 1.75", r.NextDeadline())
+	}
+	// ExtendGrace shifts later deadlines regardless of progress.
+	r.ExtendGrace(2)
+	if r.NextDeadline() != sim.Time(3.5).Add(0.25) {
+		t.Fatalf("NextDeadline after ExtendGrace = %v, want 3.75", r.NextDeadline())
+	}
+	// TTFT is measured from arrival, not from the graced start.
+	if ttft, ok := r.TTFT(); !ok || !approx(ttft, 1.4) {
+		t.Fatalf("TTFT = %v, %v; want 1.4", ttft, ok)
+	}
+}
+
+func TestRequestMarkDropped(t *testing.T) {
+	r := sloReq(slo.Default(1024), 5)
+	r.MarkDropped()
+	if r.Met() {
+		t.Fatal("dropped request cannot meet SLO")
+	}
+	if _, ok := r.TTFT(); ok {
+		t.Fatal("a dropped request emitted no first token")
+	}
+}
+
+// Property: Met is false iff some token exceeded its deadline, and each
+// token's deadline is Objective.Deadline at the count before it.
+func TestRequestMetMatchesDeadlines(t *testing.T) {
+	f := func(gaps []uint8) bool {
+		if len(gaps) > 40 {
+			gaps = gaps[:40]
+		}
+		obj := slo.Objective{TTFT: 0.5, TPOT: 0.1}
+		r := sloReq(obj, 0)
+		now := sim.Time(0)
+		anyLate := false
+		for i, g := range gaps {
+			now = now.Add(sim.Duration(g) / 100) // up to 2.55s gaps
+			deadline := obj.Deadline(0, i)
+			if r.NextDeadline() != deadline {
+				return false
+			}
+			late := now > deadline
+			if ok := r.RecordToken(now); ok == late {
+				return false
+			}
+			anyLate = anyLate || late
+		}
+		return r.Met() == !anyLate && r.Generated == len(gaps)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

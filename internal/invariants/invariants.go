@@ -442,7 +442,7 @@ func (s *Suite) RequestCompleted(req *engine.Request, inst *engine.Instance) {
 			"request %d generated %d tokens, trace declares %d (tokens lost or conjured)",
 			id, req.Generated, req.W.OutputLen)
 	}
-	if _, have := req.Tracker.TTFT(); !have {
+	if _, have := req.TTFT(); !have {
 		s.report("slo-bookkeeping", "request %d completed without a first token", id)
 	}
 	if inst != nil {
@@ -496,7 +496,7 @@ func (s *Suite) RequestDropped(req *engine.Request) {
 	if req.State != engine.Dropped {
 		s.report("request-lifecycle", "request %d dropped in state %v", id, req.State)
 	}
-	if req.Tracker.Met() {
+	if req.Met() {
 		s.report("slo-bookkeeping", "request %d dropped yet marked SLO-met", id)
 	}
 }

@@ -163,8 +163,8 @@ func TestKVOverReleaseCaught(t *testing.T) {
 		{"completion", func(suite *Suite, inst *engine.Instance) {
 			req := engine.NewRequest(workload.Request{ID: 1, ModelName: "m", InputLen: 10, OutputLen: 1})
 			suite.RequestSubmitted(req)
-			req.State, req.Generated = engine.Done, 1
-			req.Tracker.RecordToken(0.1)
+			req.State = engine.Done
+			req.RecordToken(0.1)
 			suite.RequestCompleted(req, inst)
 		}},
 		{"removal", func(suite *Suite, inst *engine.Instance) { suite.InstanceRemoved(inst) }},
@@ -212,8 +212,8 @@ func TestRunningContextDriftCaught(t *testing.T) {
 			case "completion":
 				done := engine.NewRequest(workload.Request{ID: 2, ModelName: "m", InputLen: 10, OutputLen: 1})
 				suite.RequestSubmitted(done)
-				done.State, done.Generated = engine.Done, 1
-				done.Tracker.RecordToken(0.1)
+				done.State = engine.Done
+				done.RecordToken(0.1)
 				suite.RequestCompleted(done, inst)
 			case "removal":
 				suite.InstanceRemoved(inst)
@@ -345,8 +345,7 @@ func TestLifecycleDuplicationCaught(t *testing.T) {
 	req2 := engine.NewRequest(workload.Request{ID: 43, ModelName: "m", InputLen: 10, OutputLen: 1})
 	suite2.RequestSubmitted(req2)
 	req2.State = engine.Done
-	req2.Generated = 1
-	req2.Tracker.RecordToken(0.1)
+	req2.RecordToken(0.1)
 	suite2.RequestCompleted(req2, nil)
 	suite2.RequestCompleted(req2, nil)
 	if suite2.Ok() {

@@ -58,12 +58,14 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 		for b, n := range in.BatchCDF {
 			r.BatchCDF[b] += n
 		}
+		//slinfer:maporder each kind accumulates only its own entries, across reports in order
 		for kind, nodes := range in.AvgNodesUsed {
 			r.AvgNodesUsed[kind] += nodes
 			act := nodes * in.Duration.Seconds()
 			decodeAct[kind] += act
 			r.DecodeSpeed[kind] += in.DecodeSpeed[kind] * act
 		}
+		//slinfer:maporder each kind appends only to its own CDF, across reports in order
 		for kind, cdf := range in.MemUtilCDF {
 			r.MemUtilCDF[kind] = append(r.MemUtilCDF[kind], cdf...)
 		}
@@ -94,6 +96,7 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 	if r.DecodeIters > 0 {
 		r.AvgBatch = batchSum / float64(r.DecodeIters)
 	}
+	//slinfer:maporder each kind divides or drops only its own entry
 	for kind, act := range decodeAct {
 		if act > 0 {
 			r.DecodeSpeed[kind] /= act
@@ -101,6 +104,7 @@ func MergeReports(system string, duration sim.Duration, reports ...Report) Repor
 			delete(r.DecodeSpeed, kind)
 		}
 	}
+	//slinfer:maporder each kind sorts and averages only its own CDF
 	for kind, cdf := range r.MemUtilCDF {
 		sort.Float64s(cdf)
 		r.MeanMemUtil[kind] = mean(cdf)

@@ -32,10 +32,10 @@ type Collector struct {
 	// decode iteration and first-token emission.
 	DecodeTokens [2]int64
 
-	// Node activity integration.
-	nodeKind   map[int]hwsim.Kind
-	nodeSince  map[int]sim.Time // active since; absent = inactive
-	nodeActive map[int]sim.Duration
+	// nodes integrates node activity, indexed by node and grown on a
+	// node's first NodeActive. BuildReport sums it in index order, so the
+	// per-kind float totals do not depend on iteration order.
+	nodes []nodeUsage
 
 	// MemUtil holds sampled per-instance memory utilization by kind.
 	MemUtil map[hwsim.Kind][]float64
@@ -74,12 +74,18 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		nodeKind:   map[int]hwsim.Kind{},
-		nodeSince:  map[int]sim.Time{},
-		nodeActive: map[int]sim.Duration{},
-		MemUtil:    map[hwsim.Kind][]float64{},
-	}
+	return &Collector{MemUtil: map[hwsim.Kind][]float64{}}
+}
+
+// nodeUsage is one node's activity: its kind, the open interval if any,
+// and the total of its closed intervals.
+type nodeUsage struct {
+	kind   hwsim.Kind
+	since  sim.Time
+	active sim.Duration
+	// open marks an interval started at since; closed marks that some
+	// interval has ended, which counts the node toward its kind.
+	open, closed bool
 }
 
 // Reset returns the collector to the state of a fresh NewCollector so a
@@ -97,9 +103,8 @@ func (c *Collector) Reset() {
 	c.Total, c.Completed, c.Met, c.Dropped = 0, 0, 0, 0
 	c.TTFTs = nil // aliased by Report.TTFTCDF — disown
 	c.DecodeTokens = [2]int64{}
-	clear(c.nodeKind)
-	clear(c.nodeSince)
-	clear(c.nodeActive)
+	clear(c.nodes)
+	c.nodes = c.nodes[:0]
 	clear(c.MemUtil) // slices aliased by Report.MemUtilCDF — disown, keep map
 	c.KVUtil = c.KVUtil[:0]
 	for i := range c.batchHist {
@@ -170,21 +175,22 @@ func (c *Collector) RecordDecode(kind hwsim.Kind, batch int) {
 
 // NodeActive marks a node as hosting work from time at.
 func (c *Collector) NodeActive(nodeIdx int, kind hwsim.Kind, at sim.Time) {
-	if _, ok := c.nodeSince[nodeIdx]; ok {
-		return
+	for len(c.nodes) <= nodeIdx {
+		c.nodes = append(c.nodes, nodeUsage{})
 	}
-	c.nodeKind[nodeIdx] = kind
-	c.nodeSince[nodeIdx] = at
+	if u := &c.nodes[nodeIdx]; !u.open {
+		u.kind, u.since, u.open = kind, at, true
+	}
 }
 
 // NodeInactive marks a node as empty from time at.
 func (c *Collector) NodeInactive(nodeIdx int, at sim.Time) {
-	since, ok := c.nodeSince[nodeIdx]
-	if !ok {
+	if nodeIdx >= len(c.nodes) || !c.nodes[nodeIdx].open {
 		return
 	}
-	delete(c.nodeSince, nodeIdx)
-	c.nodeActive[nodeIdx] += at.Sub(since)
+	u := &c.nodes[nodeIdx]
+	u.active += at.Sub(u.since)
+	u.open, u.closed = false, true
 }
 
 // SampleMemUtil records one instance-level memory utilization observation.
@@ -197,7 +203,7 @@ func (c *Collector) SampleKVUtil(util float64) { c.KVUtil = append(c.KVUtil, uti
 
 // Finalize closes all open node-activity intervals at time end.
 func (c *Collector) Finalize(end sim.Time) {
-	for idx := range c.nodeSince {
+	for idx := range c.nodes {
 		c.NodeInactive(idx, end)
 	}
 }
@@ -314,11 +320,20 @@ func (c *Collector) BuildReport(system string, duration sim.Duration) Report {
 	r.TTFTP99 = percentile(r.TTFTCDF, 0.99)
 
 	// Node usage and decode speed.
-	activeByKind := map[hwsim.Kind]sim.Duration{}
-	for idx, d := range c.nodeActive {
-		activeByKind[c.nodeKind[idx]] += d
+	// A kind is reported once one of its nodes has closed an interval.
+	var activeByKind [len(c.DecodeTokens)]sim.Duration
+	var counted [len(c.DecodeTokens)]bool
+	for _, u := range c.nodes {
+		if u.closed {
+			activeByKind[u.kind] += u.active
+			counted[u.kind] = true
+		}
 	}
-	for kind, act := range activeByKind {
+	for k, act := range activeByKind {
+		if !counted[k] {
+			continue
+		}
+		kind := hwsim.Kind(k)
 		if duration > 0 {
 			r.AvgNodesUsed[kind] = act.Seconds() / duration.Seconds()
 		}
@@ -345,6 +360,7 @@ func (c *Collector) BuildReport(system string, duration sim.Duration) Report {
 	}
 	r.DecodeIters = batchN
 
+	//slinfer:maporder each kind sorts and averages only its own samples
 	for kind, samples := range c.MemUtil {
 		sort.Float64s(samples)
 		r.MemUtilCDF[kind] = samples

@@ -63,6 +63,48 @@ func TestNodeActivityIdempotent(t *testing.T) {
 	}
 }
 
+// Node usage sums every node's active time per kind in node-index order,
+// so the float totals are bit-identical from report to report. The GPU
+// durations below sum to different bits in different orders; a sum that
+// followed an unordered walk would differ across the repeats.
+func TestNodeUsageSumsInIndexOrder(t *testing.T) {
+	gpu := []sim.Duration{0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 0.17, 2.9}
+	var want sim.Duration
+	for _, d := range gpu {
+		want += d
+	}
+	var reversed sim.Duration
+	for k := len(gpu) - 1; k >= 0; k-- {
+		reversed += gpu[k]
+	}
+	if reversed == want {
+		t.Fatal("precondition: the durations must sum to different bits in another order")
+	}
+	const span = 10
+	for rep := 0; rep < 200; rep++ {
+		c := NewCollector()
+		for i, d := range gpu {
+			// Interleave a CPU node between GPU nodes.
+			c.NodeActive(2*i, hwsim.GPU, 0)
+			c.NodeInactive(2*i, sim.Time(0).Add(d))
+			c.NodeActive(2*i+1, hwsim.CPU, 1)
+		}
+		c.RecordDecode(hwsim.GPU, 3)
+		c.Finalize(span)
+		r := c.BuildReport("x", span)
+		if got := r.AvgNodesUsed[hwsim.GPU]; math.Float64bits(got) != math.Float64bits(want.Seconds()/span) {
+			t.Fatalf("repeat %d: GPU nodes used %v (%#x), want the index-order sum %v",
+				rep, got, math.Float64bits(got), want.Seconds()/span)
+		}
+		if got := r.DecodeSpeed[hwsim.GPU]; math.Float64bits(got) != math.Float64bits(3/want.Seconds()) {
+			t.Fatalf("repeat %d: GPU decode speed %v, want %v", rep, got, 3/want.Seconds())
+		}
+		if got := r.AvgNodesUsed[hwsim.CPU]; got != float64(len(gpu))*(span-1)/span {
+			t.Fatalf("repeat %d: CPU nodes used %v", rep, got)
+		}
+	}
+}
+
 func TestDecodeSpeedPerKind(t *testing.T) {
 	c := NewCollector()
 	c.NodeActive(0, hwsim.GPU, 0)

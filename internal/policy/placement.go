@@ -44,12 +44,12 @@ func (p *BinPack) Share(m *model.Model, class hwsim.DeviceClass) float64 {
 }
 
 // HasSlot reports whether a node has compute share available.
-func (p *BinPack) HasSlot(h Host, n *cluster.Node, share float64) bool {
+func (p *BinPack) HasSlot(n *cluster.Node, share float64) bool {
 	switch p.Mode {
 	case Elastic:
 		return true // admission is gated by validation and memory instead
 	default:
-		return h.SlotUsed(n.Idx)+share <= 1.0001
+		return n.Carved+share <= 1.0001
 	}
 }
 
@@ -91,7 +91,7 @@ func (p *BinPack) Feasible(h Host, n *cluster.Node, m *model.Model, req *engine.
 		return 0, false
 	}
 	share = p.Share(m, n.Spec.Class)
-	if p.barred(h, n, share, req) || !p.HasSlot(h, n, share) {
+	if p.barred(h, n, share, req) || !p.HasSlot(n, share) {
 		return 0, false
 	}
 	if need := h.CreationBytes(n, share, req); need < 0 || free < need {
@@ -148,14 +148,12 @@ func (p *BinPack) PlaceNew(h Host, req *engine.Request, m model.Model) bool {
 // Spawn returns before carving one). It reads only an executor already
 // wired, because Host.SharedExecutor wires one on demand and a wiring
 // renames every later executor's noise stream; an unwired executor holds
-// no instances to reject on. Under Elastic sharing CarveExecutor carves
-// nothing but the shared executor, so a wired one is the node's only
-// executor.
+// no instances to reject on.
 func overBudget(h Host, n *cluster.Node, req *engine.Request) bool {
-	if len(n.Executors) != 1 {
+	if n.Shared == nil {
 		return false
 	}
-	return h.Validator().RejectsAggregate(n.Executors[0].Instances, req.Obj.TPOT)
+	return h.Validator().RejectsAggregate(n.Shared.Instances, req.Obj.TPOT)
 }
 
 // checkDropped is the slinfer_fullrun oracle for Feasible's prefilter. It
@@ -167,7 +165,7 @@ func overBudget(h Host, n *cluster.Node, req *engine.Request) bool {
 // output.
 func (p *BinPack) checkDropped(h Host, n *cluster.Node, m *model.Model, req *engine.Request, floor int64) {
 	share := p.Share(m, n.Spec.Class)
-	if p.barred(h, n, share, req) || !p.HasSlot(h, n, share) {
+	if p.barred(h, n, share, req) || !p.HasSlot(n, share) {
 		return
 	}
 	free := n.Mem.OptimisticFree()
@@ -208,7 +206,7 @@ func (p *BinPack) barred(h Host, n *cluster.Node, share float64, req *engine.Req
 func (p *BinPack) placeNewTP(h Host, req *engine.Request, degree int) bool {
 	var free []*cluster.Node
 	for _, n := range h.Nodes() {
-		if n.Kind() == hwsim.GPU && !n.Occupied() && p.HasSlot(h, n, 1) {
+		if n.Kind() == hwsim.GPU && !n.Occupied() && p.HasSlot(n, 1) {
 			free = append(free, n)
 		}
 	}
@@ -228,19 +226,22 @@ func (p *BinPack) CarveExecutor(h Host, nodes []*cluster.Node, share float64) *c
 	ex := nodes[0].NewExecutor(share)
 	h.WireExecutor(ex)
 	for _, n := range nodes {
-		h.AddSlot(n.Idx, share)
+		n.Carved += share
 	}
 	return ex
 }
 
 // ReleaseExecutor undoes CarveExecutor: dedicated partitions are detached
-// from their node and their slots refunded; shared executors persist.
+// from their node and their slots refunded (clamped at zero); shared
+// executors persist.
 func (p *BinPack) ReleaseExecutor(h Host, inst *engine.Instance, ex *cluster.Executor) {
 	if p.Mode == Elastic {
 		return
 	}
 	ex.Node.RemoveExecutor(ex)
+	nodes := h.Nodes()
 	for _, idx := range inst.NodeIdxs {
-		h.AddSlot(idx, -inst.Share)
+		n := nodes[idx]
+		n.Carved = max(n.Carved-inst.Share, 0)
 	}
 }

@@ -57,13 +57,9 @@ type Host interface {
 	// Now returns the current virtual time.
 	Now() sim.Time
 
-	// Nodes returns every cluster node in index order.
+	// Nodes returns every cluster node in index order. A node carries its
+	// own carved share and shared executor (cluster.Node.Carved, Shared).
 	Nodes() []*cluster.Node
-	// SlotUsed returns the compute share carved out of a node so far
-	// (Exclusive/Static sharing).
-	SlotUsed(nodeIdx int) float64
-	// AddSlot adjusts a node's carved share by delta, clamping at zero.
-	AddSlot(nodeIdx int, delta float64)
 
 	// AppendRouteCandidates appends the live instances of req's model to
 	// dst in routing order (CPU-first when configured, then
@@ -75,9 +71,9 @@ type Host interface {
 	Scratch() *Scratch
 	// ExecutorOf returns the executor an instance runs on, or nil.
 	ExecutorOf(inst *engine.Instance) *cluster.Executor
-	// SharedExecutor returns a node's whole-node shared executor. Elastic
-	// sharing wires one per node at construction; other configurations
-	// get one wired on first demand.
+	// SharedExecutor returns a node's whole-node shared executor
+	// (cluster.Node.Shared). Elastic sharing wires one per node at
+	// construction; other configurations get one wired on first demand.
 	SharedExecutor(nodeIdx int) *cluster.Executor
 	// WireExecutor installs the controller's iteration handlers on a
 	// freshly carved executor.

@@ -21,7 +21,6 @@ import (
 // tested paths never touch panic so an unexpected call fails loudly.
 type fakeHost struct {
 	cl     *cluster.Cluster
-	slots  map[int]float64
 	wired  int
 	armed  []sim.Duration
 	shared *cluster.Executor
@@ -53,21 +52,13 @@ type fakeHost struct {
 func newFakeHost() *fakeHost {
 	return &fakeHost{
 		cl:          cluster.New(sim.New(), hwsim.Testbed(1, 1)),
-		slots:       map[int]float64{},
 		sharedCalls: map[int]int{},
 		scaleOuts:   map[int]int{},
 	}
 }
 
-func (h *fakeHost) Now() sim.Time            { return 0 }
-func (h *fakeHost) Nodes() []*cluster.Node   { return h.cl.Nodes }
-func (h *fakeHost) SlotUsed(idx int) float64 { return h.slots[idx] }
-func (h *fakeHost) AddSlot(idx int, d float64) {
-	h.slots[idx] += d
-	if h.slots[idx] < 0 {
-		h.slots[idx] = 0
-	}
-}
+func (h *fakeHost) Now() sim.Time          { return 0 }
+func (h *fakeHost) Nodes() []*cluster.Node { return h.cl.Nodes }
 func (h *fakeHost) AppendRouteCandidates(dst []*engine.Instance, req *engine.Request) []*engine.Instance {
 	return append(dst, h.routes[req.W.ModelName]...)
 }
@@ -75,19 +66,19 @@ func (h *fakeHost) Scratch() *Scratch                                  { return 
 func (h *fakeHost) ExecutorOf(inst *engine.Instance) *cluster.Executor { return h.execs[inst] }
 
 // SharedExecutor returns the one shared executor when set. Otherwise, like
-// the controller, it returns the node's executor, wiring one on first
-// demand.
+// the controller, it returns the node's shared executor, wiring one on
+// first demand.
 func (h *fakeHost) SharedExecutor(idx int) *cluster.Executor {
 	if h.shared != nil {
 		return h.shared
 	}
 	h.sharedCalls[idx]++
 	n := h.cl.Nodes[idx]
-	if len(n.Executors) == 0 {
-		n.NewExecutor(1)
+	if n.Shared == nil {
+		n.Shared = n.NewExecutor(1)
 		h.wired++
 	}
-	return n.Executors[0]
+	return n.Shared
 }
 func (h *fakeHost) WireExecutor(*cluster.Executor) { h.wired++ }
 func (h *fakeHost) Profile(class hwsim.DeviceClass, _ *engine.Request, share float64) *perfmodel.Profile {
@@ -159,15 +150,15 @@ func TestBinPackHasSlot(t *testing.T) {
 	h := newFakeHost()
 	n := h.cl.Nodes[0]
 	static := &BinPack{Mode: Static, StaticShare: 0.5}
-	if !static.HasSlot(h, n, 0.5) {
+	if !static.HasSlot(n, 0.5) {
 		t.Error("empty node must have a half slot")
 	}
-	h.slots[n.Idx] = 0.75
-	if static.HasSlot(h, n, 0.5) {
+	n.Carved = 0.75
+	if static.HasSlot(n, 0.5) {
 		t.Error("0.75 used + 0.5 share must not fit")
 	}
 	elastic := &BinPack{Mode: Elastic}
-	if !elastic.HasSlot(h, n, 1) {
+	if !elastic.HasSlot(n, 1) {
 		t.Error("elastic sharing always has a slot (validation gates instead)")
 	}
 }
@@ -183,16 +174,21 @@ func TestBinPackCarveAndRelease(t *testing.T) {
 	if h.wired != 1 {
 		t.Errorf("wired = %d, want 1 (dedicated executors must be wired)", h.wired)
 	}
-	if h.slots[n.Idx] != 0.5 {
-		t.Errorf("slot charge = %v, want 0.5", h.slots[n.Idx])
+	if n.Carved != 0.5 {
+		t.Errorf("slot charge = %v, want 0.5", n.Carved)
 	}
 	inst := &engine.Instance{NodeIdxs: []int{n.Idx}, Share: 0.5}
 	p.ReleaseExecutor(h, inst, ex)
-	if h.slots[n.Idx] != 0 {
-		t.Errorf("slot after release = %v, want 0", h.slots[n.Idx])
+	if n.Carved != 0 {
+		t.Errorf("slot after release = %v, want 0", n.Carved)
 	}
 	if len(n.Executors) != 0 {
 		t.Error("dedicated executor must detach from its node on release")
+	}
+	// A refund never drives the carved share below zero.
+	p.ReleaseExecutor(h, inst, ex)
+	if n.Carved != 0 {
+		t.Errorf("slot after a second release = %v, want the clamp at 0", n.Carved)
 	}
 }
 
@@ -295,7 +291,7 @@ func TestPlaceNewSizesEachNodeOnce(t *testing.T) {
 		h := newFakeHost()
 		h.need, h.needCalls = tc.need, map[int]int{}
 		if tc.noSlot >= 0 {
-			h.slots[tc.noSlot] = 1
+			h.cl.Nodes[tc.noSlot].Carved = 1
 		}
 		p := &BinPack{Mode: Exclusive, UseCPU: true, CPUFirst: true}
 		req := engine.NewRequest(workload.Request{ID: 1, ModelName: "m", InputLen: 512, OutputLen: 8})
@@ -388,9 +384,10 @@ func TestPlaceNewDropsBeforePerRequestWork(t *testing.T) {
 		h.need, h.needCalls = func(*cluster.Node) int64 { return floor }, map[int]int{}
 		var e sim.Duration
 		for idx, insts := range map[int]int{cpuBusy: 2, idle: 0, mid: 1, gpuBusy: 2} {
-			ex := h.cl.Nodes[idx].NewExecutor(1)
+			n := h.cl.Nodes[idx]
+			n.Shared = n.NewExecutor(1)
 			for i := 0; i < insts; i++ {
-				e = load(ex, 100*idx+i)
+				e = load(n.Shared, 100*idx+i)
 			}
 		}
 		h.validator = &compute.Validator{Overestimate: float64(0.5 / e)}
