@@ -98,14 +98,14 @@ func (k Kind) String() string {
 }
 
 // Event is one telemetry record: a point on one shard's virtual timeline.
-// Value type, no pointers — ring and buffer writes are plain copies.
+// Value type, no pointers — ring and buffer writes are plain copies. The
+// owning shard is the recorder's, not a field: every event a recorder
+// holds shares it.
 type Event struct {
 	// T is the virtual time the event fired.
 	T sim.Time
 	// Kind tags the event.
 	Kind Kind
-	// Shard is the owning shard row (-1 for fleet front-door events).
-	Shard int32
 	// Inst is the instance row, -1 when not instance-scoped.
 	Inst int32
 	// Req is the workload request ID, -1 when not request-scoped.
@@ -170,42 +170,47 @@ type Options struct {
 // DefaultFlightRing is the ring capacity CLI surfaces use for -flightrec.
 const DefaultFlightRing = 256
 
-// spanChunk is the number of span events per storage chunk. Record fills
-// one chunk and then starts the next, so a buffered span is never copied.
-const spanChunk = 1024
-
 // Recorder buffers one shard's telemetry. Exactly one goroutine writes a
 // recorder at a time (the shard's own, or the fleet front door between
 // barriers); the Trace that owns it merges at export time.
+//
+// Spans are stored in two streams (see spans.go): decode iterations with
+// no request, most of a run's events, as 24-byte iterRecs, and every other
+// event as an eventRec that also counts the iterations recorded before it,
+// so a cursor merges the two back into recording order.
 type Recorder struct {
 	//slinfer:resetsafe identity: the shard row this recorder is bound to for life
 	shard int32
 	//slinfer:resetsafe configuration: pillar gates are per-Trace, not per-run
-	opts Options
-	// chunks[:used] hold the span events in recording order; every one but
-	// the last is full. chunks[used:] are empty spares a Reset kept.
-	chunks  [][]Event
-	used    int
+	opts    Options
+	iters   chunked[iterRec]
+	others  chunked[eventRec]
 	samples []Sample
 
 	ring    []Event
 	ringPos int
 	ringLen int
+
+	// Fleet workers write their shards' recorders concurrently, and
+	// Trace.Recorder allocates them back to back: padding to a multiple of
+	// 64 bytes keeps each on cache lines of its own (TestRecorderLayout).
+	//slinfer:resetsafe padding: holds no state
+	_ [56]byte
 }
 
-// Record appends one span event into the current chunk, starting a new
-// chunk when it is full. Hot-path safe: scalar args, no copying of earlier
-// events, one branch when the span pillar is off.
+// Record appends one span event to its stream. Hot-path safe: scalar
+// args, no copying of earlier events, one branch when the span pillar is
+// off.
 //
 //slinfer:hotpath
 func (r *Recorder) Record(t sim.Time, k Kind, inst int32, req int64, a, b int64) {
-	ev := Event{T: t, Kind: k, Shard: r.shard, Inst: inst, Req: req, A: a, B: b}
+	ev := Event{T: t, Kind: k, Inst: inst, Req: req, A: a, B: b}
 	if r.opts.Spans {
-		if r.used == 0 || len(r.chunks[r.used-1]) == cap(r.chunks[r.used-1]) {
-			r.nextChunk()
+		if k == KindDecodeIter && req == -1 && a == int64(int32(a)) {
+			r.iters.push(iterRec{T: t, B: b, Inst: inst, A: int32(a)})
+		} else {
+			r.others.push(eventRec{ev: ev, iters: r.iters.count()})
 		}
-		c := &r.chunks[r.used-1]
-		*c = append(*c, ev)
 	}
 	if n := len(r.ring); n > 0 {
 		r.ring[r.ringPos] = ev
@@ -219,26 +224,8 @@ func (r *Recorder) Record(t sim.Time, k Kind, inst int32, req int64, a, b int64)
 	}
 }
 
-// nextChunk makes the next chunk current: a spare kept by Reset, or a new
-// one.
-func (r *Recorder) nextChunk() {
-	if r.used == len(r.chunks) {
-		r.chunks = append(r.chunks, make([]Event, 0, spanChunk))
-	}
-	r.used++
-}
-
-// spans returns the chunks holding span events, in recording order.
-func (r *Recorder) spans() [][]Event { return r.chunks[:r.used] }
-
 // eventCount returns the number of buffered span events.
-func (r *Recorder) eventCount() int {
-	n := 0
-	for _, c := range r.spans() {
-		n += len(c)
-	}
-	return n
-}
+func (r *Recorder) eventCount() int { return r.iters.count() + r.others.count() }
 
 // Sample appends one metric-stream row.
 func (r *Recorder) Sample(s Sample) {
@@ -260,33 +247,48 @@ func (r *Recorder) SeriesEnabled() bool { return r != nil && r.opts.Series }
 // Shard returns the recorder's shard row.
 func (r *Recorder) Shard() int { return int(r.shard) }
 
-// Events returns the recorded span events (owned by the recorder). When
-// they span more than one chunk, it copies them once into one exact-size
-// slice that replaces the chunks, so a repeated call does not copy again.
+// Events returns a copy of the recorded span events in recording order,
+// in one exact-size slice the caller owns: each call copies again, and the
+// recorder keeps no reference to it.
 func (r *Recorder) Events() []Event {
-	switch r.used {
-	case 0:
+	n := r.eventCount()
+	if n == 0 {
 		return nil
-	case 1:
-		return r.chunks[0]
 	}
-	flat := make([]Event, 0, r.eventCount())
-	for _, c := range r.spans() {
-		flat = append(flat, c...)
+	out := make([]Event, n)
+	i, it := 0, 0
+	for ci := 0; ci < r.others.used; ci++ {
+		for _, e := range r.others.chunk(ci) {
+			r.copyIters(out[i:], it, e.iters)
+			i += e.iters - it
+			it = e.iters
+			out[i] = e.ev
+			i++
+		}
 	}
-	clear(r.chunks[1:])
-	r.chunks = append(r.chunks[:0], flat)
-	r.used = 1
-	return flat
+	r.copyIters(out[i:], it, r.iters.count())
+	return out
+}
+
+// copyIters writes decode iterations [from, to) into dst as Events, a
+// chunk at a time.
+func (r *Recorder) copyIters(dst []Event, from, to int) {
+	for from < to {
+		c := r.iters.chunk(from / spanChunk)[from%spanChunk:]
+		c = c[:min(len(c), to-from)]
+		for j := range c {
+			dst[j] = c[j].event()
+		}
+		dst = dst[len(c):]
+		from += len(c)
+	}
 }
 
 // Reset truncates every buffer in place, keeping capacity (the span chunks
 // included) — the arena lifecycle for a recorder reused across runs.
 func (r *Recorder) Reset() {
-	for i := range r.spans() {
-		r.chunks[i] = r.chunks[i][:0]
-	}
-	r.used = 0
+	r.iters.reset()
+	r.others.reset()
 	r.samples = r.samples[:0]
 	r.ringPos, r.ringLen = 0, 0
 	for i := range r.ring {

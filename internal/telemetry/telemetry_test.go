@@ -206,9 +206,9 @@ func TestTraceRecorderIdentity(t *testing.T) {
 
 // TestSpanChunkBoundaries records event counts around the chunk size and
 // checks the chunked storage against a flat reference: Events and both
-// exports agree before and after Events flattens the chunks, EventCount
-// is exact, recording after Events keeps the order, and a Reset re-record
-// of the same count allocates nothing.
+// exports agree, Events leaves the exports unchanged, EventCount is exact,
+// recording after Events keeps the order, and a Reset re-record of the
+// same count allocates nothing.
 func TestSpanChunkBoundaries(t *testing.T) {
 	const c = spanChunk
 	for _, n := range []int{0, 1, c - 1, c, c + 1, 3*c + 5} {
@@ -242,14 +242,14 @@ func TestSpanChunkBoundaries(t *testing.T) {
 			t.Fatalf("n=%d: EventCount = %d", n, got)
 		}
 		chunkedJSONL, chunkedChrome := jsonl(), chrome()
-		if ref := referenceJSONL(want); chunkedJSONL != ref {
+		if ref := referenceJSONL(0, want); chunkedJSONL != ref {
 			t.Fatalf("n=%d: chunked JSONL differs from the flat reference", n)
 		}
 		if got := r.Events(); !slices.Equal(got, want) {
 			t.Fatalf("n=%d: Events() differs from the flat reference", n)
 		}
 		if jsonl() != chunkedJSONL || chrome() != chunkedChrome {
-			t.Fatalf("n=%d: exports changed after Events() flattened the chunks", n)
+			t.Fatalf("n=%d: exports changed after Events()", n)
 		}
 		if got := tr.EventCount(); got != n {
 			t.Fatalf("n=%d: EventCount after Events() = %d", n, got)
@@ -261,12 +261,12 @@ func TestSpanChunkBoundaries(t *testing.T) {
 		if got := r.Events(); !slices.Equal(got, want) {
 			t.Fatalf("n=%d: recording after Events() broke the order", n)
 		}
-		if jsonl() != referenceJSONL(want) {
+		if jsonl() != referenceJSONL(0, want) {
 			t.Fatalf("n=%d: JSONL after re-recording differs from the flat reference", n)
 		}
 
 		// Re-recording the same count after a Reset reuses the chunks, on a
-		// recorder whose spans were flattened and on one never flattened.
+		// recorder Events() was called on and on a fresh one.
 		for _, rec := range []*Recorder{r, New(Options{Spans: true}).Recorder(0)} {
 			allocs := testing.AllocsPerRun(5, func() {
 				rec.Reset()
@@ -284,13 +284,13 @@ func TestSpanChunkBoundaries(t *testing.T) {
 	}
 }
 
-// referenceJSONL renders events the way ExportJSONL does, from one flat
-// slice.
-func referenceJSONL(evs []Event) string {
+// referenceJSONL renders one shard's events the way ExportJSONL does, from
+// one flat slice.
+func referenceJSONL(shard int32, evs []Event) string {
 	var b strings.Builder
 	for _, ev := range evs {
 		fmt.Fprintf(&b, "{\"t\":%s,\"kind\":%q,\"shard\":%d,\"inst\":%d,\"req\":%d,\"a\":%d,\"b\":%d}\n",
-			strconv.FormatFloat(float64(ev.T), 'g', 9, 64), ev.Kind.String(), ev.Shard, ev.Inst, ev.Req, ev.A, ev.B)
+			strconv.FormatFloat(float64(ev.T), 'g', 9, 64), ev.Kind.String(), shard, ev.Inst, ev.Req, ev.A, ev.B)
 	}
 	return b.String()
 }
