@@ -268,12 +268,6 @@ func (v *Validator) Check(now, busyUntil sim.Time, proj []InstView, tpotSLO sim.
 	return reason
 }
 
-// ValidateWithout checks newReq on cand with skip left out and no blocking
-// charged: the §VIII-A dry run of a grower once its victim is gone.
-func (v *Validator) ValidateWithout(now, busyUntil sim.Time, insts []*engine.Instance, skip, cand *engine.Instance, newReq ReqView, tpotSLO sim.Duration) Reason {
-	return v.Check(now, busyUntil, v.Project(insts, skip, cand, nil, newReq), tpotSLO)
-}
-
 // instState is simulate's running state for one projected instance: its
 // decode batch (the requests past prefill), their summed context, and the
 // earliest next-token deadline over all of its requests. A step updates
@@ -305,17 +299,17 @@ func (v *Validator) factor() sim.Duration {
 // RejectsAggregate runs Check's case-3 check (Figure 15) on live instances
 // before any view is built. A request under validation still needs its
 // prefill, so it never joins a decode batch: the round summed here from
-// insts' running batches, in the same order and with the same factor, is
-// bit for bit the round Check computes over Project's views of insts with
-// a request or a fresh instance added. When it already exceeds tpotSLO,
-// Check would return AggregateDecode (given a valid candidate), so
-// RejectsAggregate counts that validation and its rejection and returns
-// true. Otherwise it counts nothing.
-func (v *Validator) RejectsAggregate(insts []*engine.Instance, tpotSLO sim.Duration) bool {
+// insts' running batches, skip left out, in the same order and with the
+// same factor, is bit for bit the round Check computes over Project's views
+// of insts (with the same skip) with a request or a fresh instance added.
+// When it already exceeds tpotSLO, Check would return AggregateDecode
+// (given a valid candidate), so RejectsAggregate counts that validation and
+// its rejection and returns true. Otherwise it counts nothing.
+func (v *Validator) RejectsAggregate(insts []*engine.Instance, skip *engine.Instance, tpotSLO sim.Duration) bool {
 	over := v.factor()
 	var round sim.Duration
 	for _, inst := range insts {
-		if inst.BatchSize() == 0 {
+		if inst == skip || inst.BatchSize() == 0 {
 			continue
 		}
 		round += over * inst.EstimateDecode()

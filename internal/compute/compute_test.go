@@ -271,11 +271,11 @@ func TestOverestimationMargin(t *testing.T) {
 
 // Project plus Check must answer exactly what the deep-copy Validate
 // answers over viewOf views with the skipped instance removed, for every
-// (skip, cand) pair over a few instance mixes: each live cand through
-// ValidateWithout, including one that is skipped or absent (NewTTFT), and
-// a nil cand as a fresh instance. The counters must move as Validate's do,
-// and ValidateWithout must not allocate once warm.
-func TestValidateWithoutMatchesValidate(t *testing.T) {
+// (skip, cand) pair over a few instance mixes: each live cand, including
+// one that is skipped or absent (NewTTFT), and a nil cand as a fresh
+// instance. The counters must move as Validate's do, and a projection with
+// a skip must not allocate once warm.
+func TestProjectSkipMatchesValidate(t *testing.T) {
 	gpuMix := func() []*engine.Instance {
 		big := mkInst(1, model.Llama2_7B, hwsim.A100)
 		for i := 0; i < 24; i++ {
@@ -339,12 +339,7 @@ func TestValidateWithoutMatchesValidate(t *testing.T) {
 				rv := ViewRequest(tc.newReq)
 				want := newValidatorForTest().Validate(tc.now, tc.busy, views, candIdx, rv, slo.DefaultTPOT)
 				v := newValidatorForTest()
-				var got Reason
-				if cand == nil {
-					got = v.Check(tc.now, tc.busy, v.Project(tc.insts, skip, nil, fresh, rv), slo.DefaultTPOT)
-				} else {
-					got = v.ValidateWithout(tc.now, tc.busy, tc.insts, skip, cand, rv, slo.DefaultTPOT)
-				}
+				got := v.Check(tc.now, tc.busy, v.Project(tc.insts, skip, cand, fresh, rv), slo.DefaultTPOT)
 				if got != want {
 					t.Errorf("%s skip=%v fresh=%v: projection=%v, Validate=%v",
 						tc.name, skip != nil, cand == nil, got, want)
@@ -371,10 +366,10 @@ func TestValidateWithoutMatchesValidate(t *testing.T) {
 	v := newValidatorForTest()
 	rv := ViewRequest(mkReq(99, 1024, 100, 1.5))
 	allocs := testing.AllocsPerRun(20, func() {
-		v.ValidateWithout(1.5, 1.5, insts, insts[2], insts[0], rv, slo.DefaultTPOT)
+		v.Check(1.5, 1.5, v.Project(insts, insts[2], insts[0], nil, rv), slo.DefaultTPOT)
 	})
 	if allocs != 0 {
-		t.Errorf("ValidateWithout allocates %.0f times per call once warm", allocs)
+		t.Errorf("a projection with a skip allocates %.0f times per check once warm", allocs)
 	}
 }
 

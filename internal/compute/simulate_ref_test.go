@@ -401,7 +401,7 @@ func TestZeroOverestimateStillChecksAggregateRound(t *testing.T) {
 		inst.CompletePrefill(r, 0.4)
 		insts = append(insts, inst)
 	}
-	if !v.RejectsAggregate(insts, slo.DefaultTPOT) {
+	if !v.RejectsAggregate(insts, nil, slo.DefaultTPOT) {
 		t.Fatal("zero-value validator: the live pre-check must reject the same round")
 	}
 }
@@ -429,23 +429,37 @@ func randomInstances(rng *rand.Rand, now sim.Time) []*engine.Instance {
 }
 
 // RejectsAggregate must reject exactly when Validate over views of the same
-// instances (with the request added to an existing instance, or to a fresh
-// empty one) returns AggregateDecode, and the pre-check-then-Validate path
-// must move the counters exactly as Validate alone does.
+// instances, one of them skipped on some trials (with the request added to
+// an existing instance, or to a fresh empty one), returns AggregateDecode,
+// and the pre-check-then-Validate path must move the counters exactly as
+// Validate alone does.
 func TestRejectsAggregateMatchesValidate(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 15))
 	fresh := reg.Get(hwsim.A100, model.Llama2_7B, 1)
-	rejected, passed := 0, 0
+	rejected, passed, skipped := 0, 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		now := sim.Time(1 + rng.Float64())
 		insts := randomInstances(rng, now)
 		tpot := []sim.Duration{slo.DefaultTPOT, 0.1, 0.05}[rng.IntN(3)]
+		cand := rng.IntN(len(insts) + 1) // len(insts): a fresh instance
+		var skip *engine.Instance
+		if i := rng.IntN(2 * len(insts)); i < len(insts) && i != cand {
+			skip = insts[i]
+			skipped++
+		}
 		var views []InstView
-		for _, inst := range insts {
+		candIdx := -1
+		for i, inst := range insts {
+			if inst == skip {
+				continue
+			}
+			if i == cand {
+				candIdx = len(views)
+			}
 			views = append(views, viewOf(inst))
 		}
-		candIdx := rng.IntN(len(insts) + 1)
-		if candIdx == len(insts) {
+		if cand == len(insts) {
+			candIdx = len(views)
 			views = append(views, InstView{Profile: fresh})
 		}
 		rv := ViewRequest(mkReq(1000, 1+rng.IntN(3000), 100, now))
@@ -455,7 +469,7 @@ func TestRejectsAggregateMatchesValidate(t *testing.T) {
 		want := alone.Validate(now, now, views, candIdx, rv, tpot)
 
 		pre := &Validator{Overestimate: over, DecodeRounds: 3, MaxSteps: 600}
-		if pre.RejectsAggregate(insts, tpot) {
+		if pre.RejectsAggregate(insts, skip, tpot) {
 			rejected++
 			if want != AggregateDecode {
 				t.Fatalf("trial %d: pre-check rejected, Validate=%v", trial, want)
@@ -471,7 +485,7 @@ func TestRejectsAggregateMatchesValidate(t *testing.T) {
 				pre.Validations, pre.Rejections, alone.Validations, alone.Rejections)
 		}
 	}
-	if rejected == 0 || passed == 0 {
-		t.Fatalf("pre-check rejected %d and passed %d trials; want both", rejected, passed)
+	if rejected == 0 || passed == 0 || skipped == 0 {
+		t.Fatalf("pre-check rejected %d and passed %d trials, %d with a skip; want all three", rejected, passed, skipped)
 	}
 }

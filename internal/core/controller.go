@@ -612,46 +612,63 @@ func wantRole(cfg *Config) engine.Role {
 	return engine.Mixed
 }
 
-// admit runs the §V admission pipeline for one candidate instance: CPU
-// capability gate, fixed limit, the memory shadow check with §VII-D
+// admissible runs the §V admission pipeline for one candidate instance:
+// CPU capability gate, fixed limit, the memory shadow check with §VII-D
 // compromise, and shadow validation. Every check is pure and the cheap ones
 // run first, so the costly validation runs only for a request that would
-// otherwise be placed; the planned scale-up is issued, and the request joins
-// the instance's prefill queue, only after all of them pass.
-func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
+// otherwise be placed. It returns the memory plan admit issues. without,
+// when not nil, is a §VIII-A preemption victim taken as torn down: shadow
+// validation leaves it out, and memory planning credits what its reclaim
+// frees on inst's node, unless a resize in flight defers that reclaim.
+func (c *Controller) admissible(req *engine.Request, inst, without *engine.Instance) (memPlan, bool) {
 	if inst.TotalLoad() >= perfmodel.MaxBatch {
-		return false
+		return memPlan{}, false
 	}
 	// CPU gate: SLINFER profiles CPUs in advance and falls back to GPU
 	// when a CPU cannot meet the request's SLO (§V). Baselines admit
 	// blindly up to their fixed limits.
 	if c.Cfg.ShadowValidation && inst.Class.Kind() == hwsim.CPU {
 		if !inst.Profile.CanMeet(req.W.InputLen, req.Obj) {
-			return false
+			return memPlan{}, false
 		}
 	}
 	lim := c.Cfg.FixedLimit
 	if lim != nil && inst.TotalLoad() >= lim(inst.Model, inst.Class, inst.Share) {
-		return false
+		return memPlan{}, false
 	}
 	// Memory shadow check + scale-up (§VII-B, §VII-D). Static-memory
 	// instances check residual capacity instead.
-	plan, ok := c.planMemory(req, inst)
+	var credit int64
+	if without != nil && !without.ResizeInFlight && slices.Contains(without.NodeIdxs, inst.NodeIdxs[0]) {
+		kv, weights := c.teardownBytes(without)
+		credit = kv + weights
+	}
+	plan, ok := c.planMemory(req, inst, credit)
 	if !ok {
-		return false
+		return plan, false
 	}
-	if lim == nil && c.Cfg.ShadowValidation && !c.shadowValidate(req, inst, plan.block) {
-		return false
+	if lim == nil && c.Cfg.ShadowValidation && !c.shadowValidate(req, inst, without, plan.block) {
+		return plan, false
 	}
-	c.applyMemory(inst, plan)
-	c.place(req, inst)
-	return true
+	return plan, true
 }
 
-// shadowValidate projects the candidate's executor forward with the request
-// virtually added (§VI-C); resizeBlock is the stall of the scale-up this
-// admission would issue.
-func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance, resizeBlock sim.Duration) bool {
+// admit places req on inst when admissible: the planned scale-up is
+// issued, and the request joins the instance's prefill queue, only after
+// every check has passed.
+func (c *Controller) admit(req *engine.Request, inst *engine.Instance) bool {
+	plan, ok := c.admissible(req, inst, nil)
+	if ok {
+		c.applyMemory(inst, plan)
+		c.place(req, inst)
+	}
+	return ok
+}
+
+// shadowValidate projects the candidate's executor, skip left out, forward
+// with the request virtually added (§VI-C); resizeBlock is the stall of the
+// scale-up this admission would issue.
+func (c *Controller) shadowValidate(req *engine.Request, inst, skip *engine.Instance, resizeBlock sim.Duration) bool {
 	ex := c.instExec[inst.ID]
 	if ex == nil {
 		return false
@@ -662,29 +679,34 @@ func (c *Controller) shadowValidate(req *engine.Request, inst *engine.Instance, 
 		// validate against the graced deadline.
 		rv.Deadline = rv.Deadline.Add(c.loadTime(inst))
 	}
-	return c.validate(ex, inst, nil, rv, req.Obj.TPOT, resizeBlock) == compute.OK
+	return c.validate(ex, skip, inst, nil, rv, req.Obj.TPOT, resizeBlock) == compute.OK
 }
 
 // validate is the controller's shadow validation (§VI-C), measuring real
 // scheduling overhead (Figure 33): rv joins cand on ex, or a fresh instance
 // with profile fresh when cand is nil (a scale-out must pass the same
-// validation as a scale-up). Blocking is charged as the executor will see
-// it: every instance's in-flight resize or cold start, and block on the
-// candidate (the planned scale-up stall, or the fresh instance's load). The
-// case-3 aggregate-decode check runs first, on the live instances: on a
-// loaded node most attempts end there, before any view is built.
-func (c *Controller) validate(ex *cluster.Executor, cand *engine.Instance, fresh *perfmodel.Profile, rv compute.ReqView, tpot, block sim.Duration) compute.Reason {
+// validation as a scale-up), with skip (when not nil) left out. Blocking is
+// charged as the executor will see it: every instance's in-flight resize or
+// cold start, and block on the candidate (the planned scale-up stall, or
+// the fresh instance's load). The case-3 aggregate-decode check runs first,
+// on the live instances: on a loaded node most attempts end there, before
+// any view is built.
+func (c *Controller) validate(ex *cluster.Executor, skip, cand *engine.Instance, fresh *perfmodel.Profile, rv compute.ReqView, tpot, block sim.Duration) compute.Reason {
 	var start time.Time
 	if c.Cfg.MeasureOverhead {
 		start = time.Now() //slinfer:wallclock MeasureOverhead-gated validator profiling; feeds only Collector.ValidationNs, never event times
 	}
 	reason := compute.AggregateDecode
-	if !c.Validator.RejectsAggregate(ex.Instances, tpot) {
+	if !c.Validator.RejectsAggregate(ex.Instances, skip, tpot) {
 		now := c.Sim.Now()
-		proj := c.Validator.Project(ex.Instances, nil, cand, fresh, rv)
-		if proj != nil { // nil: cand is not on ex, which Check rejects
+		proj := c.Validator.Project(ex.Instances, skip, cand, fresh, rv)
+		if proj != nil { // nil: cand is skip or not on ex, which Check rejects
 			ci := len(proj) - 1 // the fresh instance, unless cand is live
-			for i, inst := range ex.Instances {
+			i := 0              // proj[i] views inst
+			for _, inst := range ex.Instances {
+				if inst == skip {
+					continue
+				}
 				if inst == cand {
 					ci = i
 				}
@@ -699,6 +721,7 @@ func (c *Controller) validate(ex *cluster.Executor, cand *engine.Instance, fresh
 						proj[i].BlockedUntil = eta // cold start still in progress
 					}
 				}
+				i++
 			}
 			if b := now.Add(block); block > 0 && b > proj[ci].BlockedUntil {
 				proj[ci].BlockedUntil = b

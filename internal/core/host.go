@@ -15,8 +15,6 @@ import (
 // thin forwarder; no decision logic lives in this file.
 type hostView struct{ c *Controller }
 
-func (h hostView) Now() sim.Time { return h.c.Sim.Now() }
-
 func (h hostView) Nodes() []*cluster.Node { return h.c.Cluster.Nodes }
 
 func (h hostView) AppendRouteCandidates(dst []*engine.Instance, req *engine.Request) []*engine.Instance {
@@ -55,17 +53,22 @@ func (h hostView) FixedLimit(req *engine.Request, class hwsim.DeviceClass, share
 func (h hostView) Validator() *compute.Validator { return h.c.Validator }
 
 func (h hostView) ValidateOn(ex *cluster.Executor, cand *engine.Instance, rv compute.ReqView, tpot sim.Duration, candBlock sim.Duration) bool {
-	return h.c.validate(ex, cand, nil, rv, tpot, candBlock) == compute.OK
+	return h.c.validate(ex, nil, cand, nil, rv, tpot, candBlock) == compute.OK
 }
 
 func (h hostView) ValidateScaleOut(ex *cluster.Executor, prof *perfmodel.Profile, req *engine.Request, loadDur sim.Duration) bool {
 	rv := compute.ViewRequest(req)
 	rv.Deadline = rv.Deadline.Add(loadDur) // cold-start grace
-	return h.c.validate(ex, nil, prof, rv, req.Obj.TPOT, loadDur) == compute.OK
+	return h.c.validate(ex, nil, nil, prof, rv, req.Obj.TPOT, loadDur) == compute.OK
 }
 
 func (h hostView) CreationBytes(n *cluster.Node, share float64, req *engine.Request) int64 {
 	return h.c.creationBytes(n, share, req)
+}
+
+func (h hostView) Admits(req *engine.Request, inst, without *engine.Instance) bool {
+	_, ok := h.c.admissible(req, inst, without)
+	return ok
 }
 
 // The actions below run one scratch depth deeper than the policy method

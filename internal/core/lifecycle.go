@@ -132,8 +132,8 @@ type memPlan struct {
 // Static-memory instances just check residual KV capacity. It changes no
 // state, so admission runs it before shadow validation and applyMemory
 // issues the plan only once every check has passed. inst serves req's
-// model.
-func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance) (memPlan, bool) {
+// model; credit is what a preemption's reclaim frees on its node first.
+func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance, credit int64) (memPlan, bool) {
 	needTokens := int64(req.W.InputLen) + 1
 	if c.isStaticInstance(len(inst.NodeIdxs)) {
 		return memPlan{}, inst.Cache.FitsTokens(needTokens)
@@ -162,7 +162,7 @@ func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance) (mem
 			return memPlan{}, false
 		}
 		for _, idx := range inst.NodeIdxs {
-			if !c.Cluster.Nodes[idx].Mem.CanAdmit(require - inst.KVTarget) {
+			if !c.Cluster.Nodes[idx].Mem.CanAdmit(require - inst.KVTarget - credit) {
 				return memPlan{}, false
 			}
 		}
@@ -170,12 +170,12 @@ func (c *Controller) planMemory(req *engine.Request, inst *engine.Instance) (mem
 	}
 	recommend := c.Cfg.Watermark.Recommend(require)
 	plan := memPlan{resize: recommend, block: kvcache.ScaleTime(cur, recommend)}
-	if _, ok := c.resizeFits(inst, recommend); ok {
+	if _, ok := c.resizeFits(inst, recommend, credit); ok {
 		return plan, true
 	}
 	// §VII-D compromise: accept with just Mrequire.
 	plan.resize = require
-	_, ok := c.resizeFits(inst, require)
+	_, ok := c.resizeFits(inst, require, credit)
 	return plan, ok
 }
 
@@ -187,8 +187,9 @@ func (c *Controller) applyMemory(inst *engine.Instance, plan memPlan) {
 }
 
 // resizeFits clamps a resize target to the bytes in use and reports whether
-// every host node admits it (TP shards resize together).
-func (c *Controller) resizeFits(inst *engine.Instance, target int64) (int64, bool) {
+// every host node admits it once credit bytes are freed (TP shards resize
+// together).
+func (c *Controller) resizeFits(inst *engine.Instance, target, credit int64) (int64, bool) {
 	cur := inst.Cache.CapacityBytes()
 	if target < inst.Cache.UsedBytes() {
 		target = inst.Cache.UsedBytes()
@@ -197,7 +198,7 @@ func (c *Controller) resizeFits(inst *engine.Instance, target int64) (int64, boo
 		return target, true
 	}
 	for _, idx := range inst.NodeIdxs {
-		if !c.Cluster.Nodes[idx].Mem.CanAdmit(target - cur) {
+		if !c.Cluster.Nodes[idx].Mem.CanAdmit(target - cur - credit) {
 			return target, false
 		}
 	}
@@ -209,7 +210,7 @@ func (c *Controller) resizeFits(inst *engine.Instance, target int64) (int64, boo
 //
 //slinfer:hotpath
 func (c *Controller) issueResize(inst *engine.Instance, target int64) bool {
-	target, ok := c.resizeFits(inst, target)
+	target, ok := c.resizeFits(inst, target, 0)
 	if !ok {
 		return false
 	}
@@ -560,18 +561,12 @@ func (c *Controller) removeInstance(inst *engine.Instance) {
 	// loaded under it), which the invariant suite checks. Both releases
 	// ride the same unload window, so the node's byte timeline is
 	// unchanged.
-	kv := inst.Cache.CapacityBytes()
-	unloadFrom := nodeWeights(&inst.Model, len(inst.NodeIdxs))
-	dynamic := !c.isStaticInstance(len(inst.NodeIdxs))
-	if !dynamic {
-		extra, _ := neoAssist(c.Cfg.NEOCores)
-		unloadFrom += max(kv-extra, 0)
-	}
+	kv, unloadFrom := c.teardownBytes(inst)
 	// Per node, the KV release goes first, then the weights unload.
 	for _, idx := range inst.NodeIdxs {
 		node := c.Cluster.Nodes[idx]
 		dur := node.Spec.UnloadTime(&inst.Model)
-		if dynamic && kv > 0 && !node.Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: memctl.Owner{Inst: inst.ID, KV: true},
+		if kv > 0 && !node.Mem.Demand(memctl.Op{Kind: memctl.ResizeKV, Owner: memctl.Owner{Inst: inst.ID, KV: true},
 			From: kv, Duration: dur}) {
 			panic("core: KV release rejected")
 		}
@@ -581,6 +576,18 @@ func (c *Controller) removeInstance(inst *engine.Instance) {
 		}
 	}
 	inst.Cache.SetCapacity(0)
+}
+
+// teardownBytes is what removeInstance releases on each of inst's nodes:
+// the dynamic KV under its own owner (0 if static) and the weights unload,
+// which carries a static instance's node-resident KV too.
+func (c *Controller) teardownBytes(inst *engine.Instance) (kv, weights int64) {
+	kv, weights = inst.Cache.CapacityBytes(), nodeWeights(&inst.Model, len(inst.NodeIdxs))
+	if c.isStaticInstance(len(inst.NodeIdxs)) {
+		extra, _ := neoAssist(c.Cfg.NEOCores)
+		return 0, weights + max(kv-extra, 0)
+	}
+	return kv, weights
 }
 
 // ---- PD disaggregation (§IX-G) -----------------------------------------------
@@ -620,7 +627,7 @@ func (c *Controller) finishPDTransfer(req *engine.Request) {
 			continue
 		}
 		// The arriving KV needs cache space; drive the §VII-B scale-up.
-		plan, ok := c.planMemory(req, inst)
+		plan, ok := c.planMemory(req, inst, 0)
 		if !ok {
 			continue
 		}

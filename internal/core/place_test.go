@@ -232,11 +232,11 @@ func TestAggregatePreCheckMatchesValidate(t *testing.T) {
 		seen[want]++
 
 		pre := &compute.Validator{Overestimate: v.Overestimate}
-		if got := pre.RejectsAggregate(ex.Instances, rv.TPOT); got != (want == compute.AggregateDecode) {
+		if got := pre.RejectsAggregate(ex.Instances, nil, rv.TPOT); got != (want == compute.AggregateDecode) {
 			t.Fatalf("pre-check rejected=%v, reference=%v", got, want)
 		}
 		v0, r0 := v.Validations, v.Rejections
-		if got := c.validate(ex, cand, fresh, rv, rv.TPOT, block); got != want {
+		if got := c.validate(ex, nil, cand, fresh, rv, rv.TPOT, block); got != want {
 			t.Fatalf("validate=%v, reference=%v", got, want)
 		}
 		if dv, dr := v.Validations-v0, v.Rejections-r0; dv != ref.Validations || dr != ref.Rejections {
@@ -279,7 +279,8 @@ func TestAggregatePreCheckMatchesValidate(t *testing.T) {
 }
 
 // The three dry runs (scale-up onto a live candidate, scale-out onto a
-// fresh instance, and a grower with its victim left out) must not allocate
+// fresh instance, and a grower's whole admission check with its victim
+// left out) must not allocate
 // once warm, on an executor whose case-3 pre-check passes so that each one
 // builds and simulates its projection. Nor must a scale-up that passes by
 // the demand test, on the light 2+2 shape, where most passes take that
@@ -295,7 +296,7 @@ func TestDryRunsDoNotAllocate(t *testing.T) {
 		for _, n := range c.Cluster.Nodes {
 			nodeEx := n.Shared
 			pre := &compute.Validator{Overestimate: c.Validator.Overestimate}
-			if len(nodeEx.Instances) >= 2 && !pre.RejectsAggregate(nodeEx.Instances, tpot) {
+			if len(nodeEx.Instances) >= 2 && !pre.RejectsAggregate(nodeEx.Instances, nil, tpot) {
 				ex = nodeEx
 				break
 			}
@@ -306,15 +307,15 @@ func TestDryRunsDoNotAllocate(t *testing.T) {
 	}
 	prof := c.Registry.Get(ex.Node.Spec.Class, m, 1)
 	grower, victim := ex.Instances[0], ex.Instances[1]
+	greq := engine.NewRequest(workload.Request{ID: -2, ModelName: grower.Model.Name,
+		Arrival: c.Sim.Now(), InputLen: 1024, OutputLen: 200})
 	for _, run := range []struct {
 		name string
 		fn   func()
 	}{
-		{"scale-up", func() { c.validate(ex, grower, nil, rv, tpot, 0.3) }},
-		{"scale-out", func() { c.validate(ex, nil, prof, rv, tpot, sim.Second) }},
-		{"grower", func() {
-			c.Validator.ValidateWithout(c.Sim.Now(), c.busyUntil(ex), ex.Instances, victim, grower, rv, tpot)
-		}},
+		{"scale-up", func() { c.validate(ex, nil, grower, nil, rv, tpot, 0.3) }},
+		{"scale-out", func() { c.validate(ex, nil, nil, prof, rv, tpot, sim.Second) }},
+		{"grower", func() { c.admissible(greq, grower, victim) }},
 	} {
 		before := c.Validator.Validations
 		run.fn()
@@ -346,7 +347,7 @@ func TestDryRunsDoNotAllocate(t *testing.T) {
 			lreq := engine.NewRequest(workload.Request{ID: -1, ModelName: cand.Model.Name,
 				Arrival: lc.Sim.Now(), InputLen: 1024, OutputLen: 200})
 			run := func() compute.Reason {
-				return lc.validate(lex, cand, nil, compute.ViewRequest(lreq), lreq.Obj.TPOT, 0)
+				return lc.validate(lex, nil, cand, nil, compute.ViewRequest(lreq), lreq.Obj.TPOT, 0)
 			}
 			if before := lc.Validator.EarlyAccepts; run() == compute.OK && lc.Validator.EarlyAccepts == before+1 {
 				early = run
@@ -361,41 +362,124 @@ func TestDryRunsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// The §VIII-A grower dry run charges no blocking, while the scale-up path
-// charges every in-flight resize: with a resize on the grower that lands
-// past the new request's TTFT deadline, ValidateWithout accepts and
-// validate rejects. A preemption executed on that answer leaves the
-// stall to the grower's final Admit.
-func TestGrowerDryRunIgnoresResizeInFlight(t *testing.T) {
+// blockedGrower builds, on one GPU, a grower of models[0] with two queued
+// long prompts, a victim of models[1] with one request, and a spare
+// instance of models[1] the victim's request can be rehomed to, all
+// active on one executor. The grower has a resize in flight that lands
+// past the TTFT deadline of req, a short prompt for models[0]; its
+// queued prompts, due far later, survive the stall. restore clears the
+// resize.
+func blockedGrower(t *testing.T) (c *Controller, grower, victim, spare *engine.Instance, req *engine.Request, restore func()) {
+	t.Helper()
 	models := model.Replicas(model.Llama2_7B, 2)
 	s := sim.New()
-	c := New(s, hwsim.Testbed(0, 1), models, SLINFER())
+	c = New(s, hwsim.Testbed(0, 1), models, SLINFER())
+	id := int64(0)
+	newReq := func(m model.Model, in int) *engine.Request {
+		id++
+		return engine.NewRequest(workload.Request{ID: id, ModelName: m.Name, Arrival: s.Now(), InputLen: in, OutputLen: 200})
+	}
 	var insts []*engine.Instance
-	for i, m := range models {
-		// The grower's request finishes at once; the victim stays busy.
-		out := []int{1, 1000}[i]
-		r := engine.NewRequest(workload.Request{ID: int64(i), ModelName: m.Name,
-			Arrival: s.Now(), InputLen: 256, OutputLen: out})
-		inst := c.createInstance(c.lookup(m.Name), c.Cluster.Nodes, 1, r)
-		c.place(r, inst)
-		insts = append(insts, inst)
+	for _, m := range []model.Model{models[0], models[1], models[1]} {
+		insts = append(insts, c.createInstance(c.lookup(m.Name), c.Cluster.Nodes, 1, newReq(m, 1024)))
 	}
-	s.RunUntil(s.Now().Add(c.Cluster.Nodes[0].Spec.LoadTime(&models[0]) + sim.Second))
-	grower, victim := insts[0], insts[1]
+	// Past the cold start, before the idle instances' keep-alive expires.
+	s.RunUntil(s.Now().Add(c.Cluster.Nodes[0].Spec.LoadTime(&models[0]) + 0.1))
+	grower, victim, spare = insts[0], insts[1], insts[2]
+	c.place(newReq(models[1], 1024), victim)
+	c.place(newReq(models[1], 1024), spare)
+	c.place(newReq(models[0], 4096), grower)
+	c.place(newReq(models[0], 4096), grower)
 	ex := c.instExec[grower.ID]
-	if ex == nil || c.instExec[victim.ID] != ex || grower.State != engine.Active || victim.TotalLoad() == 0 {
-		t.Fatal("precondition: want an active grower and a busy victim sharing one executor")
+	for _, inst := range insts {
+		if inst.State != engine.Active || c.instExec[inst.ID] != ex {
+			t.Fatal("precondition: want three active instances on one executor")
+		}
 	}
-	req := engine.NewRequest(workload.Request{ID: 9, ModelName: models[0].Name,
-		Arrival: s.Now(), InputLen: 1024, OutputLen: 200})
-	rv := compute.ViewRequest(req)
-	grower.ResizeInFlight, grower.ResizeDoneAt = true, rv.Deadline.Add(sim.Second)
-	defer func() { grower.ResizeInFlight, grower.ResizeDoneAt = false, 0 }()
+	req = newReq(models[0], 256)
+	grower.ResizeInFlight, grower.ResizeDoneAt = true, req.NextDeadline().Add(0.5)
+	return c, grower, victim, spare, req, func() { grower.ResizeInFlight, grower.ResizeDoneAt = false, 0 }
+}
 
-	if got := c.Validator.ValidateWithout(s.Now(), c.busyUntil(ex), ex.Instances, victim, grower, rv, req.Obj.TPOT); got != compute.OK {
-		t.Fatalf("grower dry run = %v, want OK: it must not charge the resize", got)
+// The §VIII-A grower dry run is the admission check itself, with the victim
+// left out, so it charges the grower's resize in flight as the final Admit
+// does: the stall past the new request's TTFT deadline rejects it, and
+// without the stall the same dry run passes.
+func TestGrowerDryRunChargesResizeInFlight(t *testing.T) {
+	c, grower, victim, _, req, restore := blockedGrower(t)
+	ex := c.instExec[grower.ID]
+	rv := compute.ViewRequest(req)
+	if got := c.validate(ex, victim, grower, nil, rv, req.Obj.TPOT, 0); got != compute.NewTTFT {
+		t.Fatalf("grower validation without the victim = %v, want %v from the resize in flight", got, compute.NewTTFT)
 	}
-	if got := c.validate(ex, grower, nil, rv, req.Obj.TPOT, 0); got != compute.NewTTFT {
-		t.Fatalf("scale-up validation = %v, want %v from the resize in flight", got, compute.NewTTFT)
+	if c.host.Admits(req, grower, victim) {
+		t.Fatal("grower dry run admits through a resize that lands past the TTFT deadline")
+	}
+	restore()
+	if !c.host.Admits(req, grower, victim) {
+		t.Fatal("precondition: without the resize the grower dry run should admit")
+	}
+}
+
+// A preemption whose grower the final Admit would reject tears nothing
+// down: the victim's request could be rehomed, but the grower's stall fails
+// the dry run first, so the victim stays active with its request and no
+// preemption is counted.
+func TestPreemptionKeepsVictimWhenGrowerIsBlocked(t *testing.T) {
+	c, grower, victim, spare, req, restore := blockedGrower(t)
+	defer restore()
+	if c.Cfg.Preemption.TryPreempt(c.host, req, grower.Model) {
+		t.Fatal("preemption admitted through the grower's stall")
+	}
+	for _, inst := range []*engine.Instance{victim, spare} {
+		if inst.State != engine.Active || inst.TotalLoad() != 1 {
+			t.Errorf("instance %d: state %v with %d requests, want active with 1", inst.ID, inst.State, inst.TotalLoad())
+		}
+	}
+	if n := c.Collector.Preemptions; n != 0 {
+		t.Errorf("%d preemptions counted, want 0", n)
+	}
+}
+
+// countingPreemption counts the TryPreempt calls of the policy it wraps
+// that report success.
+type countingPreemption struct {
+	policy.PreemptionPolicy
+	succeeded int64
+}
+
+func (p *countingPreemption) TryPreempt(h policy.Host, req *engine.Request, m model.Model) bool {
+	ok := p.PreemptionPolicy.TryPreempt(h, req, m)
+	if ok {
+		p.succeeded++
+	}
+	return ok
+}
+
+// Every preemption SLOPreserving executes admits its request: on the
+// saturated shape (24 7B models at 6 rps on 1+1), over four trace seeds,
+// the report's preemption count equals the number of TryPreempt calls that
+// succeeded, so no victim is torn down for a grower that then rejects.
+func TestExecutedPreemptionsAdmit(t *testing.T) {
+	models := model.Replicas(model.Llama2_7B, 24)
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	var executed int64
+	for _, seed := range []uint64{1, 2, 3, 7} {
+		tr := workload.Generate(workload.TraceConfig{ModelNames: names, Duration: 5 * sim.Minute,
+			Seed: seed, Dataset: workload.AzureConv, AggregateRPM: 360})
+		cfg := SLINFER()
+		counting := &countingPreemption{PreemptionPolicy: policy.SLOPreserving{}}
+		cfg.Preemption = counting
+		rep := New(sim.New(), hwsim.Testbed(1, 1), models, cfg).Run(tr)
+		if rep.Preemptions != counting.succeeded {
+			t.Errorf("seed %d: %d preemptions executed, %d admitted their request", seed, rep.Preemptions, counting.succeeded)
+		}
+		executed += rep.Preemptions
+	}
+	if executed == 0 {
+		t.Fatal("precondition: the saturated shape should preempt")
 	}
 }

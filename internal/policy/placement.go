@@ -153,7 +153,7 @@ func overBudget(h Host, n *cluster.Node, req *engine.Request) bool {
 	if n.Shared == nil {
 		return false
 	}
-	return h.Validator().RejectsAggregate(n.Shared.Instances, req.Obj.TPOT)
+	return h.Validator().RejectsAggregate(n.Shared.Instances, nil, req.Obj.TPOT)
 }
 
 // checkDropped is the slinfer_fullrun oracle for Feasible's prefilter. It

@@ -54,9 +54,6 @@ func (m SharingMode) String() string {
 // the request: the controller reaches a request's model record through the
 // binding it made at Submit, with no name lookup and no model copy.
 type Host interface {
-	// Now returns the current virtual time.
-	Now() sim.Time
-
 	// Nodes returns every cluster node in index order. A node carries its
 	// own carved share and shared executor (cluster.Node.Carved, Shared).
 	Nodes() []*cluster.Node
@@ -111,6 +108,9 @@ type Host interface {
 	// Admit runs the full admission pipeline for req on an existing
 	// instance.
 	Admit(req *engine.Request, inst *engine.Instance) bool
+	// Admits dry-runs every check of Admit for req on inst, changing
+	// nothing, as if without (when not nil) were already reclaimed.
+	Admits(req *engine.Request, inst, without *engine.Instance) bool
 	// Migrate pulls a request off an instance and re-places it elsewhere.
 	Migrate(req *engine.Request, from *engine.Instance)
 	// Reclaim tears an idle instance down.
@@ -164,12 +164,6 @@ type PreemptionPolicy interface {
 	// TryPreempt attempts to admit req by preempting a victim; reports
 	// success. Implementations must run every dry run before their first
 	// side effect and leave the cluster unchanged when a dry run fails.
-	// Once committed, the final Host.Admit can still reject: a victim with
-	// a resize in flight stays on the executor until it lands, Admit plans
-	// memory, and Admit charges the scale-up stall and every in-flight
-	// resize and cold start, which the grower dry run
-	// (Validator.ValidateWithout) does not. TryPreempt then reports false
-	// with the victim's requests already migrated and the victim reclaimed.
 	TryPreempt(h Host, req *engine.Request, m model.Model) bool
 }
 

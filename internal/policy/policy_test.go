@@ -57,7 +57,6 @@ func newFakeHost() *fakeHost {
 	}
 }
 
-func (h *fakeHost) Now() sim.Time          { return 0 }
 func (h *fakeHost) Nodes() []*cluster.Node { return h.cl.Nodes }
 func (h *fakeHost) AppendRouteCandidates(dst []*engine.Instance, req *engine.Request) []*engine.Instance {
 	return append(dst, h.routes[req.W.ModelName]...)
@@ -104,7 +103,7 @@ func (h *fakeHost) ValidateScaleOut(ex *cluster.Executor, _ *perfmodel.Profile, 
 		panic("unused")
 	}
 	h.scaleOuts[ex.Node.Idx]++
-	return !h.validator.RejectsAggregate(ex.Instances, req.Obj.TPOT)
+	return !h.validator.RejectsAggregate(ex.Instances, nil, req.Obj.TPOT)
 }
 func (h *fakeHost) CreationBytes(n *cluster.Node, _ float64, _ *engine.Request) int64 {
 	if h.need == nil {
@@ -123,8 +122,11 @@ func (h *fakeHost) Spawn(nodes []*cluster.Node, _ float64, _ *engine.Request) bo
 	return false
 }
 func (h *fakeHost) Admit(*engine.Request, *engine.Instance) bool { panic("unused") }
-func (h *fakeHost) Migrate(*engine.Request, *engine.Instance)    { panic("unused") }
-func (h *fakeHost) Reclaim(*engine.Instance)                     { panic("unused") }
+func (h *fakeHost) Admits(*engine.Request, *engine.Instance, *engine.Instance) bool {
+	panic("unused")
+}
+func (h *fakeHost) Migrate(*engine.Request, *engine.Instance) { panic("unused") }
+func (h *fakeHost) Reclaim(*engine.Instance)                  { panic("unused") }
 func (h *fakeHost) ArmReclaim(_ *engine.Instance, d sim.Duration) {
 	h.armed = append(h.armed, d)
 }

@@ -19,8 +19,8 @@ func (NoPreemption) TryPreempt(Host, *engine.Request, model.Model) bool { return
 // SLOPreserving is the paper's proactive consolidation (§VIII-A): find a
 // GPU node where an existing instance of the request's model could absorb
 // it if a smaller neighbour were preempted, dry-run every displaced
-// request and then the grower through shadow validation, and execute only
-// when all SLOs survive the move.
+// request through shadow validation and then the grower through the
+// admission check, and execute only when all SLOs survive the move.
 type SLOPreserving struct{}
 
 // TryPreempt looks for a grower/victim pair, validates the move, and
@@ -62,10 +62,10 @@ func (p SLOPreserving) TryPreempt(h Host, req *engine.Request, _ model.Model) bo
 // first. §VIII-A allows preemption only when shadow validation shows the
 // preempted requests still meet their SLOs after rescheduling; rehoming
 // does not depend on req and usually fails outright (no other live
-// instance), so every victim request is dry-run before the grower's
-// whole-executor projection. The dry runs change nothing the route
-// depends on, and the victim's requests share its model, so the first one
-// routes them all.
+// instance), so every victim request is dry-run before the grower's memory
+// plan and whole-executor projection. The dry runs change nothing the
+// route depends on, and the victim's requests share its model, so the
+// first one routes them all.
 func (p SLOPreserving) preemptAndAdmit(h Host, s *Scratch, req *engine.Request, grower, victim *engine.Instance) bool {
 	s.Moved = append(append(s.Moved[:0], victim.Running...), victim.WaitingPrefill...)
 	if len(s.Moved) > 0 {
@@ -76,15 +76,9 @@ func (p SLOPreserving) preemptAndAdmit(h Host, s *Scratch, req *engine.Request, 
 			return false
 		}
 	}
-	// Without the victim, would the grower's executor pass shadow
-	// validation?
-	ex := h.ExecutorOf(grower)
-	busyUntil := h.Now()
-	if ex.Busy() {
-		busyUntil = ex.BusyUntil()
-	}
-	if h.Validator().ValidateWithout(h.Now(), busyUntil, ex.Instances, victim, grower,
-		compute.ViewRequest(req), req.Obj.TPOT) != compute.OK {
+	// Without the victim, would the grower pass the admission the final
+	// Admit runs?
+	if !h.Admits(req, grower, victim) {
 		return false
 	}
 	// Execute: migrate the victim's requests away, then reclaim it.
@@ -96,7 +90,7 @@ func (p SLOPreserving) preemptAndAdmit(h Host, s *Scratch, req *engine.Request, 
 	// retires once the operation lands.
 	h.Reclaim(victim)
 	// Now admit (memory freed by the victim may still be unloading; the
-	// optimistic budget already reflects it).
+	// optimistic budget already reflects it, as the dry run assumed).
 	return h.Admit(req, grower)
 }
 
