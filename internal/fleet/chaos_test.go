@@ -53,7 +53,7 @@ func TestFleetChaosCrashConservation(t *testing.T) {
 func TestFleetChaosDeterministicAcrossWorkers(t *testing.T) {
 	tr := testTrace(t, testModels(8), 3, 41)
 	var want string
-	for _, workers := range []int{1, 8, 1, 8} {
+	for _, workers := range []int{1, 2, 3, 8, 1, 8} {
 		cfg := testConfig(4, workers)
 		cfg.Faults = faults.Preset("rolling-restart", 4, tr.Duration, 17)
 		res := Run(cfg, tr)

@@ -265,9 +265,12 @@ func (fd *frontDoor) redrive() {
 		case !fd.healthy || e.ready > fd.epoch:
 			keep = append(keep, e)
 		default:
-			r := fd.tr.Requests[e.idx]
+			// A copy: the re-drive arrives at the epoch top, and the
+			// trace stays read-only.
+			r := new(workload.Request)
+			*r = fd.tr.Requests[e.idx]
 			r.Arrival = fd.start
-			s := fd.route(r)
+			s := fd.route(*r)
 			if fd.front != nil {
 				fd.front.Record(fd.start, telemetry.KindRedrive, -1, r.ID, int64(e.from), int64(s))
 			}

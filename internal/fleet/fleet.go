@@ -8,7 +8,7 @@
 //	    autoscale the active shard set           } snapshots from the end of
 //	    re-drive, then admit + route the epoch's } epoch k-1
 //	    arrivals in global arrival order         }
-//	    advance every shard to (k+1)E — in parallel (internal/par)
+//	    advance every shard to (k+1)E — in parallel, on a par.Pool
 //	    snapshot every shard, in shard order
 //
 // Routing is serial and snapshot-driven, shard interiors never share
@@ -17,7 +17,10 @@
 // controller run, independent of the worker count (pinned by
 // TestFleetDeterministicAcrossWorkers). Shards between barriers are
 // embarrassingly parallel, which is where the fleet's aggregate events/s
-// over a single shard comes from (BenchmarkSub_FleetEpoch).
+// over a single shard comes from (BenchmarkSub_FleetEpoch). One pool
+// serves every barrier of a run: the goroutine that called Run advances
+// shards too, and its helpers spin through the short serial section
+// between barriers instead of being spawned and woken for each one.
 //
 // Aggregation merges the per-shard reports through metrics.MergeReports;
 // the rejection ledger, per-shard replayable trace slices
@@ -101,10 +104,13 @@ type Config struct {
 	Epoch sim.Duration
 	// Workers bounds how many shards advance concurrently between epoch
 	// barriers: 0 selects GOMAXPROCS, 1 forces serial. Results are
-	// identical either way. The fleet deliberately does not use the
-	// experiments worker pool — a fleet inside a scenario/sweep cell would
-	// nest fan-outs and risk deadlocking a saturated pool — so callers
-	// inside such cells should set Workers to 1.
+	// identical either way. The caller's goroutine is one of the workers;
+	// the other Workers-1 (at most one per further shard) live for the
+	// whole run and spin for up to a few milliseconds between barriers
+	// before parking, so they keep CPUs busy that the serial front door
+	// leaves idle. Callers that already run in parallel, such as
+	// scenario or sweep cells, should set Workers to 1: spinning helpers
+	// would take CPU time from the other cells, and 1 starts none.
 	Workers int
 	// Seed decorrelates the shards: shard i's controller seed is
 	// ShardSeed(Seed^System.Seed, i).
@@ -309,15 +315,16 @@ func (sd *shard) watch() {
 	}
 }
 
-// enqueue schedules one routed request on the shard's simulator.
+// enqueue schedules one routed request on the shard's simulator. The
+// shard reads *r when the arrival fires, so r must stay unchanged until
+// then: a trace request (the trace is read-only during Run) or a
+// re-drive's own copy.
 //
 //slinfer:hotpath
-func (sd *shard) enqueue(r workload.Request) {
+func (sd *shard) enqueue(r *workload.Request) {
 	sd.routed++
 	sd.sliceCount++
-	arg := new(workload.Request)
-	*arg = r
-	sd.sim.AtFunc(r.Arrival, sd.fnSubmit, arg)
+	sd.sim.AtFunc(r.Arrival, sd.fnSubmit, r)
 }
 
 func (sd *shard) snapshot(i int, active bool, routedLast int) Snapshot {
@@ -448,8 +455,8 @@ func (sd *shard) report(horizon sim.Time) metrics.Report {
 // plan, and the retry queue. Run drives it one epoch at a time through
 // its phase methods — beginEpoch, applyFaults, decideRetries, scale,
 // redrive, admitAndRoute, barrier — and finish builds the Result. Every
-// phase except the shard advance inside barrier is serial, so all of its
-// state is read and written by one goroutine.
+// phase except the shard advances on the pool (barrier, drain) is serial,
+// so all of its state is read and written by one goroutine.
 type frontDoor struct {
 	cfg      Config
 	tr       workload.Trace
@@ -458,8 +465,10 @@ type frontDoor struct {
 	assigned []int // arrival index -> shard (-1 shed, pulled, or exhausted)
 	ck       *checker
 	res      Result
-	sem      par.Sem
-	advance  func(int) struct{} // pre-bound shard advance for par.Do
+	// pool advances every shard to until, one round per barrier; its
+	// helpers live from newFrontDoor until Run returns.
+	pool  *par.Pool
+	until sim.Time
 	// front is the fleet's telemetry recorder, written only inside the
 	// serial section so its event stream is ordered for any worker count;
 	// nil without telemetry.
@@ -503,6 +512,7 @@ func Run(cfg Config, tr workload.Trace) Result {
 		panic("fleet: config hosts no models")
 	}
 	fd := newFrontDoor(cfg.withDefaults(), tr)
+	defer fd.pool.Close()
 	fd.runEpochs()
 	fd.drain()
 	return fd.finish()
@@ -532,7 +542,6 @@ func newFrontDoor(cfg Config, tr workload.Trace) *frontDoor {
 		shards:   make([]*shard, n),
 		snaps:    make([]Snapshot, n),
 		assigned: make([]int, len(tr.Requests)),
-		sem:      par.NewSem(cfg.Workers),
 		res: Result{
 			ShardViolations: make([][]invariants.Violation, n),
 			FlightDumps:     make([]string, n),
@@ -548,7 +557,6 @@ func newFrontDoor(cfg Config, tr workload.Trace) *frontDoor {
 	fd.horizon = fd.traceEnd
 	fd.completions = make([]int64, 0, int(tr.Duration/cfg.Epoch)+1)
 	fd.st.Snaps = fd.snaps
-	fd.advance = fd.advanceShard
 	if err := tr.Validate(); err != nil {
 		fd.ck.report("fleet-trace", 0, "invalid trace: %v", err)
 	}
@@ -568,6 +576,9 @@ func newFrontDoor(cfg Config, tr workload.Trace) *frontDoor {
 	for i := range fd.assigned {
 		fd.assigned[i] = -1
 	}
+	// Last, so nothing that can panic runs between starting the helpers
+	// and Run's deferred Close.
+	fd.pool = par.NewPool(cfg.Workers, n, fd.advanceShard)
 	return fd
 }
 
@@ -629,7 +640,7 @@ func (fd *frontDoor) route(r workload.Request) int {
 
 // place sends request r (trace arrival index idx) to shard s and counts
 // it in the epoch state.
-func (fd *frontDoor) place(r workload.Request, idx, s int) {
+func (fd *frontDoor) place(r *workload.Request, idx, s int) {
 	fd.assigned[idx] = s
 	fd.st.Routed[s]++
 	fd.st.Accepted++
@@ -656,20 +667,21 @@ func (fd *frontDoor) admitAndRoute() {
 			continue
 		}
 		fd.res.Accepted++
-		fd.place(r, fd.next, fd.route(r))
+		fd.place(&reqs[fd.next], fd.next, fd.route(r))
 	}
 }
 
-func (fd *frontDoor) advanceShard(i int) struct{} {
-	fd.shards[i].sim.RunUntil(fd.end)
-	return struct{}{}
+// advanceShard is the pool's cell: run shard i's simulator to until.
+func (fd *frontDoor) advanceShard(i int) {
+	fd.shards[i].sim.RunUntil(fd.until)
 }
 
 // barrier advances every shard to the window's end concurrently, then —
 // serially, in shard order — snapshots them, checks barrier synchrony,
 // records the epoch's goodput, and moves the window.
 func (fd *frontDoor) barrier() {
-	par.Do(fd.sem, len(fd.shards), fd.advance)
+	fd.until = fd.end
+	fd.pool.Run()
 	for i, sd := range fd.shards {
 		fd.snaps[i] = sd.snapshot(i, i < fd.active, fd.st.Routed[i])
 	}
@@ -711,10 +723,8 @@ func (fd *frontDoor) sampleEpoch(i int, goodput int64) {
 
 // drain runs every shard through the grace window.
 func (fd *frontDoor) drain() {
-	par.Do(fd.sem, len(fd.shards), func(i int) struct{} {
-		fd.shards[i].sim.RunUntil(fd.horizon.Add(core.DrainGrace))
-		return struct{}{}
-	})
+	fd.until = fd.horizon.Add(core.DrainGrace)
+	fd.pool.Run()
 }
 
 // finish builds the drained shards' and the merged reports and the

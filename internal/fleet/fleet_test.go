@@ -1,13 +1,18 @@
 package fleet
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"slinfer/internal/core"
+	"slinfer/internal/engine"
 	"slinfer/internal/hwsim"
 	"slinfer/internal/kvcache"
 	"slinfer/internal/model"
+	"slinfer/internal/par"
+	"slinfer/internal/policy"
 	"slinfer/internal/sim"
 	"slinfer/internal/workload"
 )
@@ -66,7 +71,9 @@ func canonical(res Result) string {
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	tr := testTrace(t, testModels(8), 3, 41)
 	var want string
-	for _, workers := range []int{1, 8, 1, 8} {
+	// Workers 2 and 3 split the 4 shards between the caller and one or
+	// two pool helpers; 3 splits them unevenly.
+	for _, workers := range []int{1, 2, 3, 8, 1, 8} {
 		res := Run(testConfig(4, workers), tr)
 		if !res.Ok() {
 			t.Fatalf("workers=%d: violations: %v %v", workers, res.Violations, res.ShardViolations)
@@ -78,6 +85,47 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("workers=%d: fleet run diverged from first run", workers)
+		}
+	}
+}
+
+// panicPlacement fails a shard from inside its simulator: the first
+// scale-out attempt panics.
+type panicPlacement struct{ policy.PlacementPolicy }
+
+func (panicPlacement) PlaceNew(policy.Host, *engine.Request, model.Model) bool {
+	panic("placement exploded")
+}
+
+// TestFleetShardPanicJoinsWorkers: a shard that panics while the epoch
+// pool advances it surfaces on Run's caller as a *par.CellPanic naming
+// the shard, and no pool helper outlives Run.
+func TestFleetShardPanicJoinsWorkers(t *testing.T) {
+	tr := testTrace(t, testModels(8), 1, 3)
+	for _, workers := range []int{2, 3, 8} {
+		base := runtime.NumGoroutine()
+		cfg := testConfig(4, workers)
+		bad := cfg.System
+		bad.Placement = panicPlacement{bad.Placement}
+		cfg.Shards[2].System = &bad
+		rec := func() (rec any) {
+			defer func() { rec = recover() }()
+			Run(cfg, tr)
+			return nil
+		}()
+		cp, ok := rec.(*par.CellPanic)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %T (%v), want *par.CellPanic", workers, rec, rec)
+		}
+		if cp.Cell != 2 || cp.Value != "placement exploded" {
+			t.Fatalf("workers=%d: CellPanic{Cell:%d Value:%v}, want shard 2's panic", workers, cp.Cell, cp.Value)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines after Run, %d before", workers, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

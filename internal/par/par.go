@@ -1,6 +1,8 @@
-// Package par provides the minimal bounded fan-out primitive shared by
-// the experiment sweep runner and the profile CLI: evaluate n independent
-// cells, gate concurrency on a semaphore, return results in input order.
+// Package par provides bounded fan-out primitives. Do is the one-shot
+// sweep shared by the experiment runner and the profile CLI: evaluate n
+// independent cells, gate concurrency on a semaphore, return results in
+// input order. Pool runs the same cells round after round on long-lived
+// workers, for the fleet's epoch barriers.
 package par
 
 import (

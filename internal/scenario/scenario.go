@@ -320,8 +320,8 @@ func RunCell(c Cell) CellResult {
 
 // runFleetCell runs the cell's trace through an N-shard fleet. Workers is
 // pinned to 1: the cell itself already runs inside the experiments worker
-// pool, and a nested fan-out could deadlock a saturated pool (the same
-// rule sweeps follow); fleet results are worker-count-independent anyway.
+// pool, where a fleet's spinning helpers would take CPU time from the
+// other cells; fleet results are worker-count-independent anyway.
 func runFleetCell(c Cell, cfg core.Config, models []model.Model, tr workload.Trace) CellResult {
 	routing, err := fleet.RoutingByName(c.Fleet.Routing)
 	if err != nil {
